@@ -50,10 +50,6 @@ from .lhv import (
     TabulatedResponse,
     exact_expectation,
     expectation_grid,
-    finite_model_from_dict,
-    finite_model_from_json,
-    finite_model_to_dict,
-    finite_model_to_json,
     free_evolution_model,
     matched_moments,
     quadrature_model,
@@ -118,10 +114,6 @@ __all__ = [
     "expectation",
     "expectation_grid",
     "extract_moments",
-    "finite_model_from_dict",
-    "finite_model_from_json",
-    "finite_model_to_dict",
-    "finite_model_to_json",
     "free_evolution_correlation",
     "free_evolution_model",
     "matched_moments",

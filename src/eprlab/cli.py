@@ -4,7 +4,7 @@ A scenario is a JSON file with a top-level ``kind`` discriminator::
 
     {
       "kind": "SPIN_CHSH" | "EPR_QUADRATURE" | "FREE_EVOLUTION",
-      "name": "output base name (default: file stem)",
+      "name": "output base name, one path component (default: file stem)",
       "state": {"squeezing": 1.0} or
                {"moments": {"qq": ..., "pq": ..., "qp": ..., "pp": ...}},
       "settings": {"pairs": [[s1, s2], ...]} or
@@ -24,7 +24,8 @@ For every setting pair the tool evaluates the exact quantum correlation,
 the model's exact expectation, and a seeded Monte Carlo estimate, then
 writes ``<name>.csv`` and ``<name>.summary.json``. Exit codes: 0 on
 success, 1 on input errors, 2 when the model and the quantum value
-disagree beyond tolerance on any row.
+disagree beyond tolerance on any row or a correlator's internal
+cross-check fails.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .correlators import (
     quadrature_correlation,
     spin_correlation,
 )
-from .errors import ScenarioError, ValidationError
+from .errors import ConsistencyError, ScenarioError, ValidationError
 from .estimator import compare, mc_estimate
 from .gaussian import MomentMatrix, extract_moments, tmsv
 from .lhv import (
@@ -192,6 +193,10 @@ def load_scenario(path: Path) -> Scenario:
     name = data.get("name", path.stem)
     if not isinstance(name, str) or not name:
         raise ScenarioError(f"'name' must be a non-empty string, got {name!r}")
+    # The name becomes the output file stem inside --out-dir.
+    if name in (".", "..") or any(c in name for c in "/\\\0"):
+        raise ScenarioError(f"'name' must be one path component without '/', '\\' or NUL, "
+                            f"got {name!r}")
     samples = data.get("samples")
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 2:
         raise ScenarioError(f"'samples' must be an integer >= 2, got {samples!r}")
@@ -342,6 +347,9 @@ def main(argv=None) -> int:
     except (ScenarioError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except ConsistencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
 
 
 if __name__ == "__main__":

@@ -65,35 +65,31 @@ def _raw_words(seed: int, word_offset: int, n_words: int) -> np.ndarray:
     return bg.random_raw(n_words)
 
 
-def _finite_block_values(model, s1, s2, seed):
-    weights = np.array(model.space.weights)
-    cum = np.cumsum(weights)
-    k = len(weights)
-    products = np.array([
-        model.response1.value(s1, atom) * model.response2.value(s2, atom)
-        for atom in range(k)
-    ])
+def _block_values(model, s1, s2, seed):
+    # Both responses are read from their feature vectors; only the draw of
+    # the latent basis (one atom, or a normal pair) depends on the space.
+    phi1 = np.array(model.response1.features(s1))
+    phi2 = np.array(model.response2.features(s2))
+    if model.space.kind is SpaceKind.FINITE:
+        cum = np.cumsum(model.space.weights)
+        last = len(cum) - 1
+        products = phi1 * phi2
 
-    def values(start: int, count: int) -> np.ndarray:
-        raw = _raw_words(seed, start, count)
-        u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        idx = np.searchsorted(cum, u, side="right")
-        np.minimum(idx, k - 1, out=idx)
-        return products[idx]
+        def values(start: int, count: int) -> np.ndarray:
+            raw = _raw_words(seed, start, count)
+            u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
+            idx = np.searchsorted(cum, u, side="right")
+            np.minimum(idx, last, out=idx)
+            return products[idx]
 
-    return values
-
-
-def _gaussian_block_values(model, s1, s2, seed):
-    u_coeff = model.response1.coefficients(s1)
-    v_coeff = model.response2.coefficients(s2)
+        return values
 
     def values(start: int, count: int) -> np.ndarray:
         raw = _raw_words(seed, 2 * start, 2 * count)
         u = ((raw >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
         eta = ndtri(u).reshape(count, 2)
-        xi1 = eta[:, 0] * u_coeff[0] + eta[:, 1] * u_coeff[1]
-        xi2 = eta[:, 0] * v_coeff[0] + eta[:, 1] * v_coeff[1]
+        xi1 = eta[:, 0] * phi1[0] + eta[:, 1] * phi1[1]
+        xi2 = eta[:, 0] * phi2[0] + eta[:, 1] * phi2[1]
         return xi1 * xi2
 
     return values
@@ -110,10 +106,7 @@ def mc_estimate(model: HiddenVariableModel, s1, s2, n: int, seed: int, *,
         raise ValidationError(f"sample count must be an integer >= 2, got {n!r}")
     if not isinstance(seed, int) or not 0 <= seed < _MAX_SEED:
         raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-    if model.space.kind is SpaceKind.FINITE:
-        values = _finite_block_values(model, s1, s2, seed)
-    else:
-        values = _gaussian_block_values(model, s1, s2, seed)
+    values = _block_values(model, s1, s2, seed)
 
     def block_stats(index: int) -> tuple[float, float]:
         start = index * BLOCK_DRAWS

@@ -15,7 +15,6 @@ squeezed vacuum family ``tmsv`` approaches it as the squeezing grows.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -69,24 +68,6 @@ class GaussianState:
         mean.setflags(write=False)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "mean", mean)
-
-    def to_dict(self) -> dict:
-        return {"cov": self.cov.tolist(), "mean": self.mean.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GaussianState":
-        try:
-            return cls(cov=np.asarray(data["cov"], dtype=float),
-                       mean=np.asarray(data["mean"], dtype=float))
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"bad GaussianState payload: {exc}") from exc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "GaussianState":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -6,27 +6,28 @@ two responses, each depending only on its own party's setting:
 
     E[xi1(s1, .) * xi2(s2, .)]
 
-Two sample spaces cover everything this package needs:
+Every model is a weight vector w over a latent basis b_1..b_d, with
+E[b_k b_l] = w_k delta_kl, plus one feature map per party: xi(s) =
+sum_k phi_k(s) b_k. The correlation sum_k w_k phi1_k(s1) phi2_k(s2) is
+therefore one contraction, computed in closed form; no sampling happens
+here (see ``estimator`` for the Monte Carlo side). Two sample spaces
+cover everything this package needs:
 
-* ``FINITE``: atoms 1..K with nonnegative weights summing to 1. Used by
-  the three-atom spin model, whose responses reproduce -(a . b) exactly
-  at the price of a response bound of sqrt(3) instead of 1.
-* ``GAUSSIAN_PAIR``: two independent standard normals (eta1, eta2).
-  Used by the quadrature and free-evolution models, whose responses are
-  linear in (eta1, eta2) with coefficients matched to the four cross
-  moments. Such responses are unbounded, which is exactly what lets
-  them escape the CHSH bound argument.
-
-Expectations are computed in closed form (weighted sums over atoms, or
-coefficient dot products via E[eta_u eta_v] = delta_uv); no sampling
-happens here. See ``estimator`` for the Monte Carlo side.
+* ``FINITE``: atoms 1..K with nonnegative weights w summing to 1; b_k is
+  the indicator of atom k. Used by the three-atom spin model, whose
+  responses reproduce -(a . b) exactly at the price of a response bound
+  of sqrt(3) instead of 1.
+* ``GAUSSIAN_PAIR``: two independent standard normals (eta1, eta2), so
+  w = (1, 1). Used by the quadrature and free-evolution models, whose
+  features are matched to the four cross moments. Such responses are
+  unbounded, which is exactly what lets them escape the CHSH bound
+  argument.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -82,10 +83,9 @@ class SampleSpace:
         return cls(SpaceKind.GAUSSIAN_PAIR)
 
     @property
-    def n_atoms(self) -> int:
-        if self.kind is not SpaceKind.FINITE:
-            raise ValidationError("n_atoms is only defined for FINITE sample spaces")
-        return len(self.weights)
+    def basis_weights(self) -> tuple[float, ...]:
+        """The diagonal Gram matrix w of the latent basis: atom weights, or (1, 1)."""
+        return self.weights if self.kind is SpaceKind.FINITE else (1.0, 1.0)
 
 
 class ResponseMode(Enum):
@@ -97,28 +97,31 @@ class ResponseMode(Enum):
 
 @dataclass(frozen=True)
 class ComponentResponse:
-    """Response on a FINITE space, linear in the measurement direction.
+    """Response on a three-atom FINITE space, linear in the measurement direction.
 
-    The value at direction ``a`` and atom ``k`` is ``scale * a_k`` (the
-    k-th direction cosine), so the sup over unit directions per atom is
-    exactly ``abs(scale)``.
+    The feature vector at direction ``a`` is ``scale * a``: atom ``k``
+    responds with the k-th direction cosine, so the sup over unit
+    directions is exactly ``abs(scale)``.
     """
 
     scale: float
+    space_kind = SpaceKind.FINITE
+    dim = 3
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.scale):
             raise ValidationError(f"response scale must be finite, got {self.scale!r}")
 
-    def value(self, setting: UnitVector3, atom: int) -> float:
+    def features(self, setting: UnitVector3) -> tuple[float, float, float]:
         if not isinstance(setting, UnitVector3):
             raise ValidationError(
                 f"direction-component response expects a UnitVector3 setting, "
                 f"got {type(setting).__name__}"
             )
-        return self.scale * setting.component(atom)
+        s = self.scale
+        return (s * setting.x, s * setting.y, s * setting.z)
 
-    def atom_sup(self, atom: int) -> float:
+    def sup(self) -> float:
         return abs(self.scale)
 
 
@@ -126,12 +129,15 @@ class ComponentResponse:
 class TabulatedResponse:
     """Response on a FINITE space tabulated over an explicit set of settings.
 
-    ``values[i][k]`` is the response at ``settings[i]`` and atom ``k``.
-    Evaluating at a setting not in the table is an error.
+    ``values[i]`` is the feature vector at ``settings[i]``: one value per
+    atom. A repeated setting keeps its first row. Evaluating at a setting
+    not in the table is an error.
     """
 
     settings: tuple
     values: tuple[tuple[float, ...], ...]
+    _rows: dict = field(init=False, repr=False, compare=False)
+    space_kind = SpaceKind.FINITE
 
     def __post_init__(self) -> None:
         settings = tuple(self.settings)
@@ -143,21 +149,26 @@ class TabulatedResponse:
             raise ValidationError("tabulated response rows must share one atom count")
         if any(not math.isfinite(v) for row in values for v in row):
             raise ValidationError("tabulated response values must be finite")
+        rows: dict = {}
+        for setting, row in zip(settings, values):
+            rows.setdefault(setting, row)
         object.__setattr__(self, "settings", settings)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_rows", rows)
 
     @property
-    def n_atoms(self) -> int:
+    def dim(self) -> int:
         return len(self.values[0])
 
-    def value(self, setting, atom: int) -> float:
-        for i, known in enumerate(self.settings):
-            if known == setting:
-                return self.values[i][atom]
-        raise ValidationError(f"setting {setting!r} is not tabulated in this response")
+    def features(self, setting) -> tuple[float, ...]:
+        try:
+            return self._rows[setting]
+        except KeyError:
+            raise ValidationError(
+                f"setting {setting!r} is not tabulated in this response") from None
 
-    def atom_sup(self, atom: int) -> float:
-        return max(abs(row[atom]) for row in self.values)
+    def sup(self) -> float:
+        return max(abs(v) for row in self.values for v in row)
 
 
 @dataclass(frozen=True)
@@ -173,6 +184,8 @@ class LinearResponse:
     q_coeffs: tuple[float, float]
     p_coeffs: tuple[float, float]
     mode: ResponseMode
+    space_kind = SpaceKind.GAUSSIAN_PAIR
+    dim = 2
 
     def __post_init__(self) -> None:
         q = tuple(float(v) for v in self.q_coeffs)
@@ -184,7 +197,7 @@ class LinearResponse:
         object.__setattr__(self, "q_coeffs", q)
         object.__setattr__(self, "p_coeffs", p)
 
-    def coefficients(self, setting) -> tuple[float, float]:
+    def features(self, setting) -> tuple[float, float]:
         """Latent coefficient vector of the response at ``setting``."""
         q, p = self.q_coeffs, self.p_coeffs
         if self.mode is ResponseMode.TRIG:
@@ -201,22 +214,24 @@ class LinearResponse:
         t = setting.t
         return (q[0] + p[0] * t, q[1] + p[1] * t)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.q_coeffs == (0.0, 0.0) and self.p_coeffs == (0.0, 0.0)
-
-
-_FINITE_RESPONSES = (ComponentResponse, TabulatedResponse)
+    def sup(self) -> float:
+        # A linear form in two standard normals that is nonzero at some
+        # setting takes every real value there.
+        return 0.0 if self.q_coeffs == self.p_coeffs == (0.0, 0.0) else UNBOUNDED
 
 
 @dataclass(frozen=True)
 class HiddenVariableModel:
     """Sample space plus the two per-party response functions.
 
+    Each response (``ComponentResponse``, ``TabulatedResponse`` or
+    ``LinearResponse``) names the space kind it lives on and its feature
+    count ``dim``; both must match the space, and the two responses must
+    share one response mode.
     ``certified_sup_bound`` is trusted metadata validated at
-    construction: for FINITE spaces the exact per-atom suprema of both
-    responses must not exceed it. A value of ``UNBOUNDED`` (inf) makes
-    no claim; ``None`` means uncertified.
+    construction: the exact suprema of both responses must not exceed
+    it. A value of ``UNBOUNDED`` (inf) makes no claim; ``None`` means
+    uncertified.
     """
 
     space: SampleSpace
@@ -225,56 +240,29 @@ class HiddenVariableModel:
     certified_sup_bound: float | None = None
 
     def __post_init__(self) -> None:
-        if self.space.kind is SpaceKind.FINITE:
-            self._validate_finite()
-        else:
-            self._validate_gaussian()
+        kind, dim = self.space.kind, len(self.space.basis_weights)
+        for name, resp in (("response1", self.response1), ("response2", self.response2)):
+            if getattr(resp, "space_kind", None) is not kind:
+                raise ValidationError(
+                    f"{name} must be a response on a {kind.value} space, "
+                    f"got {type(resp).__name__}"
+                )
+            if resp.dim != dim:
+                raise ValidationError(
+                    f"{name} has {resp.dim} features but the space has {dim} basis elements"
+                )
+        if getattr(self.response1, "mode", None) is not getattr(self.response2, "mode", None):
+            raise ValidationError("both responses must share one response mode")
         c = self.certified_sup_bound
         if c is None:
             return
         if math.isnan(c) or c < 0.0:
             raise ValidationError(f"certified sup bound must be nonnegative, got {c!r}")
-        if not math.isfinite(c):
-            return
-        if self.space.kind is SpaceKind.GAUSSIAN_PAIR:
-            if not (self.response1.is_zero and self.response2.is_zero):
-                raise ValidationError(
-                    "nonzero gaussian linear responses have unbounded range and cannot "
-                    "carry a finite certified sup bound"
-                )
-            return
         worst = sup_bound(self)
         if worst > c + CERTIFICATE_TOL:
             raise ValidationError(
                 f"certified sup bound {c!r} violated: responses reach {worst!r}"
             )
-
-    def _validate_finite(self) -> None:
-        n_atoms = self.space.n_atoms
-        for name, resp in (("response1", self.response1), ("response2", self.response2)):
-            if not isinstance(resp, _FINITE_RESPONSES):
-                raise ValidationError(
-                    f"{name} must be a ComponentResponse or TabulatedResponse on a "
-                    f"FINITE space, got {type(resp).__name__}"
-                )
-            if isinstance(resp, ComponentResponse) and n_atoms > 3:
-                raise ValidationError(
-                    "direction-component responses support at most 3 atoms"
-                )
-            if isinstance(resp, TabulatedResponse) and resp.n_atoms != n_atoms:
-                raise ValidationError(
-                    f"{name} tabulates {resp.n_atoms} atoms but the space has {n_atoms}"
-                )
-
-    def _validate_gaussian(self) -> None:
-        for name, resp in (("response1", self.response1), ("response2", self.response2)):
-            if not isinstance(resp, LinearResponse):
-                raise ValidationError(
-                    f"{name} must be a LinearResponse on a GAUSSIAN_PAIR space, "
-                    f"got {type(resp).__name__}"
-                )
-        if self.response1.mode is not self.response2.mode:
-            raise ValidationError("both responses must share one response mode")
 
 
 class Factorization(Enum):
@@ -311,6 +299,17 @@ def unbounded_spin_model() -> HiddenVariableModel:
     )
 
 
+def _general_model(m: MomentMatrix, mode: ResponseMode) -> HiddenVariableModel:
+    """GENERAL coefficients: party 1 takes the rows of the cross-moment
+    block, party 2 the identity."""
+    return HiddenVariableModel(
+        space=SampleSpace.gaussian_pair(),
+        response1=LinearResponse((m.qq, m.qp), (m.pq, m.pp), mode),
+        response2=LinearResponse((1.0, 0.0), (0.0, 1.0), mode),
+        certified_sup_bound=UNBOUNDED,
+    )
+
+
 def quadrature_model(m: MomentMatrix,
                      variant: Factorization = Factorization.GENERAL) -> HiddenVariableModel:
     """Gaussian-pair model whose rotated-quadrature correlation matches ``m``.
@@ -320,39 +319,20 @@ def quadrature_model(m: MomentMatrix,
     and therefore reproduce the quadrature correlator exactly for every
     pair of angles.
     """
-    if variant is Factorization.PIVOT_A:
-        if abs(m.qq) <= PIVOT_EPS:
-            raise DegenerateMomentError(
-                f"pivot-on-qq coefficients are undefined for |qq| <= {PIVOT_EPS} "
-                f"(got qq = {m.qq!r}); use Factorization.GENERAL"
-            )
-        response1 = LinearResponse(
-            q_coeffs=(m.qq, 0.0),
-            p_coeffs=(m.pq, m.pp - m.pq * m.qp / m.qq),
-            mode=ResponseMode.TRIG,
-        )
-        response2 = LinearResponse(
-            q_coeffs=(1.0, 0.0),
-            p_coeffs=(m.qp / m.qq, 1.0),
-            mode=ResponseMode.TRIG,
-        )
-    elif variant is Factorization.GENERAL:
-        response1 = LinearResponse(
-            q_coeffs=(m.qq, m.qp),
-            p_coeffs=(m.pq, m.pp),
-            mode=ResponseMode.TRIG,
-        )
-        response2 = LinearResponse(
-            q_coeffs=(1.0, 0.0),
-            p_coeffs=(0.0, 1.0),
-            mode=ResponseMode.TRIG,
-        )
-    else:
+    if variant is Factorization.GENERAL:
+        return _general_model(m, ResponseMode.TRIG)
+    if variant is not Factorization.PIVOT_A:
         raise ValidationError(f"unknown factorization variant: {variant!r}")
+    if abs(m.qq) <= PIVOT_EPS:
+        raise DegenerateMomentError(
+            f"pivot-on-qq coefficients are undefined for |qq| <= {PIVOT_EPS} "
+            f"(got qq = {m.qq!r}); use Factorization.GENERAL"
+        )
     return HiddenVariableModel(
         space=SampleSpace.gaussian_pair(),
-        response1=response1,
-        response2=response2,
+        response1=LinearResponse((m.qq, 0.0), (m.pq, m.pp - m.pq * m.qp / m.qq),
+                                 ResponseMode.TRIG),
+        response2=LinearResponse((1.0, 0.0), (m.qp / m.qq, 1.0), ResponseMode.TRIG),
         certified_sup_bound=UNBOUNDED,
     )
 
@@ -363,85 +343,68 @@ def free_evolution_model(m: MomentMatrix) -> HiddenVariableModel:
     Uses the GENERAL coefficient rows, so the exact expectation equals
     qq + pq t1 + qp t2 + pp t1 t2 for all times.
     """
-    return HiddenVariableModel(
-        space=SampleSpace.gaussian_pair(),
-        response1=LinearResponse((m.qq, m.qp), (m.pq, m.pp), ResponseMode.LINEAR_TIME),
-        response2=LinearResponse((1.0, 0.0), (0.0, 1.0), ResponseMode.LINEAR_TIME),
-        certified_sup_bound=UNBOUNDED,
-    )
+    return _general_model(m, ResponseMode.LINEAR_TIME)
+
+
+def _contract(weights, phi1, phi2) -> np.ndarray:
+    """sum_k w_k phi1_k phi2_k over the last (latent) axis of broadcast arrays.
+
+    The terms (phi1_k w_k) phi2_k are added in index order, starting from
+    the first term rather than from 0.0, so a pair gets the same bits
+    alone or inside a grid, and a -0.0 keeps its sign.
+    """
+    terms = phi1 * weights * phi2
+    total = terms[..., 0]
+    for k in range(1, terms.shape[-1]):
+        total = total + terms[..., k]
+    return total
 
 
 def exact_expectation(model: HiddenVariableModel, s1, s2) -> float:
-    """E[xi1(s1) xi2(s2)] in closed form, no sampling.
-
-    FINITE spaces: weighted sum over atoms. GAUSSIAN_PAIR: dot product
-    of the two latent coefficient vectors, using E[eta_u eta_v] =
-    delta_uv.
-    """
-    if model.space.kind is SpaceKind.FINITE:
-        r1, r2, w = model.response1, model.response2, model.space.weights
-        return math.fsum(
-            w[k] * r1.value(s1, k) * r2.value(s2, k) for k in range(len(w))
-        )
-    u = model.response1.coefficients(s1)
-    v = model.response2.coefficients(s2)
-    return u[0] * v[0] + u[1] * v[1]
+    """E[xi1(s1) xi2(s2)] in closed form, no sampling."""
+    return float(_contract(np.array(model.space.basis_weights),
+                           np.array(model.response1.features(s1)),
+                           np.array(model.response2.features(s2))))
 
 
 def expectation_grid(model: HiddenVariableModel,
                      settings1: Sequence, settings2: Sequence) -> np.ndarray:
     """``exact_expectation`` over the Cartesian product of two setting lists.
 
-    Same contraction as the scalar form, batched; returns an array of
+    Same contraction as the scalar form, broadcast over both lists, so
+    each entry equals the scalar value bit for bit; returns an array of
     shape (len(settings1), len(settings2)).
     """
-    if model.space.kind is SpaceKind.FINITE:
-        w = np.array(model.space.weights)
-        k = len(w)
-        v1 = np.array([[model.response1.value(s, atom) for atom in range(k)]
-                       for s in settings1])
-        v2 = np.array([[model.response2.value(s, atom) for atom in range(k)]
-                       for s in settings2])
-        return (v1 * w) @ v2.T
-    u = np.array([model.response1.coefficients(s) for s in settings1])
-    v = np.array([model.response2.coefficients(s) for s in settings2])
-    return u @ v.T
+    phi1 = np.array([model.response1.features(s) for s in settings1])
+    phi2 = np.array([model.response2.features(s) for s in settings2])
+    return _contract(np.array(model.space.basis_weights), phi1[:, None, :], phi2[None, :, :])
 
 
 def matched_moments(model: HiddenVariableModel) -> MomentMatrix:
     """The four latent moments E f1 f2, E g1 f2, E f1 g2, E g1 g2.
 
-    For a model built by ``quadrature_model`` or ``free_evolution_model``
-    this returns the input moment matrix exactly.
+    The same contraction, taken over the (f, g) coefficient rows of the
+    two linear responses. For a model built by ``quadrature_model`` or
+    ``free_evolution_model`` this returns the input moment matrix exactly.
     """
-    if model.space.kind is not SpaceKind.GAUSSIAN_PAIR:
+    r1, r2 = model.response1, model.response2
+    if not isinstance(r1, LinearResponse):
         raise ValidationError("matched_moments is defined for GAUSSIAN_PAIR models")
-    q1, p1 = model.response1.q_coeffs, model.response1.p_coeffs
-    q2, p2 = model.response2.q_coeffs, model.response2.p_coeffs
-
-    def dot(a, b):
-        return a[0] * b[0] + a[1] * b[1]
-
-    return MomentMatrix(qq=dot(q1, q2), pq=dot(p1, q2), qp=dot(q1, p2), pp=dot(p1, p2))
+    rows1 = np.array([r1.q_coeffs, r1.p_coeffs])
+    rows2 = np.array([r2.q_coeffs, r2.p_coeffs])
+    (qq, qp), (pq, pp) = _contract(np.array(model.space.basis_weights),
+                                   rows1[:, None, :], rows2[None, :, :]).tolist()
+    return MomentMatrix(qq=qq, pq=pq, qp=qp, pp=pp)
 
 
 def sup_bound(model: HiddenVariableModel) -> float:
     """Supremum of |xi_n| over parties, settings, and sample points.
 
-    FINITE responses have exact per-atom suprema (the tabulated maxima,
-    or |scale| for direction-component responses). Gaussian linear
-    responses are unbounded unless identically zero.
+    The larger of the two responses' exact suprema: |scale| for
+    direction-component responses, the tabulated maximum, and for
+    gaussian linear responses UNBOUNDED unless identically zero.
     """
-    if model.space.kind is SpaceKind.FINITE:
-        n_atoms = model.space.n_atoms
-        return max(
-            resp.atom_sup(atom)
-            for resp in (model.response1, model.response2)
-            for atom in range(n_atoms)
-        )
-    if model.response1.is_zero and model.response2.is_zero:
-        return 0.0
-    return UNBOUNDED
+    return max(model.response1.sup(), model.response2.sup())
 
 
 class Spectrum(Enum):
@@ -500,110 +463,3 @@ def spectrum_compatibility(model: HiddenVariableModel, spectrum: Spectrum) -> Sp
                 f"{name} collapses to a degenerate range at some setting",
             )
     return SpectrumReport(True, spectrum, sup, "responses span R at every setting")
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization of FINITE models (inspection and golden-file tests)
-# ---------------------------------------------------------------------------
-
-
-def _setting_to_dict(setting) -> dict:
-    if isinstance(setting, UnitVector3):
-        return {"kind": "spin", "x": setting.x, "y": setting.y, "z": setting.z}
-    if isinstance(setting, QuadratureSetting):
-        return {"kind": "quadrature", "alpha": setting.alpha}
-    if isinstance(setting, TimeSetting):
-        return {"kind": "time", "t": setting.t}
-    raise ValidationError(f"setting {setting!r} is not serializable")
-
-
-def _setting_from_dict(data: dict):
-    kind = data.get("kind")
-    if kind == "spin":
-        return UnitVector3(data["x"], data["y"], data["z"])
-    if kind == "quadrature":
-        return QuadratureSetting(data["alpha"])
-    if kind == "time":
-        return TimeSetting(data["t"])
-    raise ValidationError(f"unknown setting kind {kind!r}")
-
-
-def _response_atom_dict(resp, atom: int) -> dict:
-    if isinstance(resp, ComponentResponse):
-        return {"kind": "direction_component", "scale": resp.scale}
-    return {
-        "kind": "table",
-        "settings": [_setting_to_dict(s) for s in resp.settings],
-        "values": [row[atom] for row in resp.values],
-    }
-
-
-def finite_model_to_dict(model: HiddenVariableModel) -> dict:
-    """Serialize a FINITE model as one record per atom."""
-    if model.space.kind is not SpaceKind.FINITE:
-        raise ValidationError("only FINITE models serialize to the atom-list schema")
-    c = model.certified_sup_bound
-    sup: float | str | None
-    if c is None:
-        sup = None
-    elif math.isinf(c):
-        sup = "unbounded"
-    else:
-        sup = c
-    return {
-        "atoms": [
-            {
-                "weight": model.space.weights[atom],
-                "xi1": _response_atom_dict(model.response1, atom),
-                "xi2": _response_atom_dict(model.response2, atom),
-            }
-            for atom in range(model.space.n_atoms)
-        ],
-        "supBound": sup,
-    }
-
-
-def _response_from_atom_dicts(dicts: list[dict]):
-    kinds = {d.get("kind") for d in dicts}
-    if kinds == {"direction_component"}:
-        scales = {d["scale"] for d in dicts}
-        if len(scales) != 1:
-            raise ValidationError("direction-component atoms must share one scale")
-        return ComponentResponse(scales.pop())
-    if kinds == {"table"}:
-        settings = tuple(_setting_from_dict(s) for s in dicts[0]["settings"])
-        for d in dicts[1:]:
-            if tuple(_setting_from_dict(s) for s in d["settings"]) != settings:
-                raise ValidationError("tabulated atoms must share one setting list")
-        values = tuple(
-            tuple(float(d["values"][i]) for d in dicts) for i in range(len(settings))
-        )
-        return TabulatedResponse(settings=settings, values=values)
-    raise ValidationError(f"inconsistent or unknown response kinds: {kinds}")
-
-
-def finite_model_from_dict(data: dict) -> HiddenVariableModel:
-    try:
-        atoms = data["atoms"]
-        weights = tuple(float(a["weight"]) for a in atoms)
-        response1 = _response_from_atom_dicts([a["xi1"] for a in atoms])
-        response2 = _response_from_atom_dicts([a["xi2"] for a in atoms])
-        sup = data.get("supBound")
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"bad model payload: {exc}") from exc
-    if sup == "unbounded":
-        sup = UNBOUNDED
-    return HiddenVariableModel(
-        space=SampleSpace.finite(weights),
-        response1=response1,
-        response2=response2,
-        certified_sup_bound=sup,
-    )
-
-
-def finite_model_to_json(model: HiddenVariableModel) -> str:
-    return json.dumps(finite_model_to_dict(model), indent=2, sort_keys=True)
-
-
-def finite_model_from_json(text: str) -> HiddenVariableModel:
-    return finite_model_from_dict(json.loads(text))

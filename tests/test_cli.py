@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -6,9 +7,22 @@ from pathlib import Path
 
 import pytest
 
-from eprlab import cli
+from eprlab import ConsistencyError, cli
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
+
+#: sha256 of the bundled outputs. A change that alters the Monte Carlo
+#: stream or the output format on purpose updates these and says so.
+BUNDLED_SHA256 = {
+    "spin_chsh.csv": "d400d0deb3d729b1bab838e7480c5989f29918b4d8614cf5b38baee438076db3",
+    "spin_chsh.summary.json": "e4644a7785f2af590c4f4972b6552a147ef2759d9947a481153a47fd42379591",
+    "epr_quadrature.csv": "dcf6e16496975098b388ef48f0280cad78f17709b7c5291d350e06ec7825090a",
+    "epr_quadrature.summary.json":
+        "796959bcbb6af244b2a421777f276760b595c8697c714a796af76acb742e69f4",
+    "free_evolution.csv": "461a9a88a692c13e785db935c29d47e276813c46e8db4495bb55eacefd18186d",
+    "free_evolution.summary.json":
+        "a13fb925e8f2df7adeac1749b2cac3a54822cfc450e2aa1594486c6684655db1",
+}
 
 
 def run_cli(args):
@@ -55,6 +69,13 @@ class TestBundledScenarios:
         assert values[(0.0, 0.0)] == 1.0
         assert values[(1.0, 1.0)] == 10.0
         assert values[(2.0, 3.0)] == 38.0
+
+    def test_outputs_match_pinned_hashes(self, tmp_path):
+        for name in ("spin_chsh", "epr_quadrature", "free_evolution"):
+            assert run_cli(["run", SCENARIOS / f"{name}.json", "--out-dir", tmp_path]) == 0
+        for filename, expected in BUNDLED_SHA256.items():
+            digest = hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest()
+            assert digest == expected, filename
 
 
 class TestDeterminism:
@@ -198,6 +219,15 @@ class TestInputErrors:
                                          "samples": 10, "seed": 0, "extra": 1})
         assert run_cli(["run", path]) == 1
 
+    @pytest.mark.parametrize("name", ["../escaped", "sub/dir", "back\\slash", "nul\0byte",
+                                      ".", ".."])
+    def test_name_must_be_one_path_component(self, tmp_path, name):
+        path = write_scenario(tmp_path, {"kind": "SPIN_CHSH", "name": name,
+                                         "settings": {"pairs": [[0.0, 0.0]]},
+                                         "samples": 10, "seed": 0})
+        assert run_cli(["run", path, "--out-dir", tmp_path / "out"]) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
     def test_missing_samples(self, tmp_path):
         path = write_scenario(tmp_path, {"kind": "SPIN_CHSH",
                                          "settings": {"pairs": [[0.0, 0.0]]},
@@ -213,6 +243,14 @@ class TestConsistencyGate:
         assert code == 2
         summary = json.loads((tmp_path / "free_evolution.summary.json").read_text())
         assert summary["consistency_pass"] is False
+
+    def test_correlator_cross_check_failure_exits_two(self, tmp_path, monkeypatch, capsys):
+        def mismatch(a, b):
+            raise ConsistencyError("spin correlator mismatch")
+        monkeypatch.setattr(cli, "spin_correlation", mismatch)
+        code = run_cli(["run", SCENARIOS / "spin_chsh.json", "--out-dir", tmp_path])
+        assert code == 2
+        assert "error: spin correlator mismatch" in capsys.readouterr().err
 
 
 class TestEntryPoint:

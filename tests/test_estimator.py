@@ -109,7 +109,7 @@ class TestDeterminism:
         cum = np.cumsum(np.array(model.space.weights))
         atoms = np.minimum(np.searchsorted(cum, u, side="right"), 2)
         per_atom = np.array([
-            model.response1.value(Z_AXIS, k) * model.response2.value(Z_AXIS, k)
+            model.response1.features(Z_AXIS)[k] * model.response2.features(Z_AXIS)[k]
             for k in range(3)
         ])
         x = per_atom[atoms]

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -135,21 +134,3 @@ class TestMomentMatrix:
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError):
             MomentMatrix(qq=math.inf, pq=0.0, qp=0.0, pp=0.0)
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        state = tmsv(0.8)
-        clone = GaussianState.from_json(state.to_json())
-        assert np.array_equal(clone.cov, state.cov)
-        assert np.array_equal(clone.mean, state.mean)
-
-    def test_schema_keys(self):
-        data = json.loads(tmsv(0.0).to_json())
-        assert set(data) == {"cov", "mean"}
-        assert len(data["cov"]) == 4 and len(data["cov"][0]) == 4
-        assert len(data["mean"]) == 4
-
-    def test_bad_payload(self):
-        with pytest.raises(ValidationError):
-            GaussianState.from_dict({"cov": [[1.0]]})

@@ -1,6 +1,5 @@
-import json
+import itertools
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +25,6 @@ from eprlab import (
     exact_expectation,
     expectation_grid,
     extract_moments,
-    finite_model_from_json,
-    finite_model_to_dict,
-    finite_model_to_json,
     free_evolution_correlation,
     free_evolution_model,
     matched_moments,
@@ -47,8 +43,6 @@ from conftest import (
     random_sign_model,
     random_unit_vectors,
 )
-
-GOLDEN = Path(__file__).parent / "data" / "unbounded_spin_model.json"
 
 Z_AXIS = UnitVector3(0.0, 0.0, 1.0)
 X_AXIS = UnitVector3(1.0, 0.0, 0.0)
@@ -90,8 +84,8 @@ class TestUnboundedSpinModel:
 
     def test_response_value(self):
         model = unbounded_spin_model()
-        assert abs(model.response1.value(X_AXIS, 0) - ROOT3) < 1e-15
-        assert abs(model.response2.value(X_AXIS, 0) + ROOT3) < 1e-15
+        assert abs(model.response1.features(X_AXIS)[0] - ROOT3) < 1e-15
+        assert abs(model.response2.features(X_AXIS)[0] + ROOT3) < 1e-15
 
     def test_reproduces_singlet_randomized(self):
         model = unbounded_spin_model()
@@ -106,10 +100,10 @@ class TestUnboundedSpinModel:
     def test_sup_bound_grid_cross_check(self):
         model = unbounded_spin_model()
         grid_sup = max(
-            abs(resp.value(a, atom))
+            abs(value)
             for resp in (model.response1, model.response2)
             for a in fibonacci_sphere(360)
-            for atom in range(3)
+            for value in resp.features(a)
         )
         assert grid_sup <= ROOT3 + 1e-12
         assert grid_sup > ROOT3 - 0.05
@@ -241,6 +235,23 @@ class TestBoundedModelsRespectChsh:
             s = chsh_value(lambda u, v: exact_expectation(model, u, v), settings)
             assert abs(s) <= 2.0 + 1e-12
 
+    def test_deterministic_strategies_exhaustive(self):
+        # Every bounded model is a convex mixture of the 16 deterministic
+        # +-1 strategies (Fine 1982), so their maximum certifies |S| <= 2.
+        settings = ChshSettings(CHSH_PARTY1_SETTINGS[0], CHSH_PARTY1_SETTINGS[1],
+                                CHSH_PARTY2_SETTINGS[0], CHSH_PARTY2_SETTINGS[1])
+        values = []
+        for a, a_prime, b, b_prime in itertools.product((-1.0, 1.0), repeat=4):
+            model = HiddenVariableModel(
+                space=SampleSpace.finite((1.0,)),
+                response1=TabulatedResponse(CHSH_PARTY1_SETTINGS, ((a,), (a_prime,))),
+                response2=TabulatedResponse(CHSH_PARTY2_SETTINGS, ((b,), (b_prime,))),
+                certified_sup_bound=1.0,
+            )
+            values.append(chsh_value(lambda u, v: exact_expectation(model, u, v), settings))
+        assert len(values) == 16
+        assert max(abs(s) for s in values) == 2.0
+
 
 class TestSupBound:
     def test_all_zero_responses(self):
@@ -364,7 +375,7 @@ class TestExpectationGrid:
         assert grid.shape == (9, 7)
         for i, a1 in enumerate(s1):
             for j, a2 in enumerate(s2):
-                assert abs(grid[i, j] - exact_expectation(model, a1, a2)) < 1e-13
+                assert grid[i, j] == exact_expectation(model, a1, a2)
 
     def test_matches_scalar_finite(self):
         model = unbounded_spin_model()
@@ -374,31 +385,14 @@ class TestExpectationGrid:
         grid = expectation_grid(model, s1, s2)
         for i, a in enumerate(s1):
             for j, b in enumerate(s2):
-                assert abs(grid[i, j] - exact_expectation(model, a, b)) < 1e-13
+                assert grid[i, j] == exact_expectation(model, a, b)
 
-
-class TestSerialization:
-    def test_golden_file(self):
-        expected = json.loads(GOLDEN.read_text())
-        assert finite_model_to_dict(unbounded_spin_model()) == expected
-
-    def test_component_round_trip(self):
+    def test_matches_scalar_spin_plane_72x72(self):
         model = unbounded_spin_model()
-        clone = finite_model_from_json(finite_model_to_json(model))
-        rng = np.random.default_rng(53)
-        for a, b in zip(random_unit_vectors(rng, 10), random_unit_vectors(rng, 10)):
-            assert exact_expectation(clone, a, b) == exact_expectation(model, a, b)
-        assert clone.certified_sup_bound == model.certified_sup_bound
-
-    def test_tabulated_round_trip(self):
-        rng = np.random.default_rng(59)
-        model = random_sign_model(rng, CHSH_PARTY1_SETTINGS, CHSH_PARTY2_SETTINGS, n_atoms=4)
-        clone = finite_model_from_json(finite_model_to_json(model))
-        for s1 in CHSH_PARTY1_SETTINGS:
-            for s2 in CHSH_PARTY2_SETTINGS:
-                assert exact_expectation(clone, s1, s2) == exact_expectation(model, s1, s2)
-
-    def test_gaussian_model_not_serializable_to_atom_schema(self):
-        model = quadrature_model(MomentMatrix(qq=1.0, pq=0.0, qp=0.0, pp=0.0))
-        with pytest.raises(ValidationError):
-            finite_model_to_dict(model)
+        plane = [UnitVector3(math.sin(t), 0.0, math.cos(t))
+                 for t in np.linspace(0.0, 2.0 * math.pi, 72)]
+        grid = expectation_grid(model, plane, plane)
+        assert grid.shape == (72, 72)
+        for i, a in enumerate(plane):
+            for j, b in enumerate(plane):
+                assert grid[i, j] == exact_expectation(model, a, b)
