@@ -10,6 +10,17 @@ across runs, worker counts, and scheduling.
 Standard normals are produced by the inverse normal CDF applied to
 uniforms of the form ((word >> 12) + 0.5) * 2**-52, which are strictly
 inside (0, 1) and symmetric about 1/2, keeping the transform finite.
+``ndtri`` imports ``scipy.special`` on its first call, so a run that
+samples only finite models never loads scipy.
+
+A finite model draws atom ``k`` when the uniform (word >> 11) * 2**-53
+lies in [cum[k-1], cum[k]), the last atom taking the rest. Scaling by
+2**53 is exact, so that test is done on the raw word itself: the atom
+index is the number of thresholds ceil(cum[k] * 2**53) << 11, over
+k < K - 1, that the word reaches. Thresholds at or above 2**53 << 11
+cannot be reached and are dropped. Small tables count the thresholds;
+large ones binary-search them. Both give the atom that
+``searchsorted(cum, u, side="right")``, clipped to K - 1, gives.
 """
 
 from __future__ import annotations
@@ -17,9 +28,9 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ValidationError
 from .lhv import HiddenVariableModel, SpaceKind
@@ -27,6 +38,12 @@ from .lhv import HiddenVariableModel, SpaceKind
 #: Draws per evaluation block. Fixed so that block boundaries (and hence
 #: the reduction order of partial sums) never depend on the worker count.
 BLOCK_DRAWS = 1 << 16
+
+#: Finite models with at most this many atoms count the lookup thresholds
+#: into a uint8 index; larger ones binary-search them. Counting makes one
+#: pass over the words per threshold; on 2-vCPU x86-64 hosts it beat the
+#: binary search up to 48 atoms in one measurement and 96 in another.
+MAX_COUNTED_ATOMS = 32
 
 _MAX_SEED = 1 << 64
 
@@ -65,32 +82,59 @@ def _raw_words(seed: int, word_offset: int, n_words: int) -> np.ndarray:
     return bg.random_raw(n_words)
 
 
+def ndtri(u, out=None):
+    """Inverse standard normal CDF, ``scipy.special.ndtri``, imported on first use."""
+    from scipy.special import ndtri as inverse_cdf
+    return inverse_cdf(u, out=out)
+
+
+def _atom_lookup(weights):
+    """Map raw Philox words to atom indices by their thresholds (see the module docstring)."""
+    # Partial sums in index order, as np.cumsum forms them; c < 1 is c * 2**53 < 2**53.
+    thresholds = [np.uint64(math.ceil(c * 2.0**53) << 11)
+                  for c in accumulate(weights[:-1]) if c < 1.0]
+    if len(weights) > MAX_COUNTED_ATOMS:
+        table = np.array(thresholds, dtype=np.uint64)
+        return lambda raw: np.searchsorted(table, raw, side="right")
+
+    def count(raw: np.ndarray) -> np.ndarray:
+        idx = np.zeros(len(raw), dtype=np.uint8)
+        for t in thresholds:
+            idx += (raw >= t).view(np.uint8)
+        return idx
+
+    return count
+
+
 def _block_values(model, s1, s2, seed):
     # Both responses are read from their feature vectors; only the draw of
     # the latent basis (one atom, or a normal pair) depends on the space.
     phi1 = np.array(model.response1.features(s1))
     phi2 = np.array(model.response2.features(s2))
     if model.space.kind is SpaceKind.FINITE:
-        cum = np.cumsum(model.space.weights)
-        last = len(cum) - 1
+        atom = _atom_lookup(model.space.weights)
         products = phi1 * phi2
 
         def values(start: int, count: int) -> np.ndarray:
-            raw = _raw_words(seed, start, count)
-            u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
-            idx = np.searchsorted(cum, u, side="right")
-            np.minimum(idx, last, out=idx)
-            return products[idx]
+            return products.take(atom(_raw_words(seed, start, count)))
 
         return values
 
     def values(start: int, count: int) -> np.ndarray:
         raw = _raw_words(seed, 2 * start, 2 * count)
-        u = ((raw >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
-        eta = ndtri(u).reshape(count, 2)
-        xi1 = eta[:, 0] * phi1[0] + eta[:, 1] * phi1[1]
-        xi2 = eta[:, 0] * phi2[0] + eta[:, 1] * phi2[1]
-        return xi1 * xi2
+        raw >>= np.uint64(12)
+        u = raw.astype(np.float64)
+        u += 0.5
+        u *= 2.0**-52
+        eta = ndtri(u, out=u).reshape(count, 2)
+        xi1 = eta[:, 0] * phi1[0]
+        term = eta[:, 1] * phi1[1]
+        xi1 += term
+        xi2 = eta[:, 0] * phi2[0]
+        np.multiply(eta[:, 1], phi2[1], out=term)
+        xi2 += term
+        xi1 *= xi2
+        return xi1
 
     return values
 

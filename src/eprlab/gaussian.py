@@ -16,6 +16,7 @@ squeezed vacuum family ``tmsv`` approaches it as the squeezing grows.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,8 @@ from .errors import ValidationError
 
 SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = 1e-9
+#: Largest |r| for which cosh(2r) and sinh(2r) are finite doubles.
+MAX_SQUEEZING = 0.5 * math.acosh(sys.float_info.max)
 
 #: Symplectic form in (q1, p1, q2, p2) ordering.
 SYMPLECTIC_FORM = np.array([
@@ -103,12 +106,17 @@ def tmsv(r: float) -> GaussianState:
 
     Zero mean; each quadrature variance is cosh(2r)/2, the position
     cross correlation is sinh(2r)/2 and the momentum one its negative.
-    r = 0 gives the vacuum. Physical for every finite r.
+    r = 0 gives the vacuum. Physical for every finite r; representable
+    for |r| <= MAX_SQUEEZING (about 355.24).
     """
     if not math.isfinite(r):
         raise ValidationError(f"squeezing parameter must be finite, got {r!r}")
-    c = math.cosh(2.0 * r) / 2.0
-    s = math.sinh(2.0 * r) / 2.0
+    try:
+        c = math.cosh(2.0 * r) / 2.0
+        s = math.sinh(2.0 * r) / 2.0
+    except OverflowError:
+        raise ValidationError(f"squeezing parameter {r!r} overflows cosh(2r); |r| must be at "
+                              f"most {MAX_SQUEEZING:.6g}") from None
     cov = np.array([
         [c, 0.0, s, 0.0],
         [0.0, c, 0.0, -s],

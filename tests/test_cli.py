@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from eprlab import ConsistencyError, cli
+from eprlab import ConsistencyError, MomentMatrix, cli, free_evolution_model
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -234,8 +235,50 @@ class TestInputErrors:
                                          "seed": 0})
         assert run_cli(["run", path]) == 1
 
+    def test_overflowing_squeezing_exits_one(self, tmp_path):
+        path = write_scenario(tmp_path, {"kind": "EPR_QUADRATURE",
+                                         "state": {"squeezing": 1000},
+                                         "settings": {"pairs": [[0.0, 0.0]]},
+                                         "samples": 10, "seed": 0})
+        result = subprocess.run(
+            [sys.executable, "-m", "eprlab", "run", str(path), "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 1
+        assert "error:" in result.stderr
+        assert "Traceback" not in result.stderr
+
+
+#: Moments whose free-evolution correlator rounds differently from the model
+#: at large times, by up to 1.16e-10 at |t| = 1e3 and 1.2e-4 at |t| = 1e6.
+FREE_MOMENTS = {"qq": 0.3, "pq": 0.7, "qp": -0.23, "pp": 1.1}
+
+
+def free_evolution_scan(tmp_path, t):
+    axis = {"start": -t, "stop": t, "count": 7}
+    return write_scenario(tmp_path, {
+        "kind": "FREE_EVOLUTION",
+        "state": {"moments": FREE_MOMENTS},
+        "settings": {"setting1": axis, "setting2": axis},
+        "samples": 100,
+        "seed": 5,
+    })
+
 
 class TestConsistencyGate:
+    @pytest.mark.parametrize("t", [1e3, 1e6])
+    def test_rounding_at_large_times_passes(self, tmp_path, t):
+        path = free_evolution_scan(tmp_path, t)
+        assert run_cli(["run", path, "--out-dir", tmp_path]) == 0
+
+    @pytest.mark.parametrize("t", [1e3, 1e6])
+    def test_perturbed_model_at_large_times_exits_two(self, tmp_path, monkeypatch, t):
+        moments = MomentMatrix(**FREE_MOMENTS)
+        perturbed = dataclasses.replace(moments, pp=moments.pp * (1.0 + 1e-8))
+        monkeypatch.setattr(cli, "free_evolution_model", lambda m: free_evolution_model(perturbed))
+        path = free_evolution_scan(tmp_path, t)
+        assert run_cli(["run", path, "--out-dir", tmp_path]) == 2
+
     def test_forced_failure_exits_two(self, tmp_path, monkeypatch):
         # impossible tolerance forces the row consistency check to fail
         monkeypatch.setattr(cli, "CONSISTENCY_TOL", -1.0)
@@ -262,3 +305,15 @@ class TestEntryPoint:
         )
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "free_evolution.csv").exists()
+
+    def test_spin_run_never_imports_scipy(self, tmp_path):
+        # scipy.special is loaded only when a Gaussian model is sampled.
+        code = (
+            "import sys, eprlab, eprlab.cli\n"
+            f"code = eprlab.cli.main(['run', {str(SCENARIOS / 'spin_chsh.json')!r},"
+            f" '--out-dir', {str(tmp_path)!r}, '--samples', '1000'])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 []"

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from eprlab import (
     tmsv,
     unbounded_spin_model,
 )
+from eprlab.estimator import BLOCK_DRAWS, MAX_COUNTED_ATOMS, _atom_lookup, _block_values
 
 Z_AXIS = UnitVector3(0.0, 0.0, 1.0)
 
@@ -129,6 +131,73 @@ class TestDeterminism:
         # xi1 = eta1 (coefficients (1, 0)), xi2 = eta1 at angle 0
         x = eta[:, 0] * eta[:, 0]
         assert abs(est.mean - np.mean(x)) < 1e-15
+
+
+def reference_atoms(weights, raw: np.ndarray) -> np.ndarray:
+    """Atom indices by float searchsorted on the 53-bit uniforms."""
+    u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    cum = np.cumsum(np.array(weights))
+    return np.minimum(np.searchsorted(cum, u, side="right"), len(weights) - 1)
+
+
+def boundary_words(weights) -> np.ndarray:
+    """Every reachable threshold word T_k << 11 and the word below it, plus the extremes.
+
+    T_k = ceil(cum_k * 2**53) is computed with exact rationals.
+    """
+    words = {0, 1, 2**64 - 1}
+    for c in np.cumsum(np.array(weights))[:-1]:
+        t = math.ceil(Fraction(float(c)) * 2**53)
+        if t < 2**53:
+            words.update(w for w in ((t << 11) - 1, t << 11, (t << 11) + 2047) if w >= 0)
+    stream = np.random.Philox(key=11).random_raw(4096)
+    return np.concatenate([np.array(sorted(words), dtype=np.uint64), stream])
+
+
+def random_weights(n: int, seed: int) -> tuple[float, ...]:
+    raw = np.random.default_rng(seed).random(n)
+    raw[::5] = 0.0
+    return tuple(float(w) for w in raw / raw.sum())
+
+
+ATOM_WEIGHTS = {
+    "one_atom": (1.0,),
+    "two_atoms": (0.25, 0.75),
+    "thirds": (1.0 / 3.0,) * 3,
+    "leading_zero": (0.0, 0.5, 0.5),
+    "trailing_zero": (0.5, 0.5, 0.0),
+    "zeros_between": (0.0, 0.3, 0.0, 0.0, 0.7, 0.0),
+    "cumsum_below_one": (0.1,) * 10,
+    "cumsum_just_below_one": (0.5, 0.5 - 2.0**-53, 0.0),
+    "cumsum_just_above_one": (0.5, 0.5 + 2.0**-52, 0.0),
+    "counted_cutoff": random_weights(MAX_COUNTED_ATOMS, 1),
+    "searched_cutoff": random_weights(MAX_COUNTED_ATOMS + 1, 2),
+    "forty_atoms": random_weights(40, 3),
+}
+
+
+class TestAtomLookup:
+    @pytest.mark.parametrize("weights", ATOM_WEIGHTS.values(), ids=ATOM_WEIGHTS.keys())
+    def test_matches_float_searchsorted(self, weights):
+        words = boundary_words(weights)
+        assert np.array_equal(_atom_lookup(weights)(words), reference_atoms(weights, words))
+
+    def test_block_sums_match_stream_reconstruction_off_axis(self):
+        # Three distinct nonzero per-atom products, so both atom boundaries show.
+        model = unbounded_spin_model()
+        d = UnitVector3(0.48, 0.6, 0.64)
+        seed = 31
+        per_atom = (np.array(model.response1.features(d))
+                    * np.array(model.response2.features(d)))
+        assert len(set(per_atom.tolist())) == 3 and np.all(per_atom != 0.0)
+        values = _block_values(model, d, d, seed)
+        for start in (0, BLOCK_DRAWS, 40 * BLOCK_DRAWS):
+            bg = np.random.Philox(key=seed)
+            bg.advance(start // 4)
+            ref = per_atom[reference_atoms(model.space.weights, bg.random_raw(BLOCK_DRAWS))]
+            x = values(start, BLOCK_DRAWS)
+            assert np.sum(x) == np.sum(ref)
+            assert np.sum(x * x) == np.sum(ref * ref)
 
 
 class TestCalibration:

@@ -11,6 +11,7 @@ from eprlab import (
     tmsv,
     uncertainty_check,
 )
+from eprlab.gaussian import MAX_SQUEEZING
 from conftest import two_mode_squeeze_cov
 
 
@@ -34,6 +35,15 @@ class TestTmsv:
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError):
             tmsv(math.inf)
+
+    @pytest.mark.parametrize("r", [355.3, -356.0, 1000.0])
+    def test_rejects_squeezing_that_overflows(self, r):
+        with pytest.raises(ValidationError, match="355.238"):
+            tmsv(r)
+
+    @pytest.mark.parametrize("r", [MAX_SQUEEZING, -MAX_SQUEEZING])
+    def test_largest_squeezing_is_finite(self, r):
+        assert np.all(np.isfinite(tmsv(r).cov))
 
 
 class TestExtractMoments:
