@@ -22,6 +22,7 @@ from eprlab import (
     spin_correlation,
     unbounded_spin_model,
 )
+from eprlab.estimator import BLOCK_DRAWS
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -278,6 +279,42 @@ class TestInputErrors:
         assert "lhv_mc is inf" in result.stderr
         assert "Traceback" not in result.stderr
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("settings,samples,workers", [
+        ({"pairs": [[0.0, 0.0], [0.3, 1.2]]}, 10, 1),
+        ({"setting1": {"start": 0.0, "stop": 1.0, "count": 40}, "setting2": {"value": 0.3}},
+         10, 1),
+        ({"pairs": [[0.0, 0.0]]}, BLOCK_DRAWS + 1, 2),
+    ], ids=["per_row", "batched", "two_blocks_two_workers"])
+    def test_overflow_prints_only_the_error_line(self, tmp_path, settings, samples, workers):
+        path = write_scenario(tmp_path, {"kind": "EPR_QUADRATURE",
+                                         "state": {"squeezing": 355},
+                                         "settings": settings,
+                                         "samples": samples, "seed": 0})
+        result = subprocess.run(
+            [sys.executable, "-m", "eprlab", "run", str(path), "--out-dir", str(tmp_path / "out"),
+             "--workers", str(workers)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1, result.stderr
+        assert lines[0].startswith("error: row 0 ")
+
+    def test_overflowing_sum_of_finite_blocks_exits_one(self, tmp_path):
+        # Each block's sum of x is finite (about 1e308); their total is not.
+        path = write_scenario(tmp_path, {"kind": "EPR_QUADRATURE",
+                                         "state": {"squeezing": 349.74},
+                                         "settings": {"pairs": [[0.0, 0.0]]},
+                                         "samples": 2 * BLOCK_DRAWS, "seed": 0})
+        result = subprocess.run(
+            [sys.executable, "-m", "eprlab", "run", str(path), "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1, result.stderr
+        assert lines[0].startswith("error: row 0 ") and "lhv_mc is inf" in lines[0]
 
     def test_out_dir_that_is_a_file_exits_one(self, tmp_path, capsys):
         blocker = tmp_path / "taken"

@@ -19,11 +19,19 @@ from eprlab import (
     extract_moments,
     free_evolution_model,
     mc_estimate,
+    mc_estimate_rows,
     quadrature_model,
     tmsv,
     unbounded_spin_model,
 )
-from eprlab.estimator import BLOCK_DRAWS, MAX_COUNTED_ATOMS, _atom_lookup, _block_values
+from eprlab.estimator import (
+    BATCH_ROW_WORDS,
+    BLOCK_DRAWS,
+    MAX_COUNTED_ATOMS,
+    _atom_lookup,
+    _block_values,
+    _philox_words,
+)
 
 Z_AXIS = UnitVector3(0.0, 0.0, 1.0)
 
@@ -198,6 +206,48 @@ class TestAtomLookup:
             x = values(start, BLOCK_DRAWS)
             assert np.sum(x) == np.sum(ref)
             assert np.sum(x * x) == np.sum(ref * ref)
+
+
+PHILOX_KEYS = [0, 1, 1 << 63, (1 << 64) - 1,
+               *(int(k) for k in np.random.default_rng(6).integers(0, 1 << 64, 12,
+                                                                 dtype=np.uint64))]
+
+
+class TestPhiloxWords:
+    @pytest.mark.parametrize("k1", [0, 1, (1 << 64) - 1])
+    def test_matches_numpy_philox_at_every_row_length(self, k1):
+        # Every word count a batched row can have, 4-aligned or not.
+        k0 = np.array(PHILOX_KEYS, dtype=np.uint64)[:, None]
+        k1s = np.full_like(k0, k1)
+        ref = np.array([np.random.Philox(key=k + (k1 << 64)).random_raw(BATCH_ROW_WORDS)
+                        for k in PHILOX_KEYS])
+        for n_words in range(1, BATCH_ROW_WORDS + 1):
+            words = _philox_words(k0, k1s, n_words)
+            assert words.flags.c_contiguous
+            assert np.array_equal(words, ref[:, :n_words]), n_words
+
+    def test_one_key(self):
+        k = np.array([[(1 << 64) - 1]], dtype=np.uint64)
+        assert np.array_equal(_philox_words(k, np.zeros_like(k), 9)[0],
+                              np.random.Philox(key=(1 << 64) - 1).random_raw(9))
+
+
+class TestMcEstimateRows:
+    def test_rejects_unaligned_rows(self):
+        with pytest.raises(ValidationError, match="differ in length"):
+            mc_estimate_rows(unbounded_spin_model(), [Z_AXIS, Z_AXIS], [Z_AXIS], 10, [1, 2])
+        with pytest.raises(ValidationError, match="differ in length"):
+            mc_estimate_rows(unbounded_spin_model(), [Z_AXIS], [Z_AXIS], 10, [1, 2])
+
+    @pytest.mark.parametrize("rows", [1, 40])
+    @pytest.mark.parametrize("n,keys", [(1, None), (10, -1), (10, 1 << 64), (10, 1.0)])
+    def test_rejects_bad_sample_counts_and_keys(self, rows, n, keys):
+        keys = [7] * (rows - 1) + [keys if keys is not None else 7]
+        with pytest.raises(ValidationError):
+            mc_estimate_rows(unbounded_spin_model(), [Z_AXIS] * rows, [Z_AXIS] * rows, n, keys)
+
+    def test_no_rows(self):
+        assert mc_estimate_rows(unbounded_spin_model(), [], [], 10, []) == []
 
 
 class TestCalibration:

@@ -1,20 +1,35 @@
-"""Property-based checks of the representation theorem and angle periodicity."""
+"""Property-based checks of the representation theorem, angle periodicity
+and the row-batched Monte Carlo estimator."""
 
 import math
+from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eprlab import (
+    HiddenVariableModel,
     MomentMatrix,
     QuadratureSetting,
+    SampleSpace,
+    TabulatedResponse,
     TimeSetting,
+    UnitVector3,
+    estimator,
     exact_expectation,
+    extract_moments,
     free_evolution_correlation,
     free_evolution_model,
+    mc_estimate,
+    mc_estimate_rows,
     quadrature_correlation,
     quadrature_model,
+    tmsv,
+    unbounded_spin_model,
 )
+from eprlab.estimator import BATCH_MIN_ROWS, BATCH_ROW_WORDS, BLOCK_DRAWS, MAX_COUNTED_ATOMS
 
 # Fixed example sequence and no example database, so every run checks the same inputs.
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -68,3 +83,86 @@ def test_quadrature_values_are_two_pi_periodic(m, alpha, other):
     assert quadrature_correlation(m, shifted, b) == quadrature_correlation(m, base, b)
     assert exact_expectation(model, shifted, b) == exact_expectation(model, base, b)
     assert exact_expectation(model, b, shifted) == exact_expectation(model, b, base)
+
+
+def _tabulated_model(n_atoms: int) -> tuple[HiddenVariableModel, list]:
+    rng = np.random.default_rng(8)
+    raw = rng.random(n_atoms)
+    raw[::7] = 0.0
+    settings_ = [QuadratureSetting(0.1 * i) for i in range(6)]
+    values = rng.normal(size=(len(settings_), n_atoms)).tolist()
+    # Setting 0 against setting 1: every per-atom product is -0.0.
+    values[0] = [-1.0] * n_atoms
+    values[1] = [0.0] * n_atoms
+    model = HiddenVariableModel(
+        space=SampleSpace.finite(tuple(float(w) for w in raw / raw.sum())),
+        response1=TabulatedResponse(tuple(settings_), tuple(map(tuple, values))),
+        response2=TabulatedResponse(tuple(settings_), tuple(map(tuple, values))),
+    )
+    return model, settings_
+
+
+def _directions() -> list:
+    # Directions 0 and 1 give per-atom products (-0.0, -0.0, -0.0).
+    out = [UnitVector3(-1.0, 0.0, -0.0), UnitVector3(0.0, -1.0, 0.0)]
+    return out + [UnitVector3(math.sin(t), 0.0, math.cos(t)) for t in (0.3, 1.9, 4.0, -2.2)]
+
+
+#: name -> (model, setting pool); pool[0] against pool[1] is the signed-zero row.
+ROW_MODELS = {
+    "spin": (unbounded_spin_model(), _directions()),
+    "quadrature": (quadrature_model(extract_moments(tmsv(0.7))),
+                   [QuadratureSetting(a) for a in (0.0, -0.0, 0.4, 1.7, -2.9, 3.1)]),
+    "free_evolution": (free_evolution_model(MomentMatrix(qq=0.3, pq=0.7, qp=-0.23, pp=1.1)),
+                       [TimeSetting(t) for t in (0.0, -0.0, 0.5, -1.5, 20.0, -300.0)]),
+    "tabulated": _tabulated_model(MAX_COUNTED_ATOMS + 8),
+}
+ROW_SAMPLES = sorted({2, 3, BATCH_ROW_WORDS // 2, BATCH_ROW_WORDS // 2 + 1,
+                      BATCH_ROW_WORDS, BATCH_ROW_WORDS + 1, BLOCK_DRAWS + 1})
+ROW_COUNTS = (1, BATCH_MIN_ROWS - 1, BATCH_MIN_ROWS, BATCH_MIN_ROWS + 9)
+KEY = st.integers(min_value=0, max_value=(1 << 64) - 1)
+
+
+def _fingerprint(est) -> tuple:
+    # float.hex tells -0.0 from 0.0, which == does not.
+    return est.mean.hex(), est.stderr.hex(), est.n, est.seed
+
+
+@pytest.mark.parametrize("n", ROW_SAMPLES)
+@pytest.mark.parametrize("name", sorted(ROW_MODELS))
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_row_estimates_equal_per_row_estimates(name, n, data):
+    model, pool = ROW_MODELS[name]
+    rows = data.draw(st.sampled_from(ROW_COUNTS), label="rows")
+    if n > BLOCK_DRAWS:
+        # Multi-block rows; n = BATCH_ROW_WORDS + 1 already routes many long rows.
+        rows = min(rows, 2)
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
+                                         st.integers(0, len(pool) - 1)),
+                               min_size=rows, max_size=rows), label="pairs")
+    if data.draw(st.booleans(), label="signed_zero_row"):
+        pairs[0] = (0, 1)
+    keys = data.draw(st.lists(KEY, min_size=rows, max_size=rows), label="keys")
+    max_words = data.draw(st.sampled_from([estimator.BATCH_MAX_WORDS, 1, 3 * n, 11 * n]),
+                          label="max_words")
+    workers = data.draw(st.sampled_from([1, 2]), label="workers")
+    settings1 = [pool[i] for i, _ in pairs]
+    settings2 = [pool[j] for _, j in pairs]
+
+    batch = mock.patch.object(estimator, "_batch_estimates", wraps=estimator._batch_estimates)
+    with mock.patch.object(estimator, "BATCH_MAX_WORDS", max_words), batch as spy:
+        got = mc_estimate_rows(model, settings1, settings2, n, keys, workers=workers)
+    want = [mc_estimate(model, s1, s2, n, k) for s1, s2, k in zip(settings1, settings2, keys)]
+    assert [_fingerprint(e) for e in got] == [_fingerprint(e) for e in want]
+
+    row_words = n if model.space.kind is estimator.SpaceKind.FINITE else 2 * n
+    if rows < BATCH_MIN_ROWS or row_words > BATCH_ROW_WORDS:
+        assert spy.call_count == 0
+    else:
+        cap = max(1, max_words // row_words)
+        sizes = [len(call.args[4]) for call in spy.call_args_list]
+        assert sum(sizes) == rows and max(sizes) <= cap
+        assert len(sizes) == -(-rows // cap)
+    if pairs[0] == (0, 1) and name in ("spin", "tabulated"):
+        assert got[0].mean.hex() == "0x0.0p+0"
