@@ -88,6 +88,11 @@ CONSISTENCY_TOL = 1e-10
 #: 0.55 MiB at 512 and 2.9 MiB with all rows at once; the quantum and
 #: exact columns took 35-38 ms at any size from 128 to 512.
 EVAL_CHUNK_ROWS = 256
+#: Rows a scenario may ask for at most, checked before any row is built.
+#: Every row is held in memory until the outputs are written, about 0.4 KiB
+#: a row (peak RSS of a 256x256 spin scan at n = 2: 55.6 MiB, against 33.2
+#: MiB at 72x72), so MAX_ROWS rows take about 0.4 GiB.
+MAX_ROWS = 1 << 20
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -125,11 +130,13 @@ def _require_number(value, label: str) -> float:
     return float(value)
 
 
-def _axis_values(axis, label: str) -> list[float]:
+def _axis(axis, label: str) -> tuple[float, float, int]:
+    """A setting axis as (start, stop, count); a single value has count 1."""
     if not isinstance(axis, dict):
         raise ScenarioError(f"{label} must be an object with 'value' or 'start'/'stop'/'count'")
     if set(axis) == {"value"}:
-        return [_require_number(axis["value"], f"{label}.value")]
+        value = _require_number(axis["value"], f"{label}.value")
+        return value, value, 1
     if set(axis) == {"start", "stop", "count"}:
         start = _require_number(axis["start"], f"{label}.start")
         stop = _require_number(axis["stop"], f"{label}.stop")
@@ -138,8 +145,17 @@ def _axis_values(axis, label: str) -> list[float]:
             raise ScenarioError(f"{label}.count must be an integer >= 2, got {count!r}")
         if start == stop:
             raise ScenarioError(f"{label}: scan range needs start != stop")
-        return [float(v) for v in np.linspace(start, stop, count)]
+        return start, stop, count
     raise ScenarioError(f"{label} keys must be exactly {{'value'}} or {{'start','stop','count'}}")
+
+
+def _axis_values(start: float, stop: float, count: int) -> list[float]:
+    return [start] if count == 1 else [float(v) for v in np.linspace(start, stop, count)]
+
+
+def _check_row_count(rows: int) -> None:
+    if rows > MAX_ROWS:
+        raise ScenarioError(f"'settings' asks for {rows} rows, more than MAX_ROWS = {MAX_ROWS}")
 
 
 def _parse_settings(data, kind: str) -> tuple[tuple[float, float], ...]:
@@ -149,6 +165,7 @@ def _parse_settings(data, kind: str) -> tuple[tuple[float, float], ...]:
         pairs = data["pairs"]
         if not isinstance(pairs, list) or not pairs:
             raise ScenarioError("'settings.pairs' must be a non-empty list of [s1, s2] pairs")
+        _check_row_count(len(pairs))
         out = []
         for i, pair in enumerate(pairs):
             if not isinstance(pair, list) or len(pair) != 2:
@@ -157,8 +174,10 @@ def _parse_settings(data, kind: str) -> tuple[tuple[float, float], ...]:
                         _require_number(pair[1], f"settings.pairs[{i}][1]")))
         return tuple(out)
     if set(data) == {"setting1", "setting2"}:
-        values1 = _axis_values(data["setting1"], "settings.setting1")
-        values2 = _axis_values(data["setting2"], "settings.setting2")
+        axis1 = _axis(data["setting1"], "settings.setting1")
+        axis2 = _axis(data["setting2"], "settings.setting2")
+        _check_row_count(axis1[2] * axis2[2])
+        values1, values2 = _axis_values(*axis1), _axis_values(*axis2)
         return tuple((v1, v2) for v1 in values1 for v2 in values2)
     raise ScenarioError(
         "'settings' must contain either 'pairs' or both 'setting1' and 'setting2'"
@@ -298,8 +317,19 @@ def _build_engine(scenario: Scenario) -> _Engine:
 
 def _evaluate(scenario: Scenario, workers: int) -> tuple[list[ResultRow], dict]:
     engine = _build_engine(scenario)
-    model, make = engine.model, engine.make_setting
+    model = engine.model
     pairs = scenario.setting_pairs
+    # Grids repeat their axis values; each distinct value is made once. Keyed
+    # by float.hex, so that 0.0 and -0.0 stay distinct.
+    made: dict[str, object] = {}
+
+    def make(x: float):
+        key = x.hex()
+        setting = made.get(key)
+        if setting is None:
+            setting = made[key] = engine.make_setting(x)
+        return setting
+
     rows = []
     consistency_pass = True
     for start in range(0, len(pairs), EVAL_CHUNK_ROWS):
@@ -435,6 +465,13 @@ def run_scenario(path: Path, out_dir: Path | None = None, seed: int | None = Non
     return EXIT_OK
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="eprlab",
@@ -449,8 +486,9 @@ def main(argv=None) -> int:
                             help="override the scenario seed")
     run_parser.add_argument("--samples", type=int, default=None,
                             help="override the scenario sample count")
-    run_parser.add_argument("--workers", type=int, default=1,
-                            help="worker threads for Monte Carlo blocks (never changes results)")
+    run_parser.add_argument("--workers", type=int, default=_usable_cpus(),
+                            help="worker threads for Monte Carlo blocks (never changes results; "
+                                 "default: the usable CPU count, %(default)s here)")
     args = parser.parse_args(argv)
     try:
         return run_scenario(args.scenario, out_dir=args.out_dir, seed=args.seed,

@@ -10,8 +10,15 @@ across runs, worker counts, and scheduling.
 Standard normals are produced by the inverse normal CDF applied to
 uniforms of the form ((word >> 12) + 0.5) * 2**-52, which are strictly
 inside (0, 1) and symmetric about 1/2, keeping the transform finite.
-``ndtri`` imports ``scipy.special`` on its first call, so a run that
-samples only finite models never loads scipy.
+They are built without an integer-to-float conversion: OR-ing the
+exponent bits of 1.0 onto m = word >> 12 (m < 2**52) gives the double
+1 + m * 2**-52 exactly, and subtracting 1 - 2**-53 from it leaves
+m * 2**-52 + 2**-53 = (2 m + 1) * 2**-53. That subtraction is exact
+too: the difference fits in 53 bits (Sterbenz's lemma also applies, as
+1 + m * 2**-52 lies within a factor 2 of 1 - 2**-53). The inverse CDF
+then runs in place, and the pair contraction needs two temporaries of
+half the block's length. ``ndtri`` imports ``scipy.special`` on its
+first call, so a run that samples only finite models never loads scipy.
 
 A finite model draws atom ``k`` when the uniform (word >> 11) * 2**-53
 lies in [cum[k-1], cum[k]), the last atom taking the rest. Scaling by
@@ -33,8 +40,10 @@ the vectorised generator has a fixed cost per batch of several hundred
 microseconds and a higher cost per word, so two cutoffs decide which
 path a chunk of rows takes: at most ``BATCH_ROW_WORDS`` words per row
 and at least ``BATCH_MIN_ROWS`` rows. Every other row takes the C
-generator's block path, where ``workers`` applies; a batched row is a
-single block, which no worker count would split.
+generator's block path: the blocks of all such rows of one call are
+shared among ``workers`` threads (the calling thread is one of them),
+and each row is then reduced in block order. A batched row is a single
+block, which no worker count would split.
 
 Overflow in a row's arithmetic is not warned about: it shows as an
 infinite or NaN result, which the caller reports with the row.
@@ -43,6 +52,7 @@ infinite or NaN result, which the caller reports with the row.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
@@ -91,6 +101,9 @@ _MAX_SEED = 1 << 64
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LOW32 = 0xFFFFFFFF
+#: Sign and exponent bits of 1.0: OR-ed onto a word below 2**52 they make
+#: the double 1 + word * 2**-52.
+_ONE_BITS = np.uint64(0x3FF0000000000000)
 
 #: Wraps the functions that do a row's arithmetic. On extreme inputs that
 #: arithmetic overflows to inf or NaN, which the caller reports with the
@@ -193,27 +206,34 @@ def _atom_lookup(weights):
     return count
 
 
+def _uniforms(raw: np.ndarray) -> np.ndarray:
+    """((raw >> 12) + 0.5) * 2**-52 in the memory of ``raw``, by the exponent splice."""
+    raw >>= np.uint64(12)
+    raw |= _ONE_BITS
+    u = raw.view(np.float64)
+    u -= 1.0 - 2.0**-53
+    return u
+
+
 def _gaussian_values(raw: np.ndarray, phi1, phi2) -> np.ndarray:
     """xi1 * xi2 for the normal pairs drawn from ``raw`` words, shape (..., 2 m).
 
     ``phi1`` and ``phi2`` hold the two feature coefficients of each party:
     scalars for one row's words, or (rows, 1) columns for a (rows, 2 m)
-    word stack. Overwrites ``raw``.
+    word stack. Overwrites ``raw``; the result is C-contiguous, shape (..., m).
     """
-    raw >>= np.uint64(12)
-    u = raw.astype(np.float64)
-    u += 0.5
-    u *= 2.0**-52
+    u = _uniforms(raw)
     eta = ndtri(u, out=u).reshape(raw.shape[:-1] + (-1, 2))
     eta1, eta2 = eta[..., 0], eta[..., 1]
-    xi1 = eta1 * phi1[0]
-    term = eta2 * phi1[1]
-    xi1 += term
     xi2 = eta1 * phi2[0]
-    np.multiply(eta2, phi2[1], out=term)
+    term = eta2 * phi2[1]
     xi2 += term
-    xi1 *= xi2
-    return xi1
+    # xi1 in place in eta1, with the same operations as xi2.
+    eta1 *= phi1[0]
+    eta2 *= phi1[1]
+    eta1 += eta2
+    xi2 *= eta1
+    return xi2
 
 
 def _block_values(model, s1, s2, seed):
@@ -225,7 +245,11 @@ def _block_values(model, s1, s2, seed):
         atom = _atom_lookup(model.space.weights)
 
         def values(start: int, count: int) -> np.ndarray:
-            return (phi1 * phi2).take(atom(_raw_words(seed, start, count)))
+            raw = _raw_words(seed, start, count)
+            # The products overwrite the words once the atoms are known. Atom
+            # indices are always in range, and "clip" spares the copy of
+            # ``out`` that take makes in its default mode.
+            return (phi1 * phi2).take(atom(raw), out=raw.view(np.float64), mode="clip")
 
         return values
 
@@ -238,7 +262,9 @@ def _block_values(model, s1, s2, seed):
 @_quiet
 def _block_stats(values, start: int, count: int) -> tuple[float, float]:
     x = values(start, count)
-    return float(x.sum()), float((x * x).sum())
+    total = float(x.sum())
+    x *= x
+    return total, float(x.sum())
 
 
 def _fsum(values) -> float:
@@ -274,16 +300,7 @@ def mc_estimate(model: HiddenVariableModel, s1, s2, n: int, seed: int, *,
     ``workers`` only parallelizes block evaluation; it never changes the
     result. The standard error uses the unbiased (n - 1) variance.
     """
-    _check_draws(n, seed)
-    values = _block_values(model, s1, s2, seed)
-    starts = range(0, n, BLOCK_DRAWS)
-    counts = [min(BLOCK_DRAWS, n - start) for start in starts]
-    if workers > 1 and len(counts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            stats = list(pool.map(_block_stats, [values] * len(counts), starts, counts))
-    else:
-        stats = [_block_stats(values, start, count) for start, count in zip(starts, counts)]
-    return _estimate([s for s, _ in stats], [q for _, q in stats], n, seed)
+    return mc_estimate_rows(model, [s1], [s2], n, [seed], workers=workers)[0]
 
 
 @_quiet
@@ -303,8 +320,45 @@ def _batch_estimates(model: HiddenVariableModel, settings1, settings2, n: int,
                              phi1.T[:, :, None], phi2.T[:, :, None])
     # Row sums of a C-contiguous stack equal the per-row sums bit for bit.
     sums = x.sum(axis=1).tolist()
-    squares = (x * x).sum(axis=1).tolist()
+    x *= x
+    squares = x.sum(axis=1).tolist()
     return [_estimate((s,), (q,), n, key) for s, q, key in zip(sums, squares, keys)]
+
+
+def _block_estimates(model: HiddenVariableModel, settings1, settings2, n: int, keys,
+                     workers: int) -> list[CorrelationEstimate]:
+    """Rows drawn block by block on numpy's C generator; see ``mc_estimate_rows``."""
+    starts = range(0, n, BLOCK_DRAWS)
+    counts = [min(BLOCK_DRAWS, n - start) for start in starts]
+    rows = [_block_values(model, s1, s2, key) for s1, s2, key in zip(settings1, settings2, keys)]
+    # Task i is block i % per_row of row i // per_row. Each worker takes the
+    # next task number under a lock and stores the result in its slot.
+    per_row = len(counts)
+    stats = [None] * (len(rows) * per_row)
+    tasks = iter(range(len(stats)))
+    taking = threading.Lock()
+
+    def drain() -> None:
+        while True:
+            with taking:
+                index = next(tasks, None)
+            if index is None:
+                return
+            row, block = divmod(index, per_row)
+            stats[index] = _block_stats(rows[row], starts[block], counts[block])
+
+    # The calling thread is one of the workers.
+    helpers = min(workers, len(stats)) - 1
+    if helpers > 0:
+        with ThreadPoolExecutor(max_workers=helpers) as pool:
+            running = [pool.submit(drain) for _ in range(helpers)]
+            drain()
+            for done in running:
+                done.result()
+    else:
+        drain()
+    return [_estimate(*zip(*stats[row * per_row:(row + 1) * per_row]), n, key)
+            for row, key in enumerate(keys)]
 
 
 def mc_estimate_rows(model: HiddenVariableModel, settings1: Sequence, settings2: Sequence,
@@ -315,8 +369,8 @@ def mc_estimate_rows(model: HiddenVariableModel, settings1: Sequence, settings2:
     Every row draws ``n`` samples from its own stream, keyed by
     ``keys[i]``, and its estimate equals ``mc_estimate(model,
     settings1[i], settings2[i], n, keys[i])`` bit for bit. Many short
-    rows are drawn in batches (see the module docstring); ``workers``
-    applies only to rows that are not.
+    rows are drawn in batches (see the module docstring); the blocks of
+    all other rows share one pool of ``workers`` threads.
     """
     if not len(settings1) == len(settings2) == len(keys):
         raise ValidationError(f"row lists differ in length: {len(settings1)}, "
@@ -325,8 +379,7 @@ def mc_estimate_rows(model: HiddenVariableModel, settings1: Sequence, settings2:
         _check_draws(n, key)
     row_words = n if model.space.kind is SpaceKind.FINITE else 2 * n
     if row_words > BATCH_ROW_WORDS or len(keys) < BATCH_MIN_ROWS:
-        return [mc_estimate(model, s1, s2, n, key, workers=workers)
-                for s1, s2, key in zip(settings1, settings2, keys)]
+        return _block_estimates(model, settings1, settings2, n, keys, workers)
     # As few batches of at most BATCH_MAX_WORDS words as can be, of nearly equal size.
     cap = max(1, BATCH_MAX_WORDS // row_words)
     n_batches = -(-len(keys) // cap)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -110,6 +111,32 @@ class TestDeterminism:
         assert run_cli(["run", scenario, "--out-dir", out4, "--workers", 4]) == 0
         assert (out1 / "epr_quadrature.csv").read_bytes() == \
             (out4 / "epr_quadrature.csv").read_bytes()
+
+
+    @pytest.mark.parametrize("cpus", [None, 3])
+    def test_default_workers_write_the_same_bytes_as_one_worker(self, tmp_path, monkeypatch,
+                                                                cpus):
+        # Three rows of three blocks each, so that several workers share them.
+        path = write_scenario(tmp_path, {"kind": "EPR_QUADRATURE",
+                                         "state": {"squeezing": 0.6},
+                                         "settings": {"pairs": [[0.1, 0.2], [1.0, -0.5],
+                                                                [2.0, 3.0]]},
+                                         "samples": 2 * BLOCK_DRAWS + 7, "seed": 21})
+        if cpus is not None:
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        assert run_cli(["run", path, "--out-dir", tmp_path / "w1", "--workers", 1]) == 0
+        assert run_cli(["run", path, "--out-dir", tmp_path / "default"]) == 0
+        for name in ("scenario.csv", "scenario.summary.json"):
+            assert (tmp_path / "w1" / name).read_bytes() == \
+                (tmp_path / "default" / name).read_bytes()
+
+    def test_default_workers_is_the_usable_cpu_count(self, monkeypatch):
+        seen = {}
+        monkeypatch.setattr(cli, "run_scenario", lambda *args, **kwargs: seen.update(kwargs) or 0)
+        assert run_cli(["run", SCENARIOS / "spin_chsh.json"]) == 0
+        assert seen["workers"] == cli._usable_cpus() >= 1
+        if hasattr(os, "sched_getaffinity"):
+            assert cli._usable_cpus() == len(os.sched_getaffinity(0))
 
 
 class TestScansAndOverrides:
@@ -323,6 +350,47 @@ class TestInputErrors:
         assert "error: cannot write the outputs" in capsys.readouterr().err
 
 
+class TestRowLimit:
+    @pytest.mark.parametrize("count1,count2", [(10**15, 2), (2, 10**15), (1 << 11, 1 << 10)],
+                             ids=["axis1", "axis2", "product"])
+    def test_scan_over_the_limit_exits_one_before_building_rows(self, tmp_path, capsys,
+                                                                 count1, count2):
+        path = write_scenario(tmp_path, {
+            "kind": "SPIN_CHSH",
+            "settings": {"setting1": {"start": 0.0, "stop": 1.0, "count": count1},
+                         "setting2": {"start": 0.0, "stop": 1.0, "count": count2}},
+            "samples": 10,
+            "seed": 0,
+        })
+        assert count1 * count2 > cli.MAX_ROWS
+        assert run_cli(["run", path, "--out-dir", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{count1 * count2} rows" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_value_axis_counts_one_row(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_ROWS", 3)
+        axis = {"start": 0.0, "stop": 1.0, "count": 3}
+        path = write_scenario(tmp_path, {
+            "kind": "SPIN_CHSH", "settings": {"setting1": axis, "setting2": {"value": 0.5}},
+            "samples": 10, "seed": 0})
+        assert run_cli(["run", path, "--out-dir", tmp_path]) == 0
+        path = write_scenario(tmp_path, {
+            "kind": "SPIN_CHSH", "settings": {"setting1": axis, "setting2": axis},
+            "samples": 10, "seed": 0})
+        assert run_cli(["run", path, "--out-dir", tmp_path]) == 1
+
+    def test_pairs_over_the_limit_exit_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_ROWS", 3)
+        for pairs, code in ((3, 0), (4, 1)):
+            path = write_scenario(tmp_path, {
+                "kind": "SPIN_CHSH", "settings": {"pairs": [[0.1 * i, 0.2] for i in range(pairs)]},
+                "samples": 10, "seed": 0})
+            assert run_cli(["run", path, "--out-dir", tmp_path]) == code
+        assert "error: 'settings' asks for 4 rows, more than MAX_ROWS = 3" in \
+            capsys.readouterr().err
+
+
 class TestAtomicOutputs:
     def test_failed_write_keeps_earlier_outputs(self, tmp_path, monkeypatch):
         scenario = SCENARIOS / "free_evolution.json"
@@ -374,6 +442,23 @@ class TestGridEvaluation:
         assert bits(r[2] for r in rows) == bits(spin_correlation(a, b) for a, b in directions)
         assert bits(r[3] for r in rows) == \
             bits(exact_expectation(model, a, b) for a, b in directions)
+
+    def test_each_distinct_setting_is_built_once(self, tmp_path, monkeypatch):
+        built = []
+
+        def direction(theta):
+            built.append(theta.hex())
+            return cli.UnitVector3(math.sin(theta), 0.0, math.cos(theta))
+
+        monkeypatch.setattr(cli, "_spin_direction", direction)
+        pairs = [[0.0, 0.5], [-0.0, 0.5], [0.5, 0.0], [0.0, -0.0], [0.5, 0.5]]
+        path = write_scenario(tmp_path, {"kind": "SPIN_CHSH", "settings": {"pairs": pairs},
+                                         "samples": 10, "seed": 4,
+                                         "chsh": {"a": 0.0, "a_prime": 0.5, "b": 0.5,
+                                                  "b_prime": 1.0}})
+        assert run_cli(["run", path, "--out-dir", tmp_path]) == 0
+        # 0.0 and -0.0 are distinct settings; the CHSH block adds only 1.0.
+        assert sorted(built) == sorted({x.hex() for x in (0.0, -0.0, 0.5, 1.0)})
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_quadrature_scan_across_chunk_boundaries(self, tmp_path, offset):

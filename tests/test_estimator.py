@@ -31,6 +31,7 @@ from eprlab.estimator import (
     _atom_lookup,
     _block_values,
     _philox_words,
+    _uniforms,
 )
 
 Z_AXIS = UnitVector3(0.0, 0.0, 1.0)
@@ -139,6 +140,51 @@ class TestDeterminism:
         # xi1 = eta1 (coefficients (1, 0)), xi2 = eta1 at angle 0
         x = eta[:, 0] * eta[:, 0]
         assert abs(est.mean - np.mean(x)) < 1e-15
+
+
+SPLICE_WORDS = np.concatenate([
+    np.array([0, 1, 4095, 4096, 1 << 63, (1 << 64) - 4096, (1 << 64) - 1], dtype=np.uint64),
+    np.random.Philox(key=13).random_raw(1 << 16),
+])
+
+
+class TestUniforms:
+    def test_splice_matches_float_conversion(self):
+        reference = ((SPLICE_WORDS >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
+        u = _uniforms(SPLICE_WORDS.copy())
+        assert [x.hex() for x in u.tolist()] == [x.hex() for x in reference.tolist()]
+
+    def test_strictly_inside_the_unit_interval_and_symmetric(self):
+        u = _uniforms(SPLICE_WORDS.copy())
+        mirrored = _uniforms(~SPLICE_WORDS)
+        assert np.all(u > 0.0) and np.all(u < 1.0)
+        assert np.all(u + mirrored == 1.0)
+
+
+#: A 150 000-draw Gaussian row (three blocks, the last one partial), as
+#: float.hex of its mean and stderr. Taken before the uniform splice and
+#: the shared block pool; any worker count must reproduce it.
+GAUSSIAN_ROW_HEX = ("0x1.40f12578a0d5ap+0", "0x1.742527e26cb3ap-8")
+
+
+class TestGaussianRowPinned:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
+    def test_mean_and_stderr_bits(self, workers):
+        model = quadrature_model(extract_moments(tmsv(1.0)))
+        est = mc_estimate(model, QuadratureSetting(0.3), QuadratureSetting(0.5), 150_000, 99,
+                          workers=workers)
+        assert (est.mean.hex(), est.stderr.hex()) == GAUSSIAN_ROW_HEX
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
+    def test_rows_share_one_pool_without_changing_any_row(self, workers):
+        model = quadrature_model(extract_moments(tmsv(1.0)))
+        settings1 = [QuadratureSetting(a) for a in (0.3, -1.0, 2.5)]
+        settings2 = [QuadratureSetting(a) for a in (0.5, 0.25, -0.7)]
+        keys = [99, 5, (1 << 64) - 1]
+        rows = mc_estimate_rows(model, settings1, settings2, 150_000, keys, workers=workers)
+        assert rows == [mc_estimate(model, s1, s2, 150_000, key)
+                        for s1, s2, key in zip(settings1, settings2, keys)]
+        assert (rows[0].mean.hex(), rows[0].stderr.hex()) == GAUSSIAN_ROW_HEX
 
 
 def reference_atoms(weights, raw: np.ndarray) -> np.ndarray:
