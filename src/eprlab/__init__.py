@@ -11,14 +11,12 @@ analysis.
 
 from .correlators import (
     MOMENTUM,
-    PI_3_2,
     ChshSettings,
     QuadratureSetting,
     TimeSetting,
     chsh_value,
     free_evolution_correlation,
     quadrature_correlation,
-    quadrature_rotation,
     spin_correlation,
     spin_correlation_rows,
 )
@@ -38,10 +36,8 @@ from .estimator import (
 from .gaussian import (
     GaussianState,
     MomentMatrix,
-    UncertaintyReport,
     extract_moments,
     tmsv,
-    uncertainty_check,
 )
 from .lhv import (
     UNBOUNDED,
@@ -66,13 +62,9 @@ from .lhv import (
     unbounded_spin_model,
 )
 from .operators import (
-    IDENTITY_2,
-    IDENTITY_4,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    ComplexOperator,
-    StateVector,
     UnitVector3,
     expectation,
     pauli_observable,
@@ -85,7 +77,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChshSettings",
     "ComparisonReport",
-    "ComplexOperator",
     "ComponentResponse",
     "ConsistencyError",
     "CorrelationEstimate",
@@ -93,12 +84,9 @@ __all__ = [
     "Factorization",
     "GaussianState",
     "HiddenVariableModel",
-    "IDENTITY_2",
-    "IDENTITY_4",
     "LinearResponse",
     "MOMENTUM",
     "MomentMatrix",
-    "PI_3_2",
     "QuadratureSetting",
     "ResponseMode",
     "SIGMA_X",
@@ -109,11 +97,9 @@ __all__ = [
     "SpaceKind",
     "Spectrum",
     "SpectrumReport",
-    "StateVector",
     "TabulatedResponse",
     "TimeSetting",
     "UNBOUNDED",
-    "UncertaintyReport",
     "UnitVector3",
     "ValidationError",
     "chsh_value",
@@ -131,7 +117,6 @@ __all__ = [
     "pauli_observable",
     "quadrature_correlation",
     "quadrature_model",
-    "quadrature_rotation",
     "singlet_state",
     "spectrum_compatibility",
     "spin_correlation",
@@ -140,5 +125,4 @@ __all__ = [
     "tensor",
     "tmsv",
     "unbounded_spin_model",
-    "uncertainty_check",
 ]

@@ -28,9 +28,6 @@ from .operators import expectation, pauli_observable, tensor  # noqa: F401
 
 SPIN_CONSISTENCY_TOL = 1e-10
 
-#: Quadrature angle at which q(alpha) equals the momentum operator.
-PI_3_2 = 1.5 * math.pi
-
 
 @dataclass(frozen=True)
 class QuadratureSetting:
@@ -49,8 +46,8 @@ class QuadratureSetting:
         object.__setattr__(self, "alpha", math.remainder(self.alpha, math.tau))
 
 
-#: Momentum measurement expressed as a quadrature setting.
-MOMENTUM = QuadratureSetting(PI_3_2)
+#: Momentum measurement expressed as a quadrature setting: q(3*pi/2) = p.
+MOMENTUM = QuadratureSetting(1.5 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -93,20 +90,10 @@ class ChshSettings:
                 )
 
 
-def quadrature_rotation(alpha: float) -> np.ndarray:
-    """The 2x2 phase-space rotation sending (q, p) to (q(alpha), p(alpha)).
-
-    Its determinant is 1, so it is symplectic and preserves the
-    canonical commutators for every angle.
-    """
-    c, s = math.cos(alpha), math.sin(alpha)
-    return np.array([[c, -s], [s, c]])
-
-
 def _pauli_stack(d: np.ndarray) -> np.ndarray:
     """d_x sigma_x + d_y sigma_y + d_z sigma_z for each row of an (n, 3) stack."""
     x, y, z = (d[:, i, None, None] for i in range(3))
-    return x * SIGMA_X.matrix + y * SIGMA_Y.matrix + z * SIGMA_Z.matrix
+    return x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
 
 
 def _singlet_expectations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -116,7 +103,7 @@ def _singlet_expectations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     tensor(pauli_observable(a), pauli_observable(b)))``, stacked over rows,
     so each real part equals the per-pair value bit for bit.
     """
-    psi = singlet_state().amplitudes
+    psi = singlet_state()
     pa, pb = _pauli_stack(a), _pauli_stack(b)
     kron = (pa[:, :, None, :, None] * pb[:, None, :, None, :]).reshape(len(a), 4, 4)
     return (psi.conj() * (kron @ psi)).sum(axis=-1)

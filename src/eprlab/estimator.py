@@ -372,6 +372,8 @@ def mc_estimate_rows(model: HiddenVariableModel, settings1: Sequence, settings2:
     rows are drawn in batches (see the module docstring); the blocks of
     all other rows share one pool of ``workers`` threads.
     """
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ValidationError(f"workers must be an integer >= 1, got {workers!r}")
     if not len(settings1) == len(settings2) == len(keys):
         raise ValidationError(f"row lists differ in length: {len(settings1)}, "
                               f"{len(settings2)} settings and {len(keys)} keys")

@@ -3,10 +3,9 @@
 Conventions
 -----------
 hbar = 1 with [q, p] = i, so each vacuum quadrature has variance 1/2.
-Phase-space ordering is (q1, p1, q2, p2) throughout. Moments are raw,
-not central: <q1 q2> = cov(q1, q2) + <q1><q2>, and the mean defaults to
-zero, in which case the cross moments are just the covariance cross
-block.
+Phase-space ordering is (q1, p1, q2, p2) throughout. States have zero
+mean, so the raw cross moments <q1 q2>, ... are the entries of the
+covariance cross block.
 
 The idealized perfectly-correlated pair (delta-correlated positions,
 anti-correlated momenta) is not representable here; the two-mode
@@ -24,34 +23,22 @@ import numpy as np
 from .errors import ValidationError
 
 SYMMETRY_TOL = 1e-12
-PHYSICALITY_TOL = 1e-9
 #: Largest |r| for which cosh(2r) and sinh(2r) are finite doubles.
 MAX_SQUEEZING = 0.5 * math.acosh(sys.float_info.max)
-
-#: Symplectic form in (q1, p1, q2, p2) ordering.
-SYMPLECTIC_FORM = np.array([
-    [0.0, 1.0, 0.0, 0.0],
-    [-1.0, 0.0, 0.0, 0.0],
-    [0.0, 0.0, 0.0, 1.0],
-    [0.0, 0.0, -1.0, 0.0],
-])
-SYMPLECTIC_FORM.setflags(write=False)
 
 _Q1, _P1, _Q2, _P2 = 0, 1, 2, 3
 
 
 @dataclass(frozen=True, eq=False)
 class GaussianState:
-    """4x4 real covariance matrix plus mean vector in (q1, p1, q2, p2) order.
+    """4x4 real covariance matrix of a zero-mean state, in (q1, p1, q2, p2) order.
 
     Construction validates shape, finiteness, and symmetry. Physicality
-    (the uncertainty relation) is deliberately *not* enforced here so
-    that ``uncertainty_check`` can be used to probe arbitrary matrices;
-    states produced by this module always pass it.
+    (the uncertainty relation) is not checked; states produced by
+    ``tmsv`` satisfy it for every squeezing.
     """
 
     cov: np.ndarray
-    mean: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         cov = np.array(self.cov, dtype=float)
@@ -62,15 +49,8 @@ class GaussianState:
         asym = float(np.max(np.abs(cov - cov.T)))
         if asym > SYMMETRY_TOL:
             raise ValidationError(f"covariance deviates from symmetric by {asym:.3e}")
-        mean = np.zeros(4) if self.mean is None else np.array(self.mean, dtype=float)
-        if mean.shape != (4,):
-            raise ValidationError(f"mean must have 4 entries (q1, p1, q2, p2), got {mean.shape}")
-        if not np.all(np.isfinite(mean)):
-            raise ValidationError("mean entries must be finite")
         cov.setflags(write=False)
-        mean.setflags(write=False)
         object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "mean", mean)
 
 
 @dataclass(frozen=True)
@@ -89,16 +69,6 @@ class MomentMatrix:
         for name in ("qq", "pq", "qp", "pp"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"moment {name} must be finite")
-
-    def as_matrix(self) -> np.ndarray:
-        """Cross block with rows (q1, p1) and columns (q2, p2)."""
-        return np.array([[self.qq, self.qp], [self.pq, self.pp]])
-
-
-@dataclass(frozen=True)
-class UncertaintyReport:
-    physical: bool
-    min_eigenvalue: float
 
 
 def tmsv(r: float) -> GaussianState:
@@ -127,22 +97,13 @@ def tmsv(r: float) -> GaussianState:
 
 
 def extract_moments(state: GaussianState) -> MomentMatrix:
-    """Raw second cross moments of a Gaussian state."""
-    cov, mean = state.cov, state.mean
+    """Raw second cross moments of a Gaussian state: its covariance cross block."""
+    cov = state.cov
+    # Adding 0.0 turns a -0.0 entry into +0.0 (tmsv(0) has cov[p1, p2] =
+    # -0.0), so a zero moment never prints as "-0" downstream.
     return MomentMatrix(
-        qq=float(cov[_Q1, _Q2] + mean[_Q1] * mean[_Q2]),
-        pq=float(cov[_P1, _Q2] + mean[_P1] * mean[_Q2]),
-        qp=float(cov[_Q1, _P2] + mean[_Q1] * mean[_P2]),
-        pp=float(cov[_P1, _P2] + mean[_P1] * mean[_P2]),
+        qq=float(cov[_Q1, _Q2] + 0.0),
+        pq=float(cov[_P1, _Q2] + 0.0),
+        qp=float(cov[_Q1, _P2] + 0.0),
+        pp=float(cov[_P1, _P2] + 0.0),
     )
-
-
-def uncertainty_check(state: GaussianState) -> UncertaintyReport:
-    """Check cov + (i/2) Omega >= 0, the physicality condition.
-
-    Returns the minimal eigenvalue of the Hermitian matrix as a
-    diagnostic; the state passes when it is above -PHYSICALITY_TOL.
-    """
-    herm = state.cov.astype(complex) + 0.5j * SYMPLECTIC_FORM
-    min_eig = float(np.linalg.eigvalsh(herm)[0])
-    return UncertaintyReport(physical=min_eig >= -PHYSICALITY_TOL, min_eigenvalue=min_eig)

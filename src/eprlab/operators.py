@@ -1,9 +1,13 @@
 """Exact finite-dimensional complex linear algebra for spin measurements.
 
-Everything here is small and dense: 2x2 operators for a single spin-1/2,
-4x4 operators for a pair, and the matching state vectors. Values are
-immutable, and hermiticity / normalization are validated eagerly at
-construction so numerical drift fails fast instead of propagating.
+Everything here is small and dense: 2x2 matrices for a single spin-1/2,
+4x4 matrices for a pair, and the singlet's amplitude vector, all plain
+complex numpy arrays. The Pauli matrices and the singlet are read-only,
+so no caller can change them in place.
+
+``pauli_observable``, ``tensor`` and ``expectation`` evaluate one pair of
+directions at a time; they are the reference that the stacked singlet
+correlator reproduces bit for bit.
 
 Basis ordering for the two-spin space is |00>, |01>, |10>, |11> with the
 first factor belonging to particle 1.
@@ -18,12 +22,8 @@ import numpy as np
 
 from .errors import ConsistencyError, ValidationError
 
-HERMITIAN_TOL = 1e-12
-NORM_TOL = 1e-12
 UNIT_TOL = 1e-9
 IMAG_TOL = 1e-12
-
-_SUPPORTED_DIMS = (2, 4)
 
 
 def _readonly(values, dtype) -> np.ndarray:
@@ -50,75 +50,13 @@ class UnitVector3:
                 f"direction must be a unit vector: |a|^2 = {norm_sq!r} deviates from 1"
             )
 
-    def component(self, index: int) -> float:
-        """Cartesian component by 0-based index."""
-        return (self.x, self.y, self.z)[index]
 
-    def dot(self, other: "UnitVector3") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
+SIGMA_X = _readonly([[0, 1], [1, 0]], complex)
+SIGMA_Y = _readonly([[0, -1j], [1j, 0]], complex)
+SIGMA_Z = _readonly([[1, 0], [0, -1]], complex)
 
 
-@dataclass(frozen=True, eq=False)
-class ComplexOperator:
-    """Dense complex matrix acting on one spin (dim 2) or a pair (dim 4)."""
-
-    matrix: np.ndarray
-    hermitian: bool = False
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.matrix, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValidationError(f"operator must be a square matrix, got shape {arr.shape}")
-        if arr.shape[0] not in _SUPPORTED_DIMS:
-            raise ValidationError(f"operator dimension must be one of {_SUPPORTED_DIMS}")
-        if not np.all(np.isfinite(arr.view(float))):
-            raise ValidationError("operator entries must be finite")
-        if self.hermitian:
-            drift = np.max(np.abs(arr - arr.conj().T))
-            if drift > HERMITIAN_TOL:
-                raise ValidationError(
-                    f"operator flagged hermitian deviates from M = M^dagger by {drift:.3e}"
-                )
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """A normalized pure state."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.amplitudes, dtype=complex)
-        if arr.ndim != 1 or arr.shape[0] not in _SUPPORTED_DIMS:
-            raise ValidationError(f"state must be a vector of dim 2 or 4, got shape {arr.shape}")
-        norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValidationError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "amplitudes", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
-
-SIGMA_X = ComplexOperator(_readonly([[0, 1], [1, 0]], complex), hermitian=True)
-SIGMA_Y = ComplexOperator(_readonly([[0, -1j], [1j, 0]], complex), hermitian=True)
-SIGMA_Z = ComplexOperator(_readonly([[1, 0], [0, -1]], complex), hermitian=True)
-IDENTITY_2 = ComplexOperator(np.eye(2, dtype=complex), hermitian=True)
-IDENTITY_4 = ComplexOperator(np.eye(4, dtype=complex), hermitian=True)
-
-
-def pauli_observable(a: UnitVector3) -> ComplexOperator:
+def pauli_observable(a: UnitVector3) -> np.ndarray:
     """Spin component along ``a``: a.x*sigma_x + a.y*sigma_y + a.z*sigma_z.
 
     The result is a 2x2 Hermitian involution, so its eigenvalues are
@@ -126,37 +64,27 @@ def pauli_observable(a: UnitVector3) -> ComplexOperator:
     """
     if not isinstance(a, UnitVector3):
         raise ValidationError(f"expected a UnitVector3 direction, got {type(a).__name__}")
-    matrix = a.x * SIGMA_X.matrix + a.y * SIGMA_Y.matrix + a.z * SIGMA_Z.matrix
-    return ComplexOperator(matrix, hermitian=True)
+    return a.x * SIGMA_X + a.y * SIGMA_Y + a.z * SIGMA_Z
 
 
-def singlet_state() -> StateVector:
-    """The two-spin singlet (|01> - |10>) / sqrt(2)."""
+def singlet_state() -> np.ndarray:
+    """The two-spin singlet (|01> - |10>) / sqrt(2), as a read-only array."""
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    return StateVector(np.array([0.0, inv_sqrt2, -inv_sqrt2, 0.0], dtype=complex))
+    return _readonly([0.0, inv_sqrt2, -inv_sqrt2, 0.0], complex)
 
 
-def tensor(op_a: ComplexOperator, op_b: ComplexOperator) -> ComplexOperator:
+def tensor(op_a: np.ndarray, op_b: np.ndarray) -> np.ndarray:
     """Kronecker product of two single-spin operators (first factor = particle 1)."""
-    if op_a.dim != 2 or op_b.dim != 2:
-        raise ValidationError(
-            f"tensor expects two 2x2 operators, got dims {op_a.dim} and {op_b.dim}"
-        )
-    return ComplexOperator(np.kron(op_a.matrix, op_b.matrix),
-                           hermitian=op_a.hermitian and op_b.hermitian)
+    return np.kron(op_a, op_b)
 
 
-def expectation(state: StateVector, op: ComplexOperator) -> float:
+def expectation(state: np.ndarray, op: np.ndarray) -> float:
     """<psi|Op|psi> for a Hermitian operator, returned as a real number.
 
     The imaginary part must sit at rounding level; anything above
     ``IMAG_TOL`` indicates a broken operator and raises.
     """
-    if not op.hermitian:
-        raise ValidationError("expectation requires an operator flagged hermitian")
-    if state.dim != op.dim:
-        raise ValidationError(f"dimension mismatch: state dim {state.dim}, operator dim {op.dim}")
-    value = complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
+    value = complex(np.vdot(state, op @ state))
     if abs(value.imag) > IMAG_TOL:
         raise ConsistencyError(
             f"expectation of a hermitian operator came out complex: imag = {value.imag:.3e}"

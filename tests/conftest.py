@@ -43,19 +43,24 @@ def fibonacci_sphere(n: int) -> list[UnitVector3]:
     return points
 
 
+def two_mode_squeeze_symplectic(r: float) -> np.ndarray:
+    """The 4x4 two-mode squeeze symplectic matrix in (q1, p1, q2, p2) order."""
+    ch, sh = math.cosh(r), math.sinh(r)
+    return np.array([
+        [ch, 0.0, sh, 0.0],
+        [0.0, ch, 0.0, -sh],
+        [sh, 0.0, ch, 0.0],
+        [0.0, -sh, 0.0, ch],
+    ])
+
+
 def two_mode_squeeze_cov(r: float) -> np.ndarray:
     """Vacuum covariance conjugated by the two-mode squeeze symplectic.
 
     Independent of the tmsv construction: builds the 4x4 symplectic
     matrix explicitly and computes S (I/2) S^T.
     """
-    ch, sh = math.cosh(r), math.sinh(r)
-    s_mat = np.array([
-        [ch, 0.0, sh, 0.0],
-        [0.0, ch, 0.0, -sh],
-        [sh, 0.0, ch, 0.0],
-        [0.0, -sh, 0.0, ch],
-    ])
+    s_mat = two_mode_squeeze_symplectic(r)
     return s_mat @ (0.5 * np.eye(4)) @ s_mat.T
 
 

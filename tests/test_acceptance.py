@@ -80,7 +80,8 @@ def test_criterion_1_singlet_correlator():
         for a, b in zip(vectors[::2], vectors[1::2]):
             # spin_correlation itself cross-checks the 4x4 matrix path
             # against the closed form at 1e-10
-            assert abs(spin_correlation(a, b) - (-a.dot(b))) <= 1e-10
+            closed_form = -(a.x * b.x + a.y * b.y + a.z * b.z)
+            assert abs(spin_correlation(a, b) - closed_form) <= 1e-10
 
 
 def test_criterion_2_unbounded_model_reproduces_singlet():
@@ -89,7 +90,8 @@ def test_criterion_2_unbounded_model_reproduces_singlet():
         rng = np.random.default_rng(202)
         vectors = random_unit_vectors(rng, 200)
         for a, b in zip(vectors[::2], vectors[1::2]):
-            assert abs(exact_expectation(model, a, b) - (-a.dot(b))) <= 1e-12
+            closed_form = -(a.x * b.x + a.y * b.y + a.z * b.z)
+            assert abs(exact_expectation(model, a, b) - closed_form) <= 1e-12
         assert abs(sup_bound(model) - ROOT3) <= 1e-12
 
         hits = 0

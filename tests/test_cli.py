@@ -40,6 +40,16 @@ BUNDLED_SHA256 = {
         "a13fb925e8f2df7adeac1749b2cac3a54822cfc450e2aa1594486c6684655db1",
 }
 
+#: sha256 of the CSV of SQUEEZING_0_SCAN, taken while GaussianState still
+#: carried a mean. tmsv(0) stores cov[p1, p2] = -0.0; no field may print "-0".
+SQUEEZING_0_CSV_SHA256 = "130cb08abaa50f860b36375c3a5c8d4f49a6bc99a34d05dd64f215cd4e50d054"
+SQUEEZING_0_SCAN = {
+    "kind": "EPR_QUADRATURE", "name": "squeezing_0", "state": {"squeezing": 0.0},
+    "settings": {"setting1": {"start": -3.0, "stop": 3.0, "count": 13},
+                 "setting2": {"start": -3.0, "stop": 3.0, "count": 13}},
+    "samples": 50, "seed": 3,
+}
+
 
 def run_cli(args):
     return cli.main([str(a) for a in args])
@@ -92,6 +102,12 @@ class TestBundledScenarios:
         for filename, expected in BUNDLED_SHA256.items():
             digest = hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest()
             assert digest == expected, filename
+
+    def test_squeezing_zero_scan_matches_pinned_hash(self, tmp_path):
+        assert run_cli(["run", write_scenario(tmp_path, SQUEEZING_0_SCAN),
+                        "--out-dir", tmp_path]) == 0
+        digest = hashlib.sha256((tmp_path / "squeezing_0.csv").read_bytes()).hexdigest()
+        assert digest == SQUEEZING_0_CSV_SHA256
 
 
 class TestDeterminism:

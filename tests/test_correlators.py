@@ -17,7 +17,6 @@ from eprlab import (
     extract_moments,
     free_evolution_correlation,
     quadrature_correlation,
-    quadrature_rotation,
     expectation,
     pauli_observable,
     singlet_state,
@@ -61,7 +60,8 @@ class TestSpinCorrelation:
         rng = np.random.default_rng(21)
         vectors = random_unit_vectors(rng, 220)
         for a, b in zip(vectors[::2], vectors[1::2]):
-            assert abs(spin_correlation(a, b) - (-a.dot(b))) < 1e-10
+            closed_form = -(a.x * b.x + a.y * b.y + a.z * b.z)
+            assert abs(spin_correlation(a, b) - closed_form) < 1e-10
 
 
 #: Axis directions with signed zero components, mixed into the random pairs.
@@ -214,27 +214,6 @@ class TestFreeEvolutionCorrelation:
         m = MomentMatrix(qq=1.0, pq=0.0, qp=0.0, pp=0.0)
         with pytest.raises(ValidationError):
             free_evolution_correlation(m, QuadratureSetting(0.0), TimeSetting(0.0))
-
-
-class TestQuadratureRotation:
-    def test_structure(self):
-        rot = quadrature_rotation(0.3)
-        c, s = math.cos(0.3), math.sin(0.3)
-        assert np.array_equal(rot, [[c, -s], [s, c]])
-
-    def test_determinant_one_everywhere(self):
-        # det = 1 is the symplectic condition in 2 dimensions, i.e. the
-        # rotation preserves the canonical commutator.
-        rng = np.random.default_rng(5)
-        omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        for alpha in rng.uniform(-20.0, 20.0, size=200):
-            rot = quadrature_rotation(float(alpha))
-            assert abs(np.linalg.det(rot) - 1.0) < 1e-12
-            assert np.max(np.abs(rot.T @ omega @ rot - omega)) < 1e-12
-
-    def test_momentum_angle_swaps_quadratures(self):
-        rot = quadrature_rotation(1.5 * math.pi)
-        assert np.max(np.abs(rot - [[0.0, 1.0], [-1.0, 0.0]])) < 1e-12
 
 
 class TestChsh:

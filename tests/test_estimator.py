@@ -295,6 +295,16 @@ class TestMcEstimateRows:
     def test_no_rows(self):
         assert mc_estimate_rows(unbounded_spin_model(), [], [], 10, []) == []
 
+    # One row of one block would start no thread at any worker count, so
+    # these calls show that the count is checked up front, not by a pool.
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, True])
+    def test_rejects_bad_worker_counts(self, workers):
+        with pytest.raises(ValidationError, match="workers"):
+            mc_estimate_rows(unbounded_spin_model(), [Z_AXIS], [Z_AXIS], 10, [7],
+                             workers=workers)
+        with pytest.raises(ValidationError, match="workers"):
+            mc_estimate(unbounded_spin_model(), Z_AXIS, Z_AXIS, 10, 7, workers=workers)
+
 
 class TestCalibration:
     @pytest.mark.parametrize("model,s1,s2", builtin_cases())

@@ -77,8 +77,8 @@ class TestUnboundedSpinModel:
         d = UnitVector3(1.0 / ROOT3, 1.0 / ROOT3, 1.0 / ROOT3)
         # three-atom sum written out explicitly
         expected = sum(
-            (1.0 / 3.0) * (ROOT3 * d.component(k)) * (-ROOT3 * d.component(k))
-            for k in range(3)
+            (1.0 / 3.0) * (ROOT3 * c) * (-ROOT3 * c)
+            for c in (d.x, d.y, d.z)
         )
         assert abs(exact_expectation(model, d, d) - expected) < 1e-15
         assert abs(expected + 1.0) < 1e-12
@@ -93,7 +93,8 @@ class TestUnboundedSpinModel:
         rng = np.random.default_rng(17)
         vectors = random_unit_vectors(rng, 220)
         for a, b in zip(vectors[::2], vectors[1::2]):
-            assert abs(exact_expectation(model, a, b) - (-a.dot(b))) < 1e-12
+            closed_form = -(a.x * b.x + a.y * b.y + a.z * b.z)
+            assert abs(exact_expectation(model, a, b) - closed_form) < 1e-12
 
     def test_sup_bound_is_root_three(self):
         assert abs(sup_bound(unbounded_spin_model()) - ROOT3) < 1e-12
