@@ -107,6 +107,29 @@ class TestExtractMoments:
                 assert abs(getattr(combined, name) - expected) < 1e-12
 
 
+def min_uncertainty_eigenvalue(cov: np.ndarray) -> float:
+    """Smallest eigenvalue of cov + (i/2) Omega; physical means >= -1e-9."""
+    return float(np.linalg.eigvalsh(cov.astype(complex) + 0.5j * OMEGA)[0])
+
+
+class TestUncertaintyCheck:
+    def test_vacuum_passes(self):
+        assert min_uncertainty_eigenvalue(GaussianState(cov=0.5 * np.eye(4)).cov) > -1e-9
+
+    def test_squeezed_state_passes(self):
+        assert min_uncertainty_eigenvalue(tmsv(2.0).cov) >= -1e-9
+
+    def test_zero_covariance_fails(self):
+        # The check has teeth: a zero covariance violates cov + (i/2) Omega >= 0.
+        min_eig = min_uncertainty_eigenvalue(GaussianState(cov=np.zeros((4, 4))).cov)
+        assert min_eig < -1e-9
+        assert abs(min_eig + 0.5) < 1e-12
+
+    @pytest.mark.parametrize("r", SQUEEZINGS)
+    def test_whole_squeezing_range_physical(self, r):
+        assert min_uncertainty_eigenvalue(tmsv(r).cov) >= -1e-9
+
+
 class TestGaussianStateValidation:
     def test_rejects_asymmetric_covariance(self):
         cov = 0.5 * np.eye(4)
