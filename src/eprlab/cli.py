@@ -60,7 +60,7 @@ from .correlators import (
     spin_correlation_rows,
 )
 from .errors import ConsistencyError, ScenarioError, ValidationError
-from .estimator import compare, mc_estimate_rows
+from .estimator import MAX_WORKERS, compare, mc_estimate_rows
 from .gaussian import MomentMatrix, extract_moments, tmsv
 from .lhv import (
     HiddenVariableModel,
@@ -439,8 +439,6 @@ def run_scenario(path: Path, out_dir: Path | None = None, seed: int | None = Non
         if samples < 2:
             raise ScenarioError(f"--samples must be >= 2, got {samples}")
         scenario = dataclasses.replace(scenario, samples=samples)
-    if workers < 1:
-        raise ScenarioError(f"--workers must be >= 1, got {workers}")
 
     rows, summary = _evaluate(scenario, workers)
     _check_finite(rows)
@@ -486,9 +484,10 @@ def main(argv=None) -> int:
                             help="override the scenario seed")
     run_parser.add_argument("--samples", type=int, default=None,
                             help="override the scenario sample count")
-    run_parser.add_argument("--workers", type=int, default=_usable_cpus(),
-                            help="worker threads for Monte Carlo blocks (never changes results; "
-                                 "default: the usable CPU count, %(default)s here)")
+    run_parser.add_argument("--workers", type=int, default=min(_usable_cpus(), MAX_WORKERS),
+                            help="worker threads for Monte Carlo tiles (never changes results; "
+                                 f"default: the usable CPU count, at most {MAX_WORKERS}; "
+                                 "%(default)s here)")
     args = parser.parse_args(argv)
     try:
         return run_scenario(args.scenario, out_dir=args.out_dir, seed=args.seed,

@@ -2,10 +2,7 @@
 
 Randomness comes from a counter-based generator (Philox) keyed by the
 seed: the value of draw ``i`` depends only on ``(seed, i)``, never on
-how many draws preceded it in this process. Draws are evaluated in
-fixed-size blocks whose partial sums are reduced in block order, so the
-estimate is a pure function of (model, settings, n, seed), bit-identical
-across runs, worker counts, and scheduling.
+how many draws preceded it in this process.
 
 Standard normals are produced by the inverse normal CDF applied to
 uniforms of the form ((word >> 12) + 0.5) * 2**-52, which are strictly
@@ -17,7 +14,7 @@ m * 2**-52 + 2**-53 = (2 m + 1) * 2**-53. That subtraction is exact
 too: the difference fits in 53 bits (Sterbenz's lemma also applies, as
 1 + m * 2**-52 lies within a factor 2 of 1 - 2**-53). The inverse CDF
 then runs in place, and the pair contraction needs two temporaries of
-half the block's length. ``ndtri`` imports ``scipy.special`` on its
+half the tile's length. ``ndtri`` imports ``scipy.special`` on its
 first call, so a run that samples only finite models never loads scipy.
 
 A finite model draws atom ``k`` when the uniform (word >> 11) * 2**-53
@@ -29,21 +26,20 @@ cannot be reached and are dropped. Small tables count the thresholds;
 large ones binary-search them. Both give the atom that
 ``searchsorted(cum, u, side="right")``, clipped to K - 1, gives.
 
-``mc_estimate_rows`` evaluates many rows that share a model and a
-sample count. A row's Philox word is a pure function of (key, counter),
-so when the rows are short and numerous their words are computed
-together by a numpy Philox4x64-10 vectorised over keys and counters,
-and the draws, products and per-row sums run once on a (rows, n) stack.
-Each row's result is still bit-identical to ``mc_estimate`` on its key.
-Building numpy's C generator costs tens of microseconds per row, while
-the vectorised generator has a fixed cost per batch of several hundred
-microseconds and a higher cost per word, so two cutoffs decide which
-path a chunk of rows takes: at most ``BATCH_ROW_WORDS`` words per row
-and at least ``BATCH_MIN_ROWS`` rows. Every other row takes the C
-generator's block path: the blocks of all such rows of one call are
-shared among ``workers`` threads (the calling thread is one of them),
-and each row is then reduced in block order. A batched row is a single
-block, which no worker count would split.
+Every draw goes through one kernel, ``_tile_sums``. A tile is a
+C-contiguous (rows, words) stack of Philox words; the kernel turns it
+into each row's sums of x = xi1 * xi2 and of x * x. Row sums of such a
+stack equal the per-row sums bit for bit. ``mc_estimate_rows`` cuts its
+rows into tiles of at most ``BLOCK_DRAWS`` draws. A chunk of at least
+``BATCH_MIN_ROWS`` rows of at most ``BATCH_ROW_WORDS`` words each gives
+multi-row tiles, whose words come from a numpy Philox4x64-10 vectorised
+over keys and counters (``_philox_words``, bit-identical to numpy's
+generator). Every other row gives a one-row tile per block of
+``BLOCK_DRAWS`` draws from numpy's C generator (``_raw_words``). All
+tiles of a call are shared among ``workers`` threads (the calling
+thread is one of them), and each row's sums are then reduced in block
+order. So a row's estimate is a pure function of (model, settings, n,
+key), bit-identical across runs, worker counts and scheduling.
 
 Overflow in a row's arithmetic is not warned about: it shows as an
 infinite or NaN result, which the caller reports with the row.
@@ -87,12 +83,17 @@ BATCH_ROW_WORDS = 256
 #: costs about 420 us per call whatever the row count, against 40-80 us
 #: per row for a C generator. Per row at up to 256 words, same host:
 #: batches of 8 rows lost (60-170 vs 40-80 us), 16 rows broke about even
-#: (53-79 us), 32 rows won (31-50 vs 52-81 us).
+#: (53-79 us), 32 rows won (31-50 vs 52-81 us). Re-keying one C generator
+#: through its state setter gives the same words for 3.2 us per row against
+#: 1.25 us for the vectorised one, and it imports ``numpy.random``
+#: (+6 MiB, +12 ms), which the vectorised generator never loads: a spin
+#: grid of 5184 rows at n = 2 peaked at 38.3 against 32.9 MiB that way.
 BATCH_MIN_ROWS = 32
 
-#: Words in one batch at most, which bounds the memory a batch holds (a
-#: few uint64/float64 arrays of this many elements at their peak).
-BATCH_MAX_WORDS = 1 << 16
+#: Most worker threads a call may ask for. A call starts at most
+#: min(workers, tiles) - 1 threads, one per tile at most, and a count
+#: above this is refused before any thread starts.
+MAX_WORKERS = 1024
 
 _MAX_SEED = 1 << 64
 
@@ -216,18 +217,17 @@ def _uniforms(raw: np.ndarray) -> np.ndarray:
 
 
 def _gaussian_values(raw: np.ndarray, phi1, phi2) -> np.ndarray:
-    """xi1 * xi2 for the normal pairs drawn from ``raw`` words, shape (..., 2 m).
+    """xi1 * xi2 for the normal pairs drawn from a (rows, 2 m) tile of ``raw`` words.
 
-    ``phi1`` and ``phi2`` hold the two feature coefficients of each party:
-    scalars for one row's words, or (rows, 1) columns for a (rows, 2 m)
-    word stack. Overwrites ``raw``; the result is C-contiguous, shape (..., m).
+    ``phi1`` and ``phi2`` hold the two feature coefficients of each party
+    as (rows, 1) columns. Overwrites ``raw``; the result is C-contiguous,
+    shape (rows, m).
     """
     u = _uniforms(raw)
     eta = ndtri(u, out=u).reshape(raw.shape[:-1] + (-1, 2))
     eta1, eta2 = eta[..., 0], eta[..., 1]
     xi2 = eta1 * phi2[0]
-    term = eta2 * phi2[1]
-    xi2 += term
+    xi2 += eta2 * phi2[1]
     # xi1 in place in eta1, with the same operations as xi2.
     eta1 *= phi1[0]
     eta2 *= phi1[1]
@@ -236,35 +236,33 @@ def _gaussian_values(raw: np.ndarray, phi1, phi2) -> np.ndarray:
     return xi2
 
 
-def _block_values(model, s1, s2, seed):
-    # Both responses are read from their feature vectors; only the draw of
-    # the latent basis (one atom, or a normal pair) depends on the space.
-    phi1 = np.array(model.response1.features(s1))
-    phi2 = np.array(model.response2.features(s2))
-    if model.space.kind is SpaceKind.FINITE:
-        atom = _atom_lookup(model.space.weights)
-
-        def values(start: int, count: int) -> np.ndarray:
-            raw = _raw_words(seed, start, count)
-            # The products overwrite the words once the atoms are known. Atom
-            # indices are always in range, and "clip" spares the copy of
-            # ``out`` that take makes in its default mode.
-            return (phi1 * phi2).take(atom(raw), out=raw.view(np.float64), mode="clip")
-
-        return values
-
-    def values(start: int, count: int) -> np.ndarray:
-        return _gaussian_values(_raw_words(seed, 2 * start, 2 * count), phi1, phi2)
-
-    return values
-
-
 @_quiet
-def _block_stats(values, start: int, count: int) -> tuple[float, float]:
-    x = values(start, count)
-    total = float(x.sum())
+def _tile_sums(model: HiddenVariableModel, words: np.ndarray, phi1: np.ndarray,
+               phi2: np.ndarray) -> tuple[list[float], list[float]]:
+    """Per-row sums of x and x * x over the draws of one tile.
+
+    ``words`` is a C-contiguous (rows, words) stack of Philox words, which
+    this overwrites; ``phi1`` and ``phi2`` are the (rows, d) feature stacks
+    of the same rows. Both responses are read from their feature vectors;
+    only the draw of the latent basis (one atom, or a normal pair) depends
+    on the space.
+    """
+    if model.space.kind is SpaceKind.FINITE:
+        atoms = _atom_lookup(model.space.weights)(words)
+        if len(words) > 1:
+            # Row r's products start at flat index r * d of the product stack.
+            atoms = atoms + np.arange(0, phi1.size, phi1.shape[1])[:, None]
+        # The products overwrite the words once the atoms are known. Atom
+        # indices are always in range, and "clip" spares the copy of
+        # ``out`` that take makes in its default mode.
+        x = (phi1 * phi2).take(atoms, out=words.view(np.float64), mode="clip")
+    else:
+        # phi.T[k, :, None] is coefficient k of every row, as a (rows, 1) column.
+        x = _gaussian_values(words, phi1.T[:, :, None], phi2.T[:, :, None])
+    # Row sums of a C-contiguous stack equal the per-row sums bit for bit.
+    sums = x.sum(axis=1).tolist()
     x *= x
-    return total, float(x.sum())
+    return sums, x.sum(axis=1).tolist()
 
 
 def _fsum(values) -> float:
@@ -279,10 +277,8 @@ def _estimate(sums, squares, n: int, seed: int) -> CorrelationEstimate:
     """Mean and standard error from per-block sums of x and x*x, in block order."""
     # fsum is exactly rounded, so the reduction is independent of grouping;
     # it also turns a sum of -0.0 into 0.0.
-    total = _fsum(sums)
-    total_sq = _fsum(squares)
-    mean = total / n
-    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
+    mean = _fsum(sums) / n
+    var = max(_fsum(squares) - n * mean * mean, 0.0) / (n - 1)
     return CorrelationEstimate(mean=mean, stderr=math.sqrt(var / n), n=n, seed=seed)
 
 
@@ -297,68 +293,10 @@ def mc_estimate(model: HiddenVariableModel, s1, s2, n: int, seed: int, *,
                 workers: int = 1) -> CorrelationEstimate:
     """Estimate E[xi1(s1) xi2(s2)] from ``n`` independent draws.
 
-    ``workers`` only parallelizes block evaluation; it never changes the
+    ``workers`` only parallelizes tile evaluation; it never changes the
     result. The standard error uses the unbiased (n - 1) variance.
     """
     return mc_estimate_rows(model, [s1], [s2], n, [seed], workers=workers)[0]
-
-
-@_quiet
-def _batch_estimates(model: HiddenVariableModel, settings1, settings2, n: int,
-                     keys) -> list[CorrelationEstimate]:
-    """One-block rows drawn as one (rows, n) stack; see ``mc_estimate_rows``."""
-    phi1 = _feature_stack(model.response1, settings1)
-    phi2 = _feature_stack(model.response2, settings2)
-    k0 = np.array(keys, dtype=np.uint64)[:, None]
-    k1 = np.zeros_like(k0)
-    if model.space.kind is SpaceKind.FINITE:
-        atoms = _atom_lookup(model.space.weights)(_philox_words(k0, k1, n))
-        x = np.take_along_axis(phi1 * phi2, atoms, axis=1)
-    else:
-        # phi.T[k, :, None] is coefficient k of every row, as a (rows, 1) column.
-        x = _gaussian_values(_philox_words(k0, k1, 2 * n),
-                             phi1.T[:, :, None], phi2.T[:, :, None])
-    # Row sums of a C-contiguous stack equal the per-row sums bit for bit.
-    sums = x.sum(axis=1).tolist()
-    x *= x
-    squares = x.sum(axis=1).tolist()
-    return [_estimate((s,), (q,), n, key) for s, q, key in zip(sums, squares, keys)]
-
-
-def _block_estimates(model: HiddenVariableModel, settings1, settings2, n: int, keys,
-                     workers: int) -> list[CorrelationEstimate]:
-    """Rows drawn block by block on numpy's C generator; see ``mc_estimate_rows``."""
-    starts = range(0, n, BLOCK_DRAWS)
-    counts = [min(BLOCK_DRAWS, n - start) for start in starts]
-    rows = [_block_values(model, s1, s2, key) for s1, s2, key in zip(settings1, settings2, keys)]
-    # Task i is block i % per_row of row i // per_row. Each worker takes the
-    # next task number under a lock and stores the result in its slot.
-    per_row = len(counts)
-    stats = [None] * (len(rows) * per_row)
-    tasks = iter(range(len(stats)))
-    taking = threading.Lock()
-
-    def drain() -> None:
-        while True:
-            with taking:
-                index = next(tasks, None)
-            if index is None:
-                return
-            row, block = divmod(index, per_row)
-            stats[index] = _block_stats(rows[row], starts[block], counts[block])
-
-    # The calling thread is one of the workers.
-    helpers = min(workers, len(stats)) - 1
-    if helpers > 0:
-        with ThreadPoolExecutor(max_workers=helpers) as pool:
-            running = [pool.submit(drain) for _ in range(helpers)]
-            drain()
-            for done in running:
-                done.result()
-    else:
-        drain()
-    return [_estimate(*zip(*stats[row * per_row:(row + 1) * per_row]), n, key)
-            for row, key in enumerate(keys)]
 
 
 def mc_estimate_rows(model: HiddenVariableModel, settings1: Sequence, settings2: Sequence,
@@ -368,29 +306,67 @@ def mc_estimate_rows(model: HiddenVariableModel, settings1: Sequence, settings2:
 
     Every row draws ``n`` samples from its own stream, keyed by
     ``keys[i]``, and its estimate equals ``mc_estimate(model,
-    settings1[i], settings2[i], n, keys[i])`` bit for bit. Many short
-    rows are drawn in batches (see the module docstring); the blocks of
-    all other rows share one pool of ``workers`` threads.
+    settings1[i], settings2[i], n, keys[i])`` bit for bit. The rows are
+    cut into tiles (see the module docstring) that share one pool of
+    ``workers`` threads, at most ``MAX_WORKERS``.
     """
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise ValidationError(f"workers must be an integer >= 1, got {workers!r}")
+    if type(workers) is not int or not 1 <= workers <= MAX_WORKERS:
+        raise ValidationError(f"workers must be an integer in [1, {MAX_WORKERS}], got {workers!r}")
     if not len(settings1) == len(settings2) == len(keys):
         raise ValidationError(f"row lists differ in length: {len(settings1)}, "
                               f"{len(settings2)} settings and {len(keys)} keys")
     for key in keys:
         _check_draws(n, key)
-    row_words = n if model.space.kind is SpaceKind.FINITE else 2 * n
-    if row_words > BATCH_ROW_WORDS or len(keys) < BATCH_MIN_ROWS:
-        return _block_estimates(model, settings1, settings2, n, keys, workers)
-    # As few batches of at most BATCH_MAX_WORDS words as can be, of nearly equal size.
-    cap = max(1, BATCH_MAX_WORDS // row_words)
-    n_batches = -(-len(keys) // cap)
-    per_batch = -(-len(keys) // n_batches)
-    out = []
-    for start in range(0, len(keys), per_batch):
-        rows = slice(start, start + per_batch)
-        out += _batch_estimates(model, settings1[rows], settings2[rows], n, keys[rows])
-    return out
+    phi1 = _feature_stack(model.response1, settings1)
+    phi2 = _feature_stack(model.response2, settings2)
+    per_draw = 1 if model.space.kind is SpaceKind.FINITE else 2
+    # A tile is (first row, end row, first draw, draws per row), in row and block order.
+    batched = per_draw * n <= BATCH_ROW_WORDS and len(keys) >= BATCH_MIN_ROWS
+    if batched:
+        # As few tiles of at most BLOCK_DRAWS draws as can be, of nearly equal size.
+        per_tile = -(-len(keys) // -(-len(keys) // max(1, BLOCK_DRAWS // n)))
+        tiles = [(first, first + per_tile, 0, n) for first in range(0, len(keys), per_tile)]
+        k0 = np.array(keys, dtype=np.uint64)[:, None]
+    else:
+        tiles = [(row, row + 1, start, min(BLOCK_DRAWS, n - start))
+                 for row in range(len(keys)) for start in range(0, n, BLOCK_DRAWS)]
+
+    def tile_sums(first: int, end: int, start: int, count: int) -> tuple[list, list]:
+        if batched:
+            words = _philox_words(k0[first:end], np.zeros_like(k0[first:end]), per_draw * count)
+        else:
+            words = _raw_words(keys[first], per_draw * start, per_draw * count)[None, :]
+        return _tile_sums(model, words, phi1[first:end], phi2[first:end])
+
+    # Each worker takes the next tile number under a lock and stores the
+    # tile's sums in its slot.
+    stats = [None] * len(tiles)
+    tasks = iter(range(len(tiles)))
+    taking = threading.Lock()
+
+    def drain() -> None:
+        while True:
+            with taking:
+                index = next(tasks, None)
+            if index is None:
+                return
+            stats[index] = tile_sums(*tiles[index])
+
+    # The calling thread is one of the workers.
+    helpers = min(workers, len(tiles)) - 1
+    if helpers > 0:
+        with ThreadPoolExecutor(max_workers=helpers) as pool:
+            running = [pool.submit(drain) for _ in range(helpers)]
+            drain()
+            for done in running:
+                done.result()
+    else:
+        drain()
+    per_row = [[] for _ in keys]
+    for (first, *_), (row_sums, row_squares) in zip(tiles, stats):
+        for row, pair in enumerate(zip(row_sums, row_squares), first):
+            per_row[row].append(pair)
+    return [_estimate(*zip(*pairs), n, key) for pairs, key in zip(per_row, keys)]
 
 
 def compare(exact: float, est: CorrelationEstimate) -> ComparisonReport:

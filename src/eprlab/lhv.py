@@ -361,10 +361,8 @@ def _contract(weights, phi1, phi2) -> np.ndarray:
 
 
 def exact_expectation(model: HiddenVariableModel, s1, s2) -> float:
-    """E[xi1(s1) xi2(s2)] in closed form, no sampling."""
-    return float(_contract(np.array(model.space.basis_weights),
-                           np.array(model.response1.features(s1)),
-                           np.array(model.response2.features(s2))))
+    """E[xi1(s1) xi2(s2)] in closed form: the one-pair case of ``expectation_rows``."""
+    return float(expectation_rows(model, [s1], [s2])[0])
 
 
 def _feature_stack(response, settings: Sequence) -> np.ndarray:

@@ -15,6 +15,7 @@ from eprlab import (
     QuadratureSetting,
     cli,
     correlators,
+    estimator,
     exact_expectation,
     free_evolution_model,
     mc_estimate,
@@ -23,7 +24,7 @@ from eprlab import (
     spin_correlation,
     unbounded_spin_model,
 )
-from eprlab.estimator import BLOCK_DRAWS
+from eprlab.estimator import BLOCK_DRAWS, MAX_WORKERS
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -217,6 +218,26 @@ class TestScansAndOverrides:
 class TestInputErrors:
     def test_missing_file(self, tmp_path):
         assert run_cli(["run", tmp_path / "absent.json"]) == 1
+
+    @pytest.mark.parametrize("workers", [0, MAX_WORKERS + 1, 10**9, 2**63])
+    def test_worker_counts_outside_the_cap_exit_one_before_any_thread(
+            self, tmp_path, monkeypatch, capsys, workers):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(estimator, "ThreadPoolExecutor", no_pool)
+        # Three rows of three blocks each: nine tiles, so a pool would start.
+        path = write_scenario(tmp_path, {"kind": "EPR_QUADRATURE",
+                                         "state": {"squeezing": 0.6},
+                                         "settings": {"pairs": [[0.1, 0.2], [1.0, -0.5],
+                                                                [2.0, 3.0]]},
+                                         "samples": 2 * BLOCK_DRAWS + 7, "seed": 21})
+        out = tmp_path / "out"
+        assert run_cli(["run", path, "--out-dir", out, "--workers", workers]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: workers must be an integer in [1, ")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -571,6 +592,22 @@ class TestEntryPoint:
         )
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "free_evolution.csv").exists()
+
+    def test_batched_spin_run_never_imports_numpy_random(self, tmp_path):
+        # Batched rows draw their words from the vectorised Philox, not numpy.random.
+        path = write_scenario(tmp_path, {
+            "kind": "SPIN_CHSH",
+            "settings": {"setting1": {"start": 0.0, "stop": 3.0, "count": 8},
+                         "setting2": {"start": -1.0, "stop": 2.0, "count": 8}},
+            "samples": 2, "seed": 5})
+        code = (
+            "import sys, eprlab.cli\n"
+            f"code = eprlab.cli.main(['run', {str(path)!r}, '--out-dir', {str(tmp_path)!r}])\n"
+            "print(code, 'numpy.random' in sys.modules)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 False"
 
     def test_spin_run_never_imports_scipy(self, tmp_path):
         # scipy.special is loaded only when a Gaussian model is sampled.

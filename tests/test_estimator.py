@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -24,13 +25,15 @@ from eprlab import (
     tmsv,
     unbounded_spin_model,
 )
+from eprlab import estimator
 from eprlab.estimator import (
     BATCH_ROW_WORDS,
     BLOCK_DRAWS,
     MAX_COUNTED_ATOMS,
+    MAX_WORKERS,
     _atom_lookup,
-    _block_values,
     _philox_words,
+    _tile_sums,
     _uniforms,
 )
 
@@ -102,6 +105,21 @@ class TestDeterminism:
         single = mc_estimate(model, s1, s2, 300_000, 99, workers=1)
         for workers in (2, 3, 7):
             assert mc_estimate(model, s1, s2, 300_000, 99, workers=workers) == single
+
+    @pytest.mark.parametrize("model,s1,s2", builtin_cases()[:2])
+    def test_one_row_tiles_on_more_workers_than_cores(self, monkeypatch, model, s1, s2):
+        # 96 batched rows at one row per tile, shared by 8 threads that switch
+        # every microsecond; a lost or misplaced slot changes some row.
+        keys = list(range(1000, 1096))
+        want = [mc_estimate(model, s1, s2, 7, key) for key in keys]
+        monkeypatch.setattr(estimator, "BLOCK_DRAWS", 7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = mc_estimate_rows(model, [s1] * 96, [s2] * 96, 7, keys, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
 
     def test_different_seeds_differ(self):
         a = mc_estimate(unbounded_spin_model(), Z_AXIS, Z_AXIS, 10_000, 1)
@@ -244,14 +262,16 @@ class TestAtomLookup:
         per_atom = (np.array(model.response1.features(d))
                     * np.array(model.response2.features(d)))
         assert len(set(per_atom.tolist())) == 3 and np.all(per_atom != 0.0)
-        values = _block_values(model, d, d, seed)
+        phi1 = np.array([model.response1.features(d)])
+        phi2 = np.array([model.response2.features(d)])
         for start in (0, BLOCK_DRAWS, 40 * BLOCK_DRAWS):
             bg = np.random.Philox(key=seed)
             bg.advance(start // 4)
-            ref = per_atom[reference_atoms(model.space.weights, bg.random_raw(BLOCK_DRAWS))]
-            x = values(start, BLOCK_DRAWS)
-            assert np.sum(x) == np.sum(ref)
-            assert np.sum(x * x) == np.sum(ref * ref)
+            words = bg.random_raw(BLOCK_DRAWS)
+            ref = per_atom[reference_atoms(model.space.weights, words)]
+            sums, squares = _tile_sums(model, words[None, :], phi1, phi2)
+            assert sums == [np.sum(ref)]
+            assert squares == [np.sum(ref * ref)]
 
 
 PHILOX_KEYS = [0, 1, 1 << 63, (1 << 64) - 1,
@@ -304,6 +324,24 @@ class TestMcEstimateRows:
                              workers=workers)
         with pytest.raises(ValidationError, match="workers"):
             mc_estimate(unbounded_spin_model(), Z_AXIS, Z_AXIS, 10, 7, workers=workers)
+
+    @pytest.mark.parametrize("workers", [MAX_WORKERS + 1, 10**9, 2**63])
+    def test_rejects_worker_counts_above_the_cap_before_any_thread(self, monkeypatch, workers):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(estimator, "ThreadPoolExecutor", no_pool)
+        # Three rows of 16 blocks each: 48 tiles, so a pool would start.
+        with pytest.raises(ValidationError, match="workers"):
+            mc_estimate_rows(unbounded_spin_model(), [Z_AXIS] * 3, [Z_AXIS] * 3,
+                             16 * BLOCK_DRAWS, [1, 2, 3], workers=workers)
+
+    def test_accepts_the_cap(self):
+        # Three one-block rows start two helper threads whatever the cap.
+        rows = mc_estimate_rows(unbounded_spin_model(), [Z_AXIS] * 3, [Z_AXIS] * 3, 10,
+                                [1, 2, 3], workers=MAX_WORKERS)
+        assert rows == [mc_estimate(unbounded_spin_model(), Z_AXIS, Z_AXIS, 10, key)
+                        for key in (1, 2, 3)]
 
 
 class TestCalibration:

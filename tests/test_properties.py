@@ -144,25 +144,32 @@ def test_row_estimates_equal_per_row_estimates(name, n, data):
     if data.draw(st.booleans(), label="signed_zero_row"):
         pairs[0] = (0, 1)
     keys = data.draw(st.lists(KEY, min_size=rows, max_size=rows), label="keys")
-    max_words = data.draw(st.sampled_from([estimator.BATCH_MAX_WORDS, 1, 3 * n, 11 * n]),
-                          label="max_words")
+    row_words = n if model.space.kind is estimator.SpaceKind.FINITE else 2 * n
+    batched = rows >= BATCH_MIN_ROWS and row_words <= BATCH_ROW_WORDS
+    # Smaller tiles split a batched chunk; rows drawn in blocks keep the real
+    # block size, whose boundaries the per-row reference shares.
+    tile_draws = data.draw(st.sampled_from([BLOCK_DRAWS, 1, 3 * n, 11 * n]),
+                           label="tile_draws") if batched else BLOCK_DRAWS
     workers = data.draw(st.sampled_from([1, 2]), label="workers")
     settings1 = [pool[i] for i, _ in pairs]
     settings2 = [pool[j] for _, j in pairs]
 
-    batch = mock.patch.object(estimator, "_batch_estimates", wraps=estimator._batch_estimates)
-    with mock.patch.object(estimator, "BATCH_MAX_WORDS", max_words), batch as spy:
+    tiles = mock.patch.object(estimator, "_philox_words", wraps=estimator._philox_words)
+    blocks = mock.patch.object(estimator, "_raw_words", wraps=estimator._raw_words)
+    with mock.patch.object(estimator, "BLOCK_DRAWS", tile_draws), tiles as tile_spy, \
+            blocks as block_spy:
         got = mc_estimate_rows(model, settings1, settings2, n, keys, workers=workers)
     want = [mc_estimate(model, s1, s2, n, k) for s1, s2, k in zip(settings1, settings2, keys)]
     assert [_fingerprint(e) for e in got] == [_fingerprint(e) for e in want]
 
-    row_words = n if model.space.kind is estimator.SpaceKind.FINITE else 2 * n
-    if rows < BATCH_MIN_ROWS or row_words > BATCH_ROW_WORDS:
-        assert spy.call_count == 0
+    if not batched:
+        assert tile_spy.call_count == 0
+        assert block_spy.call_count == rows * -(-n // BLOCK_DRAWS)
     else:
-        cap = max(1, max_words // row_words)
-        sizes = [len(call.args[4]) for call in spy.call_args_list]
-        assert sum(sizes) == rows and max(sizes) <= cap
-        assert len(sizes) == -(-rows // cap)
+        assert block_spy.call_count == 0
+        sizes = [len(call.args[0]) for call in tile_spy.call_args_list]
+        assert sum(sizes) == rows and len(sizes) == -(-rows // max(1, tile_draws // n))
+        # A tile holds at most BLOCK_DRAWS draws, unless one row alone has more.
+        assert all(size * n <= tile_draws or size == 1 for size in sizes)
     if pairs[0] == (0, 1) and name in ("spin", "tabulated"):
         assert got[0].mean.hex() == "0x0.0p+0"
