@@ -22,12 +22,18 @@ expanded to a Cartesian product with ``setting1`` as the outer loop.
 
 For every setting pair the tool evaluates the exact quantum correlation,
 the model's exact expectation, and a seeded Monte Carlo estimate, then
-writes ``<name>.csv`` and ``<name>.summary.json``. The quantum and exact
-values are computed as arrays over chunks of ``EVAL_CHUNK_ROWS`` rows,
-and each chunk's Monte Carlo estimates come from one
-``mc_estimate_rows`` call, every row on its own stream. Both outputs
-are written to temporary files in the output directory and renamed into
-place, so a failed write leaves earlier outputs intact. Exit codes: 0 on
+writes ``<name>.csv`` and ``<name>.summary.json``. The rows are evaluated
+by columns, in chunks of ``EVAL_CHUNK_ROWS`` rows. Each distinct setting
+value is made once per run, together with both parties' feature rows and
+the numbers the quantum correlator reads from it; a chunk's feature and
+correlator stacks are row gathers from that table. One pair of feature
+stacks feeds both the exact contraction and the chunk's Monte Carlo
+(``estimator._mc_rows``, every row on its own stream), whose means and
+standard errors come back as arrays. z-scores, the consistency check and
+the finite check are array operations on the whole result, and each
+output line is one ``%`` format of a row tuple. Both outputs are written
+to temporary files in the output directory and renamed into place, so a
+failed write leaves earlier outputs intact. Exit codes: 0 on
 success, 1 on input errors (including results that overflow double
 precision, and outputs that cannot be written), 2 when the model and the
 quantum value disagree beyond tolerance on any row or a correlator's
@@ -37,7 +43,6 @@ internal cross-check fails.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -45,7 +50,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -53,6 +58,8 @@ from .correlators import (
     ChshSettings,
     QuadratureSetting,
     TimeSetting,
+    _free_evolution_value,
+    _quadrature_value,
     chsh_value,
     free_evolution_correlation,
     quadrature_correlation,
@@ -60,12 +67,12 @@ from .correlators import (
     spin_correlation_rows,
 )
 from .errors import ConsistencyError, ScenarioError, ValidationError
-from .estimator import MAX_WORKERS, compare, mc_estimate_rows
+from .estimator import MAX_DRAWS, MAX_WORKERS, _mc_rows, _z_scores
 from .gaussian import MomentMatrix, extract_moments, tmsv
 from .lhv import (
     HiddenVariableModel,
+    _contract,
     exact_expectation,
-    expectation_rows,
     free_evolution_model,
     quadrature_model,
     sup_bound,
@@ -73,12 +80,17 @@ from .lhv import (
 )
 from .operators import UnitVector3
 
-# The per-row estimator that mc_estimate_rows falls back to, bound here too:
-# the benchmark's traced run probes this name on this module.
-from .estimator import mc_estimate  # noqa: F401
+# The one-row estimator and comparison, whose array forms the rows use, bound
+# here too: the benchmark's traced run probes these names on this module.
+from .estimator import compare, mc_estimate  # noqa: F401
 
 KINDS = ("SPIN_CHSH", "EPR_QUADRATURE", "FREE_EVOLUTION")
 CSV_COLUMNS = ("setting1", "setting2", "quantum", "lhv_exact", "lhv_mc", "stderr", "z")
+#: A CSV line and a table line, each one ``%`` format of a row tuple. "%.17g"
+#: prints a float as format(v, ".17g") does, and the table specs as the
+#: f-string specs {v:>12.6g}, {v:>10.3g} and {v:>7.2f}.
+_CSV_LINE = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\r\n"
+_TABLE_LINE = "%12.6g %12.6g %12.6g %12.6g %12.6g %10.3g %7.2f\n"
 #: A row is consistent when |lhv_exact - quantum| <= CONSISTENCY_TOL * max(1, S),
 #: S the sum of the absolute values of the quantum closed form's terms.
 CONSISTENCY_TOL = 1e-10
@@ -89,9 +101,10 @@ CONSISTENCY_TOL = 1e-10
 #: exact columns took 35-38 ms at any size from 128 to 512.
 EVAL_CHUNK_ROWS = 256
 #: Rows a scenario may ask for at most, checked before any row is built.
-#: Every row is held in memory until the outputs are written, about 0.4 KiB
-#: a row (peak RSS of a 256x256 spin scan at n = 2: 55.6 MiB, against 33.2
-#: MiB at 72x72), so MAX_ROWS rows take about 0.4 GiB.
+#: Every row's settings and results are held in memory until the outputs
+#: are written, about 0.17 KiB a row (peak RSS of a spin scan at n = 2:
+#: 32.4 MiB at 72x72, 43.3 MiB at 256x256, 75.1 MiB at 512x512), so
+#: MAX_ROWS rows take about 0.17 GiB.
 MAX_ROWS = 1 << 20
 
 EXIT_OK = 0
@@ -111,17 +124,6 @@ class Scenario:
     samples: int
     seed: int
     chsh: tuple[float, float, float, float] | None
-
-
-@dataclass(frozen=True)
-class ResultRow:
-    setting1: float
-    setting2: float
-    quantum: float
-    lhv_exact: float
-    lhv_mc: float
-    stderr: float
-    z: float
 
 
 def _require_number(value, label: str) -> float:
@@ -261,96 +263,109 @@ def _spin_direction(theta: float) -> UnitVector3:
     return UnitVector3(math.sin(theta), 0.0, math.cos(theta))
 
 
-def _spin_rows(settings1: list, settings2: list) -> list[float]:
-    def cosines(settings):
-        return [(d.x, d.y, d.z) for d in settings]
-    return spin_correlation_rows(cosines(settings1), cosines(settings2)).tolist()
-
-
 @dataclass(frozen=True)
 class _Engine:
     """How one scenario kind evaluates its settings.
 
-    ``quantum`` is the quantum correlation of one setting pair and
-    ``quantum_rows`` the same over two row-aligned setting lists.
-    ``magnitude(s1, s2)`` is the sum of the absolute values of the terms
-    of the quantum correlation's closed form, the scale of its rounding
-    error.
+    ``columns(setting)`` are the numbers the row functions read from one
+    setting: its direction cosines (spin), the cosine and sine of its angle
+    (quadrature) or its time. ``quantum_rows(c1, c2)`` is the quantum
+    correlation at each row of two row-aligned stacks of such columns, and
+    ``magnitude(c1, c2)`` the sum of the absolute values of the terms of its
+    closed form, the scale of its rounding error. ``quantum`` is the quantum
+    correlation of one setting pair, which the CHSH block uses.
     """
 
     model: HiddenVariableModel
     make_setting: Callable
+    columns: Callable
     quantum: Callable
-    quantum_rows: Callable[[list, list], list[float]]
+    quantum_rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
     magnitude: Callable
-
-
-def _pairwise(quantum: Callable) -> Callable[[list, list], list[float]]:
-    """``quantum`` over two row-aligned setting lists, one pair at a time."""
-    return lambda settings1, settings2: [quantum(s1, s2) for s1, s2 in zip(settings1, settings2)]
 
 
 def _build_engine(scenario: Scenario) -> _Engine:
     if scenario.kind == "SPIN_CHSH":
-        return _Engine(unbounded_spin_model(), _spin_direction, spin_correlation, _spin_rows,
-                       lambda s1, s2: 1.0)
+        return _Engine(unbounded_spin_model(), _spin_direction, lambda d: (d.x, d.y, d.z),
+                       spin_correlation, spin_correlation_rows, lambda c1, c2: 1.0)
     m = scenario.moments
     if scenario.kind == "EPR_QUADRATURE":
-        def quantum(s1, s2):
-            return quadrature_correlation(m, s1, s2)
+        def quantum_rows(c1, c2):
+            return _quadrature_value(m, c1[:, 0], c1[:, 1], c2[:, 0], c2[:, 1])
 
-        def magnitude(s1, s2):
-            c1, n1 = math.cos(s1.alpha), math.sin(s1.alpha)
-            c2, n2 = math.cos(s2.alpha), math.sin(s2.alpha)
-            return (abs(m.qq * c1 * c2) + abs(m.pq * n1 * c2)
-                    + abs(m.qp * c1 * n2) + abs(m.pp * n1 * n2))
-        return _Engine(quadrature_model(m), QuadratureSetting, quantum, _pairwise(quantum),
-                       magnitude)
+        def magnitude(c1, c2):
+            (cos1, sin1), (cos2, sin2) = c1.T, c2.T
+            return (abs(m.qq * cos1 * cos2) + abs(m.pq * sin1 * cos2)
+                    + abs(m.qp * cos1 * sin2) + abs(m.pp * sin1 * sin2))
+        return _Engine(quadrature_model(m), QuadratureSetting,
+                       lambda a: (math.cos(a.alpha), math.sin(a.alpha)),
+                       lambda a1, a2: quadrature_correlation(m, a1, a2), quantum_rows, magnitude)
 
-    def quantum(s1, s2):
-        return free_evolution_correlation(m, s1, s2)
+    def quantum_rows(c1, c2):
+        return _free_evolution_value(m, c1[:, 0], c2[:, 0])
 
-    def magnitude(s1, s2):
-        return abs(m.qq) + abs(m.pq * s1.t) + abs(m.qp * s2.t) + abs(m.pp * (s1.t * s2.t))
-    return _Engine(free_evolution_model(m), TimeSetting, quantum, _pairwise(quantum), magnitude)
+    def magnitude(c1, c2):
+        t1, t2 = c1[:, 0], c2[:, 0]
+        return abs(m.qq) + abs(m.pq * t1) + abs(m.qp * t2) + abs(m.pp * (t1 * t2))
+    return _Engine(free_evolution_model(m), TimeSetting, lambda t: (t.t,),
+                   lambda t1, t2: free_evolution_correlation(m, t1, t2), quantum_rows, magnitude)
 
 
-def _evaluate(scenario: Scenario, workers: int) -> tuple[list[ResultRow], dict]:
+def _evaluate(scenario: Scenario, workers: int) -> tuple[np.ndarray, dict]:
+    """All result rows, as a (rows, len(CSV_COLUMNS)) array in CSV column order, and the summary."""
     engine = _build_engine(scenario)
     model = engine.model
-    pairs = scenario.setting_pairs
-    # Grids repeat their axis values; each distinct value is made once. Keyed
-    # by float.hex, so that 0.0 and -0.0 stay distinct.
-    made: dict[str, object] = {}
+    weights = np.array(model.space.basis_weights)
+    # Grids repeat their axis values; each distinct value is made once per
+    # run, as (setting, party-1 feature row, party-2 feature row, columns).
+    # Keyed by float.hex, so that 0.0 and -0.0 stay distinct.
+    made: dict[str, tuple] = {}
 
-    def make(x: float):
+    def make(x: float) -> tuple:
         key = x.hex()
-        setting = made.get(key)
-        if setting is None:
-            setting = made[key] = engine.make_setting(x)
-        return setting
+        entry = made.get(key)
+        if entry is None:
+            setting = engine.make_setting(x)
+            entry = made[key] = (setting, model.response1.features(setting),
+                                 model.response2.features(setting), engine.columns(setting))
+        return entry
 
-    rows = []
+    def gather(values: np.ndarray, party: int) -> tuple[np.ndarray, np.ndarray]:
+        """The feature stack of ``party`` (1 or 2) and the column stack at one chunk's values."""
+        # The chunk's distinct values by their bits, so 0.0 and -0.0 too, in
+        # order of first appearance, so that the first invalid one is reported.
+        # np.unique would find them by sorting, and loading its sort kernels
+        # alone raises a run's peak RSS by about 0.5 MiB.
+        slots: dict[int, int] = {}
+        rows = [slots.setdefault(bits, len(slots)) for bits in values.view(np.uint64).tolist()]
+        distinct = np.array(list(slots), dtype=np.uint64).view(np.float64).tolist()
+        entries = [make(x) for x in distinct]
+        return (np.array([entry[party] for entry in entries])[rows],
+                np.array([entry[3] for entry in entries])[rows])
+
+    values1, values2 = np.array(scenario.setting_pairs, dtype=float).T.copy()
+    table = np.empty((len(values1), len(CSV_COLUMNS)))
+    table[:, 0], table[:, 1] = values1, values2
     consistency_pass = True
-    for start in range(0, len(pairs), EVAL_CHUNK_ROWS):
-        chunk = pairs[start:start + EVAL_CHUNK_ROWS]
-        settings1 = [make(x1) for x1, _ in chunk]
-        settings2 = [make(x2) for _, x2 in chunk]
-        quantum = engine.quantum_rows(settings1, settings2)
-        exact = expectation_rows(model, settings1, settings2).tolist()
-        keys = [(scenario.seed + start + offset) % _MAX_SEED for offset in range(len(chunk))]
-        estimates = mc_estimate_rows(model, settings1, settings2, scenario.samples, keys,
-                                     workers=workers)
-        for (x1, x2), s1, s2, q, e, est in zip(chunk, settings1, settings2, quantum, exact,
-                                                estimates):
-            tolerance = CONSISTENCY_TOL * max(1.0, engine.magnitude(s1, s2))
-            consistency_pass = consistency_pass and abs(e - q) <= tolerance
-            report = compare(e, est)
-            rows.append(ResultRow(x1, x2, q, e, est.mean, est.stderr, report.z_score))
+    for start in range(0, len(table), EVAL_CHUNK_ROWS):
+        end = min(start + EVAL_CHUNK_ROWS, len(table))
+        phi1, columns1 = gather(values1[start:end], 1)
+        phi2, columns2 = gather(values2[start:end], 2)
+        quantum = engine.quantum_rows(columns1, columns2)
+        exact = _contract(weights, phi1, phi2)
+        keys = [(scenario.seed + row) % _MAX_SEED for row in range(start, end)]
+        mean, stderr = _mc_rows(model, phi1, phi2, scenario.samples, keys, workers)
+        for column, values in enumerate((quantum, exact, mean, stderr), 2):
+            table[start:end, column] = values
+        # fmax ignores a NaN magnitude, as Python's max(1.0, S) does.
+        tolerance = CONSISTENCY_TOL * np.fmax(1.0, engine.magnitude(columns1, columns2))
+        consistency_pass = consistency_pass and bool(np.all(np.abs(exact - quantum) <= tolerance))
+    z, _ = _z_scores(table[:, 3], table[:, 4], table[:, 5])
+    table[:, 6] = z
 
     chsh_quantum = chsh_lhv = None
     if scenario.chsh is not None:
-        settings = ChshSettings(*(make(theta) for theta in scenario.chsh))
+        settings = ChshSettings(*(make(theta)[0] for theta in scenario.chsh))
         chsh_quantum = chsh_value(engine.quantum, settings)
         chsh_lhv = chsh_value(lambda u, v: exact_expectation(model, u, v), settings)
 
@@ -359,31 +374,36 @@ def _evaluate(scenario: Scenario, workers: int) -> tuple[list[ResultRow], dict]:
         "chsh_quantum": chsh_quantum,
         "chsh_lhv_exact": chsh_lhv,
         "sup_bound": bound if math.isfinite(bound) else "unbounded",
-        "max_abs_z": max(abs(r.z) for r in rows),
+        "max_abs_z": float(np.abs(z).max()),
         "consistency_pass": consistency_pass,
     }
-    return rows, summary
+    return table, summary
 
 
-def _check_finite(rows: list[ResultRow]) -> None:
+def _check_finite(table: np.ndarray) -> None:
     """Reject results that overflowed; a z of +-inf from a zero stderr is legal."""
-    for index, r in enumerate(rows):
-        for column in ("quantum", "lhv_exact", "lhv_mc", "stderr"):
-            value = getattr(r, column)
-            if not math.isfinite(value):
-                raise ScenarioError(
-                    f"row {index} (setting1 = {r.setting1!r}, setting2 = {r.setting2!r}): "
-                    f"{column} is {value!r}; the scenario's values overflow double precision"
-                )
+    checked = table[:, 2:6]  # quantum, lhv_exact, lhv_mc, stderr
+    bad = np.argwhere(~np.isfinite(checked))
+    if len(bad):
+        # argwhere is in row-major order: the first bad row, then its first bad column.
+        index, column = bad[0].tolist()
+        setting1, setting2 = table[index, :2].tolist()
+        raise ScenarioError(
+            f"row {index} (setting1 = {setting1!r}, setting2 = {setting2!r}): "
+            f"{CSV_COLUMNS[2 + column]} is {float(checked[index, column])!r}; "
+            "the scenario's values overflow double precision"
+        )
 
 
-def _write_csv(fh, rows: list[ResultRow]) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(CSV_COLUMNS)
-    for r in rows:
-        writer.writerow(format(v, ".17g") for v in
-                        (r.setting1, r.setting2, r.quantum, r.lhv_exact,
-                         r.lhv_mc, r.stderr, r.z))
+def _rows(table: np.ndarray) -> Iterator[tuple]:
+    """The rows of ``table`` as plain tuples of floats, converted a chunk at a time."""
+    for start in range(0, len(table), EVAL_CHUNK_ROWS):
+        yield from zip(*table[start:start + EVAL_CHUNK_ROWS].T.tolist())
+
+
+def _write_csv(fh, rows: Iterable[tuple]) -> None:
+    fh.write(",".join(CSV_COLUMNS) + "\r\n")
+    fh.writelines(_CSV_LINE % row for row in rows)
 
 
 def _write_summary(fh, summary: dict) -> None:
@@ -410,13 +430,11 @@ def _write_outputs(outputs: list[tuple[Path, Callable]]) -> None:
             temp.unlink(missing_ok=True)
 
 
-def _print_table(rows: list[ResultRow], summary: dict) -> None:
+def _print_table(rows: Iterable[tuple], summary: dict) -> None:
     header = f"{'setting1':>12} {'setting2':>12} {'quantum':>12} {'lhv_exact':>12} " \
              f"{'lhv_mc':>12} {'stderr':>10} {'z':>7}"
     print(header)
-    for r in rows:
-        print(f"{r.setting1:>12.6g} {r.setting2:>12.6g} {r.quantum:>12.6g} "
-              f"{r.lhv_exact:>12.6g} {r.lhv_mc:>12.6g} {r.stderr:>10.3g} {r.z:>7.2f}")
+    sys.stdout.writelines(_TABLE_LINE % row for row in rows)
     if summary["chsh_quantum"] is not None:
         print(f"CHSH: quantum = {summary['chsh_quantum']:.9g}, "
               f"model exact = {summary['chsh_lhv_exact']:.9g}")
@@ -440,20 +458,25 @@ def run_scenario(path: Path, out_dir: Path | None = None, seed: int | None = Non
             raise ScenarioError(f"--samples must be >= 2, got {samples}")
         scenario = dataclasses.replace(scenario, samples=samples)
 
-    rows, summary = _evaluate(scenario, workers)
-    _check_finite(rows)
+    draws = scenario.samples * len(scenario.setting_pairs)
+    if draws > MAX_DRAWS:
+        raise ScenarioError(f"{len(scenario.setting_pairs)} rows of {scenario.samples} samples "
+                            f"ask for {draws} draws, more than MAX_DRAWS = {MAX_DRAWS}")
+
+    table, summary = _evaluate(scenario, workers)
+    _check_finite(table)
 
     out = Path(out_dir) if out_dir is not None else Path(".")
     csv_path = out / f"{scenario.name}.csv"
     summary_path = out / f"{scenario.name}.summary.json"
     try:
         out.mkdir(parents=True, exist_ok=True)
-        _write_outputs([(csv_path, lambda fh: _write_csv(fh, rows)),
+        _write_outputs([(csv_path, lambda fh: _write_csv(fh, _rows(table))),
                         (summary_path, lambda fh: _write_summary(fh, summary))])
     except OSError as exc:
         raise ScenarioError(f"cannot write the outputs in {out}: {exc}") from exc
 
-    _print_table(rows, summary)
+    _print_table(_rows(table), summary)
     print(f"wrote {csv_path} and {summary_path}")
     if not summary["consistency_pass"]:
         print("error: model expectation deviates from the quantum value beyond "

@@ -41,6 +41,12 @@ thread is one of them), and each row's sums are then reduced in block
 order. So a row's estimate is a pure function of (model, settings, n,
 key), bit-identical across runs, worker counts and scheduling.
 
+``_mc_rows`` does this on the rows' feature stacks and returns the means
+and standard errors as arrays; ``mc_estimate_rows`` builds the stacks
+from settings and wraps each row in a ``CorrelationEstimate``. Likewise
+``_z_scores`` compares arrays of estimates with exact values, and
+``compare`` is its one-row case.
+
 Overflow in a row's arithmetic is not warned about: it shows as an
 infinite or NaN result, which the caller reports with the row.
 """
@@ -95,6 +101,15 @@ BATCH_MIN_ROWS = 32
 #: above this is refused before any thread starts.
 MAX_WORKERS = 1024
 
+#: Most draws a call may ask for, ``n`` times its row count; the CLI caps
+#: ``samples`` times a scenario's rows by it too. A call lists one tile per
+#: block of every row, with its slot and sums, before it draws: 0.37 KiB a
+#: tile (tracemalloc peak over 65 536 one-row tiles), so a call at this
+#: cap, 2**20 tiles of BLOCK_DRAWS draws, holds about 0.37 GiB of them.
+#: Drawing that many takes about an hour at the 18.5M Gaussian draws/s of
+#: two workers on a 2-vCPU x86-64 host.
+MAX_DRAWS = 1 << 36
+
 _MAX_SEED = 1 << 64
 
 # Philox4x64-10 multipliers and Weyl key increments (Salmon et al., SC'11),
@@ -109,7 +124,7 @@ _ONE_BITS = np.uint64(0x3FF0000000000000)
 #: Wraps the functions that do a row's arithmetic. On extreme inputs that
 #: arithmetic overflows to inf or NaN, which the caller reports with the
 #: row; numpy's warnings would name only estimator internals.
-_quiet = np.errstate(over="ignore", invalid="ignore")
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 @dataclass(frozen=True)
@@ -273,20 +288,17 @@ def _fsum(values) -> float:
         return sum(values)
 
 
-def _estimate(sums, squares, n: int, seed: int) -> CorrelationEstimate:
-    """Mean and standard error from per-block sums of x and x*x, in block order."""
-    # fsum is exactly rounded, so the reduction is independent of grouping;
-    # it also turns a sum of -0.0 into 0.0.
-    mean = _fsum(sums) / n
-    var = max(_fsum(squares) - n * mean * mean, 0.0) / (n - 1)
-    return CorrelationEstimate(mean=mean, stderr=math.sqrt(var / n), n=n, seed=seed)
-
-
-def _check_draws(n, seed) -> None:
+def _check_draws(n, keys: Sequence[int], workers) -> None:
+    if type(workers) is not int or not 1 <= workers <= MAX_WORKERS:
+        raise ValidationError(f"workers must be an integer in [1, {MAX_WORKERS}], got {workers!r}")
     if not isinstance(n, int) or n < 2:
         raise ValidationError(f"sample count must be an integer >= 2, got {n!r}")
-    if not isinstance(seed, int) or not 0 <= seed < _MAX_SEED:
-        raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+    if n * len(keys) > MAX_DRAWS:
+        raise ValidationError(f"{len(keys)} rows of {n} draws ask for {n * len(keys)} draws, "
+                              f"more than MAX_DRAWS = {MAX_DRAWS}")
+    for key in keys:
+        if not isinstance(key, int) or not 0 <= key < _MAX_SEED:
+            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {key!r}")
 
 
 def mc_estimate(model: HiddenVariableModel, s1, s2, n: int, seed: int, *,
@@ -308,17 +320,27 @@ def mc_estimate_rows(model: HiddenVariableModel, settings1: Sequence, settings2:
     ``keys[i]``, and its estimate equals ``mc_estimate(model,
     settings1[i], settings2[i], n, keys[i])`` bit for bit. The rows are
     cut into tiles (see the module docstring) that share one pool of
-    ``workers`` threads, at most ``MAX_WORKERS``.
+    ``workers`` threads, at most ``MAX_WORKERS``; ``n`` times the row
+    count may be at most ``MAX_DRAWS``.
     """
-    if type(workers) is not int or not 1 <= workers <= MAX_WORKERS:
-        raise ValidationError(f"workers must be an integer in [1, {MAX_WORKERS}], got {workers!r}")
     if not len(settings1) == len(settings2) == len(keys):
         raise ValidationError(f"row lists differ in length: {len(settings1)}, "
                               f"{len(settings2)} settings and {len(keys)} keys")
-    for key in keys:
-        _check_draws(n, key)
-    phi1 = _feature_stack(model.response1, settings1)
-    phi2 = _feature_stack(model.response2, settings2)
+    mean, stderr = _mc_rows(model, _feature_stack(model.response1, settings1),
+                            _feature_stack(model.response2, settings2), n, keys, workers)
+    return [CorrelationEstimate(mean=m, stderr=s, n=n, seed=key)
+            for m, s, key in zip(mean.tolist(), stderr.tolist(), keys)]
+
+
+def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: int,
+             keys: Sequence[int], workers: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of each row's ``n`` draws, as two arrays.
+
+    ``phi1`` and ``phi2`` are the rows' (rows, d) feature stacks, row i
+    drawing from the stream keyed by ``keys[i]``. Checks ``n``, the keys,
+    ``workers`` and the total draws before it lists any tile.
+    """
+    _check_draws(n, keys, workers)
     per_draw = 1 if model.space.kind is SpaceKind.FINITE else 2
     # A tile is (first row, end row, first draw, draws per row), in row and block order.
     batched = per_draw * n <= BATCH_ROW_WORDS and len(keys) >= BATCH_MIN_ROWS
@@ -362,18 +384,50 @@ def mc_estimate_rows(model: HiddenVariableModel, settings1: Sequence, settings2:
                 done.result()
     else:
         drain()
-    per_row = [[] for _ in keys]
-    for (first, *_), (row_sums, row_squares) in zip(tiles, stats):
-        for row, pair in enumerate(zip(row_sums, row_squares), first):
-            per_row[row].append(pair)
-    return [_estimate(*zip(*pairs), n, key) for pairs, key in zip(per_row, keys)]
+    sums = [[] for _ in keys]
+    squares = [[] for _ in keys]
+    for (first, end, *_), (row_sums, row_squares) in zip(tiles, stats):
+        for row, x, xx in zip(range(first, end), row_sums, row_squares):
+            sums[row].append(x)
+            squares[row].append(xx)
+    return _mean_stderr(np.array([_fsum(x) for x in sums]),
+                        np.array([_fsum(xx) for xx in squares]), n)
+
+
+@_quiet
+def _mean_stderr(total: np.ndarray, total_squares: np.ndarray,
+                 n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Means and standard errors from each row's sums of x and x * x over ``n`` draws."""
+    # The row sums come from fsum, which is exactly rounded, so they do not
+    # depend on grouping; it also turns a sum of -0.0 into 0.0.
+    mean = total / n
+    # np.maximum(-0.0, 0.0) is +0.0 where max(-0.0, 0.0) is -0.0, but the
+    # difference is never -0.0: that needs a first operand of -0.0, and a
+    # sum of squares from fsum is never -0.0.
+    var = np.maximum(total_squares - n * mean * mean, 0.0) / (n - 1)
+    return mean, np.sqrt(var / n)
+
+
+@_quiet
+def _z_scores(exact: np.ndarray, mean: np.ndarray,
+              stderr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """z-scores of estimates against exact values, row by row, and where they are inconsistent.
+
+    A zero stderr has no finite z-score: z is 0 where the mean equals the
+    exact value, and +-inf with the sign of mean - exact elsewhere, the
+    rows flagged inconsistent.
+    """
+    diff = mean - exact
+    zero = stderr == 0.0
+    inconsistent = zero & (mean != exact)
+    z = diff / stderr
+    z[zero] = 0.0
+    z[inconsistent] = np.copysign(np.inf, diff[inconsistent])
+    return z, inconsistent
 
 
 def compare(exact: float, est: CorrelationEstimate) -> ComparisonReport:
-    """z-score of an estimate against an exact value."""
-    if est.stderr == 0.0:
-        if est.mean == exact:
-            return ComparisonReport(exact, est, 0.0, inconsistent=False)
-        return ComparisonReport(exact, est, math.copysign(math.inf, est.mean - exact),
-                                inconsistent=True)
-    return ComparisonReport(exact, est, (est.mean - exact) / est.stderr, inconsistent=False)
+    """z-score of an estimate against an exact value: the one-row case of ``_z_scores``."""
+    z, inconsistent = _z_scores(np.array([exact], dtype=float), np.array([est.mean]),
+                                np.array([est.stderr]))
+    return ComparisonReport(exact, est, float(z[0]), inconsistent=bool(inconsistent[0]))

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from eprlab import (
@@ -41,6 +44,15 @@ BUNDLED_SHA256 = {
         "a13fb925e8f2df7adeac1749b2cac3a54822cfc450e2aa1594486c6684655db1",
 }
 
+#: sha256 of the bundled scenarios' stdout tables without their last line,
+#: which names the output directory. Taken while the table was printed one
+#: f-string per row.
+BUNDLED_STDOUT_SHA256 = {
+    "spin_chsh": "4f7ba9a8de1272fb8281825d8212054e9c924971f9e0be30a4401ef50a37afac",
+    "epr_quadrature": "6153d512b863796be92dff40514bf52a2db032fd52cc5f43f0d5306f3586411e",
+    "free_evolution": "9be39a65f07c417fd70b0dbe3211963aeaa63da28fe06485f6f70c086e1398bd",
+}
+
 #: sha256 of the CSV of SQUEEZING_0_SCAN, taken while GaussianState still
 #: carried a mean. tmsv(0) stores cov[p1, p2] = -0.0; no field may print "-0".
 SQUEEZING_0_CSV_SHA256 = "130cb08abaa50f860b36375c3a5c8d4f49a6bc99a34d05dd64f215cd4e50d054"
@@ -60,6 +72,13 @@ def write_scenario(tmp_path, payload, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return path
+
+
+def table_sha256(capsys):
+    """sha256 of the captured stdout without its last line, "wrote <csv> and <summary>"."""
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert lines[-1].startswith("wrote ")
+    return hashlib.sha256("".join(lines[:-1]).encode()).hexdigest()
 
 
 class TestBundledScenarios:
@@ -103,6 +122,11 @@ class TestBundledScenarios:
         for filename, expected in BUNDLED_SHA256.items():
             digest = hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest()
             assert digest == expected, filename
+
+    @pytest.mark.parametrize("name", sorted(BUNDLED_STDOUT_SHA256))
+    def test_stdout_table_matches_pinned_hash(self, tmp_path, capsys, name):
+        assert run_cli(["run", SCENARIOS / f"{name}.json", "--out-dir", tmp_path]) == 0
+        assert table_sha256(capsys) == BUNDLED_STDOUT_SHA256[name]
 
     def test_squeezing_zero_scan_matches_pinned_hash(self, tmp_path):
         assert run_cli(["run", write_scenario(tmp_path, SQUEEZING_0_SCAN),
@@ -307,6 +331,16 @@ class TestInputErrors:
         assert run_cli(["run", path, "--out-dir", tmp_path / "out"]) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
 
+    def test_the_first_invalid_setting_in_row_order_is_reported(self, tmp_path, capsys):
+        # Settings are made column by column within a chunk, setting1 first,
+        # each column in row order: -inf is met before inf, whose bits sort first.
+        path = tmp_path / "scenario.json"
+        path.write_text('{"kind": "EPR_QUADRATURE", "state": {"squeezing": 0.5}, "samples": 10, '
+                        '"seed": 0, "settings": {"pairs": [[0.5, Infinity], [-Infinity, 0.0], '
+                        '[Infinity, 0.0]]}}')
+        assert run_cli(["run", path, "--out-dir", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == "error: quadrature angle must be finite, got -inf\n"
+
     def test_missing_samples(self, tmp_path):
         path = write_scenario(tmp_path, {"kind": "SPIN_CHSH",
                                          "settings": {"pairs": [[0.0, 0.0]]},
@@ -387,6 +421,29 @@ class TestInputErrors:
         assert "error: cannot write the outputs" in capsys.readouterr().err
 
 
+class TestDrawLimit:
+    def test_scenario_over_the_limit_exits_one_before_any_row(self, tmp_path, monkeypatch,
+                                                               capsys):
+        def no_rows(scenario):
+            raise AssertionError("a row was evaluated")
+
+        monkeypatch.setattr(cli, "MAX_DRAWS", 30)
+        pairs = {"pairs": [[0.0, 0.5], [1.0, 2.0], [0.3, -0.1]]}
+        at_cap = write_scenario(tmp_path, {"kind": "SPIN_CHSH", "settings": pairs,
+                                           "samples": 10, "seed": 0})
+        assert run_cli(["run", at_cap, "--out-dir", tmp_path / "ok"]) == 0
+        monkeypatch.setattr(cli, "_build_engine", no_rows)
+        over = write_scenario(tmp_path, {"kind": "SPIN_CHSH", "settings": pairs,
+                                         "samples": 11, "seed": 0}, name="over.json")
+        for args in ([over], [at_cap, "--samples", 11]):
+            out = tmp_path / "out"
+            assert run_cli(["run", *args, "--out-dir", out]) == 1
+            err = capsys.readouterr().err
+            assert err == "error: 3 rows of 11 samples ask for 33 draws, more than " \
+                          "MAX_DRAWS = 30\n"
+            assert not out.exists()
+
+
 class TestRowLimit:
     @pytest.mark.parametrize("count1,count2", [(10**15, 2), (2, 10**15), (1 << 11, 1 << 10)],
                              ids=["axis1", "axis2", "product"])
@@ -453,6 +510,16 @@ class TestAtomicOutputs:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+#: sha256 of the stdout tables of the chunk-boundary scans, by row count,
+#: without their last line. Taken while the table was printed one f-string
+#: per row.
+CHUNK_SCAN_STDOUT_SHA256 = {
+    255: "bc8b8f54ebc7fbf409903ad5ee39a3b2d767a4aa86c572733444edfaad4f0536",
+    256: "9dc2503c7106b69464e7493183dd3a26b448a6a2952597880ef4590eeb0748c7",
+    257: "cf1de0cda88371f7d4c3a0597fa3b836e0690d318f62317d5b52defb7bef5698",
+}
+
+
 def read_columns(path):
     """The CSV's rows as lists of floats, parsed back exactly."""
     lines = path.read_text().strip().splitlines()[1:]
@@ -461,6 +528,62 @@ def read_columns(path):
 
 def bits(values):
     return [float(v).hex() for v in values]
+
+
+#: Doubles at the edges of what the output formats meet: signed zeros and
+#: infinities, NaN, the smallest subnormal and the largest double, and values
+#: where %g switches between fixed and exponent notation.
+EDGE_VALUES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, sys.float_info.max,
+               -sys.float_info.max, sys.float_info.min, 1.0, -1.5, 0.1, 1 / 3, 2.5e-5, 1e-4,
+               999999.5, 1e6, 123456.789, 1e16, 1e17, -1e21, 0.005, 0.015, 0.125, 9.995]
+EDGE_ROWS = [tuple(EDGE_VALUES[(i + k) % len(EDGE_VALUES)] for k in range(len(cli.CSV_COLUMNS)))
+             for i in range(len(EDGE_VALUES))] + \
+            [(v,) * len(cli.CSV_COLUMNS) for v in EDGE_VALUES]
+
+
+class TestOutputLines:
+    def test_csv_equals_the_csv_module_with_format(self):
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(cli.CSV_COLUMNS)
+        for row in EDGE_ROWS:
+            writer.writerow(format(v, ".17g") for v in row)
+        got = io.StringIO(newline="")
+        cli._write_csv(got, iter(EDGE_ROWS))
+        assert got.getvalue() == want.getvalue()
+
+    def test_table_line_equals_the_f_string_line(self):
+        for r in EDGE_ROWS:
+            assert cli._TABLE_LINE % r == \
+                f"{r[0]:>12.6g} {r[1]:>12.6g} {r[2]:>12.6g} {r[3]:>12.6g} " \
+                f"{r[4]:>12.6g} {r[5]:>10.3g} {r[6]:>7.2f}\n"
+
+    def test_rows_are_tuples_of_the_table_rows_across_chunks(self):
+        table = np.arange(7.0 * (cli.EVAL_CHUNK_ROWS + 3)).reshape(-1, 7)
+        table[1, 2] = -0.0
+        rows = list(cli._rows(table))
+        assert all(type(row) is tuple for row in rows)
+        assert [bits(row) for row in rows] == [bits(row) for row in table.tolist()]
+
+
+class TestFiniteCheck:
+    @pytest.mark.parametrize("bad,named", [
+        ({(2, 5): math.nan, (3, 2): math.inf}, "row 2 (setting1 = 2.0, setting2 = -0.0): "
+                                               "stderr is nan"),
+        ({(1, 4): -math.inf, (1, 3): math.inf}, "row 1 (setting1 = 1.0, setting2 = -0.0): "
+                                                "lhv_exact is inf"),
+    ])
+    def test_names_the_first_bad_row_and_column(self, bad, named):
+        table = np.zeros((5, len(cli.CSV_COLUMNS)))
+        table[:, 0] = np.arange(5)
+        table[:, 1] = -0.0
+        table[:, 6] = math.inf  # an infinite z is legal
+        cli._check_finite(table)
+        for index, value in bad.items():
+            table[index] = value
+        with pytest.raises(cli.ScenarioError) as raised:
+            cli._check_finite(table)
+        assert str(raised.value) == f"{named}; the scenario's values overflow double precision"
 
 
 class TestGridEvaluation:
@@ -498,7 +621,7 @@ class TestGridEvaluation:
         assert sorted(built) == sorted({x.hex() for x in (0.0, -0.0, 0.5, 1.0)})
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_quadrature_scan_across_chunk_boundaries(self, tmp_path, offset):
+    def test_quadrature_scan_across_chunk_boundaries(self, tmp_path, capsys, offset):
         count = cli.EVAL_CHUNK_ROWS + offset
         moments = {"qq": 0.8, "pq": -0.0, "qp": 0.25, "pp": -1.5}
         path = write_scenario(tmp_path, {
@@ -510,6 +633,7 @@ class TestGridEvaluation:
             "seed": 11,
         })
         assert run_cli(["run", path, "--out-dir", tmp_path]) == 0
+        assert table_sha256(capsys) == CHUNK_SCAN_STDOUT_SHA256[count]
         rows = read_columns(tmp_path / "scenario.csv")
         assert len(rows) == count
         m = MomentMatrix(**moments)

@@ -336,6 +336,20 @@ class TestMcEstimateRows:
             mc_estimate_rows(unbounded_spin_model(), [Z_AXIS] * 3, [Z_AXIS] * 3,
                              16 * BLOCK_DRAWS, [1, 2, 3], workers=workers)
 
+    @pytest.mark.parametrize("rows", [3, 40])
+    def test_rejects_more_draws_than_the_cap_before_drawing(self, monkeypatch, rows):
+        def no_words(*args):
+            raise AssertionError("words were drawn")
+
+        monkeypatch.setattr(estimator, "MAX_DRAWS", 10 * rows)
+        model, keys = unbounded_spin_model(), list(range(rows))
+        assert len(mc_estimate_rows(model, [Z_AXIS] * rows, [Z_AXIS] * rows, 10, keys)) == rows
+        monkeypatch.setattr(estimator, "_raw_words", no_words)
+        monkeypatch.setattr(estimator, "_philox_words", no_words)
+        with pytest.raises(ValidationError, match=f"{rows} rows of 11 draws ask for {11 * rows} "
+                                                  f"draws, more than MAX_DRAWS = {10 * rows}"):
+            mc_estimate_rows(model, [Z_AXIS] * rows, [Z_AXIS] * rows, 11, keys)
+
     def test_accepts_the_cap(self):
         # Three one-block rows start two helper threads whatever the cap.
         rows = mc_estimate_rows(unbounded_spin_model(), [Z_AXIS] * 3, [Z_AXIS] * 3, 10,
@@ -386,3 +400,62 @@ class TestCompare:
         assert abs(compare(0.0, est).z_score - 2.0) < 1e-12
         est = CorrelationEstimate(mean=-1.003, stderr=0.001, n=100, seed=0)
         assert abs(compare(-1.0, est).z_score - (-3.0)) < 1e-9
+
+
+def reference_row(sums, squares, n, exact):
+    """One row's mean, stderr and z, reduced the per-row way on Python floats."""
+    def fsum(values):
+        try:
+            return math.fsum(values)
+        except (OverflowError, ValueError):
+            return sum(values)
+
+    mean = fsum(sums) / n
+    var = max(fsum(squares) - n * mean * mean, 0.0) / (n - 1)
+    stderr = math.sqrt(var / n)
+    if stderr == 0.0:
+        z = 0.0 if mean == exact else math.copysign(math.inf, mean - exact)
+    else:
+        z = (mean - exact) / stderr
+    return mean, stderr, z
+
+
+#: (block sums of x, block sums of x * x, exact value) of rows of three
+#: blocks of four draws each.
+REDUCTION_ROWS = [
+    ([6.0, 6.0, 6.0], [9.0, 9.0, 9.0], 1.5),  # x = 1.5 throughout: stderr 0, z 0
+    ([6.0, 6.0, 6.0], [9.0, 9.0, 9.0], 1.0),  # stderr 0 and mean above exact: z +inf
+    ([6.0, 6.0, 6.0], [9.0, 9.0, 9.0], 2.0),  # stderr 0 and mean below exact: z -inf
+    ([3.0, 3.0, 3.0], [1.0, 1.0, 1.0], 0.75),  # squares below n mean**2: variance clamps to 0
+    ([-0.0, -0.0, -0.0], [0.0, 0.0, 0.0], -0.0),  # products of -0.0
+    ([-0.0, -0.0, -0.0], [0.0, 0.0, 0.0], 0.0),
+    ([1e308, 1e308, 0.0], [math.inf, math.inf, 0.0], 0.0),  # finite blocks, total overflows
+    ([math.inf, 1.0, 2.0], [math.inf, 1.0, 2.0], 0.0),
+    ([math.inf, -math.inf, 0.0], [math.inf, math.inf, 0.0], 0.0),  # inf - inf
+    ([math.nan, 1.0, 2.0], [math.nan, 1.0, 2.0], 0.0),
+    ([4e-160, 4e-160, 4e-160], [1e-300, 0.0, 0.0], -1e300),  # z overflows at finite stderr
+    ([0.5, -1.25, 3.0], [2.0, 1.5, 4.75], 0.1),
+    ([0.5, -1.25, 3.0], [2.0, 1.5, 4.75], 0.125),
+]
+
+
+def test_array_reduction_and_z_scores_equal_the_per_row_reference(monkeypatch):
+    # Each tile's sums are replaced by the rows' crafted block sums, in tile order.
+    blocks = iter([([x], [xx]) for sums, squares, _ in REDUCTION_ROWS
+                   for x, xx in zip(sums, squares)])
+    monkeypatch.setattr(estimator, "BLOCK_DRAWS", 4)
+    monkeypatch.setattr(estimator, "_tile_sums", lambda *args: next(blocks))
+    rows, n = len(REDUCTION_ROWS), 12
+    estimates = mc_estimate_rows(unbounded_spin_model(), [Z_AXIS] * rows, [Z_AXIS] * rows, n,
+                                 list(range(rows)))
+    assert next(blocks, None) is None
+    exact = np.array([row[2] for row in REDUCTION_ROWS])
+    z, inconsistent = estimator._z_scores(exact, np.array([e.mean for e in estimates]),
+                                          np.array([e.stderr for e in estimates]))
+    for i, (sums, squares, value) in enumerate(REDUCTION_ROWS):
+        want = [v.hex() for v in reference_row(sums, squares, n, value)]
+        est = estimates[i]
+        assert [est.mean.hex(), est.stderr.hex(), float(z[i]).hex()] == want, i
+        report = compare(value, est)
+        assert report.z_score.hex() == want[2], i
+        assert report.inconsistent == inconsistent[i] == (est.stderr == 0.0 and est.mean != value)
