@@ -28,12 +28,13 @@ value is made once per run, together with both parties' feature rows and
 the numbers the quantum correlator reads from it; a chunk's feature and
 correlator stacks are row gathers from that table. One pair of feature
 stacks feeds both the exact contraction and the chunk's Monte Carlo
-(``estimator._mc_rows``, every row on its own stream), whose means and
-standard errors come back as arrays. z-scores, the consistency check and
-the finite check are array operations on the whole result, and each
-output line is one ``%`` format of a row tuple. Both outputs are written
-to temporary files in the output directory and renamed into place, so a
-failed write leaves earlier outputs intact. Exit codes: 0 on
+(``estimator._mc_rows``), whose means and standard errors come back as
+arrays; row r draws from the stream of the 128-bit key seed + (r << 64),
+the pair (seed, r). z-scores, the consistency check and the finite check
+are array operations on the whole result, and each output line is one
+``%`` format of a row tuple. Both outputs are written to temporary files
+in the output directory and renamed into place, so a failed write leaves
+earlier outputs intact. Exit codes: 0 on
 success, 1 on input errors (including results that overflow double
 precision, and outputs that cannot be written), 2 when the model and the
 quantum value disagree beyond tolerance on any row or a correlator's
@@ -353,7 +354,7 @@ def _evaluate(scenario: Scenario, workers: int) -> tuple[np.ndarray, dict]:
         phi2, columns2 = gather(values2[start:end], 2)
         quantum = engine.quantum_rows(columns1, columns2)
         exact = _contract(weights, phi1, phi2)
-        keys = [(scenario.seed + row) % _MAX_SEED for row in range(start, end)]
+        keys = [scenario.seed + (row << 64) for row in range(start, end)]
         mean, stderr = _mc_rows(model, phi1, phi2, scenario.samples, keys, workers)
         for column, values in enumerate((quantum, exact, mean, stderr), 2):
             table[start:end, column] = values

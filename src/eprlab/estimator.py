@@ -1,8 +1,11 @@
 """Seeded Monte Carlo estimation of model correlations.
 
-Randomness comes from a counter-based generator (Philox) keyed by the
-seed: the value of draw ``i`` depends only on ``(seed, i)``, never on
-how many draws preceded it in this process.
+Randomness comes from a counter-based generator (Philox) keyed by a
+128-bit stream key: the value of draw ``i`` depends only on (key, i),
+never on how many draws preceded it in this process. The CLI keys row
+``r`` of a run at seed ``s`` as ``s + (r << 64)``, the pair (seed, row),
+so no two rows of any two seeds share a stream, and row 0 draws from the
+stream of the seed alone.
 
 Standard normals are produced by the inverse normal CDF applied to
 uniforms of the form ((word >> 12) + 0.5) * 2**-52, which are strictly
@@ -22,24 +25,39 @@ lies in [cum[k-1], cum[k]), the last atom taking the rest. Scaling by
 2**53 is exact, so that test is done on the raw word itself: the atom
 index is the number of thresholds ceil(cum[k] * 2**53) << 11, over
 k < K - 1, that the word reaches. Thresholds at or above 2**53 << 11
-cannot be reached and are dropped. Small tables count the thresholds;
-large ones binary-search them. Both give the atom that
-``searchsorted(cum, u, side="right")``, clipped to K - 1, gives.
+cannot be reached and are dropped. That is the atom that
+``searchsorted(cum, u, side="right")``, clipped to K - 1, gives. A
+finite model's draws are summed up by their atom counts: small tables
+count the words at or above each threshold and take differences, large
+ones binary-search the thresholds and count the indices.
 
-Every draw goes through one kernel, ``_tile_sums``. A tile is a
+Every draw goes through one kernel, ``_tile_stats``. A tile is a
 C-contiguous (rows, words) stack of Philox words; the kernel turns it
-into each row's sums of x = xi1 * xi2 and of x * x. Row sums of such a
-stack equal the per-row sums bit for bit. ``mc_estimate_rows`` cuts its
-rows into tiles of at most ``BLOCK_DRAWS`` draws. A chunk of at least
-``BATCH_MIN_ROWS`` rows of at most ``BATCH_ROW_WORDS`` words each gives
-multi-row tiles, whose words come from a numpy Philox4x64-10 vectorised
-over keys and counters (``_philox_words``, bit-identical to numpy's
-generator). Every other row gives a one-row tile per block of
-``BLOCK_DRAWS`` draws from numpy's C generator (``_raw_words``). All
-tiles of a call are shared among ``workers`` threads (the calling
-thread is one of them), and each row's sums are then reduced in block
-order. So a row's estimate is a pure function of (model, settings, n,
-key), bit-identical across runs, worker counts and scheduling.
+into each row's sufficient statistics: the atom counts of a finite
+model, or the sums of x = xi1 * xi2 and of x * x over normal pairs.
+Row sums of such a stack equal the per-row sums bit for bit.
+``mc_estimate_rows`` cuts its rows into tiles of at most ``BLOCK_DRAWS``
+draws. A chunk of at least ``BATCH_MIN_ROWS`` rows of at most
+``BATCH_ROW_WORDS`` words each gives multi-row tiles, whose words come
+from a numpy Philox4x64-10 vectorised over keys and counters
+(``_philox_words``, bit-identical to numpy's generator). Every other
+row gives a one-row tile per block of ``BLOCK_DRAWS`` draws from numpy's
+C generator (``_raw_words``). All tiles of a call are shared among
+``workers`` threads (the calling thread is one of them), and each row's
+statistics are then added up tile by tile in block order. So a row's
+estimate is a pure function of (model, settings, n, key), bit-identical
+across runs, worker counts and scheduling; counts add exactly, so a
+finite row's estimate does not even depend on how it is cut into tiles.
+
+A finite row's mean is the model's contraction (``lhv._contract``) with
+the empirical weights c / n in place of w, and its squared standard
+error the same contraction of the deviations d = phi1 * phi2 - mean,
+over n - 1. Both are K-term sums with the nonnegative weights c / n,
+and the deviations are taken before they are squared, so nothing
+cancels. A Gaussian row's variance comes from sum(x * x) - n mean**2,
+which cannot cancel badly either: with xi1 = u . eta and xi2 = v . eta,
+Isserlis gives E[x * x] = |u|**2 |v|**2 + 2 (u . v)**2, at least
+3 mean**2, so the subtraction loses less than one bit.
 
 ``_mc_rows`` does this on the rows' feature stacks and returns the means
 and standard errors as arrays; ``mc_estimate_rows`` builds the stacks
@@ -63,16 +81,18 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .lhv import HiddenVariableModel, SpaceKind, _feature_stack
+from .lhv import HiddenVariableModel, SpaceKind, _contract, _feature_stack
 
 #: Draws per evaluation block. Fixed so that block boundaries (and hence
 #: the reduction order of partial sums) never depend on the worker count.
 BLOCK_DRAWS = 1 << 16
 
-#: Finite models with at most this many atoms count the lookup thresholds
-#: into a uint8 index; larger ones binary-search them. Counting makes one
-#: pass over the words per threshold; on 2-vCPU x86-64 hosts it beat the
-#: binary search up to 48 atoms in one measurement and 96 in another.
+#: Finite models with at most this many atoms count the words at or above
+#: each lookup threshold; larger ones binary-search the thresholds and
+#: count the indices. Counting makes one pass over the words per threshold;
+#: on a 2-vCPU x86-64 host it beat the binary search up to 48 atoms, on
+#: 65 536-word tiles of one row and of 256 rows alike (1.1 against 3.1 ms
+#: at 32 atoms in one row).
 MAX_COUNTED_ATOMS = 32
 
 #: Rows with more Philox words than this (n for finite models, 2 n for
@@ -103,14 +123,15 @@ MAX_WORKERS = 1024
 
 #: Most draws a call may ask for, ``n`` times its row count; the CLI caps
 #: ``samples`` times a scenario's rows by it too. A call lists one tile per
-#: block of every row, with its slot and sums, before it draws: 0.37 KiB a
-#: tile (tracemalloc peak over 65 536 one-row tiles), so a call at this
-#: cap, 2**20 tiles of BLOCK_DRAWS draws, holds about 0.37 GiB of them.
+#: block of every row before it draws, and keeps each tile's statistics
+#: (a row's atom counts, or its two sums) in the tile's slot until all are
+#: drawn: 0.27 KiB a tile (tracemalloc peak over 65 536 one-row tiles,
+#: finite or Gaussian), so a call at this cap, 2**20 tiles of BLOCK_DRAWS
+#: draws, holds about 0.27 GiB of them.
 #: Drawing that many takes about an hour at the 18.5M Gaussian draws/s of
 #: two workers on a 2-vCPU x86-64 host.
 MAX_DRAWS = 1 << 36
 
-_MAX_SEED = 1 << 64
 
 # Philox4x64-10 multipliers and Weyl key increments (Salmon et al., SC'11),
 # as numpy's Philox uses them.
@@ -204,22 +225,29 @@ def ndtri(u, out=None):
     return inverse_cdf(u, out=out)
 
 
-def _atom_lookup(weights):
-    """Map raw Philox words to atom indices by their thresholds (see the module docstring)."""
+def _atom_counts(weights, raw: np.ndarray) -> np.ndarray:
+    """Each row's count of every atom in a (rows, words) stack of raw Philox words.
+
+    Returns a (rows, len(weights)) int64 array; the atom of a word is
+    found by its thresholds (see the module docstring).
+    """
     # Partial sums in index order, as np.cumsum forms them; c < 1 is c * 2**53 < 2**53.
     thresholds = [np.uint64(math.ceil(c * 2.0**53) << 11)
                   for c in accumulate(weights[:-1]) if c < 1.0]
-    if len(weights) > MAX_COUNTED_ATOMS:
-        table = np.array(thresholds, dtype=np.uint64)
-        return lambda raw: np.searchsorted(table, raw, side="right")
-
-    def count(raw: np.ndarray) -> np.ndarray:
-        idx = np.zeros(raw.shape, dtype=np.uint8)
-        for t in thresholds:
-            idx += (raw >= t).view(np.uint8)
-        return idx
-
-    return count
+    rows, atoms = len(raw), len(weights)
+    if atoms > MAX_COUNTED_ATOMS:
+        index = np.searchsorted(np.array(thresholds, dtype=np.uint64), raw, side="right")
+        # Row r's atoms count into bins r * atoms .. r * atoms + atoms - 1.
+        index += np.arange(0, rows * atoms, atoms)[:, None]
+        return np.bincount(index.ravel(), minlength=rows * atoms).reshape(rows, atoms)
+    # reached[:, j] counts the words that reach j thresholds or more; atom k
+    # is reached by k but not k + 1, and no word reaches past the last one.
+    reached = np.zeros((rows, atoms + 1), dtype=np.int64)
+    reached[:, 0] = raw.shape[1]
+    for j, t in enumerate(thresholds, 1):
+        # Counting a one-row stack whole takes half the time of counting along its axis.
+        reached[:, j] = np.count_nonzero(raw >= t, axis=1 if rows > 1 else None)
+    return reached[:, :-1] - reached[:, 1:]
 
 
 def _uniforms(raw: np.ndarray) -> np.ndarray:
@@ -252,40 +280,24 @@ def _gaussian_values(raw: np.ndarray, phi1, phi2) -> np.ndarray:
 
 
 @_quiet
-def _tile_sums(model: HiddenVariableModel, words: np.ndarray, phi1: np.ndarray,
-               phi2: np.ndarray) -> tuple[list[float], list[float]]:
-    """Per-row sums of x and x * x over the draws of one tile.
+def _tile_stats(model: HiddenVariableModel, words: np.ndarray, phi1: np.ndarray,
+                phi2: np.ndarray) -> np.ndarray:
+    """Each row's sufficient statistics over the draws of one tile.
 
     ``words`` is a C-contiguous (rows, words) stack of Philox words, which
-    this overwrites; ``phi1`` and ``phi2`` are the (rows, d) feature stacks
-    of the same rows. Both responses are read from their feature vectors;
-    only the draw of the latent basis (one atom, or a normal pair) depends
-    on the space.
+    a Gaussian tile overwrites; ``phi1`` and ``phi2`` are the (rows, d)
+    feature stacks of the same rows. A finite tile returns the rows' atom
+    counts, (rows, K) int64; a Gaussian one the rows' sums of x and of
+    x * x, (rows, 2) float64.
     """
     if model.space.kind is SpaceKind.FINITE:
-        atoms = _atom_lookup(model.space.weights)(words)
-        if len(words) > 1:
-            # Row r's products start at flat index r * d of the product stack.
-            atoms = atoms + np.arange(0, phi1.size, phi1.shape[1])[:, None]
-        # The products overwrite the words once the atoms are known. Atom
-        # indices are always in range, and "clip" spares the copy of
-        # ``out`` that take makes in its default mode.
-        x = (phi1 * phi2).take(atoms, out=words.view(np.float64), mode="clip")
-    else:
-        # phi.T[k, :, None] is coefficient k of every row, as a (rows, 1) column.
-        x = _gaussian_values(words, phi1.T[:, :, None], phi2.T[:, :, None])
+        return _atom_counts(model.space.weights, words)
+    # phi.T[k, :, None] is coefficient k of every row, as a (rows, 1) column.
+    x = _gaussian_values(words, phi1.T[:, :, None], phi2.T[:, :, None])
     # Row sums of a C-contiguous stack equal the per-row sums bit for bit.
-    sums = x.sum(axis=1).tolist()
+    sums = x.sum(axis=1)
     x *= x
-    return sums, x.sum(axis=1).tolist()
-
-
-def _fsum(values) -> float:
-    """Exactly rounded sum; the plain sum in order where that overflows or meets inf - inf."""
-    try:
-        return math.fsum(values)
-    except (OverflowError, ValueError):
-        return sum(values)
+    return np.stack((sums, x.sum(axis=1)), axis=1)
 
 
 def _check_draws(n, keys: Sequence[int], workers) -> None:
@@ -297,16 +309,17 @@ def _check_draws(n, keys: Sequence[int], workers) -> None:
         raise ValidationError(f"{len(keys)} rows of {n} draws ask for {n * len(keys)} draws, "
                               f"more than MAX_DRAWS = {MAX_DRAWS}")
     for key in keys:
-        if not isinstance(key, int) or not 0 <= key < _MAX_SEED:
-            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {key!r}")
+        if not isinstance(key, int) or not 0 <= key < 1 << 128:
+            raise ValidationError(f"stream key must be a 128-bit unsigned integer, got {key!r}")
 
 
 def mc_estimate(model: HiddenVariableModel, s1, s2, n: int, seed: int, *,
                 workers: int = 1) -> CorrelationEstimate:
     """Estimate E[xi1(s1) xi2(s2)] from ``n`` independent draws.
 
-    ``workers`` only parallelizes tile evaluation; it never changes the
-    result. The standard error uses the unbiased (n - 1) variance.
+    ``seed`` is the stream key, an integer in [0, 2**128). ``workers``
+    only parallelizes tile evaluation; it never changes the result. The
+    standard error uses the unbiased (n - 1) variance.
     """
     return mc_estimate_rows(model, [s1], [s2], n, [seed], workers=workers)[0]
 
@@ -332,6 +345,7 @@ def mc_estimate_rows(model: HiddenVariableModel, settings1: Sequence, settings2:
             for m, s, key in zip(mean.tolist(), stderr.tolist(), keys)]
 
 
+@_quiet
 def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: int,
              keys: Sequence[int], workers: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error of each row's ``n`` draws, as two arrays.
@@ -341,27 +355,31 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
     ``workers`` and the total draws before it lists any tile.
     """
     _check_draws(n, keys, workers)
-    per_draw = 1 if model.space.kind is SpaceKind.FINITE else 2
+    if not keys:
+        return np.empty(0), np.empty(0)
+    finite = model.space.kind is SpaceKind.FINITE
+    per_draw = 1 if finite else 2
     # A tile is (first row, end row, first draw, draws per row), in row and block order.
     batched = per_draw * n <= BATCH_ROW_WORDS and len(keys) >= BATCH_MIN_ROWS
     if batched:
         # As few tiles of at most BLOCK_DRAWS draws as can be, of nearly equal size.
         per_tile = -(-len(keys) // -(-len(keys) // max(1, BLOCK_DRAWS // n)))
         tiles = [(first, first + per_tile, 0, n) for first in range(0, len(keys), per_tile)]
-        k0 = np.array(keys, dtype=np.uint64)[:, None]
+        # Key k is the Philox key words (k0, k1) = (k mod 2**64, k >> 64).
+        k1, k0 = np.array([divmod(key, 1 << 64) for key in keys], dtype=np.uint64).T[:, :, None]
     else:
         tiles = [(row, row + 1, start, min(BLOCK_DRAWS, n - start))
                  for row in range(len(keys)) for start in range(0, n, BLOCK_DRAWS)]
 
-    def tile_sums(first: int, end: int, start: int, count: int) -> tuple[list, list]:
+    def tile_stats(first: int, end: int, start: int, count: int) -> np.ndarray:
         if batched:
-            words = _philox_words(k0[first:end], np.zeros_like(k0[first:end]), per_draw * count)
+            words = _philox_words(k0[first:end], k1[first:end], per_draw * count)
         else:
             words = _raw_words(keys[first], per_draw * start, per_draw * count)[None, :]
-        return _tile_sums(model, words, phi1[first:end], phi2[first:end])
+        return _tile_stats(model, words, phi1[first:end], phi2[first:end])
 
     # Each worker takes the next tile number under a lock and stores the
-    # tile's sums in its slot.
+    # tile's statistics in its slot.
     stats = [None] * len(tiles)
     tasks = iter(range(len(tiles)))
     taking = threading.Lock()
@@ -372,7 +390,7 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
                 index = next(tasks, None)
             if index is None:
                 return
-            stats[index] = tile_sums(*tiles[index])
+            stats[index] = tile_stats(*tiles[index])
 
     # The calling thread is one of the workers.
     helpers = min(workers, len(tiles)) - 1
@@ -384,26 +402,35 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
                 done.result()
     else:
         drain()
-    sums = [[] for _ in keys]
-    squares = [[] for _ in keys]
-    for (first, end, *_), (row_sums, row_squares) in zip(tiles, stats):
-        for row, x, xx in zip(range(first, end), row_sums, row_squares):
-            sums[row].append(x)
-            squares[row].append(xx)
-    return _mean_stderr(np.array([_fsum(x) for x in sums]),
-                        np.array([_fsum(xx) for xx in squares]), n)
+    # Each row's statistics, added up in block order from 0, which also
+    # turns a Gaussian sum of -0.0 into 0.0.
+    totals = np.zeros((len(keys), len(model.space.basis_weights) if finite else 2),
+                      dtype=np.int64 if finite else np.float64)
+    for (first, end, *_), tile in zip(tiles, stats):
+        totals[first:end] += tile
+    if finite:
+        return _finite_mean_stderr(totals, phi1, phi2, n)
+    return _mean_stderr(totals[:, 0], totals[:, 1], n)
 
 
-@_quiet
+def _finite_mean_stderr(counts: np.ndarray, phi1: np.ndarray, phi2: np.ndarray,
+                        n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Means and standard errors from each row's atom counts over ``n`` draws."""
+    weights = counts / n
+    # The contraction keeps a -0.0 from its first term; adding 0.0 makes it
+    # 0.0, as the Gaussian rows' sums from 0 are.
+    mean = _contract(weights, phi1, phi2) + 0.0
+    deviation = phi1 * phi2 - mean[:, None]
+    return mean, np.sqrt(_contract(weights, deviation, deviation) / (n - 1))
+
+
 def _mean_stderr(total: np.ndarray, total_squares: np.ndarray,
                  n: int) -> tuple[np.ndarray, np.ndarray]:
     """Means and standard errors from each row's sums of x and x * x over ``n`` draws."""
-    # The row sums come from fsum, which is exactly rounded, so they do not
-    # depend on grouping; it also turns a sum of -0.0 into 0.0.
     mean = total / n
     # np.maximum(-0.0, 0.0) is +0.0 where max(-0.0, 0.0) is -0.0, but the
     # difference is never -0.0: that needs a first operand of -0.0, and a
-    # sum of squares from fsum is never -0.0.
+    # sum of squares added up from 0.0 is never -0.0.
     var = np.maximum(total_squares - n * mean * mean, 0.0) / (n - 1)
     return mean, np.sqrt(var / n)
 

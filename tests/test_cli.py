@@ -32,25 +32,25 @@ from eprlab.estimator import BLOCK_DRAWS, MAX_WORKERS
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 #: sha256 of the bundled outputs. A change that alters the Monte Carlo
-#: stream or the output format on purpose updates these and says so.
+#: stream or the output format on purpose updates these and says so. Taken
+#: with rows keyed by (seed, row) and finite rows reduced from atom counts.
 BUNDLED_SHA256 = {
-    "spin_chsh.csv": "d400d0deb3d729b1bab838e7480c5989f29918b4d8614cf5b38baee438076db3",
-    "spin_chsh.summary.json": "e4644a7785f2af590c4f4972b6552a147ef2759d9947a481153a47fd42379591",
-    "epr_quadrature.csv": "dcf6e16496975098b388ef48f0280cad78f17709b7c5291d350e06ec7825090a",
+    "spin_chsh.csv": "cb2278e6237f92792b5c9bdda98810063af4cc147a4d9b7577b679f158775cff",
+    "spin_chsh.summary.json": "6761085e2b5220e4c86b51c3a64e0182fafe14810d7839e27c9df1bba0ab2ba1",
+    "epr_quadrature.csv": "73011857a8430bf5b1c6b19e042fb96510b0be69763a97bfb9271946a940c0a2",
     "epr_quadrature.summary.json":
-        "796959bcbb6af244b2a421777f276760b595c8697c714a796af76acb742e69f4",
-    "free_evolution.csv": "461a9a88a692c13e785db935c29d47e276813c46e8db4495bb55eacefd18186d",
+        "10e2434013be06b93b8766065d931e109b9498510a2c234dc6cf25aff9aefeed",
+    "free_evolution.csv": "a315eed4f06a3ebcb68e102a1e0a1dc516e796e2fbc4a8f899a36615d6706aff",
     "free_evolution.summary.json":
-        "a13fb925e8f2df7adeac1749b2cac3a54822cfc450e2aa1594486c6684655db1",
+        "3b0f34988b6908e7bdd63b2df0a5e52d5d304b7e4145c422c925b434be5bec67",
 }
 
 #: sha256 of the bundled scenarios' stdout tables without their last line,
-#: which names the output directory. Taken while the table was printed one
-#: f-string per row.
+#: which names the output directory. Taken with the bundled hashes above.
 BUNDLED_STDOUT_SHA256 = {
-    "spin_chsh": "4f7ba9a8de1272fb8281825d8212054e9c924971f9e0be30a4401ef50a37afac",
-    "epr_quadrature": "6153d512b863796be92dff40514bf52a2db032fd52cc5f43f0d5306f3586411e",
-    "free_evolution": "9be39a65f07c417fd70b0dbe3211963aeaa63da28fe06485f6f70c086e1398bd",
+    "spin_chsh": "ff34c995e4b14fbe7c89ba0cdbf1c5f98375ab78080be1e90460c5d3f5238ae9",
+    "epr_quadrature": "ba0ea268a18a9984b92d2e85478dc1956042f85ad61445c7811de19a067dde8a",
+    "free_evolution": "04820f18aeff5ccd9c681a1e95a5c95bd38297cfd61803296e0ec3387d91899c",
 }
 
 #: sha256 of the CSV of SQUEEZING_0_SCAN, taken while GaussianState still
@@ -133,6 +133,24 @@ class TestBundledScenarios:
                         "--out-dir", tmp_path]) == 0
         digest = hashlib.sha256((tmp_path / "squeezing_0.csv").read_bytes()).hexdigest()
         assert digest == SQUEEZING_0_CSV_SHA256
+
+
+class TestStreamKeys:
+    def test_rows_of_adjacent_seeds_draw_from_different_streams(self, tmp_path):
+        # Keyed by seed + row index, row 1 at seed 7 was row 0 at seed 8.
+        pairs = {"pairs": [[0.3, 1.1], [0.3, 1.1]]}
+        for seed in (7, 8):
+            path = write_scenario(tmp_path, {"kind": "SPIN_CHSH", "name": f"seed{seed}",
+                                             "settings": pairs, "samples": 1000, "seed": seed})
+            assert run_cli(["run", path, "--out-dir", tmp_path]) == 0
+        seed7, seed8 = read_columns(tmp_path / "seed7.csv"), read_columns(tmp_path / "seed8.csv")
+        assert seed7[1][4:6] != seed8[0][4:6]
+        # Row r draws from the stream keyed by seed + (r << 64); row 0 keeps the seed's own.
+        model = unbounded_spin_model()
+        a, b = cli._spin_direction(0.3), cli._spin_direction(1.1)
+        for row, key in ((0, 7), (1, 7 + (1 << 64))):
+            est = mc_estimate(model, a, b, 1000, key)
+            assert seed7[row][4:6] == [est.mean, est.stderr]
 
 
 class TestDeterminism:
@@ -511,12 +529,11 @@ class TestAtomicOutputs:
 
 
 #: sha256 of the stdout tables of the chunk-boundary scans, by row count,
-#: without their last line. Taken while the table was printed one f-string
-#: per row.
+#: without their last line. Taken with rows keyed by (seed, row).
 CHUNK_SCAN_STDOUT_SHA256 = {
-    255: "bc8b8f54ebc7fbf409903ad5ee39a3b2d767a4aa86c572733444edfaad4f0536",
-    256: "9dc2503c7106b69464e7493183dd3a26b448a6a2952597880ef4590eeb0748c7",
-    257: "cf1de0cda88371f7d4c3a0597fa3b836e0690d318f62317d5b52defb7bef5698",
+    255: "fc834444ed65d896b9045269ac6ce58c3a0e762fd2d0d1835a80e5cb91495f8a",
+    256: "8ff9f4184b4f9d6205075658b0d2527b832f240326e1c67c4922ead73e1de6af",
+    257: "82e1f9191060fc4d2a006f0b197f98684daef7babcc0b32a0bf5bc6134156053",
 }
 
 
@@ -643,10 +660,10 @@ class TestGridEvaluation:
             bits(quadrature_correlation(m, a, b) for a, b in settings)
         assert bits(r[3] for r in rows) == \
             bits(exact_expectation(model, a, b) for a, b in settings)
-        # Row streams stay keyed by seed + row index on both sides of a chunk boundary.
+        # Row streams stay keyed by (seed, row index) on both sides of a chunk boundary.
         for index in (0, count - 2, count - 1):
             a, b = settings[index]
-            assert rows[index][4] == mc_estimate(model, a, b, 2, 11 + index).mean
+            assert rows[index][4] == mc_estimate(model, a, b, 2, 11 + (index << 64)).mean
 
 
 #: Moments whose free-evolution correlator rounds differently from the model

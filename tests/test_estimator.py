@@ -31,9 +31,9 @@ from eprlab.estimator import (
     BLOCK_DRAWS,
     MAX_COUNTED_ATOMS,
     MAX_WORKERS,
-    _atom_lookup,
+    _atom_counts,
     _philox_words,
-    _tile_sums,
+    _tile_stats,
     _uniforms,
 )
 
@@ -86,11 +86,37 @@ class TestMcEstimate:
         with pytest.raises(ValidationError):
             mc_estimate(unbounded_spin_model(), Z_AXIS, Z_AXIS, 1, 0)
 
+    def test_accepts_128_bit_keys(self):
+        # Key (1 << 64) + 5 is row 1 of seed 5: its own stream, not seed 5's.
+        model = unbounded_spin_model()
+        for key in ((1 << 64) + 5, (1 << 128) - 1):
+            est = mc_estimate(model, Z_AXIS, Z_AXIS, 1000, key)
+            atoms = reference_atoms(model.space.weights,
+                                    np.random.Philox(key=key).random_raw(1000))
+            want = -3.0 * np.count_nonzero(atoms == 2) / 1000
+            assert est.mean == pytest.approx(want, abs=1e-15)
+        assert mc_estimate(model, Z_AXIS, Z_AXIS, 1000, (1 << 64) + 5) != \
+            mc_estimate(model, Z_AXIS, Z_AXIS, 1000, 5)
+
+    def test_stderr_does_not_cancel_at_large_products(self):
+        # Products 1e8 and 1e8 + 1 at even odds: a variance from
+        # sum(x * x) - n * mean**2 cancelled to a stderr of 0.0 and z = -inf.
+        s = QuadratureSetting(0.0)
+        model = HiddenVariableModel(
+            space=SampleSpace.finite((0.5, 0.5)),
+            response1=TabulatedResponse((s,), ((1e8, 1e8 + 1.0),)),
+            response2=TabulatedResponse((s,), ((1.0, 1.0),)),
+        )
+        n = 10**5
+        est = mc_estimate(model, s, s, n, 7)
+        assert est.stderr == pytest.approx(math.sqrt(0.25 / n), rel=0.05)
+        assert math.isfinite(compare(exact_expectation(model, s, s), est).z_score)
+
     def test_rejects_bad_seed(self):
         with pytest.raises(ValidationError):
             mc_estimate(unbounded_spin_model(), Z_AXIS, Z_AXIS, 100, -1)
         with pytest.raises(ValidationError):
-            mc_estimate(unbounded_spin_model(), Z_AXIS, Z_AXIS, 100, 1 << 64)
+            mc_estimate(unbounded_spin_model(), Z_AXIS, Z_AXIS, 100, 1 << 128)
 
 
 class TestDeterminism:
@@ -180,9 +206,10 @@ class TestUniforms:
 
 
 #: A 150 000-draw Gaussian row (three blocks, the last one partial), as
-#: float.hex of its mean and stderr. Taken before the uniform splice and
-#: the shared block pool; any worker count must reproduce it.
-GAUSSIAN_ROW_HEX = ("0x1.40f12578a0d5ap+0", "0x1.742527e26cb3ap-8")
+#: float.hex of its mean and stderr. Taken when the block sums were first
+#: added in block order instead of by math.fsum (the stderr's last bit
+#: moved); any worker count must reproduce it.
+GAUSSIAN_ROW_HEX = ("0x1.40f12578a0d5ap+0", "0x1.742527e26cb3bp-8")
 
 
 class TestGaussianRowPinned:
@@ -248,11 +275,27 @@ ATOM_WEIGHTS = {
 }
 
 
+def reference_counts(weights, raw: np.ndarray) -> np.ndarray:
+    """Each row's atom counts, by bincount of the float-searchsorted atoms."""
+    return np.array([np.bincount(reference_atoms(weights, row), minlength=len(weights))
+                     for row in raw])
+
+
 class TestAtomLookup:
     @pytest.mark.parametrize("weights", ATOM_WEIGHTS.values(), ids=ATOM_WEIGHTS.keys())
     def test_matches_float_searchsorted(self, weights):
         words = boundary_words(weights)
-        assert np.array_equal(_atom_lookup(weights)(words), reference_atoms(weights, words))
+        counts = _atom_counts(weights, words[None, :])
+        assert counts.dtype == np.int64 and counts.shape == (1, len(weights))
+        assert np.array_equal(counts, reference_counts(weights, words[None, :]))
+
+    @pytest.mark.parametrize("rows", [2, 3, 64])
+    @pytest.mark.parametrize("weights", ATOM_WEIGHTS.values(), ids=ATOM_WEIGHTS.keys())
+    def test_multi_row_counts_match_float_searchsorted(self, weights, rows):
+        # The boundary words lead, so the first rows hold them all.
+        words = boundary_words(weights)
+        words = np.ascontiguousarray(words[:len(words) // rows * rows].reshape(rows, -1))
+        assert np.array_equal(_atom_counts(weights, words), reference_counts(weights, words))
 
     def test_block_sums_match_stream_reconstruction_off_axis(self):
         # Three distinct nonzero per-atom products, so both atom boundaries show.
@@ -268,10 +311,11 @@ class TestAtomLookup:
             bg = np.random.Philox(key=seed)
             bg.advance(start // 4)
             words = bg.random_raw(BLOCK_DRAWS)
-            ref = per_atom[reference_atoms(model.space.weights, words)]
-            sums, squares = _tile_sums(model, words[None, :], phi1, phi2)
-            assert sums == [np.sum(ref)]
-            assert squares == [np.sum(ref * ref)]
+            atoms = reference_atoms(model.space.weights, words)
+            counts = _tile_stats(model, words[None, :], phi1, phi2)
+            assert np.array_equal(counts, [np.bincount(atoms, minlength=3)])
+            # The counts are the block's x = per_atom[atoms], grouped by value.
+            assert counts[0] @ per_atom == pytest.approx(np.sum(per_atom[atoms]), rel=1e-12)
 
 
 PHILOX_KEYS = [0, 1, 1 << 63, (1 << 64) - 1,
@@ -306,7 +350,7 @@ class TestMcEstimateRows:
             mc_estimate_rows(unbounded_spin_model(), [Z_AXIS], [Z_AXIS], 10, [1, 2])
 
     @pytest.mark.parametrize("rows", [1, 40])
-    @pytest.mark.parametrize("n,keys", [(1, None), (10, -1), (10, 1 << 64), (10, 1.0)])
+    @pytest.mark.parametrize("n,keys", [(1, None), (10, -1), (10, 1 << 128), (10, 1.0)])
     def test_rejects_bad_sample_counts_and_keys(self, rows, n, keys):
         keys = [7] * (rows - 1) + [keys if keys is not None else 7]
         with pytest.raises(ValidationError):
@@ -404,14 +448,14 @@ class TestCompare:
 
 def reference_row(sums, squares, n, exact):
     """One row's mean, stderr and z, reduced the per-row way on Python floats."""
-    def fsum(values):
-        try:
-            return math.fsum(values)
-        except (OverflowError, ValueError):
-            return sum(values)
+    def in_order(values):
+        total = 0.0
+        for v in values:
+            total += v
+        return total
 
-    mean = fsum(sums) / n
-    var = max(fsum(squares) - n * mean * mean, 0.0) / (n - 1)
+    mean = in_order(sums) / n
+    var = max(in_order(squares) - n * mean * mean, 0.0) / (n - 1)
     stderr = math.sqrt(var / n)
     if stderr == 0.0:
         z = 0.0 if mean == exact else math.copysign(math.inf, mean - exact)
@@ -420,8 +464,8 @@ def reference_row(sums, squares, n, exact):
     return mean, stderr, z
 
 
-#: (block sums of x, block sums of x * x, exact value) of rows of three
-#: blocks of four draws each.
+#: (block sums of x, block sums of x * x, exact value) of Gaussian rows of
+#: three blocks of four draws each.
 REDUCTION_ROWS = [
     ([6.0, 6.0, 6.0], [9.0, 9.0, 9.0], 1.5),  # x = 1.5 throughout: stderr 0, z 0
     ([6.0, 6.0, 6.0], [9.0, 9.0, 9.0], 1.0),  # stderr 0 and mean above exact: z +inf
@@ -441,13 +485,14 @@ REDUCTION_ROWS = [
 
 def test_array_reduction_and_z_scores_equal_the_per_row_reference(monkeypatch):
     # Each tile's sums are replaced by the rows' crafted block sums, in tile order.
-    blocks = iter([([x], [xx]) for sums, squares, _ in REDUCTION_ROWS
+    blocks = iter([np.array([[x, xx]]) for sums, squares, _ in REDUCTION_ROWS
                    for x, xx in zip(sums, squares)])
     monkeypatch.setattr(estimator, "BLOCK_DRAWS", 4)
-    monkeypatch.setattr(estimator, "_tile_sums", lambda *args: next(blocks))
+    monkeypatch.setattr(estimator, "_tile_stats", lambda *args: next(blocks))
     rows, n = len(REDUCTION_ROWS), 12
-    estimates = mc_estimate_rows(unbounded_spin_model(), [Z_AXIS] * rows, [Z_AXIS] * rows, n,
-                                 list(range(rows)))
+    s = QuadratureSetting(0.0)
+    estimates = mc_estimate_rows(quadrature_model(extract_moments(tmsv(1.0))), [s] * rows,
+                                 [s] * rows, n, list(range(rows)))
     assert next(blocks, None) is None
     exact = np.array([row[2] for row in REDUCTION_ROWS])
     z, inconsistent = estimator._z_scores(exact, np.array([e.mean for e in estimates]),

@@ -120,7 +120,7 @@ ROW_MODELS = {
 ROW_SAMPLES = sorted({2, 3, BATCH_ROW_WORDS // 2, BATCH_ROW_WORDS // 2 + 1,
                       BATCH_ROW_WORDS, BATCH_ROW_WORDS + 1, BLOCK_DRAWS + 1})
 ROW_COUNTS = (1, BATCH_MIN_ROWS - 1, BATCH_MIN_ROWS, BATCH_MIN_ROWS + 9)
-KEY = st.integers(min_value=0, max_value=(1 << 64) - 1)
+KEY = st.integers(min_value=0, max_value=(1 << 128) - 1)
 
 
 def _fingerprint(est) -> tuple:
@@ -173,3 +173,39 @@ def test_row_estimates_equal_per_row_estimates(name, n, data):
         assert all(size * n <= tile_draws or size == 1 for size in sizes)
     if pairs[0] == (0, 1) and name in ("spin", "tabulated"):
         assert got[0].mean.hex() == "0x0.0p+0"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(atoms=st.integers(1, MAX_COUNTED_ATOMS + 8),
+       n=st.one_of(st.integers(2, 3000), st.just(BLOCK_DRAWS + 5)),
+       offset=st.sampled_from([0.0, -3e5, 1e8]), key=KEY, data=st.data())
+def test_finite_mean_and_stderr_equal_a_two_pass_reference(atoms, n, offset, key, data):
+    """Counts-based mean and stderr against two passes over the drawn x.
+
+    The offset puts the products far from 0 with a spread of at most 20,
+    where a variance from sums of x and x * x cancels.
+    """
+    raw = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=atoms, max_size=atoms)
+                             .filter(lambda w: sum(w) > 0.0), label="raw_weights"))
+    weights = tuple(float(w) for w in raw / raw.sum())
+    values = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=atoms, max_size=atoms),
+                       label="values")
+    s = QuadratureSetting(0.0)
+    model = HiddenVariableModel(
+        space=SampleSpace.finite(weights),
+        response1=TabulatedResponse((s,), (tuple(offset + v for v in values),)),
+        response2=TabulatedResponse((s,), ((1.0,) * atoms,)),
+    )
+    est = mc_estimate(model, s, s, n, key)
+
+    # The drawn atoms by float searchsorted on the 53-bit uniforms.
+    u = (np.random.Philox(key=key).random_raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    drawn = np.minimum(np.searchsorted(np.cumsum(weights), u, side="right"), atoms - 1)
+    x = np.array(model.response1.values[0])[drawn]
+    mean = np.sum(x) / n
+    stderr = math.sqrt(np.sum((x - mean) ** 2) / (n - 1) / n)
+    # The absolute floors are the two-pass reference's own rounding of the
+    # mean, for rows that drew one atom and have a stderr of 0.
+    scale = float(np.max(np.abs(x)))
+    assert est.mean == pytest.approx(mean, rel=1e-12, abs=1e-14 * scale)
+    assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=1e-14 * scale / math.sqrt(n))
