@@ -73,7 +73,6 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
@@ -150,12 +149,16 @@ _quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 @dataclass(frozen=True)
 class CorrelationEstimate:
-    """Sample mean of xi1*xi2 with its normal-approximation standard error."""
+    """Sample mean of xi1*xi2 with its normal-approximation standard error.
+
+    ``key`` is the 128-bit stream key the ``n`` draws came from; a CLI row
+    r of seed s has key s + (r << 64).
+    """
 
     mean: float
     stderr: float
     n: int
-    seed: int
+    key: int
 
 
 @dataclass(frozen=True)
@@ -172,11 +175,11 @@ class ComparisonReport:
     inconsistent: bool
 
 
-def _raw_words(seed: int, word_offset: int, n_words: int) -> np.ndarray:
+def _raw_words(key: int, word_offset: int, n_words: int) -> np.ndarray:
     # Philox advances its counter in blocks of four 64-bit words.
     if word_offset % 4:
         raise ValidationError(f"word offset must be 4-aligned, got {word_offset}")
-    bg = np.random.Philox(key=seed)
+    bg = np.random.Philox(key=key)
     if word_offset:
         bg.advance(word_offset // 4)
     return bg.random_raw(n_words)
@@ -313,15 +316,15 @@ def _check_draws(n, keys: Sequence[int], workers) -> None:
             raise ValidationError(f"stream key must be a 128-bit unsigned integer, got {key!r}")
 
 
-def mc_estimate(model: HiddenVariableModel, s1, s2, n: int, seed: int, *,
+def mc_estimate(model: HiddenVariableModel, s1, s2, n: int, key: int, *,
                 workers: int = 1) -> CorrelationEstimate:
     """Estimate E[xi1(s1) xi2(s2)] from ``n`` independent draws.
 
-    ``seed`` is the stream key, an integer in [0, 2**128). ``workers``
+    ``key`` is the stream key, an integer in [0, 2**128). ``workers``
     only parallelizes tile evaluation; it never changes the result. The
     standard error uses the unbiased (n - 1) variance.
     """
-    return mc_estimate_rows(model, [s1], [s2], n, [seed], workers=workers)[0]
+    return mc_estimate_rows(model, [s1], [s2], n, [key], workers=workers)[0]
 
 
 def mc_estimate_rows(model: HiddenVariableModel, settings1: Sequence, settings2: Sequence,
@@ -341,7 +344,7 @@ def mc_estimate_rows(model: HiddenVariableModel, settings1: Sequence, settings2:
                               f"{len(settings2)} settings and {len(keys)} keys")
     mean, stderr = _mc_rows(model, _feature_stack(model.response1, settings1),
                             _feature_stack(model.response2, settings2), n, keys, workers)
-    return [CorrelationEstimate(mean=m, stderr=s, n=n, seed=key)
+    return [CorrelationEstimate(mean=m, stderr=s, n=n, key=key)
             for m, s, key in zip(mean.tolist(), stderr.tolist(), keys)]
 
 
@@ -392,16 +395,31 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
                 return
             stats[index] = tile_stats(*tiles[index])
 
-    # The calling thread is one of the workers.
-    helpers = min(workers, len(tiles)) - 1
-    if helpers > 0:
-        with ThreadPoolExecutor(max_workers=helpers) as pool:
-            running = [pool.submit(drain) for _ in range(helpers)]
+    # The calling thread is one of the workers; the others are plain threads
+    # (an executor would import concurrent.futures and logging, about 7 ms of
+    # a cold run). Every helper is joined before anything is raised: the
+    # calling thread's exception wins, else the first helper's is raised.
+    failures: list[BaseException | None] = [None] * (min(workers, len(tiles)) - 1)
+
+    def helper(slot: int) -> None:
+        try:
             drain()
-            for done in running:
-                done.result()
-    else:
+        except BaseException as exc:  # re-raised by the calling thread below
+            failures[slot] = exc
+
+    threads = []
+    try:
+        for slot in range(len(failures)):
+            thread = threading.Thread(target=helper, args=(slot,))
+            thread.start()
+            threads.append(thread)
         drain()
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in failures:
+        if exc is not None:
+            raise exc
     # Each row's statistics, added up in block order from 0, which also
     # turns a Gaussian sum of -0.0 into 0.0.
     totals = np.zeros((len(keys), len(model.space.basis_weights) if finite else 2),

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -7,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,6 @@ from eprlab import (
     QuadratureSetting,
     cli,
     correlators,
-    estimator,
     exact_expectation,
     free_evolution_model,
     mc_estimate,
@@ -264,11 +265,11 @@ class TestInputErrors:
     @pytest.mark.parametrize("workers", [0, MAX_WORKERS + 1, 10**9, 2**63])
     def test_worker_counts_outside_the_cap_exit_one_before_any_thread(
             self, tmp_path, monkeypatch, capsys, workers):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was started")
+        def no_thread(self):
+            raise AssertionError("a thread was started")
 
-        monkeypatch.setattr(estimator, "ThreadPoolExecutor", no_pool)
-        # Three rows of three blocks each: nine tiles, so a pool would start.
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        # Three rows of three blocks each: nine tiles, so threads would start.
         path = write_scenario(tmp_path, {"kind": "EPR_QUADRATURE",
                                          "state": {"squeezing": 0.6},
                                          "settings": {"pairs": [[0.1, 0.2], [1.0, -0.5],
@@ -761,3 +762,82 @@ class TestEntryPoint:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "0 []"
+
+    @pytest.mark.parametrize("name", sorted(BUNDLED_STDOUT_SHA256))
+    def test_program_entry_writes_what_an_in_process_run_writes(self, tmp_path, capsys, name):
+        scenario = SCENARIOS / f"{name}.json"
+        # Unbuffered, so that every write is its own system call on the pipe.
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        result = subprocess.run(
+            [sys.executable, "-m", "eprlab", "run", str(scenario),
+             "--out-dir", str(tmp_path / "entry")],
+            capture_output=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        assert run_cli(["run", scenario, "--out-dir", tmp_path / "in_process"]) == 0
+        for filename in (f"{name}.csv", f"{name}.summary.json"):
+            assert (tmp_path / "entry" / filename).read_bytes() == \
+                (tmp_path / "in_process" / filename).read_bytes(), filename
+        # The last line names the output directory.
+        table = lambda out: out.splitlines(keepends=True)[:-1]
+        assert table(result.stdout) == table(capsys.readouterr().out.encode())
+
+    def test_program_entry_freezes_the_collector_after_the_run(self, tmp_path):
+        code = (
+            "import gc, sys\n"
+            "from eprlab.__main__ import main\n"
+            f"sys.argv = ['eprlab', 'run', {str(SCENARIOS / 'free_evolution.json')!r},"
+            f" '--out-dir', {str(tmp_path)!r}, '--samples', '1000']\n"
+            "frozen = gc.get_freeze_count()\n"
+            "print(main(), frozen, gc.get_freeze_count() > 0)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 0 True"
+
+    def test_cli_main_does_not_freeze_the_collector(self, tmp_path):
+        frozen = gc.get_freeze_count()
+        assert run_cli(["run", SCENARIOS / "free_evolution.json", "--out-dir", tmp_path,
+                        "--samples", 1000]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_stdout_table_is_written_one_chunk_per_write(self, tmp_path, monkeypatch):
+        class CountingStdout(io.StringIO):
+            def __init__(self):
+                super().__init__()
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+                return super().write(text)
+
+        def is_table_line(line):
+            fields = line.split()
+            try:
+                return len([float(field) for field in fields]) == len(cli.CSV_COLUMNS)
+            except ValueError:
+                return False
+
+        # The benchmark's dense_grid shape: a 72x72 spin grid at 2 samples a row.
+        rows = 72 * 72
+        path = write_scenario(tmp_path, {
+            "kind": "SPIN_CHSH",
+            "settings": {"setting1": {"start": 0.1, "stop": 6.2, "count": 72},
+                         "setting2": {"start": 0.3, "stop": 6.4, "count": 72}},
+            "samples": 2, "seed": 5})
+        stdout = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert run_cli(["run", path, "--out-dir", tmp_path]) == 0
+        table_writes = [text for text in stdout.writes
+                        if any(is_table_line(line) for line in text.splitlines())]
+        assert sum(is_table_line(line) for line in stdout.getvalue().splitlines()) == rows
+        assert len(table_writes) <= math.ceil(rows / cli.EVAL_CHUNK_ROWS)
+
+    def test_cli_import_loads_no_executor_or_logging(self):
+        code = (
+            "import sys, eprlab.cli\n"
+            "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"

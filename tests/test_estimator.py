@@ -1,5 +1,7 @@
 import math
 import sys
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -212,6 +214,100 @@ class TestUniforms:
 GAUSSIAN_ROW_HEX = ("0x1.40f12578a0d5ap+0", "0x1.742527e26cb3bp-8")
 
 
+class _HelperError(Exception):
+    pass
+
+
+class _CallerError(Exception):
+    pass
+
+
+class TestWorkerErrors:
+    """A tile that raises: every helper thread is joined before the error propagates."""
+
+    @staticmethod
+    def run(monkeypatch, tile_stats, started: list) -> None:
+        """``mc_estimate_rows`` at 3 workers with ``tile_stats`` for ``_tile_stats``.
+
+        Appends each thread the call starts to ``started``, and checks that
+        all of them have ended when the call returns or raises.
+        """
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(estimator, "BLOCK_DRAWS", 8)
+        monkeypatch.setattr(estimator, "_tile_stats", tile_stats)
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        baseline = threading.active_count()
+        try:
+            # Three rows of ten 8-draw blocks: 30 one-row tiles.
+            mc_estimate_rows(unbounded_spin_model(), [Z_AXIS] * 3, [Z_AXIS] * 3, 80, [0, 1, 2],
+                             workers=3)
+        finally:
+            assert len(started) == 2
+            assert not any(thread.is_alive() for thread in started)
+            assert threading.active_count() == baseline
+
+    def test_helper_exception_propagates_after_every_helper_joined(self, monkeypatch):
+        caller = threading.current_thread()
+        raised = threading.Event()
+        taking = threading.Lock()
+
+        def tile_stats(*args):
+            if threading.current_thread() is caller:
+                # A helper takes a tile and raises before the caller draws.
+                assert raised.wait(10)
+            else:
+                with taking:
+                    first = not raised.is_set()
+                    raised.set()
+                if first:
+                    raise _HelperError
+                # The other helper is still at work when the first has raised.
+                time.sleep(0.02)
+            return _tile_stats(*args)
+
+        with pytest.raises(_HelperError):
+            self.run(monkeypatch, tile_stats, [])
+
+    def test_calling_thread_exception_wins(self, monkeypatch):
+        caller = threading.current_thread()
+        raised = threading.Event()
+
+        def tile_stats(*args):
+            if threading.current_thread() is caller:
+                assert raised.wait(10)
+                raise _CallerError
+            raised.set()
+            raise _HelperError
+
+        with pytest.raises(_CallerError):
+            self.run(monkeypatch, tile_stats, [])
+
+    def test_first_helper_exception_is_raised(self, monkeypatch):
+        caller = threading.current_thread()
+        helpers_raised = threading.Semaphore(0)
+        waited = []
+
+        def tile_stats(*args):
+            if threading.current_thread() is caller:
+                # Both helpers raise before the caller draws its first tile.
+                while len(waited) < 2:
+                    assert helpers_raised.acquire(timeout=10)
+                    waited.append(True)
+                return _tile_stats(*args)
+            helpers_raised.release()
+            raise _HelperError(threading.current_thread())
+
+        started = []
+        with pytest.raises(_HelperError) as raised:
+            self.run(monkeypatch, tile_stats, started)
+        assert raised.value.args[0] is started[0]
+
+
 class TestGaussianRowPinned:
     @pytest.mark.parametrize("workers", [1, 2, 3, 7])
     def test_mean_and_stderr_bits(self, workers):
@@ -371,11 +467,11 @@ class TestMcEstimateRows:
 
     @pytest.mark.parametrize("workers", [MAX_WORKERS + 1, 10**9, 2**63])
     def test_rejects_worker_counts_above_the_cap_before_any_thread(self, monkeypatch, workers):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was started")
+        def no_thread(self):
+            raise AssertionError("a thread was started")
 
-        monkeypatch.setattr(estimator, "ThreadPoolExecutor", no_pool)
-        # Three rows of 16 blocks each: 48 tiles, so a pool would start.
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        # Three rows of 16 blocks each: 48 tiles, so threads would start.
         with pytest.raises(ValidationError, match="workers"):
             mc_estimate_rows(unbounded_spin_model(), [Z_AXIS] * 3, [Z_AXIS] * 3,
                              16 * BLOCK_DRAWS, [1, 2, 3], workers=workers)
@@ -440,9 +536,9 @@ class TestCompare:
     def test_plain_z_scores(self):
         from eprlab import CorrelationEstimate
 
-        est = CorrelationEstimate(mean=0.02, stderr=0.01, n=100, seed=0)
+        est = CorrelationEstimate(mean=0.02, stderr=0.01, n=100, key=0)
         assert abs(compare(0.0, est).z_score - 2.0) < 1e-12
-        est = CorrelationEstimate(mean=-1.003, stderr=0.001, n=100, seed=0)
+        est = CorrelationEstimate(mean=-1.003, stderr=0.001, n=100, key=0)
         assert abs(compare(-1.0, est).z_score - (-3.0)) < 1e-9
 
 

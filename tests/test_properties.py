@@ -125,7 +125,7 @@ KEY = st.integers(min_value=0, max_value=(1 << 128) - 1)
 
 def _fingerprint(est) -> tuple:
     # float.hex tells -0.0 from 0.0, which == does not.
-    return est.mean.hex(), est.stderr.hex(), est.n, est.seed
+    return est.mean.hex(), est.stderr.hex(), est.n, est.key
 
 
 @pytest.mark.parametrize("n", ROW_SAMPLES)
