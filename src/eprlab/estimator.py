@@ -16,9 +16,13 @@ exponent bits of 1.0 onto m = word >> 12 (m < 2**52) gives the double
 m * 2**-52 + 2**-53 = (2 m + 1) * 2**-53. That subtraction is exact
 too: the difference fits in 53 bits (Sterbenz's lemma also applies, as
 1 + m * 2**-52 lies within a factor 2 of 1 - 2**-53). The inverse CDF
-then runs in place, and the pair contraction needs two temporaries of
-half the tile's length. ``ndtri`` imports ``scipy.special`` on its
-first call, so a run that samples only finite models never loads scipy.
+writes the sub-chunk's normals into a buffer of the worker, and the pair
+contraction runs in that buffer and in the spent words; so a one-row
+Gaussian tile allocates only its words, one sub-chunk of
+``SUBCHUNK_DRAWS`` draws at a time, and its x values go into the
+worker's x row. ``ndtri``
+imports ``scipy.special`` on its first call, so a run that samples only
+finite models never loads scipy.
 
 A finite model draws atom ``k`` when the uniform (word >> 11) * 2**-53
 lies in [cum[k-1], cum[k]), the last atom taking the rest. Scaling by
@@ -28,14 +32,19 @@ k < K - 1, that the word reaches. Thresholds at or above 2**53 << 11
 cannot be reached and are dropped. That is the atom that
 ``searchsorted(cum, u, side="right")``, clipped to K - 1, gives. A
 finite model's draws are summed up by their atom counts: small tables
-count the words at or above each threshold and take differences, large
-ones binary-search the thresholds and count the indices.
+count the words at or above each threshold and take differences; large
+ones, and multi-row tiles of rows shorter than ``MIN_COUNTED_ROW_WORDS``
+words, binary-search the thresholds and count the indices.
 
 Every draw goes through one kernel, ``_tile_stats``. A tile is a
 C-contiguous (rows, words) stack of Philox words; the kernel turns it
 into each row's sufficient statistics: the atom counts of a finite
 model, or the sums of x = xi1 * xi2 and of x * x over normal pairs.
-Row sums of such a stack equal the per-row sums bit for bit.
+A Gaussian tile makes its x values sub-chunk by sub-chunk (draws of a
+one-row tile, groups of rows of a multi-row one) into an x row that
+each worker allocates once per call, and then sums the whole x row,
+squares it and sums again, as a tile-sized array would be summed: row
+sums of a C-contiguous stack equal the per-row sums bit for bit.
 ``mc_estimate_rows`` cuts its rows into tiles of at most ``BLOCK_DRAWS``
 draws. A chunk of at least ``BATCH_MIN_ROWS`` rows of at most
 ``BATCH_ROW_WORDS`` words each gives multi-row tiles, whose words come
@@ -57,7 +66,14 @@ and the deviations are taken before they are squared, so nothing
 cancels. A Gaussian row's variance comes from sum(x * x) - n mean**2,
 which cannot cancel badly either: with xi1 = u . eta and xi2 = v . eta,
 Isserlis gives E[x * x] = |u|**2 |v|**2 + 2 (u . v)**2, at least
-3 mean**2, so the subtraction loses less than one bit.
+3 mean**2, so the subtraction loses less than one bit. Squares of
+features far below 1 would underflow (x * x below about 1e-154 is lost),
+so each party's feature row is first scaled up by a power of two until
+its largest entry is at least 1, and the mean and standard error are
+scaled back at the end. Power-of-two scaling is exact in range, so rows
+that do not underflow get the same bits as without it, and scaling a
+party's features by 2**-k scales the row's mean and standard error by
+2**-k exactly, as long as they stay normal doubles.
 
 ``_mc_rows`` does this on the rows' feature stacks and returns the means
 and standard errors as arrays; ``mc_estimate_rows`` builds the stacks
@@ -94,6 +110,18 @@ BLOCK_DRAWS = 1 << 16
 #: at 32 atoms in one row).
 MAX_COUNTED_ATOMS = 32
 
+#: Multi-row tiles with fewer words per row than this binary-search the
+#: thresholds, whatever the atom count: counting along the row axis costs
+#: a pass per threshold plus a per-row overhead that short rows do not
+#: repay. Spin model (3 atoms), same host, timeit minimum, search against
+#: count: 256-row tiles 0.018 vs 0.043 ms at 2 words a row, 0.031 vs
+#: 0.050 at 8, 0.049 vs 0.055 at 16, 0.113 vs 0.064 at 32; 65 536-word
+#: tiles 1.13 vs 2.43 ms at 2 words, 1.24 vs 1.43 at 4, 1.00 vs 0.81 at 8,
+#: 1.19 vs 0.56 at 16. At 8 atoms search won up to 24 words (256 rows) and
+#: 8 words (65 536), at 32 atoms up to 64 and 48. The CLI's tiles have at
+#: most 256 rows.
+MIN_COUNTED_ROW_WORDS = 16
+
 #: Rows with more Philox words than this (n for finite models, 2 n for
 #: Gaussian ones) take numpy's C generator. Per row of a 256-row batch on
 #: a 2-vCPU x86-64 host, batched against C generator (spin model, medians
@@ -114,6 +142,21 @@ BATCH_ROW_WORDS = 256
 #: (+6 MiB, +12 ms), which the vectorised generator never loads: a spin
 #: grid of 5184 rows at n = 2 peaked at 38.3 against 32.9 MiB that way.
 BATCH_MIN_ROWS = 32
+
+#: Draws per sub-chunk of a Gaussian tile. A one-row tile draws its words
+#: one sub-chunk at a time and turns them into normals and products in
+#: place; a worker's only buffers are its x row of BLOCK_DRAWS values and
+#: two values a draw of one sub-chunk, made once per call, plus the
+#: sub-chunk's words. mc_gauss (36 rows of 10**6 draws, 2 workers), cold
+#: runs on a 2-vCPU x86-64 host, medians of 10 alternating: a tile-sized
+#: kernel (2 MiB of arrays a tile, which glibc gave back to the system and
+#: faulted in again) took 2.15 s, 127k minor faults, 58.9 MiB peak RSS;
+#: sub-chunks of 4096 draws 2.96 s, 13k, 55.6 MiB; 8192 2.47 s, 10k, 56.4;
+#: 16384 2.07 s, 10k, 56.8; 32768 2.14 s, 11k, 58.0; 65536 2.12 s, 12k,
+#: 60.0. Small sub-chunks lose time to the GIL: each numpy call hands it
+#: to the other worker and back. Even, so that every sub-chunk starts at a
+#: 4-aligned word.
+SUBCHUNK_DRAWS = 1 << 14
 
 #: Most worker threads a call may ask for. A call starts at most
 #: min(workers, tiles) - 1 threads, one per tile at most, and a count
@@ -237,8 +280,8 @@ def _atom_counts(weights, raw: np.ndarray) -> np.ndarray:
     # Partial sums in index order, as np.cumsum forms them; c < 1 is c * 2**53 < 2**53.
     thresholds = [np.uint64(math.ceil(c * 2.0**53) << 11)
                   for c in accumulate(weights[:-1]) if c < 1.0]
-    rows, atoms = len(raw), len(weights)
-    if atoms > MAX_COUNTED_ATOMS:
+    rows, atoms = raw.shape[0], len(weights)
+    if atoms > MAX_COUNTED_ATOMS or (rows > 1 and raw.shape[1] < MIN_COUNTED_ROW_WORDS):
         index = np.searchsorted(np.array(thresholds, dtype=np.uint64), raw, side="right")
         # Row r's atoms count into bins r * atoms .. r * atoms + atoms - 1.
         index += np.arange(0, rows * atoms, atoms)[:, None]
@@ -262,41 +305,60 @@ def _uniforms(raw: np.ndarray) -> np.ndarray:
     return u
 
 
-def _gaussian_values(raw: np.ndarray, phi1, phi2) -> np.ndarray:
-    """xi1 * xi2 for the normal pairs drawn from a (rows, 2 m) tile of ``raw`` words.
+def _gaussian_values(raw: np.ndarray, coefficients: np.ndarray, x: np.ndarray,
+                     scratch: np.ndarray) -> None:
+    """Writes xi1 * xi2 for the normal pairs of a (rows, 2 m) stack of ``raw`` words into ``x``.
 
-    ``phi1`` and ``phi2`` hold the two feature coefficients of each party
-    as (rows, 1) columns. Overwrites ``raw``; the result is C-contiguous,
-    shape (rows, m).
+    ``coefficients[k, p]`` is feature coefficient k of party p for every
+    row, a (rows, 1) column, and ``x`` is a (rows, m) array. Overwrites
+    ``raw`` and the first 2 rows m values of ``scratch``.
     """
+    rows, m = x.shape
     u = _uniforms(raw)
-    eta = ndtri(u, out=u).reshape(raw.shape[:-1] + (-1, 2))
-    eta1, eta2 = eta[..., 0], eta[..., 1]
-    xi2 = eta1 * phi2[0]
-    xi2 += eta2 * phi2[1]
-    # xi1 in place in eta1, with the same operations as xi2.
-    eta1 *= phi1[0]
-    eta2 *= phi1[1]
-    eta1 += eta2
-    xi2 *= eta1
-    return xi2
+    # eta[k] holds the k-th normal of every pair, (rows, m).
+    eta = scratch[:2 * rows * m].reshape(2, rows, m)
+    ndtri(u.reshape(rows, m, 2).transpose(2, 0, 1), out=eta)
+    # xi_p = eta[0] * c[0, p] + eta[1] * c[1, p]: the words' memory takes
+    # both parties' eta[1] terms, eta their eta[0] terms and then the sums.
+    terms = u.reshape(2, rows, m)
+    np.multiply(eta[1], coefficients[1], out=terms)
+    np.multiply(eta[0], coefficients[0, 1], out=eta[1])
+    eta[0] *= coefficients[0, 0]
+    eta += terms
+    np.multiply(eta[0], eta[1], out=x)
 
 
 @_quiet
-def _tile_stats(model: HiddenVariableModel, words: np.ndarray, phi1: np.ndarray,
-                phi2: np.ndarray) -> np.ndarray:
-    """Each row's sufficient statistics over the draws of one tile.
+def _tile_stats(model: HiddenVariableModel, words, count: int, phi1: np.ndarray,
+                phi2: np.ndarray, scratch: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Each row's sufficient statistics over the ``count`` draws per row of one tile.
 
-    ``words`` is a C-contiguous (rows, words) stack of Philox words, which
-    a Gaussian tile overwrites; ``phi1`` and ``phi2`` are the (rows, d)
-    feature stacks of the same rows. A finite tile returns the rows' atom
-    counts, (rows, K) int64; a Gaussian one the rows' sums of x and of
-    x * x, (rows, 2) float64.
+    ``words(lo, hi)`` returns a C-contiguous (rows, words) stack of the
+    Philox words of draws lo .. hi - 1 of each row, which a Gaussian tile
+    overwrites; ``phi1`` and ``phi2`` are the (rows, d) feature stacks of
+    the same rows. A finite tile returns the rows' atom counts, (rows, K)
+    int64; a Gaussian one the rows' sums of x and of x * x, (rows, 2)
+    float64. A Gaussian tile writes x into ``scratch[0]``, which holds the
+    whole tile, and each sub-chunk works in ``scratch[1]``, two values per
+    draw of the largest sub-chunk.
     """
     if model.space.kind is SpaceKind.FINITE:
-        return _atom_counts(model.space.weights, words)
-    # phi.T[k, :, None] is coefficient k of every row, as a (rows, 1) column.
-    x = _gaussian_values(words, phi1.T[:, :, None], phi2.T[:, :, None])
+        return _atom_counts(model.space.weights, words(0, count))
+    rows = len(phi1)
+    x = scratch[0][:rows * count].reshape(rows, count)
+    # coefficients[k, p, :, None] is coefficient k of party p in every row.
+    coefficients = np.stack((phi1.T, phi2.T), axis=1)[:, :, :, None]
+    if rows == 1:
+        # A one-row tile draws its words one sub-chunk at a time.
+        for lo in range(0, count, SUBCHUNK_DRAWS):
+            hi = min(lo + SUBCHUNK_DRAWS, count)
+            _gaussian_values(words(lo, hi), coefficients, x[:, lo:hi], scratch[1])
+    else:
+        # A multi-row tile has its words at once; a sub-chunk is a group of rows.
+        raw, step = words(0, count), max(1, SUBCHUNK_DRAWS // count)
+        for first in range(0, rows, step):
+            part = slice(first, first + step)
+            _gaussian_values(raw[part], coefficients[:, :, part], x[part], scratch[1])
     # Row sums of a C-contiguous stack equal the per-row sums bit for bit.
     sums = x.sum(axis=1)
     x *= x
@@ -362,38 +424,60 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
         return np.empty(0), np.empty(0)
     finite = model.space.kind is SpaceKind.FINITE
     per_draw = 1 if finite else 2
+    # Each party's row is scaled up by a power of two, exactly, until its
+    # largest feature is at least 1 (never down, so nothing new overflows);
+    # otherwise x * x and the squared deviations underflow below about
+    # 1e-154. The means and standard errors are scaled back at the end.
+    # Calls whose rows all reach 1, as spin rows do, skip the integer
+    # arithmetic: its first use in a process costs about 0.1 MiB of RSS.
+    top1, top2 = np.abs(phi1).max(axis=1), np.abs(phi2).max(axis=1)
+    scaled = not (top1.min() >= 1.0 and top2.min() >= 1.0)
+    if scaled:
+        shift1, shift2 = (np.maximum(0, 1 - np.frexp(top)[1]) for top in (top1, top2))
+        phi1, phi2 = np.ldexp(phi1, shift1[:, None]), np.ldexp(phi2, shift2[:, None])
     # A tile is (first row, end row, first draw, draws per row), in row and block order.
     batched = per_draw * n <= BATCH_ROW_WORDS and len(keys) >= BATCH_MIN_ROWS
     if batched:
         # As few tiles of at most BLOCK_DRAWS draws as can be, of nearly equal size.
         per_tile = -(-len(keys) // -(-len(keys) // max(1, BLOCK_DRAWS // n)))
         tiles = [(first, first + per_tile, 0, n) for first in range(0, len(keys), per_tile)]
+        # A sub-chunk is a group of rows, or one row of a one-row tile.
+        tile_draws = per_tile * n
+        subchunk_draws = min(tile_draws, max(SUBCHUNK_DRAWS, n))
         # Key k is the Philox key words (k0, k1) = (k mod 2**64, k >> 64).
         k1, k0 = np.array([divmod(key, 1 << 64) for key in keys], dtype=np.uint64).T[:, :, None]
     else:
         tiles = [(row, row + 1, start, min(BLOCK_DRAWS, n - start))
                  for row in range(len(keys)) for start in range(0, n, BLOCK_DRAWS)]
+        tile_draws = min(BLOCK_DRAWS, n)
+        subchunk_draws = min(tile_draws, SUBCHUNK_DRAWS)
 
-    def tile_stats(first: int, end: int, start: int, count: int) -> np.ndarray:
+    def tile_stats(first: int, end: int, start: int, count: int, scratch) -> np.ndarray:
         if batched:
-            words = _philox_words(k0[first:end], k1[first:end], per_draw * count)
+            raw = _philox_words(k0[first:end], k1[first:end], per_draw * count)
+
+            def words(lo: int, hi: int) -> np.ndarray:
+                return raw[:, per_draw * lo:per_draw * hi]
         else:
-            words = _raw_words(keys[first], per_draw * start, per_draw * count)[None, :]
-        return _tile_stats(model, words, phi1[first:end], phi2[first:end])
+            def words(lo: int, hi: int) -> np.ndarray:
+                return _raw_words(keys[first], per_draw * (start + lo),
+                                  per_draw * (hi - lo))[None, :]
+        return _tile_stats(model, words, count, phi1[first:end], phi2[first:end], scratch)
 
     # Each worker takes the next tile number under a lock and stores the
-    # tile's statistics in its slot.
+    # tile's statistics in its slot. Its Gaussian buffers are made once, here.
     stats = [None] * len(tiles)
     tasks = iter(range(len(tiles)))
     taking = threading.Lock()
 
     def drain() -> None:
+        scratch = None if finite else (np.empty(tile_draws), np.empty(2 * subchunk_draws))
         while True:
             with taking:
                 index = next(tasks, None)
             if index is None:
                 return
-            stats[index] = tile_stats(*tiles[index])
+            stats[index] = tile_stats(*tiles[index], scratch)
 
     # The calling thread is one of the workers; the others are plain threads
     # (an executor would import concurrent.futures and logging, about 7 ms of
@@ -427,8 +511,13 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
     for (first, end, *_), tile in zip(tiles, stats):
         totals[first:end] += tile
     if finite:
-        return _finite_mean_stderr(totals, phi1, phi2, n)
-    return _mean_stderr(totals[:, 0], totals[:, 1], n)
+        mean, stderr = _finite_mean_stderr(totals, phi1, phi2, n)
+    else:
+        mean, stderr = _mean_stderr(totals[:, 0], totals[:, 1], n)
+    if not scaled:
+        return mean, stderr
+    shift = -(shift1 + shift2)
+    return np.ldexp(mean, shift), np.ldexp(stderr, shift)
 
 
 def _finite_mean_stderr(counts: np.ndarray, phi1: np.ndarray, phi2: np.ndarray,

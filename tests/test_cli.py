@@ -604,6 +604,24 @@ class TestFiniteCheck:
         assert str(raised.value) == f"{named}; the scenario's values overflow double precision"
 
 
+class TestTinySqueezing:
+    def test_rows_scale_exactly_and_keep_finite_z(self, tmp_path):
+        # At squeezing 2**-600, x * x underflows unless the rows are rescaled;
+        # the stderr then read 0 and z +-inf. Both rows scale exactly from 2**-100.
+        def run(name, squeezing):
+            path = write_scenario(tmp_path, {"kind": "EPR_QUADRATURE", "name": name,
+                                             "state": {"squeezing": squeezing},
+                                             "settings": {"pairs": [[0.0, 0.0], [0.3, 1.1]]},
+                                             "samples": 1000, "seed": 5}, f"{name}.json")
+            assert run_cli(["run", path, "--out-dir", tmp_path]) == 0
+            return read_columns(tmp_path / f"{name}.csv")
+
+        small, large = run("small", 2.0**-600), run("large", 2.0**-100)
+        for s, l in zip(small, large):
+            assert bits(s[4:6]) == bits(math.ldexp(v, -500) for v in l[4:6])
+            assert s[5] > 0.0 and math.isfinite(s[6])
+
+
 class TestGridEvaluation:
     def test_spin_pairs_match_scalar_calls_bit_for_bit(self, tmp_path):
         pairs = [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [0.3, -0.0],

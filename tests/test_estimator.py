@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,8 @@ from eprlab.estimator import (
     BLOCK_DRAWS,
     MAX_COUNTED_ATOMS,
     MAX_WORKERS,
+    MIN_COUNTED_ROW_WORDS,
+    SUBCHUNK_DRAWS,
     _atom_counts,
     _philox_words,
     _tile_stats,
@@ -328,6 +331,101 @@ class TestGaussianRowPinned:
         assert (rows[0].mean.hex(), rows[0].stderr.hex()) == GAUSSIAN_ROW_HEX
 
 
+#: Gaussian rows whose last tile ends at, inside or just past a sub-chunk
+#: or block boundary, as float.hex of (mean, stderr); taken when each tile
+#: still drew its words at once and made its normals in tile-sized arrays.
+SUBCHUNK_ROW_HEX = {
+    SUBCHUNK_DRAWS - 1: ("0x1.441b17a6cd7dbp+0", "0x1.1bd5bdf1b5334p-6"),
+    SUBCHUNK_DRAWS: ("0x1.441b21d0a3425p+0", "0x1.1bd14e94c7f8fp-6"),
+    SUBCHUNK_DRAWS + 1: ("0x1.441850f13a2a3p+0", "0x1.1bcd1890f0503p-6"),
+    BLOCK_DRAWS - 1: ("0x1.4189781c60fdep+0", "0x1.19093f496ac4dp-7"),
+    BLOCK_DRAWS + 1: ("0x1.4190e1130f092p+0", "0x1.190a482125019p-7"),
+    2 * BLOCK_DRAWS + SUBCHUNK_DRAWS + 3: ("0x1.417ad910bfda6p+0", "0x1.77e8883031db8p-8"),
+}
+
+
+class TestGaussianSubchunks:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", sorted(SUBCHUNK_ROW_HEX))
+    def test_mean_and_stderr_bits(self, n, workers):
+        model = quadrature_model(extract_moments(tmsv(1.0)))
+        est = mc_estimate(model, QuadratureSetting(0.3), QuadratureSetting(0.5), n, 99,
+                          workers=workers)
+        assert (est.mean.hex(), est.stderr.hex()) == SUBCHUNK_ROW_HEX[n]
+
+    @pytest.mark.parametrize("subchunk", [2, 6, 300])
+    def test_subchunks_of_any_even_size_give_the_same_rows(self, monkeypatch, subchunk):
+        # 40 rows of 100 draws form one batched tile; sub-chunks smaller than a
+        # row cut it into single rows, larger ones into groups of rows. Alone,
+        # each row is a one-row tile of 100 / subchunk sub-chunks.
+        model = quadrature_model(extract_moments(tmsv(0.8)))
+        settings1 = [QuadratureSetting(0.1 * i) for i in range(40)]
+        settings2 = [QuadratureSetting(-0.07 * i) for i in range(40)]
+        keys = [(i << 64) + 5 for i in range(40)]
+        want = mc_estimate_rows(model, settings1, settings2, 100, keys)
+        monkeypatch.setattr(estimator, "SUBCHUNK_DRAWS", subchunk)
+        assert mc_estimate_rows(model, settings1, settings2, 100, keys, workers=2) == want
+        assert [mc_estimate(model, s1, s2, 100, key) for s1, s2, key in
+                zip(settings1, settings2, keys)] == want
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_traced_peak_memory_per_worker(self, workers):
+        model = quadrature_model(extract_moments(tmsv(1.0)))
+        s1, s2 = QuadratureSetting(0.3), QuadratureSetting(0.5)
+        mc_estimate(model, s1, s2, 1000, 1)  # imports scipy.special outside the trace
+        tracemalloc.start()
+        try:
+            mc_estimate(model, s1, s2, 1_000_000, 7, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20 * workers
+
+
+def tiny_spin_model(scale: float) -> HiddenVariableModel:
+    settings = (QuadratureSetting(0.0), QuadratureSetting(1.0))
+    values = tuple(tuple(v * scale for v in row) for row in ((1.0, -0.5, 0.25), (0.75, 0.5, -1.0)))
+    return HiddenVariableModel(
+        space=SampleSpace.finite((0.2, 0.3, 0.5)),
+        response1=TabulatedResponse(settings, values),
+        response2=TabulatedResponse(settings, values),
+    )
+
+
+class TestTinyFeatures:
+    """Rows whose features are far below 1: x * x would underflow below about 1e-154."""
+
+    PAIRS = [(0.0, 0.0), (0.3, 1.1)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_gaussian_rows_scale_exactly(self, workers):
+        def rows(squeezing):
+            model = quadrature_model(extract_moments(tmsv(squeezing)))
+            return mc_estimate_rows(model, [QuadratureSetting(a) for a, _ in self.PAIRS],
+                                    [QuadratureSetting(b) for _, b in self.PAIRS], 1000,
+                                    [5, 6], workers=workers)
+
+        for small, large in zip(rows(2.0**-600), rows(2.0**-100)):
+            assert small.mean == math.ldexp(large.mean, -500)
+            assert small.stderr == math.ldexp(large.stderr, -500) > 0.0
+
+    def test_finite_rows_scale_exactly(self):
+        s = [QuadratureSetting(0.0), QuadratureSetting(1.0)]
+        small = mc_estimate_rows(tiny_spin_model(2.0**-300), s, s[::-1], 1000, [5, 6])
+        large = mc_estimate_rows(tiny_spin_model(2.0**-50), s, s[::-1], 1000, [5, 6])
+        for a, b in zip(small, large):
+            assert a.mean == math.ldexp(b.mean, -500)
+            assert a.stderr == math.ldexp(b.stderr, -500) > 0.0
+
+    def test_estimates_below_the_normal_range_are_rounded_once(self):
+        # A row of features 2**-530 has a mean and stderr below 2**-1060, subnormal.
+        s = QuadratureSetting(0.0)
+        est = mc_estimate(tiny_spin_model(2.0**-530), s, s, 1000, 5)
+        ref = mc_estimate(tiny_spin_model(1.0), s, s, 1000, 5)
+        assert est.mean == math.ldexp(ref.mean, -1060) != 0.0
+        assert est.stderr == math.ldexp(ref.stderr, -1060) != 0.0
+
+
 def reference_atoms(weights, raw: np.ndarray) -> np.ndarray:
     """Atom indices by float searchsorted on the 53-bit uniforms."""
     u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
@@ -408,10 +506,28 @@ class TestAtomLookup:
             bg.advance(start // 4)
             words = bg.random_raw(BLOCK_DRAWS)
             atoms = reference_atoms(model.space.weights, words)
-            counts = _tile_stats(model, words[None, :], phi1, phi2)
+            counts = _tile_stats(model, lambda lo, hi: words[None, lo:hi], BLOCK_DRAWS, phi1,
+                                 phi2, None)
             assert np.array_equal(counts, [np.bincount(atoms, minlength=3)])
             # The counts are the block's x = per_atom[atoms], grouped by value.
             assert counts[0] @ per_atom == pytest.approx(np.sum(per_atom[atoms]), rel=1e-12)
+
+    @pytest.mark.parametrize("words_per_row", [MIN_COUNTED_ROW_WORDS - 1, MIN_COUNTED_ROW_WORDS,
+                                               MIN_COUNTED_ROW_WORDS + 1])
+    @pytest.mark.parametrize("weights", [ATOM_WEIGHTS["thirds"], ATOM_WEIGHTS["counted_cutoff"],
+                                         ATOM_WEIGHTS["cumsum_just_below_one"]],
+                             ids=["thirds", "counted_cutoff", "cumsum_just_below_one"])
+    def test_searched_and_counted_rows_agree_at_the_row_cutoff(self, monkeypatch, weights,
+                                                             words_per_row):
+        # The boundary words lead, so the first rows hold them all.
+        words = boundary_words(weights)
+        rows = len(words) // words_per_row
+        words = np.ascontiguousarray(words[:rows * words_per_row].reshape(rows, -1))
+        want = reference_counts(weights, words)
+        assert np.array_equal(_atom_counts(weights, words), want)
+        for cutoff in (0, 1 << 62):  # every row counted, every row searched
+            monkeypatch.setattr(estimator, "MIN_COUNTED_ROW_WORDS", cutoff)
+            assert np.array_equal(_atom_counts(weights, words), want)
 
 
 PHILOX_KEYS = [0, 1, 1 << 63, (1 << 64) - 1,

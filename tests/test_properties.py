@@ -29,7 +29,8 @@ from eprlab import (
     tmsv,
     unbounded_spin_model,
 )
-from eprlab.estimator import BATCH_MIN_ROWS, BATCH_ROW_WORDS, BLOCK_DRAWS, MAX_COUNTED_ATOMS
+from eprlab.estimator import (BATCH_MIN_ROWS, BATCH_ROW_WORDS, BLOCK_DRAWS, MAX_COUNTED_ATOMS,
+                              SUBCHUNK_DRAWS)
 
 # Fixed example sequence and no example database, so every run checks the same inputs.
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -164,7 +165,10 @@ def test_row_estimates_equal_per_row_estimates(name, n, data):
 
     if not batched:
         assert tile_spy.call_count == 0
-        assert block_spy.call_count == rows * -(-n // BLOCK_DRAWS)
+        # A finite tile draws its words in one call, a Gaussian one per sub-chunk.
+        per_call = BLOCK_DRAWS if row_words == n else SUBCHUNK_DRAWS
+        assert block_spy.call_count == rows * sum(-(-min(BLOCK_DRAWS, n - start) // per_call)
+                                                  for start in range(0, n, BLOCK_DRAWS))
     else:
         assert block_spy.call_count == 0
         sizes = [len(call.args[0]) for call in tile_spy.call_args_list]
