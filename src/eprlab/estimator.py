@@ -67,10 +67,13 @@ cancels. A Gaussian row's variance comes from sum(x * x) - n mean**2,
 which cannot cancel badly either: with xi1 = u . eta and xi2 = v . eta,
 Isserlis gives E[x * x] = |u|**2 |v|**2 + 2 (u . v)**2, at least
 3 mean**2, so the subtraction loses less than one bit. Squares of
-features far below 1 would underflow (x * x below about 1e-154 is lost),
-so each party's feature row is first scaled up by a power of two until
-its largest entry is at least 1, and the mean and standard error are
-scaled back at the end. Power-of-two scaling is exact in range, so rows
+small products would underflow (x * x below about 1e-154 is lost), so a
+row whose two parties' largest features multiply to less than 1 is first
+scaled up by a power of two that brings that product into [1, 4), and
+its mean and standard error are scaled back at the end. The scale is set
+by the pair, never raising one party's largest feature past 1, so a row
+of one tiny and one huge party is left as it is and nothing overflows
+that did not before. Power-of-two scaling is exact in range, so rows
 that do not underflow get the same bits as without it, and scaling a
 party's features by 2**-k scales the row's mean and standard error by
 2**-k exactly, as long as they stay normal doubles.
@@ -218,13 +221,22 @@ class ComparisonReport:
     inconsistent: bool
 
 
-def _raw_words(key: int, word_offset: int, n_words: int) -> np.ndarray:
-    # Philox advances its counter in blocks of four 64-bit words.
+def _raw_words(bg: np.random.Philox, key: int, word_offset: int, n_words: int) -> np.ndarray:
+    """Words ``word_offset`` .. ``word_offset + n_words - 1`` of the Philox stream keyed by ``key``.
+
+    Re-keys the bit generator ``bg`` through its state setter (about 5 us,
+    against 15-25 us for a new ``np.random.Philox(key=key)``, whose seed
+    sequence reads OS entropy that the key then overrides) and draws from it.
+    """
+    # Philox advances its counter in blocks of four 64-bit words; numpy
+    # increments the counter before it generates, so block b follows counter b.
     if word_offset % 4:
         raise ValidationError(f"word offset must be 4-aligned, got {word_offset}")
-    bg = np.random.Philox(key=key)
-    if word_offset:
-        bg.advance(word_offset // 4)
+    bg.state = {"bit_generator": "Philox",
+                "state": {"counter": np.array([word_offset // 4, 0, 0, 0], dtype=np.uint64),
+                          "key": np.array(divmod(key, 1 << 64)[::-1], dtype=np.uint64)},
+                "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                "has_uint32": 0, "uinteger": 0}
     return bg.random_raw(n_words)
 
 
@@ -340,7 +352,8 @@ def _tile_stats(model: HiddenVariableModel, words, count: int, phi1: np.ndarray,
     int64; a Gaussian one the rows' sums of x and of x * x, (rows, 2)
     float64. A Gaussian tile writes x into ``scratch[0]``, which holds the
     whole tile, and each sub-chunk works in ``scratch[1]``, two values per
-    draw of the largest sub-chunk.
+    draw of ``SUBCHUNK_DRAWS`` draws or of the tile if it has fewer. The
+    rows of a multi-row tile have at most ``SUBCHUNK_DRAWS`` draws each.
     """
     if model.space.kind is SpaceKind.FINITE:
         return _atom_counts(model.space.weights, words(0, count))
@@ -348,16 +361,17 @@ def _tile_stats(model: HiddenVariableModel, words, count: int, phi1: np.ndarray,
     x = scratch[0][:rows * count].reshape(rows, count)
     # coefficients[k, p, :, None] is coefficient k of party p in every row.
     coefficients = np.stack((phi1.T, phi2.T), axis=1)[:, :, :, None]
+    # A sub-chunk has at most SUBCHUNK_DRAWS draws: a run of draws of a
+    # one-row tile, which draws its words one sub-chunk at a time, or a group
+    # of whole rows of a multi-row tile, which has its words at once.
     if rows == 1:
-        # A one-row tile draws its words one sub-chunk at a time.
         for lo in range(0, count, SUBCHUNK_DRAWS):
             hi = min(lo + SUBCHUNK_DRAWS, count)
             _gaussian_values(words(lo, hi), coefficients, x[:, lo:hi], scratch[1])
     else:
-        # A multi-row tile has its words at once; a sub-chunk is a group of rows.
-        raw, step = words(0, count), max(1, SUBCHUNK_DRAWS // count)
-        for first in range(0, rows, step):
-            part = slice(first, first + step)
+        raw, group = words(0, count), SUBCHUNK_DRAWS // count
+        for first in range(0, rows, group):
+            part = slice(first, first + group)
             _gaussian_values(raw[part], coefficients[:, :, part], x[part], scratch[1])
     # Row sums of a C-contiguous stack equal the per-row sums bit for bit.
     sums = x.sum(axis=1)
@@ -424,35 +438,34 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
         return np.empty(0), np.empty(0)
     finite = model.space.kind is SpaceKind.FINITE
     per_draw = 1 if finite else 2
-    # Each party's row is scaled up by a power of two, exactly, until its
-    # largest feature is at least 1 (never down, so nothing new overflows);
-    # otherwise x * x and the squared deviations underflow below about
-    # 1e-154. The means and standard errors are scaled back at the end.
-    # Calls whose rows all reach 1, as spin rows do, skip the integer
-    # arithmetic: its first use in a process costs about 0.1 MiB of RSS.
+    # x * x and the squared deviations underflow below about 1e-154. A row
+    # whose parties' largest features multiply to less than 1 is scaled up
+    # by the power of two 2**shift that brings that product into [1, 4),
+    # exactly, with no party's largest feature raised past 1: tops m 2**e
+    # (m in [0.5, 1)) multiply to m1 m2 2**(e1 + e2), and party 1 takes at
+    # most 1 - e1 of the 2 - e1 - e2 bits, leaving party 2 at most 1 - e2.
+    # Other rows, non-finite ones included, keep shift 0, so nothing new
+    # overflows. The means and standard errors are scaled back at the end.
     top1, top2 = np.abs(phi1).max(axis=1), np.abs(phi2).max(axis=1)
-    scaled = not (top1.min() >= 1.0 and top2.min() >= 1.0)
-    if scaled:
-        shift1, shift2 = (np.maximum(0, 1 - np.frexp(top)[1]) for top in (top1, top2))
-        phi1, phi2 = np.ldexp(phi1, shift1[:, None]), np.ldexp(phi2, shift2[:, None])
+    e1, e2 = np.frexp(top1)[1], np.frexp(top2)[1]
+    shift = np.where(top1 * top2 < 1.0, np.maximum(0, 2 - e1 - e2), 0)
+    shift1 = np.minimum(shift, np.maximum(0, 1 - e1))
+    phi1, phi2 = np.ldexp(phi1, shift1[:, None]), np.ldexp(phi2, (shift - shift1)[:, None])
     # A tile is (first row, end row, first draw, draws per row), in row and block order.
     batched = per_draw * n <= BATCH_ROW_WORDS and len(keys) >= BATCH_MIN_ROWS
     if batched:
         # As few tiles of at most BLOCK_DRAWS draws as can be, of nearly equal size.
         per_tile = -(-len(keys) // -(-len(keys) // max(1, BLOCK_DRAWS // n)))
         tiles = [(first, first + per_tile, 0, n) for first in range(0, len(keys), per_tile)]
-        # A sub-chunk is a group of rows, or one row of a one-row tile.
         tile_draws = per_tile * n
-        subchunk_draws = min(tile_draws, max(SUBCHUNK_DRAWS, n))
         # Key k is the Philox key words (k0, k1) = (k mod 2**64, k >> 64).
         k1, k0 = np.array([divmod(key, 1 << 64) for key in keys], dtype=np.uint64).T[:, :, None]
     else:
         tiles = [(row, row + 1, start, min(BLOCK_DRAWS, n - start))
                  for row in range(len(keys)) for start in range(0, n, BLOCK_DRAWS)]
         tile_draws = min(BLOCK_DRAWS, n)
-        subchunk_draws = min(tile_draws, SUBCHUNK_DRAWS)
 
-    def tile_stats(first: int, end: int, start: int, count: int, scratch) -> np.ndarray:
+    def tile_stats(first: int, end: int, start: int, count: int, bg, scratch) -> np.ndarray:
         if batched:
             raw = _philox_words(k0[first:end], k1[first:end], per_draw * count)
 
@@ -460,24 +473,27 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
                 return raw[:, per_draw * lo:per_draw * hi]
         else:
             def words(lo: int, hi: int) -> np.ndarray:
-                return _raw_words(keys[first], per_draw * (start + lo),
+                return _raw_words(bg, keys[first], per_draw * (start + lo),
                                   per_draw * (hi - lo))[None, :]
         return _tile_stats(model, words, count, phi1[first:end], phi2[first:end], scratch)
 
     # Each worker takes the next tile number under a lock and stores the
-    # tile's statistics in its slot. Its Gaussian buffers are made once, here.
+    # tile's statistics in its slot. Its bit generator for one-row tiles and
+    # its Gaussian buffers are made once, here.
     stats = [None] * len(tiles)
     tasks = iter(range(len(tiles)))
     taking = threading.Lock()
 
     def drain() -> None:
-        scratch = None if finite else (np.empty(tile_draws), np.empty(2 * subchunk_draws))
+        bg = None if batched else np.random.Philox()
+        scratch = None if finite else (np.empty(tile_draws),
+                                       np.empty(2 * min(tile_draws, SUBCHUNK_DRAWS)))
         while True:
             with taking:
                 index = next(tasks, None)
             if index is None:
                 return
-            stats[index] = tile_stats(*tiles[index], scratch)
+            stats[index] = tile_stats(*tiles[index], bg, scratch)
 
     # The calling thread is one of the workers; the others are plain threads
     # (an executor would import concurrent.futures and logging, about 7 ms of
@@ -514,10 +530,7 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
         mean, stderr = _finite_mean_stderr(totals, phi1, phi2, n)
     else:
         mean, stderr = _mean_stderr(totals[:, 0], totals[:, 1], n)
-    if not scaled:
-        return mean, stderr
-    shift = -(shift1 + shift2)
-    return np.ldexp(mean, shift), np.ldexp(stderr, shift)
+    return np.ldexp(mean, -shift), np.ldexp(stderr, -shift)
 
 
 def _finite_mean_stderr(counts: np.ndarray, phi1: np.ndarray, phi2: np.ndarray,

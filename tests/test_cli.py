@@ -621,6 +621,20 @@ class TestTinySqueezing:
             assert bits(s[4:6]) == bits(math.ldexp(v, -500) for v in l[4:6])
             assert s[5] > 0.0 and math.isfinite(s[6])
 
+    def test_unequal_parties_are_not_scaled_into_overflow(self, tmp_path):
+        # Party features of about 0.25 and 1e153 multiply to more than 1, so
+        # the rows are not scaled; doubling the small party would make x * x
+        # overflow. Values from before any rescaling.
+        path = write_scenario(tmp_path, {"kind": "FREE_EVOLUTION", "name": "unequal",
+                                         "state": {"moments": {"qq": 0.25, "pq": 0.05,
+                                                               "qp": 0.05, "pp": 0.25}},
+                                         "settings": {"pairs": [[0.0, 1e153], [1e153, 0.0]]},
+                                         "samples": 1000, "seed": 5})
+        assert run_cli(["run", path, "--out-dir", tmp_path]) == 0
+        rows = read_columns(tmp_path / "unequal.csv")
+        assert [row[4:6] for row in rows] == [[5.9229566010658152e+151, 8.2424491088687506e+150],
+                                              [5.5691547779052113e+151, 7.732715833647812e+150]]
+
 
 class TestGridEvaluation:
     def test_spin_pairs_match_scalar_calls_bit_for_bit(self, tmp_path):

@@ -11,8 +11,10 @@ from scipy.special import ndtri
 
 from eprlab import (
     HiddenVariableModel,
+    LinearResponse,
     MomentMatrix,
     QuadratureSetting,
+    ResponseMode,
     SampleSpace,
     TabulatedResponse,
     TimeSetting,
@@ -353,11 +355,10 @@ class TestGaussianSubchunks:
                           workers=workers)
         assert (est.mean.hex(), est.stderr.hex()) == SUBCHUNK_ROW_HEX[n]
 
-    @pytest.mark.parametrize("subchunk", [2, 6, 300])
-    def test_subchunks_of_any_even_size_give_the_same_rows(self, monkeypatch, subchunk):
-        # 40 rows of 100 draws form one batched tile; sub-chunks smaller than a
-        # row cut it into single rows, larger ones into groups of rows. Alone,
-        # each row is a one-row tile of 100 / subchunk sub-chunks.
+    @pytest.mark.parametrize("subchunk", [100, 300, 1000])
+    def test_row_groups_of_any_size_give_the_same_rows(self, monkeypatch, subchunk):
+        # 40 rows of 100 draws form one batched tile, cut into groups of 1, 3
+        # and 10 rows; the last group of 3 holds one row.
         model = quadrature_model(extract_moments(tmsv(0.8)))
         settings1 = [QuadratureSetting(0.1 * i) for i in range(40)]
         settings2 = [QuadratureSetting(-0.07 * i) for i in range(40)]
@@ -365,8 +366,16 @@ class TestGaussianSubchunks:
         want = mc_estimate_rows(model, settings1, settings2, 100, keys)
         monkeypatch.setattr(estimator, "SUBCHUNK_DRAWS", subchunk)
         assert mc_estimate_rows(model, settings1, settings2, 100, keys, workers=2) == want
-        assert [mc_estimate(model, s1, s2, 100, key) for s1, s2, key in
-                zip(settings1, settings2, keys)] == want
+
+    @pytest.mark.parametrize("subchunk", [2, 6, 300])
+    def test_one_row_subchunks_of_any_even_size_give_the_same_row(self, monkeypatch, subchunk):
+        # Rows of 1000 draws alone are one-row tiles of 500, 167 and 4 sub-chunks.
+        model = quadrature_model(extract_moments(tmsv(0.8)))
+        s1, s2 = QuadratureSetting(0.4), QuadratureSetting(-1.2)
+        want = [mc_estimate(model, s1, s2, 1000, key) for key in (5, (3 << 64) + 5)]
+        monkeypatch.setattr(estimator, "SUBCHUNK_DRAWS", subchunk)
+        assert [mc_estimate(model, s1, s2, 1000, key, workers=2)
+                for key in (5, (3 << 64) + 5)] == want
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_traced_peak_memory_per_worker(self, workers):
@@ -382,14 +391,26 @@ class TestGaussianSubchunks:
         assert peak < 1.5 * 2**20 * workers
 
 
-def tiny_spin_model(scale: float) -> HiddenVariableModel:
+def tiny_spin_model(scale: float, scale2: float | None = None) -> HiddenVariableModel:
+    """A three-atom table model; party 2's values are scaled by ``scale2`` if given."""
     settings = (QuadratureSetting(0.0), QuadratureSetting(1.0))
-    values = tuple(tuple(v * scale for v in row) for row in ((1.0, -0.5, 0.25), (0.75, 0.5, -1.0)))
-    return HiddenVariableModel(
-        space=SampleSpace.finite((0.2, 0.3, 0.5)),
-        response1=TabulatedResponse(settings, values),
-        response2=TabulatedResponse(settings, values),
-    )
+
+    def response(factor):
+        return TabulatedResponse(settings, tuple(tuple(v * factor for v in row) for row in
+                                                 ((1.0, -0.5, 0.25), (0.75, 0.5, -1.0))))
+
+    return HiddenVariableModel(space=SampleSpace.finite((0.2, 0.3, 0.5)),
+                               response1=response(scale),
+                               response2=response(scale if scale2 is None else scale2))
+
+
+def linear_model(scale1: float, scale2: float) -> HiddenVariableModel:
+    def response(factor):
+        return LinearResponse((0.8 * factor, -0.3 * factor), (0.4 * factor, 0.6 * factor),
+                              ResponseMode.TRIG)
+
+    return HiddenVariableModel(space=SampleSpace.gaussian_pair(), response1=response(scale1),
+                               response2=response(scale2))
 
 
 class TestTinyFeatures:
@@ -416,6 +437,24 @@ class TestTinyFeatures:
         for a, b in zip(small, large):
             assert a.mean == math.ldexp(b.mean, -500)
             assert a.stderr == math.ldexp(b.stderr, -500) > 0.0
+
+    #: float.hex of (mean, stderr) of the rows below for parties of values
+    #: about 1e-200 and 1e200, taken before any rescaling: their products are
+    #: about 1, so no row is scaled and nothing overflows.
+    UNEQUAL_PARTIES_HEX = {
+        "table": [("-0x1.26e978d4fdf3cp-5", "0x1.a93137f8a5768p-7"),
+                  ("-0x1.1a9fbe76c8b45p-4", "0x1.8f294b01023d3p-7")],
+        "linear": [("0x1.07d6a773f3f7fp-2", "0x1.35ded51087466p-6"),
+                   ("0x1.fc4428aa30d6fp-3", "0x1.477398e71783cp-6")],
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name,model", [("table", tiny_spin_model(1e-200, 1e200)),
+                                            ("linear", linear_model(1e-200, 1e200))])
+    def test_unequal_parties_keep_their_bits(self, name, model, workers):
+        s = [QuadratureSetting(0.0), QuadratureSetting(1.0)]
+        rows = mc_estimate_rows(model, s, s[::-1], 1000, [5, 6], workers=workers)
+        assert [(r.mean.hex(), r.stderr.hex()) for r in rows] == self.UNEQUAL_PARTIES_HEX[name]
 
     def test_estimates_below_the_normal_range_are_rounded_once(self):
         # A row of features 2**-530 has a mean and stderr below 2**-1060, subnormal.
