@@ -74,7 +74,7 @@ from .correlators import (
     spin_correlation_rows,
 )
 from .errors import ConsistencyError, ScenarioError, ValidationError
-from .estimator import MAX_DRAWS, MAX_WORKERS, _mc_rows, _z_scores
+from .estimator import MAX_DRAWS, MAX_WORKERS, _mc_rows, _quiet, _z_scores
 from .gaussian import MomentMatrix, extract_moments, tmsv
 from .lhv import (
     HiddenVariableModel,
@@ -226,12 +226,17 @@ def _parse_chsh(data, kind: str) -> tuple[float, float, float, float] | None:
 def load_scenario(path: Path) -> Scenario:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file {path} is not UTF-8 text: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError as exc:
+        raise ScenarioError(f"scenario file {path} nests its JSON too deeply") from exc
+    except ValueError as exc:
+        # JSONDecodeError, and integers past Python's digit limit for int().
         raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
@@ -318,8 +323,13 @@ def _build_engine(scenario: Scenario) -> _Engine:
                    lambda t1, t2: free_evolution_correlation(m, t1, t2), quantum_rows, magnitude)
 
 
+@_quiet
 def _evaluate(scenario: Scenario, workers: int) -> tuple[np.ndarray, dict]:
-    """All result rows, as a (rows, len(CSV_COLUMNS)) array in CSV column order, and the summary."""
+    """All result rows, as a (rows, len(CSV_COLUMNS)) array in CSV column order, and the summary.
+
+    Overflow is not warned about: it shows as an infinite or NaN value,
+    which ``_check_finite`` reports with its row.
+    """
     engine = _build_engine(scenario)
     model = engine.model
     weights = np.array(model.space.basis_weights)
@@ -458,6 +468,25 @@ def _print_table(chunks: Iterable[list[tuple]], summary: dict) -> None:
           f"consistency_pass = {summary['consistency_pass']}")
 
 
+def _drop_stdout(exc: OSError) -> None:
+    """After a failed write, point stdout at os.devnull so the exit flush cannot fail again.
+
+    A closed pipe (EPIPE) or a full device keeps the unwritten text in
+    stdout's buffer, which the interpreter would try to flush once more at
+    exit and report with a traceback; this is the recipe of the "Note on
+    SIGPIPE" in the documentation of Python's ``signal`` module.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not a file: nothing is flushed to a descriptor at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def run_scenario(path: Path, out_dir: Path | None = None, seed: int | None = None,
                  samples: int | None = None, workers: int = 1) -> int:
     """Execute a scenario file and write its CSV and summary outputs.
@@ -492,8 +521,13 @@ def run_scenario(path: Path, out_dir: Path | None = None, seed: int | None = Non
     except OSError as exc:
         raise ScenarioError(f"cannot write the outputs in {out}: {exc}") from exc
 
-    _print_table(_chunks(table), summary)
-    print(f"wrote {csv_path} and {summary_path}")
+    try:
+        _print_table(_chunks(table), summary)
+        print(f"wrote {csv_path} and {summary_path}")
+        sys.stdout.flush()
+    except OSError as exc:
+        _drop_stdout(exc)
+        raise ScenarioError(f"cannot write the table to standard output: {exc}") from exc
     if not summary["consistency_pass"]:
         print("error: model expectation deviates from the quantum value beyond "
               f"{CONSISTENCY_TOL} * max(1, sum of |closed-form terms|) on some row",

@@ -1,28 +1,59 @@
 """Seeded Monte Carlo estimation of model correlations.
 
 Randomness comes from a counter-based generator (Philox) keyed by a
-128-bit stream key: the value of draw ``i`` depends only on (key, i),
-never on how many draws preceded it in this process. The CLI keys row
-``r`` of a run at seed ``s`` as ``s + (r << 64)``, the pair (seed, row),
-so no two rows of any two seeds share a stream, and row 0 draws from the
-stream of the seed alone.
+128-bit stream key: the value of draw ``i`` depends only on (key, i) for
+a finite model, and on (key, block, i) for a Gaussian one, never on how
+many draws preceded it in this process. The CLI keys row ``r`` of a run
+at seed ``s`` as ``s + (r << 64)``, the pair (seed, row), so no two rows
+of any two seeds share a stream, and row 0 draws from the stream of the
+seed alone.
 
-Standard normals are produced by the inverse normal CDF applied to
-uniforms of the form ((word >> 12) + 0.5) * 2**-52, which are strictly
-inside (0, 1) and symmetric about 1/2, keeping the transform finite.
-They are built without an integer-to-float conversion: OR-ing the
-exponent bits of 1.0 onto m = word >> 12 (m < 2**52) gives the double
-1 + m * 2**-52 exactly, and subtracting 1 - 2**-53 from it leaves
-m * 2**-52 + 2**-53 = (2 m + 1) * 2**-53. That subtraction is exact
-too: the difference fits in 53 bits (Sterbenz's lemma also applies, as
-1 + m * 2**-52 lies within a factor 2 of 1 - 2**-53). The inverse CDF
-writes the sub-chunk's normals into a buffer of the worker, and the pair
-contraction runs in that buffer and in the spent words; so a one-row
-Gaussian tile allocates only its words, one sub-chunk of
-``SUBCHUNK_DRAWS`` draws at a time, and its x values go into the
-worker's x row. ``ndtri``
-imports ``scipy.special`` on its first call, so a run that samples only
-finite models never loads scipy.
+Uniforms have the form ((word >> 12) + 0.5) * 2**-52, strictly inside
+(0, 1) and symmetric about 1/2. They are built without an
+integer-to-float conversion: OR-ing the exponent bits of 1.0 onto
+m = word >> 12 (m < 2**52) gives the double 1 + m * 2**-52 exactly, and
+subtracting 1 - 2**-53 from it leaves m * 2**-52 + 2**-53
+= (2 m + 1) * 2**-53. That subtraction is exact too: the difference fits
+in 53 bits (Sterbenz's lemma also applies, as 1 + m * 2**-52 lies within
+a factor 2 of 1 - 2**-53).
+
+Gaussian rows (stream contract v3). A row samples x = xi1 * xi2 with
+xi1 = u . eta, xi2 = v . eta and eta ~ N(0, I), u and v the parties'
+feature rows. The estimator needs only x, and x has an exact law: with
+s = |u| |v| and rho = u . v / s, x = s E (rho + S), where E ~ Exp(1) and
+S = cos 2 theta, theta uniform, are independent. Proof sketch: x is the
+quadratic form eta^T A eta with A = (u v^T + v u^T) / 2, whose nonzero
+eigenvalues are s (1 + rho) / 2 and -s (1 - rho) / 2, so by rotation
+invariance x = s ((1 + rho) / 2 Z1**2 - (1 - rho) / 2 Z2**2) with Z1, Z2
+independent standard normals. In polar form Z1 = R cos theta,
+Z2 = R sin theta, R**2 / 2 ~ Exp(1) is independent of theta, and the
+bracket is R**2 / 2 (cos 2 theta + rho). This holds for any feature
+dimension and gives E[x] = u . v and E[x * x] = |u|**2 |v|**2
++ 2 (u . v)**2, as Isserlis does. Draw i of a row takes
+S = sin(pi (U - 1/2)), which has the law of cos 2 theta, from the uniform
+U of word i of the row's stream (U - 1/2 is exact), and E from numpy's
+ziggurat ``Generator.standard_exponential`` on the row key's Philox
+substream from counter (0, b + 1, 0, 0) for block b = i // BLOCK_DRAWS.
+The ziggurat takes a variable number of words a value, so a block's
+exponentials are read in order; the bits do not depend on
+``SUBCHUNK_DRAWS`` or on the worker count, but the block boundaries are
+part of the output. The tile sums y = E (rho + S), which is of order 1,
+and its square; the row's mean and standard error of y are multiplied by
+s at the end (s = rho = 0 for a row with a zero party, whose estimate is
+then +0.0 with stderr 0). ``_gaussian_law`` gives s by ``hypot`` and rho
+from the unit vectors, clipped to [-1, 1].
+
+Only numpy is needed, and only functions whose float64 bits do not depend
+on numpy's SIMD dispatch: ``np.sin`` and the ziggurat give the same bits
+with numpy's AVX-512 loops switched off, ``np.log`` and ``np.log1p`` do
+not, so a Box-Muller or inverse-transform exponential would break the
+pinned outputs on hosts without AVX-512. The Gaussian bits are tied to
+numpy's C ziggurat, whose stream NEP 19 does not promise to keep across
+numpy versions (contract v2 was tied to scipy's ``ndtri`` build in the
+same way); the pinned tests detect such a change. ``ndtri``, the name of
+the former inverse normal CDF, is kept for the sub-chunk transform
+(E, U -> y), which Gaussian tiles call through the module: it is the
+transform layer's probe point for the benchmark's traced runs.
 
 A finite model draws atom ``k`` when the uniform (word >> 11) * 2**-53
 lies in [cum[k-1], cum[k]), the last atom taking the rest. Scaling by
@@ -36,22 +67,19 @@ count the words at or above each threshold and take differences; large
 ones, and multi-row tiles of rows shorter than ``MIN_COUNTED_ROW_WORDS``
 words, binary-search the thresholds and count the indices.
 
-Every draw goes through one kernel, ``_tile_stats``. A tile is a
-C-contiguous (rows, words) stack of Philox words; the kernel turns it
-into each row's sufficient statistics: the atom counts of a finite
-model, or the sums of x = xi1 * xi2 and of x * x over normal pairs.
-A Gaussian tile makes its x values sub-chunk by sub-chunk (draws of a
-one-row tile, groups of rows of a multi-row one) into an x row that
-each worker allocates once per call, and then sums the whole x row,
-squares it and sums again, as a tile-sized array would be summed: row
-sums of a C-contiguous stack equal the per-row sums bit for bit.
+Every draw goes through one kernel, ``_tile_stats``. A finite tile is a
+C-contiguous (rows, words) stack of Philox words, which the kernel turns
+into each row's atom counts. A Gaussian tile is one block of one row: it
+draws its words and exponentials one sub-chunk of ``SUBCHUNK_DRAWS``
+draws at a time, writes y into a y row that each worker allocates once
+per call, and then sums the whole y row, squares it and sums again.
 ``mc_estimate_rows`` cuts its rows into tiles of at most ``BLOCK_DRAWS``
-draws. A chunk of at least ``BATCH_MIN_ROWS`` rows of at most
-``BATCH_ROW_WORDS`` words each gives multi-row tiles, whose words come
-from a numpy Philox4x64-10 vectorised over keys and counters
-(``_philox_words``, bit-identical to numpy's generator). Every other
-row gives a one-row tile per block of ``BLOCK_DRAWS`` draws from numpy's
-C generator (``_raw_words``). All tiles of a call are shared among
+draws. For a finite model, a chunk of at least ``BATCH_MIN_ROWS`` rows of
+at most ``BATCH_ROW_WORDS`` words each gives multi-row tiles, whose words
+come from a numpy Philox4x64-10 vectorised over keys and counters
+(``_philox_words``, bit-identical to numpy's generator). Every other row
+gives a one-row tile per block of ``BLOCK_DRAWS`` draws from numpy's C
+generator (``_raw_words``). All tiles of a call are shared among
 ``workers`` threads (the calling thread is one of them), and each row's
 statistics are then added up tile by tile in block order. So a row's
 estimate is a pure function of (model, settings, n, key), bit-identical
@@ -63,20 +91,21 @@ the empirical weights c / n in place of w, and its squared standard
 error the same contraction of the deviations d = phi1 * phi2 - mean,
 over n - 1. Both are K-term sums with the nonnegative weights c / n,
 and the deviations are taken before they are squared, so nothing
-cancels. A Gaussian row's variance comes from sum(x * x) - n mean**2,
-which cannot cancel badly either: with xi1 = u . eta and xi2 = v . eta,
-Isserlis gives E[x * x] = |u|**2 |v|**2 + 2 (u . v)**2, at least
-3 mean**2, so the subtraction loses less than one bit. Squares of
-small products would underflow (x * x below about 1e-154 is lost), so a
-row whose two parties' largest features multiply to less than 1 is first
-scaled up by a power of two that brings that product into [1, 4), and
-its mean and standard error are scaled back at the end. The scale is set
-by the pair, never raising one party's largest feature past 1, so a row
-of one tiny and one huge party is left as it is and nothing overflows
-that did not before. Power-of-two scaling is exact in range, so rows
-that do not underflow get the same bits as without it, and scaling a
-party's features by 2**-k scales the row's mean and standard error by
-2**-k exactly, as long as they stay normal doubles.
+cancels. A Gaussian row's variance comes from sum(y * y) - n mean**2,
+which cannot cancel badly either: E[y * y] = 1 + 2 rho**2 is at least
+3 rho**2, three times the squared mean, so the subtraction loses less
+than one bit; and y is of order 1, so its sums neither overflow nor
+underflow. Small features would still underflow: a finite row's squared
+deviations, and a Gaussian row's s. So a row whose two parties' largest
+features multiply to less than 1 is first scaled up by a power of two
+that brings that product into [1, 4), and its mean and standard error
+are scaled back at the end. The scale is set by the pair, never raising
+one party's largest feature past 1, so a row of one tiny and one huge
+party is left as it is and nothing overflows that did not before.
+Power-of-two scaling is exact in range, so rows that do not underflow
+get the same bits as without it, and scaling a party's features by
+2**-k scales the row's mean and standard error by 2**-k exactly, as long
+as they stay normal doubles.
 
 ``_mc_rows`` does this on the rows' feature stacks and returns the means
 and standard errors as arrays; ``mc_estimate_rows`` builds the stacks
@@ -125,14 +154,16 @@ MAX_COUNTED_ATOMS = 32
 #: most 256 rows.
 MIN_COUNTED_ROW_WORDS = 16
 
-#: Rows with more Philox words than this (n for finite models, 2 n for
-#: Gaussian ones) take numpy's C generator. Per row of a 256-row batch on
-#: a 2-vCPU x86-64 host, batched against C generator (spin model, medians
-#: of 7): 5 vs 60 us at 2 words, 13 vs 64 us at 64, 32 vs 66 us at 256,
-#: 60 vs 72 us at 512, 133 vs 79 us at 1024; Gaussian rows crossed over at
-#: about 1024 words too. The vectorised generator costs about 0.1 us per
-#: word against a few ns, so the cutoff sits at half the crossover, where
-#: a batched row still costs half as much.
+#: Finite rows of more draws (one Philox word each) than this take numpy's
+#: C generator. Per row of a 256-row batch on a 2-vCPU x86-64 host, batched
+#: against C generator (spin model, medians of 7): 5 vs 60 us at 2 words,
+#: 13 vs 64 us at 64, 32 vs 66 us at 256, 60 vs 72 us at 512, 133 vs 79 us
+#: at 1024. The vectorised generator costs about 0.1 us per word against a
+#: few ns, so the cutoff sits at half the crossover, where a batched row
+#: still costs half as much. Gaussian rows always take the C generator: their
+#: exponentials come from numpy's ziggurat on a re-keyed generator anyway,
+#: and a 72x72 quadrature grid at n = 2 ran no slower cold that way (0.53
+#: against 0.60 s for the batched kernel with scipy, medians of 6).
 BATCH_ROW_WORDS = 256
 
 #: Chunks of fewer rows take the C generator too. The vectorised generator
@@ -146,19 +177,16 @@ BATCH_ROW_WORDS = 256
 #: grid of 5184 rows at n = 2 peaked at 38.3 against 32.9 MiB that way.
 BATCH_MIN_ROWS = 32
 
-#: Draws per sub-chunk of a Gaussian tile. A one-row tile draws its words
-#: one sub-chunk at a time and turns them into normals and products in
-#: place; a worker's only buffers are its x row of BLOCK_DRAWS values and
-#: two values a draw of one sub-chunk, made once per call, plus the
-#: sub-chunk's words. mc_gauss (36 rows of 10**6 draws, 2 workers), cold
-#: runs on a 2-vCPU x86-64 host, medians of 10 alternating: a tile-sized
-#: kernel (2 MiB of arrays a tile, which glibc gave back to the system and
-#: faulted in again) took 2.15 s, 127k minor faults, 58.9 MiB peak RSS;
-#: sub-chunks of 4096 draws 2.96 s, 13k, 55.6 MiB; 8192 2.47 s, 10k, 56.4;
-#: 16384 2.07 s, 10k, 56.8; 32768 2.14 s, 11k, 58.0; 65536 2.12 s, 12k,
-#: 60.0. Small sub-chunks lose time to the GIL: each numpy call hands it
-#: to the other worker and back. Even, so that every sub-chunk starts at a
-#: 4-aligned word.
+#: Draws per sub-chunk of a Gaussian tile. A tile draws its words and
+#: exponentials one sub-chunk at a time and turns them into y in place; a
+#: worker's only buffers are its y row of BLOCK_DRAWS values, made once per
+#: call, and the sub-chunk's words. mc_gauss (36 rows of 10**6 draws,
+#: 2 workers), cold runs on a 2-vCPU x86-64 host, medians of 8 alternating:
+#: sub-chunks of 4096 draws took 1.28 s, 37.5 MiB peak RSS; 16384 1.02 s,
+#: 37.6 MiB; 65536 1.02 s, 38.5 MiB. Small sub-chunks lose time to the GIL:
+#: each numpy call hands it to the other worker and back. A multiple of 4,
+#: so that every sub-chunk starts at a 4-aligned word; the bits do not
+#: depend on it.
 SUBCHUNK_DRAWS = 1 << 14
 
 #: Most worker threads a call may ask for. A call starts at most
@@ -173,8 +201,8 @@ MAX_WORKERS = 1024
 #: drawn: 0.27 KiB a tile (tracemalloc peak over 65 536 one-row tiles,
 #: finite or Gaussian), so a call at this cap, 2**20 tiles of BLOCK_DRAWS
 #: draws, holds about 0.27 GiB of them.
-#: Drawing that many takes about an hour at the 18.5M Gaussian draws/s of
-#: two workers on a 2-vCPU x86-64 host.
+#: Drawing that many takes about half an hour at the 36M Gaussian draws/s
+#: of two workers on a 2-vCPU x86-64 host.
 MAX_DRAWS = 1 << 36
 
 
@@ -221,22 +249,31 @@ class ComparisonReport:
     inconsistent: bool
 
 
-def _raw_words(bg: np.random.Philox, key: int, word_offset: int, n_words: int) -> np.ndarray:
-    """Words ``word_offset`` .. ``word_offset + n_words - 1`` of the Philox stream keyed by ``key``.
+def _rekey(bg: np.random.Philox, key: int, counter: tuple[int, int, int, int]) -> None:
+    """Sets the bit generator ``bg`` to the Philox stream keyed by ``key`` at ``counter``.
 
-    Re-keys the bit generator ``bg`` through its state setter (about 5 us,
-    against 15-25 us for a new ``np.random.Philox(key=key)``, whose seed
-    sequence reads OS entropy that the key then overrides) and draws from it.
+    Goes through the state setter (about 5 us, against 15-25 us for a new
+    ``np.random.Philox(key=key)``, whose seed sequence reads OS entropy that
+    the key then overrides). numpy increments the counter before it
+    generates, so the next words come from counter + 1.
     """
-    # Philox advances its counter in blocks of four 64-bit words; numpy
-    # increments the counter before it generates, so block b follows counter b.
-    if word_offset % 4:
-        raise ValidationError(f"word offset must be 4-aligned, got {word_offset}")
     bg.state = {"bit_generator": "Philox",
-                "state": {"counter": np.array([word_offset // 4, 0, 0, 0], dtype=np.uint64),
+                "state": {"counter": np.array(counter, dtype=np.uint64),
                           "key": np.array(divmod(key, 1 << 64)[::-1], dtype=np.uint64)},
                 "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
                 "has_uint32": 0, "uinteger": 0}
+
+
+def _raw_words(bg: np.random.Philox, key: int, word_offset: int, n_words: int) -> np.ndarray:
+    """Words ``word_offset`` .. ``word_offset + n_words - 1`` of the Philox stream keyed by ``key``.
+
+    Re-keys the bit generator ``bg`` (``_rekey``) and draws from it.
+    """
+    # Philox advances its counter in blocks of four 64-bit words: block b
+    # follows counter b.
+    if word_offset % 4:
+        raise ValidationError(f"word offset must be 4-aligned, got {word_offset}")
+    _rekey(bg, key, (word_offset // 4, 0, 0, 0))
     return bg.random_raw(n_words)
 
 
@@ -277,10 +314,20 @@ def _philox_words(k0: np.ndarray, k1: np.ndarray, n_words: int) -> np.ndarray:
     return np.ascontiguousarray(words.reshape(len(words), 4 * n_blocks)[:, :n_words])
 
 
-def ndtri(u, out=None):
-    """Inverse standard normal CDF, ``scipy.special.ndtri``, imported on first use."""
-    from scipy.special import ndtri as inverse_cdf
-    return inverse_cdf(u, out=out)
+def ndtri(u: np.ndarray, rho: float, e: np.ndarray) -> np.ndarray:
+    """y = e * (rho + sin(pi * (u - 1/2))) for a sub-chunk's uniforms ``u`` and exponentials ``e``.
+
+    The transform layer's probe point: the benchmark's traced run wraps
+    this name, which Gaussian draws call through the module and finite ones
+    never call. It is no longer an inverse normal CDF. Overwrites ``u`` and
+    writes y into ``e``, which it returns.
+    """
+    u -= 0.5
+    u *= np.pi
+    np.sin(u, out=u)
+    u += rho
+    e *= u
+    return e
 
 
 def _atom_counts(weights, raw: np.ndarray) -> np.ndarray:
@@ -317,66 +364,30 @@ def _uniforms(raw: np.ndarray) -> np.ndarray:
     return u
 
 
-def _gaussian_values(raw: np.ndarray, coefficients: np.ndarray, x: np.ndarray,
-                     scratch: np.ndarray) -> None:
-    """Writes xi1 * xi2 for the normal pairs of a (rows, 2 m) stack of ``raw`` words into ``x``.
-
-    ``coefficients[k, p]`` is feature coefficient k of party p for every
-    row, a (rows, 1) column, and ``x`` is a (rows, m) array. Overwrites
-    ``raw`` and the first 2 rows m values of ``scratch``.
-    """
-    rows, m = x.shape
-    u = _uniforms(raw)
-    # eta[k] holds the k-th normal of every pair, (rows, m).
-    eta = scratch[:2 * rows * m].reshape(2, rows, m)
-    ndtri(u.reshape(rows, m, 2).transpose(2, 0, 1), out=eta)
-    # xi_p = eta[0] * c[0, p] + eta[1] * c[1, p]: the words' memory takes
-    # both parties' eta[1] terms, eta their eta[0] terms and then the sums.
-    terms = u.reshape(2, rows, m)
-    np.multiply(eta[1], coefficients[1], out=terms)
-    np.multiply(eta[0], coefficients[0, 1], out=eta[1])
-    eta[0] *= coefficients[0, 0]
-    eta += terms
-    np.multiply(eta[0], eta[1], out=x)
-
-
 @_quiet
-def _tile_stats(model: HiddenVariableModel, words, count: int, phi1: np.ndarray,
-                phi2: np.ndarray, scratch: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def _tile_stats(model: HiddenVariableModel, words, count: int, rho: float,
+                exponentials: np.random.Generator, y: np.ndarray) -> np.ndarray:
     """Each row's sufficient statistics over the ``count`` draws per row of one tile.
 
     ``words(lo, hi)`` returns a C-contiguous (rows, words) stack of the
-    Philox words of draws lo .. hi - 1 of each row, which a Gaussian tile
-    overwrites; ``phi1`` and ``phi2`` are the (rows, d) feature stacks of
-    the same rows. A finite tile returns the rows' atom counts, (rows, K)
-    int64; a Gaussian one the rows' sums of x and of x * x, (rows, 2)
-    float64. A Gaussian tile writes x into ``scratch[0]``, which holds the
-    whole tile, and each sub-chunk works in ``scratch[1]``, two values per
-    draw of ``SUBCHUNK_DRAWS`` draws or of the tile if it has fewer. The
-    rows of a multi-row tile have at most ``SUBCHUNK_DRAWS`` draws each.
+    Philox words of draws lo .. hi - 1 of each row. A finite tile returns
+    the rows' atom counts, (rows, K) int64, and ignores the other
+    arguments. A Gaussian tile has one row, of law parameter ``rho``; it
+    draws the row's exponentials in order from ``exponentials``, keyed to
+    the tile's block, writes y into ``y``, which holds the whole tile, and
+    returns the sums of y and of y * y, (1, 2) float64. It overwrites the
+    words, one sub-chunk of ``SUBCHUNK_DRAWS`` draws at a time.
     """
     if model.space.kind is SpaceKind.FINITE:
         return _atom_counts(model.space.weights, words(0, count))
-    rows = len(phi1)
-    x = scratch[0][:rows * count].reshape(rows, count)
-    # coefficients[k, p, :, None] is coefficient k of party p in every row.
-    coefficients = np.stack((phi1.T, phi2.T), axis=1)[:, :, :, None]
-    # A sub-chunk has at most SUBCHUNK_DRAWS draws: a run of draws of a
-    # one-row tile, which draws its words one sub-chunk at a time, or a group
-    # of whole rows of a multi-row tile, which has its words at once.
-    if rows == 1:
-        for lo in range(0, count, SUBCHUNK_DRAWS):
-            hi = min(lo + SUBCHUNK_DRAWS, count)
-            _gaussian_values(words(lo, hi), coefficients, x[:, lo:hi], scratch[1])
-    else:
-        raw, group = words(0, count), SUBCHUNK_DRAWS // count
-        for first in range(0, rows, group):
-            part = slice(first, first + group)
-            _gaussian_values(raw[part], coefficients[:, :, part], x[part], scratch[1])
-    # Row sums of a C-contiguous stack equal the per-row sums bit for bit.
-    sums = x.sum(axis=1)
-    x *= x
-    return np.stack((sums, x.sum(axis=1)), axis=1)
+    y = y[:count]
+    for lo in range(0, count, SUBCHUNK_DRAWS):
+        hi = min(lo + SUBCHUNK_DRAWS, count)
+        exponentials.standard_exponential(out=y[lo:hi])
+        ndtri(_uniforms(words(lo, hi)[0]), rho, y[lo:hi])
+    total = y.sum()
+    y *= y
+    return np.array([[total, y.sum()]])
 
 
 def _check_draws(n, keys: Sequence[int], workers) -> None:
@@ -437,13 +448,12 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
     if not keys:
         return np.empty(0), np.empty(0)
     finite = model.space.kind is SpaceKind.FINITE
-    per_draw = 1 if finite else 2
-    # x * x and the squared deviations underflow below about 1e-154. A row
-    # whose parties' largest features multiply to less than 1 is scaled up
-    # by the power of two 2**shift that brings that product into [1, 4),
-    # exactly, with no party's largest feature raised past 1: tops m 2**e
-    # (m in [0.5, 1)) multiply to m1 m2 2**(e1 + e2), and party 1 takes at
-    # most 1 - e1 of the 2 - e1 - e2 bits, leaving party 2 at most 1 - e2.
+    # A finite row's squared deviations, and a Gaussian row's scale s, underflow
+    # for small features. A row whose parties' largest features multiply to less
+    # than 1 is scaled up by the power of two 2**shift that brings that product
+    # into [1, 4), exactly, with no party's largest feature raised past 1: tops
+    # m 2**e (m in [0.5, 1)) multiply to m1 m2 2**(e1 + e2), and party 1 takes
+    # at most 1 - e1 of the 2 - e1 - e2 bits, leaving party 2 at most 1 - e2.
     # Other rows, non-finite ones included, keep shift 0, so nothing new
     # overflows. The means and standard errors are scaled back at the end.
     top1, top2 = np.abs(phi1).max(axis=1), np.abs(phi2).max(axis=1)
@@ -451,49 +461,51 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
     shift = np.where(top1 * top2 < 1.0, np.maximum(0, 2 - e1 - e2), 0)
     shift1 = np.minimum(shift, np.maximum(0, 1 - e1))
     phi1, phi2 = np.ldexp(phi1, shift1[:, None]), np.ldexp(phi2, (shift - shift1)[:, None])
+    if not finite:
+        scale, rho = _gaussian_law(phi1, phi2)
     # A tile is (first row, end row, first draw, draws per row), in row and block order.
-    batched = per_draw * n <= BATCH_ROW_WORDS and len(keys) >= BATCH_MIN_ROWS
+    batched = finite and n <= BATCH_ROW_WORDS and len(keys) >= BATCH_MIN_ROWS
     if batched:
         # As few tiles of at most BLOCK_DRAWS draws as can be, of nearly equal size.
         per_tile = -(-len(keys) // -(-len(keys) // max(1, BLOCK_DRAWS // n)))
         tiles = [(first, first + per_tile, 0, n) for first in range(0, len(keys), per_tile)]
-        tile_draws = per_tile * n
         # Key k is the Philox key words (k0, k1) = (k mod 2**64, k >> 64).
         k1, k0 = np.array([divmod(key, 1 << 64) for key in keys], dtype=np.uint64).T[:, :, None]
     else:
         tiles = [(row, row + 1, start, min(BLOCK_DRAWS, n - start))
                  for row in range(len(keys)) for start in range(0, n, BLOCK_DRAWS)]
-        tile_draws = min(BLOCK_DRAWS, n)
 
-    def tile_stats(first: int, end: int, start: int, count: int, bg, scratch) -> np.ndarray:
+    def tile_stats(first: int, end: int, start: int, count: int, bg, exponentials,
+                   y) -> np.ndarray:
         if batched:
-            raw = _philox_words(k0[first:end], k1[first:end], per_draw * count)
-
             def words(lo: int, hi: int) -> np.ndarray:
-                return raw[:, per_draw * lo:per_draw * hi]
+                return _philox_words(k0[first:end], k1[first:end], count)
         else:
             def words(lo: int, hi: int) -> np.ndarray:
-                return _raw_words(bg, keys[first], per_draw * (start + lo),
-                                  per_draw * (hi - lo))[None, :]
-        return _tile_stats(model, words, count, phi1[first:end], phi2[first:end], scratch)
+                return _raw_words(bg, keys[first], start + lo, hi - lo)[None, :]
+        if finite:
+            return _tile_stats(model, words, count, None, None, None)
+        # Block b's exponentials: the row's Philox substream from counter (0, b + 1, 0, 0).
+        _rekey(exponentials.bit_generator, keys[first], (0, start // BLOCK_DRAWS + 1, 0, 0))
+        return _tile_stats(model, words, count, rho[first], exponentials, y)
 
     # Each worker takes the next tile number under a lock and stores the
-    # tile's statistics in its slot. Its bit generator for one-row tiles and
-    # its Gaussian buffers are made once, here.
+    # tile's statistics in its slot. Its bit generator for one-row tiles, and
+    # a Gaussian tile's exponential generator and y row, are made once, here.
     stats = [None] * len(tiles)
     tasks = iter(range(len(tiles)))
     taking = threading.Lock()
 
     def drain() -> None:
         bg = None if batched else np.random.Philox()
-        scratch = None if finite else (np.empty(tile_draws),
-                                       np.empty(2 * min(tile_draws, SUBCHUNK_DRAWS)))
+        exponentials = None if finite else np.random.Generator(np.random.Philox())
+        y = None if finite else np.empty(min(BLOCK_DRAWS, n))
         while True:
             with taking:
                 index = next(tasks, None)
             if index is None:
                 return
-            stats[index] = tile_stats(*tiles[index], bg, scratch)
+            stats[index] = tile_stats(*tiles[index], bg, exponentials, y)
 
     # The calling thread is one of the workers; the others are plain threads
     # (an executor would import concurrent.futures and logging, about 7 ms of
@@ -530,7 +542,24 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
         mean, stderr = _finite_mean_stderr(totals, phi1, phi2, n)
     else:
         mean, stderr = _mean_stderr(totals[:, 0], totals[:, 1], n)
+        # x = s y; adding 0.0 turns the -0.0 of a zero row (s = 0) into 0.0.
+        mean, stderr = scale * mean + 0.0, scale * stderr
     return np.ldexp(mean, -shift), np.ldexp(stderr, -shift)
+
+
+def _gaussian_law(phi1: np.ndarray, phi2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's scale s = |u| |v| and correlation rho = u.v / s, for x = (u . eta)(v . eta).
+
+    rho is clipped to [-1, 1]; a row with a zero party has s = rho = 0.
+    """
+    norm1, norm2 = np.hypot.reduce(phi1, axis=1), np.hypot.reduce(phi2, axis=1)
+    scale = norm1 * norm2
+    zero = scale == 0.0
+    # Unit vectors keep the products in range: |u.v| <= s can still overflow.
+    unit1 = phi1 / np.where(zero, 1.0, norm1)[:, None]
+    unit2 = phi2 / np.where(zero, 1.0, norm2)[:, None]
+    rho = np.clip(np.where(zero, 0.0, (unit1 * unit2).sum(axis=1)), -1.0, 1.0)
+    return scale, rho
 
 
 def _finite_mean_stderr(counts: np.ndarray, phi1: np.ndarray, phi2: np.ndarray,

@@ -87,3 +87,40 @@ def random_sign_model(rng: np.random.Generator, settings1, settings2,
 
 CHSH_PARTY1_SETTINGS = (QuadratureSetting(0.0), QuadratureSetting(1.1))
 CHSH_PARTY2_SETTINGS = (QuadratureSetting(0.4), QuadratureSetting(2.3))
+
+
+def gaussian_row_reference(u, v, n: int, key: int, block_draws: int = 1 << 16) -> tuple[float, float]:
+    """Mean and standard error of x = (u . eta)(v . eta) over ``n`` draws, one draw at a time.
+
+    Built from the sampling contract, not from the estimator: x = s E (rho + S)
+    with s = |u| |v| and rho = u.v / s (hypot-based and clipped; s = rho = 0 for
+    a zero party). Draw i takes S = sin(pi (U - 1/2)) from word i of the
+    Philox stream keyed by ``key``, U = ((word >> 12) + 0.5) 2**-52, and E
+    from a Generator on the same key's substream from counter (0, b + 1, 0, 0)
+    for block b = i // block_draws, one exponential per call, in order. Each
+    block's y values and their squares are summed by numpy, and the block sums
+    are added in block order, which is the reduction the estimator promises.
+    """
+    # np.hypot, not math.hypot: Python's own vector norm rounds differently
+    # from the C library's hypot in about 0.6 % of cases.
+    norm1, norm2 = float(np.hypot(*u)), float(np.hypot(*v))
+    scale = norm1 * norm2
+    if scale == 0.0:
+        rho = 0.0
+    else:
+        rho = min(max(u[0] / norm1 * (v[0] / norm2) + u[1] / norm1 * (v[1] / norm2), -1.0), 1.0)
+    words = np.random.Philox(key=key).random_raw(n).tolist()
+    total = total_squares = 0.0
+    for start in range(0, n, block_draws):
+        exponentials = np.random.Generator(
+            np.random.Philox(counter=[0, start // block_draws + 1, 0, 0], key=key))
+        y = []
+        for word in words[start:start + block_draws]:
+            uniform = ((word >> 12) + 0.5) * 2.0**-52
+            y.append(exponentials.standard_exponential() * (rho + math.sin(math.pi * (uniform - 0.5))))
+        y = np.array(y)
+        total += float(y.sum())
+        total_squares += float((y * y).sum())
+    mean = total / n
+    stderr = math.sqrt(max(total_squares - n * mean * mean, 0.0) / (n - 1) / n)
+    return scale * mean + 0.0, scale * stderr

@@ -21,37 +21,43 @@ from eprlab import (
     cli,
     correlators,
     exact_expectation,
+    extract_moments,
     free_evolution_model,
     mc_estimate,
     quadrature_correlation,
     quadrature_model,
     spin_correlation,
+    tmsv,
     unbounded_spin_model,
 )
+from conftest import gaussian_row_reference
 from eprlab.estimator import BLOCK_DRAWS, MAX_WORKERS
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 #: sha256 of the bundled outputs. A change that alters the Monte Carlo
 #: stream or the output format on purpose updates these and says so. Taken
-#: with rows keyed by (seed, row) and finite rows reduced from atom counts.
+#: with rows keyed by (seed, row) and finite rows reduced from atom counts;
+#: the Gaussian ones again when x was first drawn from its product law
+#: (stream contract v3), after test_gaussian_rows_equal_the_per_draw_reference
+#: passed on them.
 BUNDLED_SHA256 = {
     "spin_chsh.csv": "cb2278e6237f92792b5c9bdda98810063af4cc147a4d9b7577b679f158775cff",
     "spin_chsh.summary.json": "6761085e2b5220e4c86b51c3a64e0182fafe14810d7839e27c9df1bba0ab2ba1",
-    "epr_quadrature.csv": "73011857a8430bf5b1c6b19e042fb96510b0be69763a97bfb9271946a940c0a2",
+    "epr_quadrature.csv": "99d1819e489614a77f0523d78e25ee656b67ce4656a91271a54e963bfc94c8f4",
     "epr_quadrature.summary.json":
-        "10e2434013be06b93b8766065d931e109b9498510a2c234dc6cf25aff9aefeed",
-    "free_evolution.csv": "a315eed4f06a3ebcb68e102a1e0a1dc516e796e2fbc4a8f899a36615d6706aff",
+        "7c03ce84749d74b7a3130bb0f46908c6a169b0b80e6bea8457ec5b3aa300fcdb",
+    "free_evolution.csv": "b99e8da78c9274b50341c0483e75300fe3d9f922ac78dd4ce1e376ff84a31e25",
     "free_evolution.summary.json":
-        "3b0f34988b6908e7bdd63b2df0a5e52d5d304b7e4145c422c925b434be5bec67",
+        "8655f8af6755f3bb9d33e5774d36a22ccc3a5cefd52ef85deb0c1c77552c4129",
 }
 
 #: sha256 of the bundled scenarios' stdout tables without their last line,
 #: which names the output directory. Taken with the bundled hashes above.
 BUNDLED_STDOUT_SHA256 = {
     "spin_chsh": "ff34c995e4b14fbe7c89ba0cdbf1c5f98375ab78080be1e90460c5d3f5238ae9",
-    "epr_quadrature": "ba0ea268a18a9984b92d2e85478dc1956042f85ad61445c7811de19a067dde8a",
-    "free_evolution": "04820f18aeff5ccd9c681a1e95a5c95bd38297cfd61803296e0ec3387d91899c",
+    "epr_quadrature": "1728b77063c66e5e7ebd6141ee0d06c8b50cd12faa630cd5cfa88150e8168daa",
+    "free_evolution": "36f82f0ef5035f2423729488c6914f5e979eacc41236e64d117f65b143eecd98",
 }
 
 #: sha256 of the CSV of SQUEEZING_0_SCAN, taken while GaussianState still
@@ -63,6 +69,10 @@ SQUEEZING_0_SCAN = {
                  "setting2": {"start": -3.0, "stop": 3.0, "count": 13}},
     "samples": 50, "seed": 3,
 }
+
+
+#: Moments of a FREE_EVOLUTION state whose rows overflow at times of about 1e300.
+FREE_MOMENTS = {"qq": 0.25, "pq": 0.05, "qp": 0.05, "pp": 0.25}
 
 
 def run_cli(args):
@@ -134,6 +144,44 @@ class TestBundledScenarios:
                         "--out-dir", tmp_path]) == 0
         digest = hashlib.sha256((tmp_path / "squeezing_0.csv").read_bytes()).hexdigest()
         assert digest == SQUEEZING_0_CSV_SHA256
+
+
+#: Gaussian scenarios whose rows are checked against the per-draw reference,
+#: by file name or as a scenario document.
+REFERENCE_SCENARIOS = {
+    "epr_quadrature": SCENARIOS / "epr_quadrature.json",
+    "free_evolution": SCENARIOS / "free_evolution.json",
+    "squeezing_0": SQUEEZING_0_SCAN,
+    "chunk_scan": {"kind": "EPR_QUADRATURE", "name": "chunk_scan",
+                   "state": {"moments": {"qq": 0.8, "pq": -0.0, "qp": 0.25, "pp": -1.5}},
+                   "settings": {"setting1": {"start": -3.0, "stop": 3.0, "count": 257},
+                                "setting2": {"value": 0.7}},
+                   "samples": 2, "seed": 11},
+    "unequal": {"kind": "FREE_EVOLUTION", "name": "unequal",
+                "state": {"moments": {"qq": 0.25, "pq": 0.05, "qp": 0.05, "pp": 0.25}},
+                "settings": {"pairs": [[0.0, 1e153], [1e153, 0.0]]},
+                "samples": 1000, "seed": 5},
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SCENARIOS))
+def test_gaussian_rows_equal_the_per_draw_reference(tmp_path, name):
+    """Each row's lhv_mc and stderr, bit for bit, from ``gaussian_row_reference``.
+
+    The pinned Gaussian hashes of this file were taken after this test passed.
+    """
+    path = REFERENCE_SCENARIOS[name]
+    if isinstance(path, dict):
+        path = write_scenario(tmp_path, path)
+    scenario = cli.load_scenario(path)
+    assert run_cli(["run", path, "--out-dir", tmp_path]) == 0
+    engine = cli._build_engine(scenario)
+    rows = read_columns(tmp_path / f"{scenario.name}.csv")
+    for r, (row, (x1, x2)) in enumerate(zip(rows, scenario.setting_pairs)):
+        u = engine.model.response1.features(engine.make_setting(x1))
+        v = engine.model.response2.features(engine.make_setting(x2))
+        want = gaussian_row_reference(u, v, scenario.samples, scenario.seed + (r << 64))
+        assert bits(row[4:6]) == bits(want), r
 
 
 class TestStreamKeys:
@@ -360,6 +408,20 @@ class TestInputErrors:
         assert run_cli(["run", path, "--out-dir", tmp_path / "out"]) == 1
         assert capsys.readouterr().err == "error: quadrature angle must be finite, got -inf\n"
 
+    @pytest.mark.parametrize("content", [
+        b'{"kind": "SPIN_CHSH", "name": "\xff\xfe"}',
+        b"[" * 100_000,
+        b'{"kind": "SPIN_CHSH", "seed": ' + b"9" * 5001 + b"}",
+    ], ids=["not_utf8", "nested_too_deeply", "5001_digits"])
+    def test_undecodable_scenario_files_exit_one(self, tmp_path, capsys, content):
+        # A UnicodeDecodeError, a RecursionError and a ValueError from Python's
+        # limit on integer digits used to end in a traceback.
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        assert run_cli(["run", path, "--out-dir", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_missing_samples(self, tmp_path):
         path = write_scenario(tmp_path, {"kind": "SPIN_CHSH",
                                          "settings": {"pairs": [[0.0, 0.0]]},
@@ -379,12 +441,52 @@ class TestInputErrors:
         assert "error:" in result.stderr
         assert "Traceback" not in result.stderr
 
-    def test_overflowing_results_exit_one(self, tmp_path):
-        # r = 355 is a valid state, but its moments (~1e308) overflow the
-        # Monte Carlo products to inf and nan.
-        path = write_scenario(tmp_path, {"kind": "EPR_QUADRATURE",
+    @pytest.mark.parametrize("samples", [10, 2 * BLOCK_DRAWS])
+    def test_valid_states_near_the_overflow_limit_give_finite_rows(self, tmp_path, samples):
+        # r = 355 is a valid state (tmsv accepts r up to about 355.238) with
+        # moments of about 1e308. x is drawn as s * y with y of order 1, so its
+        # sums no longer overflow.
+        path = write_scenario(tmp_path, {"kind": "EPR_QUADRATURE", "name": "limit",
                                          "state": {"squeezing": 355},
                                          "settings": {"pairs": [[0.0, 0.0], [0.3, 1.2]]},
+                                         "samples": samples, "seed": 0})
+        result = subprocess.run(
+            [sys.executable, "-m", "eprlab", "run", str(path), "--out-dir", str(tmp_path)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        rows = read_columns(tmp_path / "limit.csv")
+        assert len(rows) == 2 and all(math.isfinite(v) for row in rows for v in row)
+
+    def test_two_block_row_near_the_overflow_limit_matches_the_law(self, tmp_path):
+        # Each block's sum of x used to be about 1e308 and their total inf.
+        r, n = 349.74, 2 * BLOCK_DRAWS
+        path = write_scenario(tmp_path, {"kind": "EPR_QUADRATURE", "name": "blocks",
+                                         "state": {"squeezing": r},
+                                         "settings": {"pairs": [[0.0, 0.0]]},
+                                         "samples": n, "seed": 0})
+        assert run_cli(["run", path, "--out-dir", tmp_path, "--workers", 2]) == 0
+        (row,) = read_columns(tmp_path / "blocks.csv")
+        model, setting = quadrature_model(extract_moments(tmsv(r))), QuadratureSetting(0.0)
+        u, v = model.response1.features(setting), model.response2.features(setting)
+        # x = s y with s = |u| |v| and rho = u.v / s: Var x = s**2 (1 + rho**2), and
+        # the sample variance of y has variance (8 rho**4 + 40 rho**2 + 8) / n.
+        scale = math.hypot(*u) * math.hypot(*v)
+        rho = (u[0] / math.hypot(*u)) * (v[0] / math.hypot(*v)) \
+            + (u[1] / math.hypot(*u)) * (v[1] / math.hypot(*v))
+        stderr = scale * math.sqrt((1 + rho**2) / n)
+        stderr_sd = scale * math.sqrt((8 * rho**4 + 40 * rho**2 + 8) / n) / (
+            2 * math.sqrt(1 + rho**2) * math.sqrt(n))
+        assert abs(row[4] - row[3]) / stderr < 4.0
+        assert abs(row[5] - stderr) / stderr_sd < 4.0
+
+    def test_overflowing_results_exit_one(self, tmp_path):
+        # FREE_EVOLUTION at t = 1e300: the quantum value and the model's exact
+        # value really overflow.
+        path = write_scenario(tmp_path, {"kind": "FREE_EVOLUTION",
+                                         "state": {"moments": FREE_MOMENTS},
+                                         "settings": {"pairs": [[0.0, 0.0], [1e300, 1e300]]},
                                          "samples": 10, "seed": 0})
         out = tmp_path / "out"
         result = subprocess.run(
@@ -392,20 +494,21 @@ class TestInputErrors:
             capture_output=True, text=True,
         )
         assert result.returncode == 1
-        assert "error: row 0 " in result.stderr
-        assert "lhv_mc is inf" in result.stderr
+        assert result.stderr.startswith("error: row 1 ")
+        assert "quantum is inf" in result.stderr
         assert "Traceback" not in result.stderr
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("settings,samples,workers", [
-        ({"pairs": [[0.0, 0.0], [0.3, 1.2]]}, 10, 1),
-        ({"setting1": {"start": 0.0, "stop": 1.0, "count": 40}, "setting2": {"value": 0.3}},
-         10, 1),
-        ({"pairs": [[0.0, 0.0]]}, BLOCK_DRAWS + 1, 2),
-    ], ids=["per_row", "batched", "two_blocks_two_workers"])
+        ({"pairs": [[1e300, 1e300], [0.3, 1.2]]}, 10, 1),
+        ({"setting1": {"start": 1e300, "stop": 2e300, "count": 40},
+          "setting2": {"value": 1e300}}, 10, 1),
+        ({"pairs": [[1e300, 1e300]]}, BLOCK_DRAWS + 1, 2),
+    ], ids=["per_row", "scan", "two_blocks_two_workers"])
     def test_overflow_prints_only_the_error_line(self, tmp_path, settings, samples, workers):
-        path = write_scenario(tmp_path, {"kind": "EPR_QUADRATURE",
-                                         "state": {"squeezing": 355},
+        # No numpy warning from the row arithmetic of the CLI or the estimator.
+        path = write_scenario(tmp_path, {"kind": "FREE_EVOLUTION",
+                                         "state": {"moments": FREE_MOMENTS},
                                          "settings": settings,
                                          "samples": samples, "seed": 0})
         result = subprocess.run(
@@ -417,21 +520,6 @@ class TestInputErrors:
         lines = result.stderr.splitlines()
         assert len(lines) == 1, result.stderr
         assert lines[0].startswith("error: row 0 ")
-
-    def test_overflowing_sum_of_finite_blocks_exits_one(self, tmp_path):
-        # Each block's sum of x is finite (about 1e308); their total is not.
-        path = write_scenario(tmp_path, {"kind": "EPR_QUADRATURE",
-                                         "state": {"squeezing": 349.74},
-                                         "settings": {"pairs": [[0.0, 0.0]]},
-                                         "samples": 2 * BLOCK_DRAWS, "seed": 0})
-        result = subprocess.run(
-            [sys.executable, "-m", "eprlab", "run", str(path), "--out-dir", str(tmp_path / "out")],
-            capture_output=True, text=True,
-        )
-        assert result.returncode == 1
-        lines = result.stderr.splitlines()
-        assert len(lines) == 1, result.stderr
-        assert lines[0].startswith("error: row 0 ") and "lhv_mc is inf" in lines[0]
 
     def test_out_dir_that_is_a_file_exits_one(self, tmp_path, capsys):
         blocker = tmp_path / "taken"
@@ -530,11 +618,12 @@ class TestAtomicOutputs:
 
 
 #: sha256 of the stdout tables of the chunk-boundary scans, by row count,
-#: without their last line. Taken with rows keyed by (seed, row).
+#: without their last line. Taken with rows keyed by (seed, row), and again
+#: under stream contract v3 (the 257-row scan is in REFERENCE_SCENARIOS).
 CHUNK_SCAN_STDOUT_SHA256 = {
-    255: "fc834444ed65d896b9045269ac6ce58c3a0e762fd2d0d1835a80e5cb91495f8a",
-    256: "8ff9f4184b4f9d6205075658b0d2527b832f240326e1c67c4922ead73e1de6af",
-    257: "82e1f9191060fc4d2a006f0b197f98684daef7babcc0b32a0bf5bc6134156053",
+    255: "25f70a73adc378886c422d3117c5f0347c65ad6d4dba3c0c603c7c4aad2e9913",
+    256: "531bd74858e22f5f4244e8e5d84f7e9de06e814c1fd7e086d99af7fda3413f32",
+    257: "666481813b8dc4646a3fbf6286e5c31e7a6059506aae939b84c14798578b942a",
 }
 
 
@@ -623,8 +712,9 @@ class TestTinySqueezing:
 
     def test_unequal_parties_are_not_scaled_into_overflow(self, tmp_path):
         # Party features of about 0.25 and 1e153 multiply to more than 1, so
-        # the rows are not scaled; doubling the small party would make x * x
-        # overflow. Values from before any rescaling.
+        # the rows are not scaled; doubling the small party made x * x overflow
+        # when x was drawn as a product of normals. Values from
+        # gaussian_row_reference under stream contract v3 (REFERENCE_SCENARIOS).
         path = write_scenario(tmp_path, {"kind": "FREE_EVOLUTION", "name": "unequal",
                                          "state": {"moments": {"qq": 0.25, "pq": 0.05,
                                                                "qp": 0.05, "pp": 0.25}},
@@ -632,8 +722,8 @@ class TestTinySqueezing:
                                          "samples": 1000, "seed": 5})
         assert run_cli(["run", path, "--out-dir", tmp_path]) == 0
         rows = read_columns(tmp_path / "unequal.csv")
-        assert [row[4:6] for row in rows] == [[5.9229566010658152e+151, 8.2424491088687506e+150],
-                                              [5.5691547779052113e+151, 7.732715833647812e+150]]
+        assert [row[4:6] for row in rows] == [[3.6394743954998874e+151, 8.292864846172967e+150],
+                                              [4.6398851541568986e+151, 7.378231746975319e+150]]
 
 
 class TestGridEvaluation:
@@ -757,6 +847,34 @@ class TestConsistencyGate:
         assert not out.exists()
 
 
+class TestStdoutFailures:
+    """A closed or full stdout: exit 1 with one line on stderr, no traceback."""
+
+    SCENARIO = ["run", str(SCENARIOS / "spin_chsh.json"), "--samples", "1000"]
+
+    def test_closed_pipe_exits_one(self, tmp_path):
+        proc = subprocess.Popen([sys.executable, "-m", "eprlab", *self.SCENARIO,
+                                 "--out-dir", str(tmp_path)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()  # before the run writes its first byte
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 1
+        assert err == "error: cannot write the table to standard output: " \
+                      "[Errno 32] Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_exits_one(self, tmp_path):
+        with open("/dev/full", "w") as full:
+            result = subprocess.run([sys.executable, "-m", "eprlab", *self.SCENARIO,
+                                     "--out-dir", str(tmp_path)],
+                                    stdout=full, stderr=subprocess.PIPE, text=True)
+        assert result.returncode == 1
+        assert result.stderr == "error: cannot write the table to standard output: " \
+                                "[Errno 28] No space left on device\n"
+        # The outputs are written before the table.
+        assert (tmp_path / "spin_chsh.csv").exists()
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(
@@ -784,10 +902,22 @@ class TestEntryPoint:
         assert result.stdout.splitlines()[-1] == "0 False"
 
     def test_spin_run_never_imports_scipy(self, tmp_path):
-        # scipy.special is loaded only when a Gaussian model is sampled.
+        # No run loads scipy.
         code = (
             "import sys, eprlab, eprlab.cli\n"
             f"code = eprlab.cli.main(['run', {str(SCENARIOS / 'spin_chsh.json')!r},"
+            f" '--out-dir', {str(tmp_path)!r}, '--samples', '1000'])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 []"
+
+    def test_gaussian_run_never_imports_scipy(self, tmp_path):
+        # x is drawn from its product law with numpy alone.
+        code = (
+            "import sys, eprlab, eprlab.cli\n"
+            f"code = eprlab.cli.main(['run', {str(SCENARIOS / 'epr_quadrature.json')!r},"
             f" '--out-dir', {str(tmp_path)!r}, '--samples', '1000'])\n"
             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )

@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -7,7 +9,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
 from eprlab import (
     HiddenVariableModel,
@@ -30,6 +31,7 @@ from eprlab import (
     tmsv,
     unbounded_spin_model,
 )
+from conftest import gaussian_row_reference
 from eprlab import estimator
 from eprlab.estimator import (
     BATCH_ROW_WORDS,
@@ -56,6 +58,13 @@ def constant_model(value: float = 1.0) -> HiddenVariableModel:
         response1=TabulatedResponse(settings, ((value,),)),
         response2=TabulatedResponse(settings, ((1.0,),)),
     )
+
+
+def pair_model(u, v) -> HiddenVariableModel:
+    """A Gaussian-pair model whose features at ``QuadratureSetting(0.0)`` are ``u`` and ``v``."""
+    return HiddenVariableModel(space=SampleSpace.gaussian_pair(),
+                               response1=LinearResponse(u, (0.0, 0.0), ResponseMode.TRIG),
+                               response2=LinearResponse(v, (0.0, 0.0), ResponseMode.TRIG))
 
 
 def builtin_cases():
@@ -178,19 +187,18 @@ class TestDeterminism:
         assert abs(est.mean - np.mean(x)) < 1e-15
         assert abs(est.stderr - np.std(x, ddof=1) / math.sqrt(n)) < 1e-15
 
-    def test_gaussian_normals_match_inverse_cdf(self):
-        m = MomentMatrix(qq=1.0, pq=0.0, qp=0.0, pp=0.0)
-        model = quadrature_model(m)
+    @pytest.mark.parametrize("features,n,key", [
+        (((1.0, 0.0), (1.0, 0.0)), 500, 77),  # rho = 1
+        (((0.8, -0.3), (0.4, 0.6)), 1000, 5),
+        (((2.5, 1.0), (-1.0, 2.5)), 700, (3 << 64) + 5),  # u perpendicular to v
+        (((0.3, 0.7), (-0.6, -1.4)), BLOCK_DRAWS + 9, 1 << 127),  # rho = -1, two blocks
+        (((0.0, 0.0), (0.4, 0.6)), 300, 8),  # a zero party
+    ], ids=["rho_one", "general", "perpendicular", "rho_minus_one_two_blocks", "zero_party"])
+    def test_gaussian_rows_match_the_per_draw_reference(self, features, n, key):
+        model = pair_model(*features)
         s = QuadratureSetting(0.0)
-        n, seed = 500, 77
-        est = mc_estimate(model, s, s, n, seed)
-
-        raw = np.random.Philox(key=seed).random_raw(2 * n)
-        u = ((raw >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
-        eta = ndtri(u).reshape(n, 2)
-        # xi1 = eta1 (coefficients (1, 0)), xi2 = eta1 at angle 0
-        x = eta[:, 0] * eta[:, 0]
-        assert abs(est.mean - np.mean(x)) < 1e-15
+        est = mc_estimate(model, s, s, n, key)
+        assert (est.mean, est.stderr) == gaussian_row_reference(*features, n, key)
 
 
 SPLICE_WORDS = np.concatenate([
@@ -213,10 +221,10 @@ class TestUniforms:
 
 
 #: A 150 000-draw Gaussian row (three blocks, the last one partial), as
-#: float.hex of its mean and stderr. Taken when the block sums were first
-#: added in block order instead of by math.fsum (the stderr's last bit
-#: moved); any worker count must reproduce it.
-GAUSSIAN_ROW_HEX = ("0x1.40f12578a0d5ap+0", "0x1.742527e26cb3bp-8")
+#: float.hex of its mean and stderr. Taken from ``gaussian_row_reference``
+#: when x was first drawn from its product law (stream contract v3); any
+#: worker count must reproduce it.
+GAUSSIAN_ROW_HEX = ("0x1.423db4b6b6bb8p+0", "0x1.742ba783368dfp-8")
 
 
 class _HelperError(Exception):
@@ -334,15 +342,15 @@ class TestGaussianRowPinned:
 
 
 #: Gaussian rows whose last tile ends at, inside or just past a sub-chunk
-#: or block boundary, as float.hex of (mean, stderr); taken when each tile
-#: still drew its words at once and made its normals in tile-sized arrays.
+#: or block boundary, as float.hex of (mean, stderr); taken from
+#: ``gaussian_row_reference``, which draws one value at a time.
 SUBCHUNK_ROW_HEX = {
-    SUBCHUNK_DRAWS - 1: ("0x1.441b17a6cd7dbp+0", "0x1.1bd5bdf1b5334p-6"),
-    SUBCHUNK_DRAWS: ("0x1.441b21d0a3425p+0", "0x1.1bd14e94c7f8fp-6"),
-    SUBCHUNK_DRAWS + 1: ("0x1.441850f13a2a3p+0", "0x1.1bcd1890f0503p-6"),
-    BLOCK_DRAWS - 1: ("0x1.4189781c60fdep+0", "0x1.19093f496ac4dp-7"),
-    BLOCK_DRAWS + 1: ("0x1.4190e1130f092p+0", "0x1.190a482125019p-7"),
-    2 * BLOCK_DRAWS + SUBCHUNK_DRAWS + 3: ("0x1.417ad910bfda6p+0", "0x1.77e8883031db8p-8"),
+    SUBCHUNK_DRAWS - 1: ("0x1.3f812c2627f06p+0", "0x1.1838038c68255p-6"),
+    SUBCHUNK_DRAWS: ("0x1.3f7e412c33385p+0", "0x1.1833e0de329fbp-6"),
+    SUBCHUNK_DRAWS + 1: ("0x1.3fba8a0914801p+0", "0x1.189731232f5a2p-6"),
+    BLOCK_DRAWS - 1: ("0x1.412952244f146p+0", "0x1.19b1a69878f5dp-7"),
+    BLOCK_DRAWS + 1: ("0x1.4126382c56809p+0", "0x1.19b0080299e6cp-7"),
+    2 * BLOCK_DRAWS + SUBCHUNK_DRAWS + 3: ("0x1.420854e326bd1p+0", "0x1.77072a7c41a92p-8"),
 }
 
 
@@ -355,21 +363,16 @@ class TestGaussianSubchunks:
                           workers=workers)
         assert (est.mean.hex(), est.stderr.hex()) == SUBCHUNK_ROW_HEX[n]
 
-    @pytest.mark.parametrize("subchunk", [100, 300, 1000])
-    def test_row_groups_of_any_size_give_the_same_rows(self, monkeypatch, subchunk):
-        # 40 rows of 100 draws form one batched tile, cut into groups of 1, 3
-        # and 10 rows; the last group of 3 holds one row.
-        model = quadrature_model(extract_moments(tmsv(0.8)))
-        settings1 = [QuadratureSetting(0.1 * i) for i in range(40)]
-        settings2 = [QuadratureSetting(-0.07 * i) for i in range(40)]
-        keys = [(i << 64) + 5 for i in range(40)]
-        want = mc_estimate_rows(model, settings1, settings2, 100, keys)
+    @pytest.mark.parametrize("subchunk", [4096, 1 << 16])
+    def test_subchunk_size_does_not_change_the_bits(self, monkeypatch, subchunk):
+        # The ziggurat takes a variable number of words per value, so each
+        # block's exponentials are read in order across its sub-chunks.
         monkeypatch.setattr(estimator, "SUBCHUNK_DRAWS", subchunk)
-        assert mc_estimate_rows(model, settings1, settings2, 100, keys, workers=2) == want
+        self.test_mean_and_stderr_bits(2 * BLOCK_DRAWS + SUBCHUNK_DRAWS + 3, 2)
 
-    @pytest.mark.parametrize("subchunk", [2, 6, 300])
-    def test_one_row_subchunks_of_any_even_size_give_the_same_row(self, monkeypatch, subchunk):
-        # Rows of 1000 draws alone are one-row tiles of 500, 167 and 4 sub-chunks.
+    @pytest.mark.parametrize("subchunk", [4, 12, 300])
+    def test_one_row_subchunks_of_any_size_give_the_same_row(self, monkeypatch, subchunk):
+        # Rows of 1000 draws alone are one-row tiles of 250, 84 and 4 sub-chunks.
         model = quadrature_model(extract_moments(tmsv(0.8)))
         s1, s2 = QuadratureSetting(0.4), QuadratureSetting(-1.2)
         want = [mc_estimate(model, s1, s2, 1000, key) for key in (5, (3 << 64) + 5)]
@@ -381,7 +384,7 @@ class TestGaussianSubchunks:
     def test_traced_peak_memory_per_worker(self, workers):
         model = quadrature_model(extract_moments(tmsv(1.0)))
         s1, s2 = QuadratureSetting(0.3), QuadratureSetting(0.5)
-        mc_estimate(model, s1, s2, 1000, 1)  # imports scipy.special outside the trace
+        mc_estimate(model, s1, s2, 1000, 1)  # loads numpy.random outside the trace
         tracemalloc.start()
         try:
             mc_estimate(model, s1, s2, 1_000_000, 7, workers=workers)
@@ -389,6 +392,70 @@ class TestGaussianSubchunks:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 2**20 * workers
+
+
+#: Gaussian feature pairs (u, v) of the law test, by the case they cover.
+LAW_CASES = {
+    "rho_one": ((0.6, 0.8), (0.6, 0.8)),
+    "rho_minus_one": ((0.6, 0.8), (-1.2, -1.6)),
+    "perpendicular": ((1.0, 2.0), (-2.0, 1.0)),
+    "general": ((0.8, -0.3), (0.4, 0.6)),
+    "scale_2_-600": ((0.8 * 2.0**-600, -0.3 * 2.0**-600), (0.4, 0.6)),
+    "scale_2_500": ((0.8 * 2.0**250, -0.3 * 2.0**250), (0.4 * 2.0**250, 0.6 * 2.0**250)),
+}
+
+
+class TestGaussianLaw:
+    """x = (u . eta)(v . eta) has mean u.v and E[x * x] = |u|**2 |v|**2 + 2 (u.v)**2 (Isserlis)."""
+
+    KEYS = [3, 1 << 64, (5 << 64) + 17, (1 << 128) - 1, 424242, 9, 77, 1 << 100]
+    N = 4096
+
+    @pytest.mark.parametrize("u,v", LAW_CASES.values(), ids=LAW_CASES.keys())
+    def test_mean_and_stderr_against_the_analytic_law(self, u, v):
+        n = self.N
+        dot = math.fsum(a * b for a, b in zip(u, v))
+        scale = math.hypot(*u) * math.hypot(*v)
+        rho = dot / scale
+        # Var x = E[x * x] - (u.v)**2 = s**2 (1 + rho**2), with s = |u| |v| and
+        # rho = u.v / s, written so that s**2 neither underflows nor overflows.
+        # y = x / s has the fourth central moment 9 rho**4 + 42 rho**2 + 9, so
+        # the sample variance of y has variance (8 rho**4 + 40 rho**2 + 8) / n.
+        stderr = scale * math.sqrt((1 + rho**2) / n)
+        stderr_sd = scale * math.sqrt((8 * rho**4 + 40 * rho**2 + 8) / n) / (
+            2 * math.sqrt(1 + rho**2)) / math.sqrt(n)
+        model, s = pair_model(u, v), QuadratureSetting(0.0)
+        rows = mc_estimate_rows(model, [s] * len(self.KEYS), [s] * len(self.KEYS), n, self.KEYS)
+        z_mean = [(r.mean - dot) / stderr for r in rows]
+        z_stderr = [(r.stderr - stderr) / stderr_sd for r in rows]
+        assert max(map(abs, z_mean)) < 4.0, z_mean
+        assert max(map(abs, z_stderr)) < 4.0, z_stderr
+        # Over all keys together the means are one estimate of n * len(KEYS) draws.
+        assert abs(sum(z_mean)) / math.sqrt(len(rows)) < 4.0
+        assert abs(sum(z_stderr)) / math.sqrt(len(rows)) < 4.0
+
+    def test_zero_party_gives_positive_zero(self):
+        s = QuadratureSetting(0.0)
+        for u, v in (((0.0, 0.0), (0.4, 0.6)), ((0.4, 0.6), (0.0, -0.0)), ((0.0, 0.0), (0.0, 0.0))):
+            rows = mc_estimate_rows(pair_model(u, v), [s] * 4, [s] * 4, 100, self.KEYS[:4])
+            assert {(r.mean.hex(), r.stderr.hex()) for r in rows} == {("0x0.0p+0", "0x0.0p+0")}
+
+    def test_bits_do_not_depend_on_simd_dispatch(self):
+        # np.log's float64 bits differ with numpy's AVX-512 loops switched
+        # off; np.sin's and the ziggurat's must not.
+        code = (
+            "from eprlab import *\n"
+            "model = quadrature_model(extract_moments(tmsv(1.0)))\n"
+            "est = mc_estimate(model, QuadratureSetting(0.3), QuadratureSetting(0.5), 150_000, 99)\n"
+            "print(est.mean.hex(), est.stderr.hex())\n"
+        )
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=env)
+        if result.returncode != 0 and "NPY_DISABLE_CPU_FEATURES" in result.stderr:
+            pytest.skip("numpy refuses to disable these CPU features here")
+        assert result.returncode == 0, result.stderr
+        assert tuple(result.stdout.split()) == GAUSSIAN_ROW_HEX
 
 
 def tiny_spin_model(scale: float, scale2: float | None = None) -> HiddenVariableModel:
@@ -440,12 +507,13 @@ class TestTinyFeatures:
 
     #: float.hex of (mean, stderr) of the rows below for parties of values
     #: about 1e-200 and 1e200, taken before any rescaling: their products are
-    #: about 1, so no row is scaled and nothing overflows.
+    #: about 1, so no row is scaled and nothing overflows. The linear rows
+    #: were taken again from ``gaussian_row_reference`` under stream contract v3.
     UNEQUAL_PARTIES_HEX = {
         "table": [("-0x1.26e978d4fdf3cp-5", "0x1.a93137f8a5768p-7"),
                   ("-0x1.1a9fbe76c8b45p-4", "0x1.8f294b01023d3p-7")],
-        "linear": [("0x1.07d6a773f3f7fp-2", "0x1.35ded51087466p-6"),
-                   ("0x1.fc4428aa30d6fp-3", "0x1.477398e71783cp-6")],
+        "linear": [("0x1.fcbf955ed73eap-3", "0x1.4097800f40b9dp-6"),
+                   ("0x1.34bec56a463a8p-2", "0x1.415303cf72256p-6")],
     }
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -538,15 +606,13 @@ class TestAtomLookup:
         per_atom = (np.array(model.response1.features(d))
                     * np.array(model.response2.features(d)))
         assert len(set(per_atom.tolist())) == 3 and np.all(per_atom != 0.0)
-        phi1 = np.array([model.response1.features(d)])
-        phi2 = np.array([model.response2.features(d)])
         for start in (0, BLOCK_DRAWS, 40 * BLOCK_DRAWS):
             bg = np.random.Philox(key=seed)
             bg.advance(start // 4)
             words = bg.random_raw(BLOCK_DRAWS)
             atoms = reference_atoms(model.space.weights, words)
-            counts = _tile_stats(model, lambda lo, hi: words[None, lo:hi], BLOCK_DRAWS, phi1,
-                                 phi2, None)
+            counts = _tile_stats(model, lambda lo, hi: words[None, lo:hi], BLOCK_DRAWS, None,
+                                 None, None)
             assert np.array_equal(counts, [np.bincount(atoms, minlength=3)])
             # The counts are the block's x = per_atom[atoms], grouped by value.
             assert counts[0] @ per_atom == pytest.approx(np.sum(per_atom[atoms]), rel=1e-12)
@@ -742,8 +808,9 @@ def test_array_reduction_and_z_scores_equal_the_per_row_reference(monkeypatch):
     monkeypatch.setattr(estimator, "_tile_stats", lambda *args: next(blocks))
     rows, n = len(REDUCTION_ROWS), 12
     s = QuadratureSetting(0.0)
-    estimates = mc_estimate_rows(quadrature_model(extract_moments(tmsv(1.0))), [s] * rows,
-                                 [s] * rows, n, list(range(rows)))
+    # Features (1, 0) at both parties: s = 1, so the sums of y are those of x.
+    estimates = mc_estimate_rows(pair_model((1.0, 0.0), (1.0, 0.0)), [s] * rows, [s] * rows, n,
+                                 list(range(rows)))
     assert next(blocks, None) is None
     exact = np.array([row[2] for row in REDUCTION_ROWS])
     z, inconsistent = estimator._z_scores(exact, np.array([e.mean for e in estimates]),

@@ -145,10 +145,12 @@ def test_row_estimates_equal_per_row_estimates(name, n, data):
     if data.draw(st.booleans(), label="signed_zero_row"):
         pairs[0] = (0, 1)
     keys = data.draw(st.lists(KEY, min_size=rows, max_size=rows), label="keys")
-    row_words = n if model.space.kind is estimator.SpaceKind.FINITE else 2 * n
-    batched = rows >= BATCH_MIN_ROWS and row_words <= BATCH_ROW_WORDS
+    finite = model.space.kind is estimator.SpaceKind.FINITE
+    batched = finite and rows >= BATCH_MIN_ROWS and n <= BATCH_ROW_WORDS
     # Smaller tiles split a batched chunk; rows drawn in blocks keep the real
-    # block size, whose boundaries the per-row reference shares.
+    # block size, whose boundaries the per-row reference shares. A Gaussian
+    # row is always drawn in blocks, and its block boundaries are part of its
+    # output: each block's exponentials come from a substream of its own.
     tile_draws = data.draw(st.sampled_from([BLOCK_DRAWS, 1, 3 * n, 11 * n]),
                            label="tile_draws") if batched else BLOCK_DRAWS
     workers = data.draw(st.sampled_from([1, 2]), label="workers")
@@ -166,7 +168,7 @@ def test_row_estimates_equal_per_row_estimates(name, n, data):
     if not batched:
         assert tile_spy.call_count == 0
         # A finite tile draws its words in one call, a Gaussian one per sub-chunk.
-        per_call = BLOCK_DRAWS if row_words == n else SUBCHUNK_DRAWS
+        per_call = BLOCK_DRAWS if finite else SUBCHUNK_DRAWS
         assert block_spy.call_count == rows * sum(-(-min(BLOCK_DRAWS, n - start) // per_call)
                                                   for start in range(0, n, BLOCK_DRAWS))
     else:
