@@ -67,19 +67,22 @@ count the words at or above each threshold and take differences; large
 ones, and multi-row tiles of rows shorter than ``MIN_COUNTED_ROW_WORDS``
 words, binary-search the thresholds and count the indices.
 
-Every draw goes through one kernel, ``_tile_stats``. A finite tile is a
-C-contiguous (rows, words) stack of Philox words, which the kernel turns
-into each row's atom counts. A Gaussian tile is one block of one row: it
-draws its words and exponentials one sub-chunk of ``SUBCHUNK_DRAWS``
-draws at a time, writes y into a y row that each worker allocates once
-per call, and then sums the whole y row, squares it and sums again.
-``mc_estimate_rows`` cuts its rows into tiles of at most ``BLOCK_DRAWS``
-draws. For a finite model, a chunk of at least ``BATCH_MIN_ROWS`` rows of
-at most ``BATCH_ROW_WORDS`` words each gives multi-row tiles, whose words
+Every draw goes through one kernel, ``_tile_stats``. A tile is a
+C-contiguous (rows, words) stack of Philox words, one word a draw; the
+kernel turns it into each row's sufficient statistics: the atom counts
+of a finite model, or the sums of y and of y * y. A Gaussian tile writes
+y into a y array that each worker allocates once per call, sub-chunk by
+sub-chunk of ``SUBCHUNK_DRAWS`` draws in a one-row tile and at once in a
+multi-row one, and then sums it along its rows, squares it and sums
+again: row sums of a C-contiguous stack equal the per-row sums bit for
+bit. ``mc_estimate_rows`` cuts its rows into tiles of at most
+``BLOCK_DRAWS`` draws. A chunk of at least ``BATCH_MIN_ROWS`` rows of at
+most ``BATCH_ROW_WORDS`` draws each gives multi-row tiles, whose words
 come from a numpy Philox4x64-10 vectorised over keys and counters
-(``_philox_words``, bit-identical to numpy's generator). Every other row
-gives a one-row tile per block of ``BLOCK_DRAWS`` draws from numpy's C
-generator (``_raw_words``). All tiles of a call are shared among
+(``_philox_words``, bit-identical to numpy's generator); a Gaussian one
+re-keys the worker's exponential generator for each of its rows. Every
+other row gives a one-row tile per block of ``BLOCK_DRAWS`` draws from
+numpy's C generator (``_raw_words``). All tiles of a call are shared among
 ``workers`` threads (the calling thread is one of them), and each row's
 statistics are then added up tile by tile in block order. So a row's
 estimate is a pure function of (model, settings, n, key), bit-identical
@@ -154,16 +157,15 @@ MAX_COUNTED_ATOMS = 32
 #: most 256 rows.
 MIN_COUNTED_ROW_WORDS = 16
 
-#: Finite rows of more draws (one Philox word each) than this take numpy's
-#: C generator. Per row of a 256-row batch on a 2-vCPU x86-64 host, batched
+#: Rows of more draws (one Philox word each) than this take numpy's C
+#: generator. Per row of a 256-row batch on a 2-vCPU x86-64 host, batched
 #: against C generator (spin model, medians of 7): 5 vs 60 us at 2 words,
 #: 13 vs 64 us at 64, 32 vs 66 us at 256, 60 vs 72 us at 512, 133 vs 79 us
-#: at 1024. The vectorised generator costs about 0.1 us per word against a
-#: few ns, so the cutoff sits at half the crossover, where a batched row
-#: still costs half as much. Gaussian rows always take the C generator: their
-#: exponentials come from numpy's ziggurat on a re-keyed generator anyway,
-#: and a 72x72 quadrature grid at n = 2 ran no slower cold that way (0.53
-#: against 0.60 s for the batched kernel with scipy, medians of 6).
+#: at 1024; Gaussian rows (one worker, medians of 7): 14 vs 54 us at 2,
+#: 20 vs 64 at 64, 41 vs 66 at 256, 73 vs 81 at 512, 122 vs 77 at 1024.
+#: The vectorised generator costs about 0.1 us per word against a few ns,
+#: so the cutoff sits at half the crossover, where a batched row still
+#: costs half as much.
 BATCH_ROW_WORDS = 256
 
 #: Chunks of fewer rows take the C generator too. The vectorised generator
@@ -314,13 +316,14 @@ def _philox_words(k0: np.ndarray, k1: np.ndarray, n_words: int) -> np.ndarray:
     return np.ascontiguousarray(words.reshape(len(words), 4 * n_blocks)[:, :n_words])
 
 
-def ndtri(u: np.ndarray, rho: float, e: np.ndarray) -> np.ndarray:
+def ndtri(u: np.ndarray, rho: np.ndarray, e: np.ndarray) -> np.ndarray:
     """y = e * (rho + sin(pi * (u - 1/2))) for a sub-chunk's uniforms ``u`` and exponentials ``e``.
 
-    The transform layer's probe point: the benchmark's traced run wraps
-    this name, which Gaussian draws call through the module and finite ones
-    never call. It is no longer an inverse normal CDF. Overwrites ``u`` and
-    writes y into ``e``, which it returns.
+    ``u`` and ``e`` are (rows, m) arrays and ``rho`` the rows' (rows, 1)
+    column. The transform layer's probe point: the benchmark's traced run
+    wraps this name, which Gaussian draws call through the module and
+    finite ones never call. It is no longer an inverse normal CDF.
+    Overwrites ``u`` and writes y into ``e``, which it returns.
     """
     u -= 0.5
     u *= np.pi
@@ -365,29 +368,34 @@ def _uniforms(raw: np.ndarray) -> np.ndarray:
 
 
 @_quiet
-def _tile_stats(model: HiddenVariableModel, words, count: int, rho: float,
-                exponentials: np.random.Generator, y: np.ndarray) -> np.ndarray:
+def _tile_stats(model: HiddenVariableModel, words, count: int, rho: np.ndarray,
+                exponentials, y: np.ndarray) -> np.ndarray:
     """Each row's sufficient statistics over the ``count`` draws per row of one tile.
 
     ``words(lo, hi)`` returns a C-contiguous (rows, words) stack of the
     Philox words of draws lo .. hi - 1 of each row. A finite tile returns
     the rows' atom counts, (rows, K) int64, and ignores the other
-    arguments. A Gaussian tile has one row, of law parameter ``rho``; it
-    draws the row's exponentials in order from ``exponentials``, keyed to
-    the tile's block, writes y into ``y``, which holds the whole tile, and
-    returns the sums of y and of y * y, (1, 2) float64. It overwrites the
-    words, one sub-chunk of ``SUBCHUNK_DRAWS`` draws at a time.
+    arguments. A Gaussian tile takes the rows' law parameters ``rho``, a
+    (rows, 1) column; ``exponentials(out)`` fills the C-contiguous
+    (rows, m) array ``out`` with each row's next m exponentials, in order.
+    It writes y into ``y``, which holds the whole tile, overwrites the
+    words, and returns the rows' sums of y and of y * y, (rows, 2) float64.
+    A one-row tile works one sub-chunk of ``SUBCHUNK_DRAWS`` draws at a
+    time, a multi-row one on all its draws at once.
     """
     if model.space.kind is SpaceKind.FINITE:
         return _atom_counts(model.space.weights, words(0, count))
-    y = y[:count]
-    for lo in range(0, count, SUBCHUNK_DRAWS):
-        hi = min(lo + SUBCHUNK_DRAWS, count)
-        exponentials.standard_exponential(out=y[lo:hi])
-        ndtri(_uniforms(words(lo, hi)[0]), rho, y[lo:hi])
-    total = y.sum()
+    rows = len(rho)
+    y = y[:rows * count].reshape(rows, count)
+    step = SUBCHUNK_DRAWS if rows == 1 else count
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        exponentials(y[:, lo:hi])
+        ndtri(_uniforms(words(lo, hi)), rho, y[:, lo:hi])
+    # Row sums of a C-contiguous stack equal the per-row sums bit for bit.
+    sums = y.sum(axis=1)
     y *= y
-    return np.array([[total, y.sum()]])
+    return np.stack((sums, y.sum(axis=1)), axis=1)
 
 
 def _check_draws(n, keys: Sequence[int], workers) -> None:
@@ -464,48 +472,66 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
     if not finite:
         scale, rho = _gaussian_law(phi1, phi2)
     # A tile is (first row, end row, first draw, draws per row), in row and block order.
-    batched = finite and n <= BATCH_ROW_WORDS and len(keys) >= BATCH_MIN_ROWS
+    batched = n <= BATCH_ROW_WORDS and len(keys) >= BATCH_MIN_ROWS
     if batched:
         # As few tiles of at most BLOCK_DRAWS draws as can be, of nearly equal size.
         per_tile = -(-len(keys) // -(-len(keys) // max(1, BLOCK_DRAWS // n)))
         tiles = [(first, first + per_tile, 0, n) for first in range(0, len(keys), per_tile)]
+        tile_draws = per_tile * n
         # Key k is the Philox key words (k0, k1) = (k mod 2**64, k >> 64).
         k1, k0 = np.array([divmod(key, 1 << 64) for key in keys], dtype=np.uint64).T[:, :, None]
     else:
         tiles = [(row, row + 1, start, min(BLOCK_DRAWS, n - start))
                  for row in range(len(keys)) for start in range(0, n, BLOCK_DRAWS)]
+        tile_draws = min(BLOCK_DRAWS, n)
 
-    def tile_stats(first: int, end: int, start: int, count: int, bg, exponentials,
-                   y) -> np.ndarray:
+    def tile_stats(first: int, end: int, start: int, count: int, bg, gen, y) -> np.ndarray:
         if batched:
+            raw = _philox_words(k0[first:end], k1[first:end], count)
+
             def words(lo: int, hi: int) -> np.ndarray:
-                return _philox_words(k0[first:end], k1[first:end], count)
+                return raw[:, lo:hi]
         else:
             def words(lo: int, hi: int) -> np.ndarray:
                 return _raw_words(bg, keys[first], start + lo, hi - lo)[None, :]
         if finite:
             return _tile_stats(model, words, count, None, None, None)
-        # Block b's exponentials: the row's Philox substream from counter (0, b + 1, 0, 0).
-        _rekey(exponentials.bit_generator, keys[first], (0, start // BLOCK_DRAWS + 1, 0, 0))
-        return _tile_stats(model, words, count, rho[first], exponentials, y)
+
+        # Block b's exponentials come from the row key's Philox substream from
+        # counter (0, b + 1, 0, 0); a tile lies in one block of each of its rows.
+        counter = (0, start // BLOCK_DRAWS + 1, 0, 0)
+        if end - first == 1:
+            # Read in order across the tile's sub-chunks.
+            _rekey(gen.bit_generator, keys[first], counter)
+
+            def exponentials(out: np.ndarray) -> None:
+                gen.standard_exponential(out=out[0])
+        else:
+            # A multi-row tile asks for all its rows' draws at once.
+            def exponentials(out: np.ndarray) -> None:
+                for key, values in zip(keys[first:end], out):
+                    _rekey(gen.bit_generator, key, counter)
+                    gen.standard_exponential(out=values)
+
+        return _tile_stats(model, words, count, rho[first:end, None], exponentials, y)
 
     # Each worker takes the next tile number under a lock and stores the
     # tile's statistics in its slot. Its bit generator for one-row tiles, and
-    # a Gaussian tile's exponential generator and y row, are made once, here.
+    # the Gaussian tiles' exponential generator and y array, are made once, here.
     stats = [None] * len(tiles)
     tasks = iter(range(len(tiles)))
     taking = threading.Lock()
 
     def drain() -> None:
         bg = None if batched else np.random.Philox()
-        exponentials = None if finite else np.random.Generator(np.random.Philox())
-        y = None if finite else np.empty(min(BLOCK_DRAWS, n))
+        gen = None if finite else np.random.Generator(np.random.Philox())
+        y = None if finite else np.empty(tile_draws)
         while True:
             with taking:
                 index = next(tasks, None)
             if index is None:
                 return
-            stats[index] = tile_stats(*tiles[index], bg, exponentials, y)
+            stats[index] = tile_stats(*tiles[index], bg, gen, y)
 
     # The calling thread is one of the workers; the others are plain threads
     # (an executor would import concurrent.futures and logging, about 7 ms of

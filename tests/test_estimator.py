@@ -363,6 +363,18 @@ class TestGaussianSubchunks:
                           workers=workers)
         assert (est.mean.hex(), est.stderr.hex()) == SUBCHUNK_ROW_HEX[n]
 
+    @pytest.mark.parametrize("subchunk", [100, 300, 1000])
+    def test_row_groups_of_any_size_give_the_same_rows(self, monkeypatch, subchunk):
+        # 40 rows of 100 draws form one batched tile, which takes all its
+        # rows' draws at once whatever SUBCHUNK_DRAWS is.
+        model = quadrature_model(extract_moments(tmsv(0.8)))
+        settings1 = [QuadratureSetting(0.1 * i) for i in range(40)]
+        settings2 = [QuadratureSetting(-0.07 * i) for i in range(40)]
+        keys = [(i << 64) + 5 for i in range(40)]
+        want = mc_estimate_rows(model, settings1, settings2, 100, keys)
+        monkeypatch.setattr(estimator, "SUBCHUNK_DRAWS", subchunk)
+        assert mc_estimate_rows(model, settings1, settings2, 100, keys, workers=2) == want
+
     @pytest.mark.parametrize("subchunk", [4096, 1 << 16])
     def test_subchunk_size_does_not_change_the_bits(self, monkeypatch, subchunk):
         # The ziggurat takes a variable number of words per value, so each
@@ -371,8 +383,10 @@ class TestGaussianSubchunks:
         self.test_mean_and_stderr_bits(2 * BLOCK_DRAWS + SUBCHUNK_DRAWS + 3, 2)
 
     @pytest.mark.parametrize("subchunk", [4, 12, 300])
-    def test_one_row_subchunks_of_any_size_give_the_same_row(self, monkeypatch, subchunk):
-        # Rows of 1000 draws alone are one-row tiles of 250, 84 and 4 sub-chunks.
+    def test_one_row_subchunks_of_any_aligned_size_give_the_same_row(self, monkeypatch,
+                                                                     subchunk):
+        # Rows of 1000 draws alone are one-row tiles of 250, 84 and 4 sub-chunks;
+        # a sub-chunk is a multiple of 4 draws, so its words start 4-aligned.
         model = quadrature_model(extract_moments(tmsv(0.8)))
         s1, s2 = QuadratureSetting(0.4), QuadratureSetting(-1.2)
         want = [mc_estimate(model, s1, s2, 1000, key) for key in (5, (3 << 64) + 5)]

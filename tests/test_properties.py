@@ -146,11 +146,11 @@ def test_row_estimates_equal_per_row_estimates(name, n, data):
         pairs[0] = (0, 1)
     keys = data.draw(st.lists(KEY, min_size=rows, max_size=rows), label="keys")
     finite = model.space.kind is estimator.SpaceKind.FINITE
-    batched = finite and rows >= BATCH_MIN_ROWS and n <= BATCH_ROW_WORDS
+    # A draw takes one Philox word whatever the model.
+    batched = rows >= BATCH_MIN_ROWS and n <= BATCH_ROW_WORDS
     # Smaller tiles split a batched chunk; rows drawn in blocks keep the real
-    # block size, whose boundaries the per-row reference shares. A Gaussian
-    # row is always drawn in blocks, and its block boundaries are part of its
-    # output: each block's exponentials come from a substream of its own.
+    # block size, whose boundaries the per-row reference shares (a Gaussian
+    # block's exponentials come from a substream of their own).
     tile_draws = data.draw(st.sampled_from([BLOCK_DRAWS, 1, 3 * n, 11 * n]),
                            label="tile_draws") if batched else BLOCK_DRAWS
     workers = data.draw(st.sampled_from([1, 2]), label="workers")
