@@ -853,12 +853,12 @@ class TestStdoutFailures:
     SCENARIO = ["run", str(SCENARIOS / "spin_chsh.json"), "--samples", "1000"]
 
     def test_closed_pipe_exits_one(self, tmp_path):
-        proc = subprocess.Popen([sys.executable, "-m", "eprlab", *self.SCENARIO,
-                                 "--out-dir", str(tmp_path)],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        proc.stdout.close()  # before the run writes its first byte
-        err = proc.stderr.read().decode()
-        assert proc.wait() == 1
+        with subprocess.Popen([sys.executable, "-m", "eprlab", *self.SCENARIO,
+                               "--out-dir", str(tmp_path)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            proc.stdout.close()  # before the run writes its first byte
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 1
         assert err == "error: cannot write the table to standard output: " \
                       "[Errno 32] Broken pipe\n"
 
