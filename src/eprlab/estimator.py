@@ -582,7 +582,7 @@ def _gaussian_law(phi1: np.ndarray, phi2: np.ndarray) -> tuple[np.ndarray, np.nd
     norm1, norm2 = np.hypot.reduce(phi1, axis=1), np.hypot.reduce(phi2, axis=1)
     scale = norm1 * norm2
     zero = scale == 0.0
-    # Unit vectors keep the products in range: |u.v| <= s can still overflow.
+    # Products of unit vectors stay in range; u.v itself can overflow where s does not.
     unit1 = phi1 / np.where(zero, 1.0, norm1)[:, None]
     unit2 = phi2 / np.where(zero, 1.0, norm2)[:, None]
     rho = np.clip(np.where(zero, 0.0, (unit1 * unit2).sum(axis=1)), -1.0, 1.0)
