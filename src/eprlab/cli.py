@@ -36,8 +36,9 @@ are array operations on the whole result, and each output line is one
 lines per ``write``. Both outputs are written to temporary files
 in the output directory and renamed into place, so a failed write leaves
 earlier outputs intact. Exit codes: 0 on
-success, 1 on input errors (including results that overflow double
-precision, and outputs that cannot be written), 2 when the model and the
+success, 1 on input errors (including command lines that argparse
+rejects, results that overflow double precision, and outputs that cannot
+be written), 2 when the model and the
 quantum value disagree beyond tolerance on any row or a correlator's
 internal cross-check fails.
 
@@ -136,7 +137,10 @@ class Scenario:
 def _require_number(value, label: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{label} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioError(f"{label} is an integer beyond double precision's range") from None
 
 
 def _axis(axis, label: str) -> tuple[float, float, int]:
@@ -154,6 +158,9 @@ def _axis(axis, label: str) -> tuple[float, float, int]:
             raise ScenarioError(f"{label}.count must be an integer >= 2, got {count!r}")
         if start == stop:
             raise ScenarioError(f"{label}: scan range needs start != stop")
+        if not math.isfinite(stop - start):
+            raise ScenarioError(f"{label}: scan range needs a finite stop - start, "
+                                f"got start = {start!r}, stop = {stop!r}")
         return start, stop, count
     raise ScenarioError(f"{label} keys must be exactly {{'value'}} or {{'start','stop','count'}}")
 
@@ -162,9 +169,18 @@ def _axis_values(start: float, stop: float, count: int) -> list[float]:
     return [start] if count == 1 else [float(v) for v in np.linspace(start, stop, count)]
 
 
+def _decimal(n: int) -> str:
+    """``n`` in decimal, or a power-of-two bound past Python's limit on the digits of str(int)."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"at least 2**{n.bit_length() - 1}"
+
+
 def _check_row_count(rows: int) -> None:
     if rows > MAX_ROWS:
-        raise ScenarioError(f"'settings' asks for {rows} rows, more than MAX_ROWS = {MAX_ROWS}")
+        raise ScenarioError(f"'settings' asks for {_decimal(rows)} rows, "
+                            f"more than MAX_ROWS = {MAX_ROWS}")
 
 
 def _parse_settings(data, kind: str) -> tuple[tuple[float, float], ...]:
@@ -272,6 +288,8 @@ def load_scenario(path: Path) -> Scenario:
 
 def _spin_direction(theta: float) -> UnitVector3:
     """Direction in the x-z plane at angle theta from the z axis."""
+    if not math.isfinite(theta):
+        raise ValidationError(f"spin direction angle must be finite, got {theta!r}")
     return UnitVector3(math.sin(theta), 0.0, math.cos(theta))
 
 
@@ -506,7 +524,7 @@ def run_scenario(path: Path, out_dir: Path | None = None, seed: int | None = Non
     draws = scenario.samples * len(scenario.setting_pairs)
     if draws > MAX_DRAWS:
         raise ScenarioError(f"{len(scenario.setting_pairs)} rows of {scenario.samples} samples "
-                            f"ask for {draws} draws, more than MAX_DRAWS = {MAX_DRAWS}")
+                            f"ask for {_decimal(draws)} draws, more than MAX_DRAWS = {MAX_DRAWS}")
 
     table, summary = _evaluate(scenario, workers)
     _check_finite(table)
@@ -543,8 +561,19 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, the input-error code, not argparse's 2.
+
+    ``add_subparsers`` makes the ``run`` parser of the same class.
+    """
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eprlab",
         description="Quantum two-party correlations vs separated-random-process models.",
     )

@@ -71,18 +71,22 @@ Every draw goes through one kernel, ``_tile_stats``. A tile is a
 C-contiguous (rows, words) stack of Philox words, one word a draw; the
 kernel turns it into each row's sufficient statistics: the atom counts
 of a finite model, or the sums of y and of y * y. A Gaussian tile writes
-y into a y array that each worker allocates once per call, sub-chunk by
-sub-chunk of ``SUBCHUNK_DRAWS`` draws in a one-row tile and at once in a
-multi-row one, and then sums it along its rows, squares it and sums
-again: row sums of a C-contiguous stack equal the per-row sums bit for
-bit. ``mc_estimate_rows`` cuts its rows into tiles of at most
-``BLOCK_DRAWS`` draws. A chunk of at least ``BATCH_MIN_ROWS`` rows of at
-most ``BATCH_ROW_WORDS`` draws each gives multi-row tiles, whose words
-come from a numpy Philox4x64-10 vectorised over keys and counters
-(``_philox_words``, bit-identical to numpy's generator); a Gaussian one
-re-keys the worker's exponential generator for each of its rows. Every
-other row gives a one-row tile per block of ``BLOCK_DRAWS`` draws from
-numpy's C generator (``_raw_words``). All tiles of a call are shared among
+y into a y array that each worker allocates once per call, as long as
+the call's largest tile, sub-chunk by sub-chunk of ``SUBCHUNK_DRAWS``
+draws in a one-row tile and at once in a multi-row one, and then sums it
+along its rows, squares it and sums again: row sums of a C-contiguous
+stack equal the per-row sums bit for bit. One substream rule places the
+exponentials: the kernel re-keys the worker's exponential generator to a
+row's block substream at the row's first sub-chunk, and reads it in
+order after that. A multi-row tile has one sub-chunk, so the rule
+re-keys each of its rows once, and a one-row tile once per block.
+``mc_estimate_rows`` cuts its rows into tiles of at most ``BLOCK_DRAWS``
+draws. A chunk of at least ``BATCH_MIN_ROWS`` rows of at most
+``BATCH_ROW_WORDS`` draws each gives multi-row tiles, whose words come
+from a numpy Philox4x64-10 vectorised over keys and counters
+(``_philox_words``, bit-identical to numpy's generator). Every other row
+gives a one-row tile per block of ``BLOCK_DRAWS`` draws from numpy's C
+generator (``_raw_words``). All tiles of a call are shared among
 ``workers`` threads (the calling thread is one of them), and each row's
 statistics are then added up tile by tile in block order. So a row's
 estimate is a pure function of (model, settings, n, key), bit-identical
@@ -368,29 +372,34 @@ def _uniforms(raw: np.ndarray) -> np.ndarray:
 
 
 @_quiet
-def _tile_stats(model: HiddenVariableModel, words, count: int, rho: np.ndarray,
-                exponentials, y: np.ndarray) -> np.ndarray:
+def _tile_stats(model: HiddenVariableModel, words, count: int, keys: Sequence[int], counter,
+                rho: np.ndarray, gen: np.random.Generator, y: np.ndarray) -> np.ndarray:
     """Each row's sufficient statistics over the ``count`` draws per row of one tile.
 
     ``words(lo, hi)`` returns a C-contiguous (rows, words) stack of the
     Philox words of draws lo .. hi - 1 of each row. A finite tile returns
     the rows' atom counts, (rows, K) int64, and ignores the other
-    arguments. A Gaussian tile takes the rows' law parameters ``rho``, a
-    (rows, 1) column; ``exponentials(out)`` fills the C-contiguous
-    (rows, m) array ``out`` with each row's next m exponentials, in order.
-    It writes y into ``y``, which holds the whole tile, overwrites the
-    words, and returns the rows' sums of y and of y * y, (rows, 2) float64.
-    A one-row tile works one sub-chunk of ``SUBCHUNK_DRAWS`` draws at a
-    time, a multi-row one on all its draws at once.
+    arguments. A Gaussian tile takes the rows' stream ``keys``, the
+    ``counter`` (0, b + 1, 0, 0) of the block b that it lies in, and the
+    rows' law parameters ``rho``, a (rows, 1) column. It works one
+    sub-chunk of ``SUBCHUNK_DRAWS`` draws at a time in a one-row tile, and
+    on all its draws at once in a multi-row one. Each row's exponentials
+    come from ``gen``, re-keyed to the row's key at ``counter`` at the
+    row's first sub-chunk and read in order after it; a multi-row tile
+    has one sub-chunk, so this one rule covers both. It writes y into
+    ``y``, which holds the whole tile, overwrites the words, and returns
+    the rows' sums of y and of y * y, (rows, 2) float64.
     """
     if model.space.kind is SpaceKind.FINITE:
         return _atom_counts(model.space.weights, words(0, count))
-    rows = len(rho)
-    y = y[:rows * count].reshape(rows, count)
-    step = SUBCHUNK_DRAWS if rows == 1 else count
+    y = y[:len(keys) * count].reshape(len(keys), count)
+    step = SUBCHUNK_DRAWS if len(keys) == 1 else count
     for lo in range(0, count, step):
         hi = min(lo + step, count)
-        exponentials(y[:, lo:hi])
+        for key, values in zip(keys, y[:, lo:hi]):
+            if lo == 0:
+                _rekey(gen.bit_generator, key, counter)
+            gen.standard_exponential(out=values)
         ndtri(_uniforms(words(lo, hi)), rho, y[:, lo:hi])
     # Row sums of a C-contiguous stack equal the per-row sums bit for bit.
     sums = y.sum(axis=1)
@@ -477,13 +486,11 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
         # As few tiles of at most BLOCK_DRAWS draws as can be, of nearly equal size.
         per_tile = -(-len(keys) // -(-len(keys) // max(1, BLOCK_DRAWS // n)))
         tiles = [(first, first + per_tile, 0, n) for first in range(0, len(keys), per_tile)]
-        tile_draws = per_tile * n
         # Key k is the Philox key words (k0, k1) = (k mod 2**64, k >> 64).
         k1, k0 = np.array([divmod(key, 1 << 64) for key in keys], dtype=np.uint64).T[:, :, None]
     else:
         tiles = [(row, row + 1, start, min(BLOCK_DRAWS, n - start))
                  for row in range(len(keys)) for start in range(0, n, BLOCK_DRAWS)]
-        tile_draws = min(BLOCK_DRAWS, n)
 
     def tile_stats(first: int, end: int, start: int, count: int, bg, gen, y) -> np.ndarray:
         if batched:
@@ -495,26 +502,11 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
         else:
             def words(lo: int, hi: int) -> np.ndarray:
                 return _raw_words(bg, keys[first], start + lo, hi - lo)[None, :]
-        if finite:
-            return _tile_stats(model, words, count, None, None, None)
-
         # Block b's exponentials come from the row key's Philox substream from
         # counter (0, b + 1, 0, 0); a tile lies in one block of each of its rows.
-        counter = (0, start // BLOCK_DRAWS + 1, 0, 0)
-        if end - first == 1:
-            # Read in order across the tile's sub-chunks.
-            _rekey(gen.bit_generator, keys[first], counter)
-
-            def exponentials(out: np.ndarray) -> None:
-                gen.standard_exponential(out=out[0])
-        else:
-            # A multi-row tile asks for all its rows' draws at once.
-            def exponentials(out: np.ndarray) -> None:
-                for key, values in zip(keys[first:end], out):
-                    _rekey(gen.bit_generator, key, counter)
-                    gen.standard_exponential(out=values)
-
-        return _tile_stats(model, words, count, rho[first:end, None], exponentials, y)
+        return _tile_stats(model, words, count, keys[first:end],
+                           (0, start // BLOCK_DRAWS + 1, 0, 0),
+                           None if finite else rho[first:end, None], gen, y)
 
     # Each worker takes the next tile number under a lock and stores the
     # tile's statistics in its slot. Its bit generator for one-row tiles, and
@@ -526,7 +518,8 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
     def drain() -> None:
         bg = None if batched else np.random.Philox()
         gen = None if finite else np.random.Generator(np.random.Philox())
-        y = None if finite else np.empty(tile_draws)
+        y = None if finite else np.empty(max((end - first) * count
+                                             for first, end, _, count in tiles))
         while True:
             with taking:
                 index = next(tasks, None)
@@ -559,10 +552,9 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
     for exc in failures:
         if exc is not None:
             raise exc
-    # Each row's statistics, added up in block order from 0, which also
-    # turns a Gaussian sum of -0.0 into 0.0.
-    totals = np.zeros((len(keys), len(model.space.basis_weights) if finite else 2),
-                      dtype=np.int64 if finite else np.float64)
+    # Each row's statistics, of the tiles' own width and dtype, added up in
+    # block order from 0, which also turns a Gaussian sum of -0.0 into 0.0.
+    totals = np.zeros((len(keys), stats[0].shape[1]), dtype=stats[0].dtype)
     for (first, end, *_), tile in zip(tiles, stats):
         totals[first:end] += tile
     if finite:

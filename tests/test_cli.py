@@ -408,6 +408,47 @@ class TestInputErrors:
         assert run_cli(["run", path, "--out-dir", tmp_path / "out"]) == 1
         assert capsys.readouterr().err == "error: quadrature angle must be finite, got -inf\n"
 
+    @pytest.mark.parametrize("text", ["Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("where", ["pair", "scan_value", "chsh"])
+    def test_non_finite_spin_angles_exit_one(self, tmp_path, capsys, where, text):
+        # math.sin of a non-finite angle used to end in a "math domain error" traceback.
+        settings = {"pair": '{"pairs": [[0.5, %s]]}' % text,
+                    "scan_value": '{"setting1": {"value": %s}, "setting2": {"value": 0.5}}' % text,
+                    "chsh": '{"pairs": [[0.5, 0.5]]}'}[where]
+        chsh = ('{"a": 0.0, "a_prime": %s, "b": 0.5, "b_prime": 1.0}' % text
+                if where == "chsh" else "null")
+        path = tmp_path / "scenario.json"
+        path.write_text('{"kind": "SPIN_CHSH", "samples": 10, "seed": 0, '
+                        f'"settings": {settings}, "chsh": {chsh}}}')
+        assert run_cli(["run", path, "--out-dir", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == ("error: spin direction angle must be finite, "
+                                           f"got {float(text)!r}\n")
+
+    @pytest.mark.parametrize("start,stop", [("-1.7e308", "1.7e308"), ("0.0", "1e400"),
+                                            ("-Infinity", "0.0"), ("NaN", "1.0")],
+                             ids=["span_overflows", "stop_overflows", "start_infinite", "nan"])
+    def test_scan_whose_span_is_not_finite_exits_one(self, tmp_path, capsys, start, stop):
+        # np.linspace used to warn, and the run then reported a direction of
+        # NaN components that is not in the file.
+        path = tmp_path / "scenario.json"
+        path.write_text('{"kind": "SPIN_CHSH", "samples": 10, "seed": 0, "settings": '
+                        f'{{"setting1": {{"start": {start}, "stop": {stop}, "count": 3}}, '
+                        '"setting2": {"value": 0.5}}}')
+        assert run_cli(["run", path, "--out-dir", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == (
+            "error: settings.setting1: scan range needs a finite stop - start, "
+            f"got start = {float(start)!r}, stop = {float(stop)!r}\n")
+
+    def test_integer_settings_beyond_double_range_exit_one(self, tmp_path, capsys):
+        # float() of a 4300-digit integer raises OverflowError, which used to
+        # end in a traceback.
+        path = tmp_path / "scenario.json"
+        path.write_text('{"kind": "SPIN_CHSH", "samples": 10, "seed": 0, '
+                        '"settings": {"pairs": [[0.5, 1' + "0" * 4299 + ']]}}')
+        assert run_cli(["run", path, "--out-dir", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == ("error: settings.pairs[0][1] is an integer beyond "
+                                           "double precision's range\n")
+
     @pytest.mark.parametrize("content", [
         b'{"kind": "SPIN_CHSH", "name": "\xff\xfe"}',
         b"[" * 100_000,
@@ -551,6 +592,21 @@ class TestDrawLimit:
             assert not out.exists()
 
 
+    def test_limit_message_past_the_integer_digit_limit_exits_one(self, tmp_path, capsys):
+        # 11 rows of a 4300-digit sample count ask for a 4301-digit number of
+        # draws, past Python's limit on str(int): the message used to raise.
+        samples = "9" + "0" * 4299
+        path = tmp_path / "scenario.json"
+        path.write_text('{"kind": "SPIN_CHSH", "seed": 0, "samples": ' + samples + ', '
+                        '"settings": {"pairs": [' + ", ".join(["[0.0, 0.5]"] * 11) + "]}}")
+        assert run_cli(["run", path, "--out-dir", tmp_path / "out"]) == 1
+        draws = 11 * int(samples)
+        assert capsys.readouterr().err == (
+            f"error: 11 rows of {samples} samples ask for at least 2**{draws.bit_length() - 1} "
+            f"draws, more than MAX_DRAWS = {cli.MAX_DRAWS}\n")
+        assert not (tmp_path / "out").exists()
+
+
 class TestRowLimit:
     @pytest.mark.parametrize("count1,count2", [(10**15, 2), (2, 10**15), (1 << 11, 1 << 10)],
                              ids=["axis1", "axis2", "product"])
@@ -568,6 +624,20 @@ class TestRowLimit:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{count1 * count2} rows" in err
         assert not (tmp_path / "out").exists()
+
+    def test_limit_message_past_the_integer_digit_limit_exits_one(self, tmp_path, capsys):
+        # Two 4300-digit counts multiply to 8599 digits, past Python's limit on
+        # str(int): the message used to raise.
+        count = "1" + "0" * 4299
+        axis = '{"start": 0.0, "stop": 1.0, "count": %s}' % count
+        path = tmp_path / "scenario.json"
+        path.write_text('{"kind": "SPIN_CHSH", "samples": 10, "seed": 0, '
+                        f'"settings": {{"setting1": {axis}, "setting2": {axis}}}}}')
+        assert run_cli(["run", path, "--out-dir", tmp_path / "out"]) == 1
+        rows = int(count) ** 2
+        assert capsys.readouterr().err == (
+            f"error: 'settings' asks for at least 2**{rows.bit_length() - 1} rows, "
+            f"more than MAX_ROWS = {cli.MAX_ROWS}\n")
 
     def test_value_axis_counts_one_row(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "MAX_ROWS", 3)
@@ -590,6 +660,33 @@ class TestRowLimit:
             assert run_cli(["run", path, "--out-dir", tmp_path]) == code
         assert "error: 'settings' asks for 4 rows, more than MAX_ROWS = 3" in \
             capsys.readouterr().err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [["run", "x.json", "--samples", "abc"],
+                                      ["run", "x.json", "--no-such-flag"], []],
+                             ids=["bad_int", "unknown_flag", "no_subcommand"])
+    def test_usage_errors_exit_one(self, capsys, argv):
+        # argparse exits 2, the documented code for an inconsistency.
+        with pytest.raises(SystemExit) as exited:
+            cli.main(argv)
+        assert exited.value.code == cli.EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("usage: eprlab") and "error: " in err
+
+    def test_usage_error_of_the_program_entry_exits_one(self):
+        result = subprocess.run([sys.executable, "-m", "eprlab", "run", "x.json", "--samples",
+                                 "abc"], capture_output=True, text=True)
+        assert result.returncode == 1
+        assert result.stderr.splitlines()[-1] == \
+            "eprlab run: error: argument --samples: invalid int value: 'abc'"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]], ids=["main", "run"])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(argv)
+        assert exited.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: eprlab")
 
 
 class TestAtomicOutputs:

@@ -626,7 +626,7 @@ class TestAtomLookup:
             words = bg.random_raw(BLOCK_DRAWS)
             atoms = reference_atoms(model.space.weights, words)
             counts = _tile_stats(model, lambda lo, hi: words[None, lo:hi], BLOCK_DRAWS, None,
-                                 None, None)
+                                 None, None, None, None)
             assert np.array_equal(counts, [np.bincount(atoms, minlength=3)])
             # The counts are the block's x = per_atom[atoms], grouped by value.
             assert counts[0] @ per_atom == pytest.approx(np.sum(per_atom[atoms]), rel=1e-12)

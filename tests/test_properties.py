@@ -1,7 +1,14 @@
-"""Property-based checks of the representation theorem, angle periodicity
-and the row-batched Monte Carlo estimator."""
+"""Property-based checks of the representation theorem, angle periodicity,
+the row-batched Monte Carlo estimator and the CLI's handling of malformed
+scenarios."""
 
+import contextlib
+import io
+import json
 import math
+import tempfile
+import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,6 +24,7 @@ from eprlab import (
     TabulatedResponse,
     TimeSetting,
     UnitVector3,
+    cli,
     estimator,
     exact_expectation,
     extract_moments,
@@ -215,3 +223,54 @@ def test_finite_mean_and_stderr_equal_a_two_pass_reference(atoms, n, offset, key
     scale = float(np.max(np.abs(x)))
     assert est.mean == pytest.approx(mean, rel=1e-12, abs=1e-14 * scale)
     assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=1e-14 * scale / math.sqrt(n))
+
+
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
+#: JSON texts that replace one number of a bundled scenario: non-finite and
+#: out-of-range numbers, a negative one, one past 64 bits, an integer of
+#: 4300 digits (the most Python's decoder takes) and values of other types.
+MALFORMED = ["Infinity", "-Infinity", "1e400", "1.7e308", "-1.7e308", "-1", str(2**64),
+             "1" + "0" * 4299, '"x"', "null", "[]"]
+
+
+def _number_paths(node, path=()) -> list[tuple]:
+    """The key paths of every number in a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path] if isinstance(node, (int, float)) else []
+    return [found for key, child in items for found in _number_paths(child, path + (key,))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_malformed_scenarios_exit_with_one_error_line(data):
+    """One number of a bundled scenario replaced, at 100 samples: a settings
+    number, ``samples``, ``seed``, the squeezing, a moment, a ``chsh``
+    angle or a scan ``count``. The run ends with exit code 0, 1 or 2 and
+    at most one ``error:`` line, with no exception and no warning."""
+    name = data.draw(st.sampled_from(sorted(p.stem for p in SCENARIOS.glob("*.json"))),
+                     label="scenario")
+    document = json.loads((SCENARIOS / f"{name}.json").read_text())
+    document["samples"] = 100
+    path = data.draw(st.sampled_from(_number_paths(document)), label="path")
+    text = data.draw(st.sampled_from(MALFORMED), label="value")
+    node = document
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "<malformed>"
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "scenario.json"
+        scenario.write_text(json.dumps(document).replace('"<malformed>"', text))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status = cli.main(["run", str(scenario), "--out-dir", str(Path(tmp) / "out")])
+    assert status in (0, 1, 2)
+    assert not caught, [str(w.message) for w in caught]
+    lines = err.getvalue().splitlines()
+    assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: ")), lines
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
