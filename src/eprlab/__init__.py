@@ -53,7 +53,6 @@ from .lhv import (
     TabulatedResponse,
     exact_expectation,
     expectation_grid,
-    expectation_rows,
     free_evolution_model,
     matched_moments,
     quadrature_model,
@@ -107,7 +106,6 @@ __all__ = [
     "exact_expectation",
     "expectation",
     "expectation_grid",
-    "expectation_rows",
     "extract_moments",
     "free_evolution_correlation",
     "free_evolution_model",

@@ -30,12 +30,15 @@ correlator stacks are row gathers from that table. One pair of feature
 stacks feeds both the exact contraction and the chunk's Monte Carlo
 (``estimator._mc_rows``), whose means and standard errors come back as
 arrays; row r draws from the stream of the 128-bit key seed + (r << 64),
-the pair (seed, r). z-scores, the consistency check and the finite check
-are array operations on the whole result, and each output line is one
-``%`` format of a row tuple; the stdout table is written one chunk of
-lines per ``write``. Both outputs are written to temporary files
-in the output directory and renamed into place, so a failed write leaves
-earlier outputs intact. Exit codes: 0 on
+the pair (seed, r). The ``chsh`` block is four more rows of the same
+evaluation, (a, b), (a, b'), (a', b) and (a', b'), without Monte Carlo;
+their quantum and exact values are added as ``chsh_value`` adds them, and
+they do not enter the consistency check. z-scores, the consistency check
+and the finite check are array operations on the whole result, and each
+output line is one ``%`` format of a row tuple; the stdout table is
+written one chunk of lines per ``write``. Both outputs are written to
+temporary files in the output directory and renamed into place, so a
+failed write leaves earlier outputs intact. Exit codes: 0 on
 success, 1 on input errors (including command lines that argparse
 rejects, results that overflow double precision, and outputs that cannot
 be written), 2 when the model and the
@@ -63,24 +66,18 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .correlators import (
-    ChshSettings,
     QuadratureSetting,
     TimeSetting,
     _free_evolution_value,
     _quadrature_value,
-    chsh_value,
-    free_evolution_correlation,
-    quadrature_correlation,
-    spin_correlation,
     spin_correlation_rows,
 )
 from .errors import ConsistencyError, ScenarioError, ValidationError
-from .estimator import MAX_DRAWS, MAX_WORKERS, _mc_rows, _quiet, _z_scores
+from .estimator import MAX_DRAWS, MAX_WORKERS, _decimal, _mc_rows, _quiet, _z_scores
 from .gaussian import MomentMatrix, extract_moments, tmsv
 from .lhv import (
     HiddenVariableModel,
     _contract,
-    exact_expectation,
     free_evolution_model,
     quadrature_model,
     sup_bound,
@@ -88,9 +85,13 @@ from .lhv import (
 )
 from .operators import UnitVector3
 
-# The one-row estimator and comparison, whose array forms the rows use, bound
-# here too: the benchmark's traced run probes these names on this module.
+# The one-pair correlators, CHSH sum, exact expectation, estimator and
+# comparison, whose row forms a run uses, bound here too: the benchmark's
+# traced run probes these names on this module.
+from .correlators import chsh_value, free_evolution_correlation  # noqa: F401
+from .correlators import quadrature_correlation, spin_correlation  # noqa: F401
 from .estimator import compare, mc_estimate  # noqa: F401
+from .lhv import exact_expectation  # noqa: F401
 
 KINDS = ("SPIN_CHSH", "EPR_QUADRATURE", "FREE_EVOLUTION")
 CSV_COLUMNS = ("setting1", "setting2", "quantum", "lhv_exact", "lhv_mc", "stderr", "z")
@@ -169,21 +170,13 @@ def _axis_values(start: float, stop: float, count: int) -> list[float]:
     return [start] if count == 1 else [float(v) for v in np.linspace(start, stop, count)]
 
 
-def _decimal(n: int) -> str:
-    """``n`` in decimal, or a power-of-two bound past Python's limit on the digits of str(int)."""
-    try:
-        return str(n)
-    except ValueError:
-        return f"at least 2**{n.bit_length() - 1}"
-
-
 def _check_row_count(rows: int) -> None:
     if rows > MAX_ROWS:
         raise ScenarioError(f"'settings' asks for {_decimal(rows)} rows, "
                             f"more than MAX_ROWS = {MAX_ROWS}")
 
 
-def _parse_settings(data, kind: str) -> tuple[tuple[float, float], ...]:
+def _parse_settings(data) -> tuple[tuple[float, float], ...]:
     if not isinstance(data, dict):
         raise ScenarioError("'settings' must be an object")
     if set(data) == {"pairs"}:
@@ -279,7 +272,7 @@ def load_scenario(path: Path) -> Scenario:
         kind=kind,
         name=name,
         moments=_parse_state(data.get("state"), kind),
-        setting_pairs=_parse_settings(data.get("settings"), kind),
+        setting_pairs=_parse_settings(data.get("settings")),
         samples=samples,
         seed=seed,
         chsh=_parse_chsh(data.get("chsh"), kind),
@@ -302,14 +295,13 @@ class _Engine:
     (quadrature) or its time. ``quantum_rows(c1, c2)`` is the quantum
     correlation at each row of two row-aligned stacks of such columns, and
     ``magnitude(c1, c2)`` the sum of the absolute values of the terms of its
-    closed form, the scale of its rounding error. ``quantum`` is the quantum
-    correlation of one setting pair, which the CHSH block uses.
+    closed form, the scale of its rounding error. The CHSH block is four
+    more rows of the same functions.
     """
 
     model: HiddenVariableModel
     make_setting: Callable
     columns: Callable
-    quantum: Callable
     quantum_rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
     magnitude: Callable
 
@@ -317,7 +309,7 @@ class _Engine:
 def _build_engine(scenario: Scenario) -> _Engine:
     if scenario.kind == "SPIN_CHSH":
         return _Engine(unbounded_spin_model(), _spin_direction, lambda d: (d.x, d.y, d.z),
-                       spin_correlation, spin_correlation_rows, lambda c1, c2: 1.0)
+                       spin_correlation_rows, lambda c1, c2: 1.0)
     m = scenario.moments
     if scenario.kind == "EPR_QUADRATURE":
         def quantum_rows(c1, c2):
@@ -328,8 +320,7 @@ def _build_engine(scenario: Scenario) -> _Engine:
             return (abs(m.qq * cos1 * cos2) + abs(m.pq * sin1 * cos2)
                     + abs(m.qp * cos1 * sin2) + abs(m.pp * sin1 * sin2))
         return _Engine(quadrature_model(m), QuadratureSetting,
-                       lambda a: (math.cos(a.alpha), math.sin(a.alpha)),
-                       lambda a1, a2: quadrature_correlation(m, a1, a2), quantum_rows, magnitude)
+                       lambda a: (math.cos(a.alpha), math.sin(a.alpha)), quantum_rows, magnitude)
 
     def quantum_rows(c1, c2):
         return _free_evolution_value(m, c1[:, 0], c2[:, 0])
@@ -337,8 +328,7 @@ def _build_engine(scenario: Scenario) -> _Engine:
     def magnitude(c1, c2):
         t1, t2 = c1[:, 0], c2[:, 0]
         return abs(m.qq) + abs(m.pq * t1) + abs(m.qp * t2) + abs(m.pp * (t1 * t2))
-    return _Engine(free_evolution_model(m), TimeSetting, lambda t: (t.t,),
-                   lambda t1, t2: free_evolution_correlation(m, t1, t2), quantum_rows, magnitude)
+    return _Engine(free_evolution_model(m), TimeSetting, lambda t: (t.t,), quantum_rows, magnitude)
 
 
 @_quiet
@@ -352,8 +342,8 @@ def _evaluate(scenario: Scenario, workers: int) -> tuple[np.ndarray, dict]:
     model = engine.model
     weights = np.array(model.space.basis_weights)
     # Grids repeat their axis values; each distinct value is made once per
-    # run, as (setting, party-1 feature row, party-2 feature row, columns).
-    # Keyed by float.hex, so that 0.0 and -0.0 stay distinct.
+    # run, as (columns, party-1 feature row, party-2 feature row). Keyed by
+    # float.hex, so that 0.0 and -0.0 stay distinct.
     made: dict[str, tuple] = {}
 
     def make(x: float) -> tuple:
@@ -361,8 +351,8 @@ def _evaluate(scenario: Scenario, workers: int) -> tuple[np.ndarray, dict]:
         entry = made.get(key)
         if entry is None:
             setting = engine.make_setting(x)
-            entry = made[key] = (setting, model.response1.features(setting),
-                                 model.response2.features(setting), engine.columns(setting))
+            entry = made[key] = (engine.columns(setting), model.response1.features(setting),
+                                 model.response2.features(setting))
         return entry
 
     def gather(values: np.ndarray, party: int) -> tuple[np.ndarray, np.ndarray]:
@@ -376,7 +366,14 @@ def _evaluate(scenario: Scenario, workers: int) -> tuple[np.ndarray, dict]:
         distinct = np.array(list(slots), dtype=np.uint64).view(np.float64).tolist()
         entries = [make(x) for x in distinct]
         return (np.array([entry[party] for entry in entries])[rows],
-                np.array([entry[3] for entry in entries])[rows])
+                np.array([entry[0] for entry in entries])[rows])
+
+    def evaluate(values1: np.ndarray, values2: np.ndarray) -> tuple:
+        """Feature stacks, quantum and exact values and magnitudes at the pairs of two columns."""
+        phi1, columns1 = gather(values1, 1)
+        phi2, columns2 = gather(values2, 2)
+        return (phi1, phi2, engine.quantum_rows(columns1, columns2), _contract(weights, phi1, phi2),
+                engine.magnitude(columns1, columns2))
 
     values1, values2 = np.array(scenario.setting_pairs, dtype=float).T.copy()
     table = np.empty((len(values1), len(CSV_COLUMNS)))
@@ -384,25 +381,24 @@ def _evaluate(scenario: Scenario, workers: int) -> tuple[np.ndarray, dict]:
     consistency_pass = True
     for start in range(0, len(table), EVAL_CHUNK_ROWS):
         end = min(start + EVAL_CHUNK_ROWS, len(table))
-        phi1, columns1 = gather(values1[start:end], 1)
-        phi2, columns2 = gather(values2[start:end], 2)
-        quantum = engine.quantum_rows(columns1, columns2)
-        exact = _contract(weights, phi1, phi2)
+        phi1, phi2, quantum, exact, magnitude = evaluate(values1[start:end], values2[start:end])
         keys = [scenario.seed + (row << 64) for row in range(start, end)]
         mean, stderr = _mc_rows(model, phi1, phi2, scenario.samples, keys, workers)
         for column, values in enumerate((quantum, exact, mean, stderr), 2):
             table[start:end, column] = values
         # fmax ignores a NaN magnitude, as Python's max(1.0, S) does.
-        tolerance = CONSISTENCY_TOL * np.fmax(1.0, engine.magnitude(columns1, columns2))
+        tolerance = CONSISTENCY_TOL * np.fmax(1.0, magnitude)
         consistency_pass = consistency_pass and bool(np.all(np.abs(exact - quantum) <= tolerance))
     z, _ = _z_scores(table[:, 3], table[:, 4], table[:, 5])
     table[:, 6] = z
 
     chsh_quantum = chsh_lhv = None
     if scenario.chsh is not None:
-        settings = ChshSettings(*(make(theta)[0] for theta in scenario.chsh))
-        chsh_quantum = chsh_value(engine.quantum, settings)
-        chsh_lhv = chsh_value(lambda u, v: exact_expectation(model, u, v), settings)
+        # The rows (a, b), (a, b'), (a', b) and (a', b'), added in chsh_value's
+        # order. They are not consistency-checked.
+        a, a_prime, b, b_prime = scenario.chsh
+        rows = evaluate(np.array([a, a, a_prime, a_prime]), np.array([b, b_prime, b, b_prime]))
+        chsh_quantum, chsh_lhv = (float(v[0] - v[1] + v[2] + v[3]) for v in rows[2:4])
 
     bound = sup_bound(model)
     summary = {
@@ -486,7 +482,7 @@ def _print_table(chunks: Iterable[list[tuple]], summary: dict) -> None:
           f"consistency_pass = {summary['consistency_pass']}")
 
 
-def _drop_stdout(exc: OSError) -> None:
+def _drop_stdout() -> None:
     """After a failed write, point stdout at os.devnull so the exit flush cannot fail again.
 
     A closed pipe (EPIPE) or a full device keeps the unwritten text in
@@ -544,7 +540,7 @@ def run_scenario(path: Path, out_dir: Path | None = None, seed: int | None = Non
         print(f"wrote {csv_path} and {summary_path}")
         sys.stdout.flush()
     except OSError as exc:
-        _drop_stdout(exc)
+        _drop_stdout()
         raise ScenarioError(f"cannot write the table to standard output: {exc}") from exc
     if not summary["consistency_pass"]:
         print("error: model expectation deviates from the quantum value beyond "

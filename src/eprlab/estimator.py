@@ -407,17 +407,30 @@ def _tile_stats(model: HiddenVariableModel, words, count: int, keys: Sequence[in
     return np.stack((sums, y.sum(axis=1)), axis=1)
 
 
+def _decimal(value) -> str:
+    """``repr(value)``, or past Python's str(int) digit limit a power-of-two bound or the type."""
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            return f"a {type(value).__name__} too long to print"
+        bound = f"2**{abs(value).bit_length() - 1}"
+        return f"at least {bound}" if value > 0 else f"at most -{bound}"
+
+
 def _check_draws(n, keys: Sequence[int], workers) -> None:
     if type(workers) is not int or not 1 <= workers <= MAX_WORKERS:
-        raise ValidationError(f"workers must be an integer in [1, {MAX_WORKERS}], got {workers!r}")
+        raise ValidationError(f"workers must be an integer in [1, {MAX_WORKERS}], "
+                              f"got {_decimal(workers)}")
     if not isinstance(n, int) or n < 2:
-        raise ValidationError(f"sample count must be an integer >= 2, got {n!r}")
+        raise ValidationError(f"sample count must be an integer >= 2, got {_decimal(n)}")
     if n * len(keys) > MAX_DRAWS:
-        raise ValidationError(f"{len(keys)} rows of {n} draws ask for {n * len(keys)} draws, "
-                              f"more than MAX_DRAWS = {MAX_DRAWS}")
+        raise ValidationError(f"{len(keys)} rows of {_decimal(n)} draws ask for "
+                              f"{_decimal(n * len(keys))} draws, more than MAX_DRAWS = {MAX_DRAWS}")
     for key in keys:
         if not isinstance(key, int) or not 0 <= key < 1 << 128:
-            raise ValidationError(f"stream key must be a 128-bit unsigned integer, got {key!r}")
+            raise ValidationError(f"stream key must be a 128-bit unsigned integer, "
+                                  f"got {_decimal(key)}")
 
 
 def mc_estimate(model: HiddenVariableModel, s1, s2, n: int, key: int, *,

@@ -361,8 +361,10 @@ def _contract(weights, phi1, phi2) -> np.ndarray:
 
 
 def exact_expectation(model: HiddenVariableModel, s1, s2) -> float:
-    """E[xi1(s1) xi2(s2)] in closed form: the one-pair case of ``expectation_rows``."""
-    return float(expectation_rows(model, [s1], [s2])[0])
+    """E[xi1(s1) xi2(s2)] in closed form: the contraction of the two parties' feature rows."""
+    return float(_contract(np.array(model.space.basis_weights),
+                           np.array(model.response1.features(s1)),
+                           np.array(model.response2.features(s2))))
 
 
 def _feature_stack(response, settings: Sequence) -> np.ndarray:
@@ -380,22 +382,6 @@ def expectation_grid(model: HiddenVariableModel,
     phi1 = _feature_stack(model.response1, settings1)
     phi2 = _feature_stack(model.response2, settings2)
     return _contract(np.array(model.space.basis_weights), phi1[:, None, :], phi2[None, :, :])
-
-
-def expectation_rows(model: HiddenVariableModel,
-                     settings1: Sequence, settings2: Sequence) -> np.ndarray:
-    """``exact_expectation`` at each aligned pair (settings1[i], settings2[i]).
-
-    The same contraction on row-aligned feature stacks, so each entry
-    equals the scalar value bit for bit; returns an array of shape
-    (len(settings1),).
-    """
-    if len(settings1) != len(settings2):
-        raise ValidationError(
-            f"setting lists differ in length: {len(settings1)} vs {len(settings2)}")
-    return _contract(np.array(model.space.basis_weights),
-                     _feature_stack(model.response1, settings1),
-                     _feature_stack(model.response2, settings2))
 
 
 def matched_moments(model: HiddenVariableModel) -> MomentMatrix:

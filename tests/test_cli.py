@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from eprlab import (
-    ConsistencyError,
     MomentMatrix,
     QuadratureSetting,
     cli,
@@ -68,6 +67,19 @@ SQUEEZING_0_SCAN = {
     "settings": {"setting1": {"start": -3.0, "stop": 3.0, "count": 13},
                  "setting2": {"start": -3.0, "stop": 3.0, "count": 13}},
     "samples": 50, "seed": 3,
+}
+
+#: sha256 of the summary of QUADRATURE_CHSH, whose CHSH value is 5.12915518 on
+#: both sides. Taken while the CHSH block still summed the one-pair correlator
+#: and the one-pair exact expectation, not four rows of the chunk evaluator.
+QUADRATURE_CHSH_SUMMARY_SHA256 = "94a3f19797307aa1a3304862f6b2388138bb06e76bcba964436ca22e10ecdff4"
+QUADRATURE_CHSH = {
+    "kind": "EPR_QUADRATURE", "name": "quadrature_chsh", "state": {"squeezing": 1.0},
+    "settings": {"setting1": {"start": -0.0, "stop": 3.0, "count": 4},
+                 "setting2": {"start": 0.0, "stop": 3.0, "count": 4}},
+    "samples": 1000, "seed": 11,
+    "chsh": {"a": -0.0, "a_prime": 1.5707963267948966, "b": -0.7853981633974483,
+             "b_prime": -2.356194490192345},
 }
 
 
@@ -144,6 +156,13 @@ class TestBundledScenarios:
                         "--out-dir", tmp_path]) == 0
         digest = hashlib.sha256((tmp_path / "squeezing_0.csv").read_bytes()).hexdigest()
         assert digest == SQUEEZING_0_CSV_SHA256
+
+    def test_quadrature_chsh_summary_matches_pinned_hash(self, tmp_path):
+        assert run_cli(["run", write_scenario(tmp_path, QUADRATURE_CHSH),
+                        "--out-dir", tmp_path]) == 0
+        summary = (tmp_path / "quadrature_chsh.summary.json").read_bytes()
+        assert hashlib.sha256(summary).hexdigest() == QUADRATURE_CHSH_SUMMARY_SHA256
+        assert json.loads(summary)["chsh_quantum"] > 2.0
 
 
 #: Gaussian scenarios whose rows are checked against the per-draw reference,
@@ -924,23 +943,18 @@ class TestConsistencyGate:
         summary = json.loads((tmp_path / "free_evolution.summary.json").read_text())
         assert summary["consistency_pass"] is False
 
-    def test_correlator_cross_check_failure_exits_two(self, tmp_path, monkeypatch, capsys):
-        def mismatch(a, b):
-            raise ConsistencyError("spin correlator mismatch")
-        monkeypatch.setattr(cli, "spin_correlation", mismatch)
-        code = run_cli(["run", SCENARIOS / "spin_chsh.json", "--out-dir", tmp_path])
-        assert code == 2
-        assert "error: spin correlator mismatch" in capsys.readouterr().err
-
-    def test_batched_cross_check_failure_exits_two(self, tmp_path, monkeypatch, capsys):
-        # Without a chsh block only the batched row correlator runs.
+    @pytest.mark.parametrize("chsh", [None, {"a": 0.0, "a_prime": 1.5, "b": 0.7, "b_prime": 2.3}],
+                             ids=["rows", "rows_and_chsh"])
+    def test_correlator_cross_check_failure_exits_two(self, tmp_path, monkeypatch, capsys, chsh):
+        # The rows and the CHSH block go through one row correlator.
         monkeypatch.setattr(correlators, "SPIN_CONSISTENCY_TOL", -1.0)
-        path = write_scenario(tmp_path, {"kind": "SPIN_CHSH",
-                                         "settings": {"pairs": [[0.0, 0.5], [1.0, 2.0]]},
-                                         "samples": 10, "seed": 0})
+        document = {"kind": "SPIN_CHSH", "settings": {"pairs": [[0.0, 0.5], [1.0, 2.0]]},
+                    "samples": 10, "seed": 0}
+        if chsh is not None:
+            document["chsh"] = chsh
         out = tmp_path / "out"
-        assert run_cli(["run", path, "--out-dir", out]) == 2
-        assert "error: spin correlator mismatch at row 0" in capsys.readouterr().err
+        assert run_cli(["run", write_scenario(tmp_path, document), "--out-dir", out]) == 2
+        assert capsys.readouterr().err.startswith("error: spin correlator mismatch at row 0")
         assert not out.exists()
 
 
@@ -970,6 +984,17 @@ class TestStdoutFailures:
                                 "[Errno 28] No space left on device\n"
         # The outputs are written before the table.
         assert (tmp_path / "spin_chsh.csv").exists()
+
+    def test_drop_stdout_takes_no_arguments(self, capsys):
+        # A captured stdout has no descriptor, so there is nothing to point at
+        # os.devnull.
+        cli._drop_stdout()
+        print("still written")
+        assert capsys.readouterr().out == "still written\n"
+
+
+def test_parse_settings_takes_only_the_settings():
+    assert cli._parse_settings({"pairs": [[0.0, -0.5]]}) == ((0.0, -0.5),)
 
 
 class TestEntryPoint:

@@ -50,6 +50,9 @@ Z_AXIS = UnitVector3(0.0, 0.0, 1.0)
 
 SEEDS = list(range(100, 120))
 
+#: 10**5000 lies in [2**HUGE_BITS, 2**(HUGE_BITS + 1)).
+HUGE_BITS = (10**5000).bit_length() - 1
+
 
 def constant_model(value: float = 1.0) -> HiddenVariableModel:
     settings = (QuadratureSetting(0.0),)
@@ -731,6 +734,32 @@ class TestMcEstimateRows:
                                 [1, 2, 3], workers=MAX_WORKERS)
         assert rows == [mc_estimate(unbounded_spin_model(), Z_AXIS, Z_AXIS, 10, key)
                         for key in (1, 2, 3)]
+
+    # Integers past Python's 4300-digit limit on str(int), where repr raises
+    # ValueError, print as power-of-two bounds; other values as their type.
+    @pytest.mark.parametrize("n, keys, workers, message", [
+        (9 * 10**4299, list(range(11)), 1,
+         f"11 rows of {9 * 10**4299} draws ask for at least 2**{(99 * 10**4299).bit_length() - 1} "
+         f"draws, more than MAX_DRAWS = {estimator.MAX_DRAWS}"),
+        (10**5000, [1], 1, f"1 rows of at least 2**{HUGE_BITS} draws ask for at least "
+                           f"2**{HUGE_BITS} draws, more than MAX_DRAWS = {estimator.MAX_DRAWS}"),
+        (-10**5000, [1], 1, f"sample count must be an integer >= 2, got at most -2**{HUGE_BITS}"),
+        (10, [10**5000], 1,
+         f"stream key must be a 128-bit unsigned integer, got at least 2**{HUGE_BITS}"),
+        (10, [-10**5000], 1,
+         f"stream key must be a 128-bit unsigned integer, got at most -2**{HUGE_BITS}"),
+        (10, [[10**5000]], 1, "stream key must be a 128-bit unsigned integer, "
+                              "got a list too long to print"),
+        (10, [1], 10**5000,
+         f"workers must be an integer in [1, {MAX_WORKERS}], got at least 2**{HUGE_BITS}"),
+    ], ids=["draws", "samples", "negative_samples", "key", "negative_key", "listed_key",
+            "workers"])
+    def test_rejects_integers_past_the_digit_limit(self, n, keys, workers, message):
+        rows = len(keys)
+        with pytest.raises(ValidationError) as excinfo:
+            mc_estimate_rows(unbounded_spin_model(), [Z_AXIS] * rows, [Z_AXIS] * rows, n, keys,
+                             workers=workers)
+        assert str(excinfo.value) == message
 
 
 class TestCalibration:

@@ -24,7 +24,6 @@ from eprlab import (
     chsh_value,
     exact_expectation,
     expectation_grid,
-    expectation_rows,
     extract_moments,
     free_evolution_correlation,
     free_evolution_model,
@@ -44,6 +43,7 @@ from conftest import (
     random_sign_model,
     random_unit_vectors,
 )
+from eprlab.lhv import _contract, _feature_stack
 
 Z_AXIS = UnitVector3(0.0, 0.0, 1.0)
 X_AXIS = UnitVector3(1.0, 0.0, 0.0)
@@ -410,14 +410,13 @@ class TestExpectationRows:
          TimeSetting, [0.0, -0.0, 1e3, -7.5, 1e-6]),
     ])
     def test_matches_scalar_bit_for_bit(self, build, make, values):
+        # The contraction of row-aligned feature stacks, as the CLI evaluates
+        # its rows, equals the one-pair exact expectation bit for bit.
         model = build()
         pairs = [(make(x1), make(x2)) for x1, x2 in itertools.product(values, repeat=2)]
-        rows = expectation_rows(model, [a for a, _ in pairs], [b for _, b in pairs])
+        rows = _contract(np.array(model.space.basis_weights),
+                         _feature_stack(model.response1, [a for a, _ in pairs]),
+                         _feature_stack(model.response2, [b for _, b in pairs]))
         assert rows.shape == (len(pairs),)
         assert [float(v).hex() for v in rows] == \
             [exact_expectation(model, a, b).hex() for a, b in pairs]
-
-    def test_rejects_unaligned_lists(self):
-        s = [QuadratureSetting(0.0), QuadratureSetting(1.0)]
-        with pytest.raises(ValidationError):
-            expectation_rows(quadrature_model(MomentMatrix(1.0, 0.0, 0.0, 1.0)), s, s[:1])

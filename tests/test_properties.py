@@ -1,6 +1,6 @@
 """Property-based checks of the representation theorem, angle periodicity,
-the row-batched Monte Carlo estimator and the CLI's handling of malformed
-scenarios."""
+the row-batched Monte Carlo estimator, the CLI's CHSH values and its
+handling of malformed scenarios."""
 
 import contextlib
 import io
@@ -13,10 +13,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eprlab import (
+    ChshSettings,
     HiddenVariableModel,
     MomentMatrix,
     QuadratureSetting,
@@ -24,6 +25,7 @@ from eprlab import (
     TabulatedResponse,
     TimeSetting,
     UnitVector3,
+    chsh_value,
     cli,
     estimator,
     exact_expectation,
@@ -34,6 +36,7 @@ from eprlab import (
     mc_estimate_rows,
     quadrature_correlation,
     quadrature_model,
+    spin_correlation,
     tmsv,
     unbounded_spin_model,
 )
@@ -274,3 +277,48 @@ def test_malformed_scenarios_exit_with_one_error_line(data):
     lines = err.getvalue().splitlines()
     assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: ")), lines
     assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+
+
+#: CHSH angles: signed zeros, multiples of pi/2 and any value of magnitude up to 1e6.
+CHSH_ANGLE = st.one_of(st.sampled_from([0.0, -0.0]),
+                       st.integers(-8, 8).map(lambda k: k * (math.pi / 2)),
+                       st.floats(min_value=-1e6, max_value=1e6))
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["SPIN_CHSH", "EPR_QUADRATURE"]),
+       angles=st.tuples(CHSH_ANGLE, CHSH_ANGLE, CHSH_ANGLE, CHSH_ANGLE),
+       squeezing=st.floats(min_value=-3.0, max_value=3.0))
+@example(kind="SPIN_CHSH", angles=(0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4),
+         squeezing=0.0)
+@example(kind="SPIN_CHSH", angles=(-0.0, 1e6, -1e6, 0.0), squeezing=0.0)
+@example(kind="EPR_QUADRATURE", angles=(-0.0, math.pi / 2, -math.pi / 4, -3 * math.pi / 4),
+         squeezing=1.0)
+@example(kind="EPR_QUADRATURE", angles=(1e6, -0.0, 3 * (math.pi / 2), -1e6), squeezing=-3.0)
+def test_cli_chsh_values_equal_the_one_pair_sums(kind, angles, squeezing):
+    """A run's ``chsh_quantum`` and ``chsh_lhv_exact``, four rows of its chunk
+    evaluator, equal ``chsh_value`` over the one-pair correlator and over
+    ``exact_expectation`` bit for bit."""
+    document = {"kind": kind, "name": "chsh", "settings": {"pairs": [[angles[0], angles[2]]]},
+                "samples": 2, "seed": 1, "chsh": dict(zip(("a", "a_prime", "b", "b_prime"),
+                                                          angles))}
+    if kind == "SPIN_CHSH":
+        model = unbounded_spin_model()
+        chsh = ChshSettings(*(UnitVector3(math.sin(x), 0.0, math.cos(x)) for x in angles))
+        quantum = chsh_value(spin_correlation, chsh)
+    else:
+        document["state"] = {"squeezing": squeezing}
+        m = extract_moments(tmsv(squeezing))
+        model = quadrature_model(m)
+        chsh = ChshSettings(*(QuadratureSetting(x) for x in angles))
+        quantum = chsh_value(lambda s1, s2: quadrature_correlation(m, s1, s2), chsh)
+    exact = chsh_value(lambda s1, s2: exact_expectation(model, s1, s2), chsh)
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "scenario.json"
+        scenario.write_text(json.dumps(document))
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = cli.main(["run", str(scenario), "--out-dir", tmp, "--workers", "1"])
+        summary = json.loads((Path(tmp) / "chsh.summary.json").read_text())
+    assert status == 0
+    assert summary["chsh_quantum"].hex() == quantum.hex()
+    assert summary["chsh_lhv_exact"].hex() == exact.hex()
