@@ -336,7 +336,8 @@ def _evaluate(scenario: Scenario, workers: int) -> tuple[np.ndarray, dict]:
     """All result rows, as a (rows, len(CSV_COLUMNS)) array in CSV column order, and the summary.
 
     Overflow is not warned about: it shows as an infinite or NaN value,
-    which ``_check_finite`` reports with its row.
+    which is reported with its row (``_check_finite``) or, in a CHSH sum,
+    with the ``chsh`` block, as a ``ScenarioError``.
     """
     engine = _build_engine(scenario)
     model = engine.model
@@ -391,6 +392,7 @@ def _evaluate(scenario: Scenario, workers: int) -> tuple[np.ndarray, dict]:
         consistency_pass = consistency_pass and bool(np.all(np.abs(exact - quantum) <= tolerance))
     z, _ = _z_scores(table[:, 3], table[:, 4], table[:, 5])
     table[:, 6] = z
+    _check_finite(table)
 
     chsh_quantum = chsh_lhv = None
     if scenario.chsh is not None:
@@ -399,6 +401,12 @@ def _evaluate(scenario: Scenario, workers: int) -> tuple[np.ndarray, dict]:
         a, a_prime, b, b_prime = scenario.chsh
         rows = evaluate(np.array([a, a, a_prime, a_prime]), np.array([b, b_prime, b, b_prime]))
         chsh_quantum, chsh_lhv = (float(v[0] - v[1] + v[2] + v[3]) for v in rows[2:4])
+        # Finite rows can still add up past double precision.
+        for label, value in (("chsh_quantum", chsh_quantum), ("chsh_lhv_exact", chsh_lhv)):
+            if not math.isfinite(value):
+                raise ScenarioError(
+                    f"chsh (a = {a!r}, a_prime = {a_prime!r}, b = {b!r}, b_prime = {b_prime!r}): "
+                    f"{label} is {value!r}; the scenario's values overflow double precision")
 
     bound = sup_bound(model)
     summary = {
@@ -432,15 +440,9 @@ def _chunks(table: np.ndarray) -> Iterator[list[tuple]]:
         yield list(zip(*table[start:start + EVAL_CHUNK_ROWS].T.tolist()))
 
 
-def _rows(table: np.ndarray) -> Iterator[tuple]:
-    """The rows of ``table`` as plain tuples of floats, converted a chunk at a time."""
-    for chunk in _chunks(table):
-        yield from chunk
-
-
-def _write_csv(fh, rows: Iterable[tuple]) -> None:
+def _write_csv(fh, chunks: Iterable[list[tuple]]) -> None:
     fh.write(",".join(CSV_COLUMNS) + "\r\n")
-    fh.writelines(_CSV_LINE % row for row in rows)
+    fh.writelines("".join([_CSV_LINE % row for row in chunk]) for chunk in chunks)
 
 
 def _write_summary(fh, summary: dict) -> None:
@@ -523,14 +525,13 @@ def run_scenario(path: Path, out_dir: Path | None = None, seed: int | None = Non
                             f"ask for {_decimal(draws)} draws, more than MAX_DRAWS = {MAX_DRAWS}")
 
     table, summary = _evaluate(scenario, workers)
-    _check_finite(table)
 
     out = Path(out_dir) if out_dir is not None else Path(".")
     csv_path = out / f"{scenario.name}.csv"
     summary_path = out / f"{scenario.name}.summary.json"
     try:
         out.mkdir(parents=True, exist_ok=True)
-        _write_outputs([(csv_path, lambda fh: _write_csv(fh, _rows(table))),
+        _write_outputs([(csv_path, lambda fh: _write_csv(fh, _chunks(table))),
                         (summary_path, lambda fh: _write_summary(fh, summary))])
     except OSError as exc:
         raise ScenarioError(f"cannot write the outputs in {out}: {exc}") from exc

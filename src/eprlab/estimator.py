@@ -62,10 +62,14 @@ index is the number of thresholds ceil(cum[k] * 2**53) << 11, over
 k < K - 1, that the word reaches. Thresholds at or above 2**53 << 11
 cannot be reached and are dropped. That is the atom that
 ``searchsorted(cum, u, side="right")``, clipped to K - 1, gives. A
-finite model's draws are summed up by their atom counts: small tables
-count the words at or above each threshold and take differences; large
-ones, and multi-row tiles of rows shorter than ``MIN_COUNTED_ROW_WORDS``
-words, binary-search the thresholds and count the indices.
+finite model's draws are summed up by their atom counts: one kernel
+counts the words at or above each threshold and takes differences, one
+pass over the words per threshold. That beats a binary search of the
+thresholds up to about 128 atoms: on one-row tiles of 65 536 words
+(2-vCPU x86-64 host, timeit minimum) it took 1.1 against 3.6 ms at 33
+atoms and 3.4 against 4.6 ms at 80, broke even at 112 to 128, and took
+9.0 against 5.2 ms at 256. Larger tables pay that; the CLI's singlet
+model has 3 atoms.
 
 Every draw goes through one kernel, ``_tile_stats``. A tile is a
 C-contiguous (rows, words) stack of Philox words, one word a draw; the
@@ -140,26 +144,6 @@ from .lhv import HiddenVariableModel, SpaceKind, _contract, _feature_stack
 #: Draws per evaluation block. Fixed so that block boundaries (and hence
 #: the reduction order of partial sums) never depend on the worker count.
 BLOCK_DRAWS = 1 << 16
-
-#: Finite models with at most this many atoms count the words at or above
-#: each lookup threshold; larger ones binary-search the thresholds and
-#: count the indices. Counting makes one pass over the words per threshold;
-#: on a 2-vCPU x86-64 host it beat the binary search up to 48 atoms, on
-#: 65 536-word tiles of one row and of 256 rows alike (1.1 against 3.1 ms
-#: at 32 atoms in one row).
-MAX_COUNTED_ATOMS = 32
-
-#: Multi-row tiles with fewer words per row than this binary-search the
-#: thresholds, whatever the atom count: counting along the row axis costs
-#: a pass per threshold plus a per-row overhead that short rows do not
-#: repay. Spin model (3 atoms), same host, timeit minimum, search against
-#: count: 256-row tiles 0.018 vs 0.043 ms at 2 words a row, 0.031 vs
-#: 0.050 at 8, 0.049 vs 0.055 at 16, 0.113 vs 0.064 at 32; 65 536-word
-#: tiles 1.13 vs 2.43 ms at 2 words, 1.24 vs 1.43 at 4, 1.00 vs 0.81 at 8,
-#: 1.19 vs 0.56 at 16. At 8 atoms search won up to 24 words (256 rows) and
-#: 8 words (65 536), at 32 atoms up to 64 and 48. The CLI's tiles have at
-#: most 256 rows.
-MIN_COUNTED_ROW_WORDS = 16
 
 #: Rows of more draws (one Philox word each) than this take numpy's C
 #: generator. Per row of a 256-row batch on a 2-vCPU x86-64 host, batched
@@ -341,17 +325,14 @@ def _atom_counts(weights, raw: np.ndarray) -> np.ndarray:
     """Each row's count of every atom in a (rows, words) stack of raw Philox words.
 
     Returns a (rows, len(weights)) int64 array; the atom of a word is
-    found by its thresholds (see the module docstring).
+    found by its thresholds (see the module docstring). The one finite
+    kernel: it passes over the words once per threshold, so above about
+    128 atoms it is slower than a binary search would be.
     """
     # Partial sums in index order, as np.cumsum forms them; c < 1 is c * 2**53 < 2**53.
     thresholds = [np.uint64(math.ceil(c * 2.0**53) << 11)
                   for c in accumulate(weights[:-1]) if c < 1.0]
     rows, atoms = raw.shape[0], len(weights)
-    if atoms > MAX_COUNTED_ATOMS or (rows > 1 and raw.shape[1] < MIN_COUNTED_ROW_WORDS):
-        index = np.searchsorted(np.array(thresholds, dtype=np.uint64), raw, side="right")
-        # Row r's atoms count into bins r * atoms .. r * atoms + atoms - 1.
-        index += np.arange(0, rows * atoms, atoms)[:, None]
-        return np.bincount(index.ravel(), minlength=rows * atoms).reshape(rows, atoms)
     # reached[:, j] counts the words that reach j thresholds or more; atom k
     # is reached by k but not k + 1, and no word reaches past the last one.
     reached = np.zeros((rows, atoms + 1), dtype=np.int64)

@@ -324,6 +324,19 @@ class TestScansAndOverrides:
         assert read(base) != read(reseeded)
         assert read(base) != read(resampled)
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--seed", -1, "--seed must be a 64-bit unsigned integer, got -1"),
+        ("--seed", 1 << 64, "--seed must be a 64-bit unsigned integer, got 18446744073709551616"),
+        ("--samples", 1, "--samples must be >= 2, got 1"),
+    ], ids=["seed_negative", "seed_past_64_bits", "samples_one"])
+    def test_overrides_outside_their_range_exit_one(self, tmp_path, capsys, flag, value,
+                                                    message):
+        out = tmp_path / "out"
+        assert run_cli(["run", SCENARIOS / "free_evolution.json", "--out-dir", out,
+                        flag, value]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestInputErrors:
     def test_missing_file(self, tmp_path):
@@ -581,6 +594,25 @@ class TestInputErrors:
         assert len(lines) == 1, result.stderr
         assert lines[0].startswith("error: row 0 ")
 
+    def test_overflowing_chsh_sum_exits_one(self, tmp_path, capsys):
+        # Each row is about 8e307, finite; the CHSH sums of four rows are not,
+        # and were written to summary.json as Infinity with exit 0.
+        path = write_scenario(tmp_path, {"kind": "EPR_QUADRATURE",
+                                         "state": {"squeezing": 355.2},
+                                         "settings": {"pairs": [[0.0, 0.3]]},
+                                         "samples": 10, "seed": 0,
+                                         "chsh": {"a": 0.0, "a_prime": -math.pi / 2,
+                                                  "b": math.pi / 4, "b_prime": 3 * math.pi / 4}})
+        out = tmp_path / "out"
+        assert run_cli(["run", path, "--out-dir", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: chsh (a = 0.0, a_prime = {-math.pi / 2!r}, b = {math.pi / 4!r}, "
+            f"b_prime = {3 * math.pi / 4!r}): chsh_quantum is inf; "
+            "the scenario's values overflow double precision\n")
+        assert not out.exists()
+
     def test_out_dir_that_is_a_file_exits_one(self, tmp_path, capsys):
         blocker = tmp_path / "taken"
         blocker.write_text("")
@@ -714,7 +746,7 @@ class TestAtomicOutputs:
         assert run_cli(["run", scenario, "--out-dir", tmp_path]) == 0
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
-        def failing_writer(fh, rows):
+        def failing_writer(fh, chunks):
             fh.write("setting1,setting2\n0,")
             raise OSError("no space left on device")
         monkeypatch.setattr(cli, "_write_csv", failing_writer)
@@ -772,7 +804,7 @@ class TestOutputLines:
         for row in EDGE_ROWS:
             writer.writerow(format(v, ".17g") for v in row)
         got = io.StringIO(newline="")
-        cli._write_csv(got, iter(EDGE_ROWS))
+        cli._write_csv(got, [EDGE_ROWS])
         assert got.getvalue() == want.getvalue()
 
     def test_table_line_equals_the_f_string_line(self):
@@ -784,7 +816,7 @@ class TestOutputLines:
     def test_rows_are_tuples_of_the_table_rows_across_chunks(self):
         table = np.arange(7.0 * (cli.EVAL_CHUNK_ROWS + 3)).reshape(-1, 7)
         table[1, 2] = -0.0
-        rows = list(cli._rows(table))
+        rows = [row for chunk in cli._chunks(table) for row in chunk]
         assert all(type(row) is tuple for row in rows)
         assert [bits(row) for row in rows] == [bits(row) for row in table.tolist()]
 

@@ -36,9 +36,7 @@ from eprlab import estimator
 from eprlab.estimator import (
     BATCH_ROW_WORDS,
     BLOCK_DRAWS,
-    MAX_COUNTED_ATOMS,
     MAX_WORKERS,
-    MIN_COUNTED_ROW_WORDS,
     SUBCHUNK_DRAWS,
     _atom_counts,
     _philox_words,
@@ -587,9 +585,11 @@ ATOM_WEIGHTS = {
     "cumsum_below_one": (0.1,) * 10,
     "cumsum_just_below_one": (0.5, 0.5 - 2.0**-53, 0.0),
     "cumsum_just_above_one": (0.5, 0.5 + 2.0**-52, 0.0),
-    "counted_cutoff": random_weights(MAX_COUNTED_ATOMS, 1),
-    "searched_cutoff": random_weights(MAX_COUNTED_ATOMS + 1, 2),
+    # 32 and 33 atoms straddle the former cutoff between counting and a binary search.
+    "counted_cutoff": random_weights(32, 1),
+    "searched_cutoff": random_weights(33, 2),
     "forty_atoms": random_weights(40, 3),
+    "two_hundred_atoms": random_weights(200, 4),
 }
 
 
@@ -607,12 +607,19 @@ class TestAtomLookup:
         assert counts.dtype == np.int64 and counts.shape == (1, len(weights))
         assert np.array_equal(counts, reference_counts(weights, words[None, :]))
 
-    @pytest.mark.parametrize("rows", [2, 3, 64])
+    @pytest.mark.parametrize("rows,words_per_row", [
+        pytest.param(2, None, id="2"), pytest.param(3, None, id="3"),
+        pytest.param(64, None, id="64"), pytest.param(None, 2, id="2_words"),
+        pytest.param(None, 40, id="40_words")])
     @pytest.mark.parametrize("weights", ATOM_WEIGHTS.values(), ids=ATOM_WEIGHTS.keys())
-    def test_multi_row_counts_match_float_searchsorted(self, weights, rows):
+    def test_multi_row_counts_match_float_searchsorted(self, weights, rows, words_per_row):
         # The boundary words lead, so the first rows hold them all.
         words = boundary_words(weights)
-        words = np.ascontiguousarray(words[:len(words) // rows * rows].reshape(rows, -1))
+        if rows is None:
+            words = words[:len(words) // words_per_row * words_per_row].reshape(-1, words_per_row)
+        else:
+            words = words[:len(words) // rows * rows].reshape(rows, -1)
+        words = np.ascontiguousarray(words)
         assert np.array_equal(_atom_counts(weights, words), reference_counts(weights, words))
 
     def test_block_sums_match_stream_reconstruction_off_axis(self):
@@ -634,22 +641,18 @@ class TestAtomLookup:
             # The counts are the block's x = per_atom[atoms], grouped by value.
             assert counts[0] @ per_atom == pytest.approx(np.sum(per_atom[atoms]), rel=1e-12)
 
-    @pytest.mark.parametrize("words_per_row", [MIN_COUNTED_ROW_WORDS - 1, MIN_COUNTED_ROW_WORDS,
-                                               MIN_COUNTED_ROW_WORDS + 1])
+    # Rows of 15, 16 and 17 words straddle the former cutoff below which
+    # multi-row tiles were binary-searched.
+    @pytest.mark.parametrize("words_per_row", [15, 16, 17])
     @pytest.mark.parametrize("weights", [ATOM_WEIGHTS["thirds"], ATOM_WEIGHTS["counted_cutoff"],
                                          ATOM_WEIGHTS["cumsum_just_below_one"]],
                              ids=["thirds", "counted_cutoff", "cumsum_just_below_one"])
-    def test_searched_and_counted_rows_agree_at_the_row_cutoff(self, monkeypatch, weights,
-                                                             words_per_row):
+    def test_searched_and_counted_rows_agree_at_the_row_cutoff(self, weights, words_per_row):
         # The boundary words lead, so the first rows hold them all.
         words = boundary_words(weights)
         rows = len(words) // words_per_row
         words = np.ascontiguousarray(words[:rows * words_per_row].reshape(rows, -1))
-        want = reference_counts(weights, words)
-        assert np.array_equal(_atom_counts(weights, words), want)
-        for cutoff in (0, 1 << 62):  # every row counted, every row searched
-            monkeypatch.setattr(estimator, "MIN_COUNTED_ROW_WORDS", cutoff)
-            assert np.array_equal(_atom_counts(weights, words), want)
+        assert np.array_equal(_atom_counts(weights, words), reference_counts(weights, words))
 
 
 PHILOX_KEYS = [0, 1, 1 << 63, (1 << 64) - 1,

@@ -40,8 +40,7 @@ from eprlab import (
     tmsv,
     unbounded_spin_model,
 )
-from eprlab.estimator import (BATCH_MIN_ROWS, BATCH_ROW_WORDS, BLOCK_DRAWS, MAX_COUNTED_ATOMS,
-                              SUBCHUNK_DRAWS)
+from eprlab.estimator import BATCH_MIN_ROWS, BATCH_ROW_WORDS, BLOCK_DRAWS, SUBCHUNK_DRAWS
 
 # Fixed example sequence and no example database, so every run checks the same inputs.
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -127,7 +126,7 @@ ROW_MODELS = {
                    [QuadratureSetting(a) for a in (0.0, -0.0, 0.4, 1.7, -2.9, 3.1)]),
     "free_evolution": (free_evolution_model(MomentMatrix(qq=0.3, pq=0.7, qp=-0.23, pp=1.1)),
                        [TimeSetting(t) for t in (0.0, -0.0, 0.5, -1.5, 20.0, -300.0)]),
-    "tabulated": _tabulated_model(MAX_COUNTED_ATOMS + 8),
+    "tabulated": _tabulated_model(40),
 }
 ROW_SAMPLES = sorted({2, 3, BATCH_ROW_WORDS // 2, BATCH_ROW_WORDS // 2 + 1,
                       BATCH_ROW_WORDS, BATCH_ROW_WORDS + 1, BLOCK_DRAWS + 1})
@@ -193,7 +192,7 @@ def test_row_estimates_equal_per_row_estimates(name, n, data):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(atoms=st.integers(1, MAX_COUNTED_ATOMS + 8),
+@given(atoms=st.integers(1, 40),
        n=st.one_of(st.integers(2, 3000), st.just(BLOCK_DRAWS + 5)),
        offset=st.sampled_from([0.0, -3e5, 1e8]), key=KEY, data=st.data())
 def test_finite_mean_and_stderr_equal_a_two_pass_reference(atoms, n, offset, key, data):
