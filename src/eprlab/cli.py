@@ -22,8 +22,12 @@ expanded to a Cartesian product with ``setting1`` as the outer loop.
 
 For every setting pair the tool evaluates the exact quantum correlation,
 the model's exact expectation, and a seeded Monte Carlo estimate, then
-writes ``<name>.csv`` and ``<name>.summary.json``. The rows are evaluated
-by columns, in chunks of ``EVAL_CHUNK_ROWS`` rows. Each distinct setting
+writes ``<name>.csv`` and ``<name>.summary.json``. A loaded scenario
+holds its setting pairs as one read-only (rows, 2) float array, and
+nothing else per row; the result table's first two columns are a copy of
+it. The rows are evaluated by columns, in ``_chunk_bounds`` chunks: as
+few as hold at most ``EVAL_CHUNK_ROWS`` rows, of nearly equal size. A
+chunk reads its settings as views of the table. Each distinct setting
 value is made once per run, together with both parties' feature rows and
 the numbers the quantum correlator reads from it; a chunk's feature and
 correlator stacks are row gathers from that table. One pair of feature
@@ -33,12 +37,14 @@ arrays; row r draws from the stream of the 128-bit key seed + (r << 64),
 the pair (seed, r). The ``chsh`` block is four more rows of the same
 evaluation, (a, b), (a, b'), (a', b) and (a', b'), without Monte Carlo;
 their quantum and exact values are added as ``chsh_value`` adds them, and
-they do not enter the consistency check. z-scores, the consistency check
-and the finite check are array operations on the whole result, and each
-output line is one ``%`` format of a row tuple; the stdout table is
-written one chunk of lines per ``write``. Both outputs are written to
-temporary files in the output directory and renamed into place, so a
-failed write leaves earlier outputs intact. Exit codes: 0 on
+they do not enter the consistency check. z-scores and the consistency
+check are array operations on each chunk, written into the table as it
+goes, with ``max_abs_z`` kept as a running maximum; the finite check is
+one on the whole result, before the CHSH block. Each output line is one
+``%`` format of a row tuple; the stdout table is written one chunk of
+lines per ``write``. Both outputs are written to temporary files in the
+output directory and renamed into place, so a failed write leaves
+earlier outputs intact. Exit codes: 0 on
 success, 1 on input errors (including command lines that argparse
 rejects, results that overflow double precision, and outputs that cannot
 be written), 2 when the model and the
@@ -104,16 +110,19 @@ _TABLE_LINE = "%12.6g %12.6g %12.6g %12.6g %12.6g %10.3g %7.2f\n"
 #: S the sum of the absolute values of the quantum closed form's terms.
 CONSISTENCY_TOL = 1e-10
 #: Rows whose settings, quantum values and exact values are built at once,
-#: which bounds the memory a large scan holds beyond its result rows. On a
-#: 72x72 spin scan, peak RSS rose 0.3 MiB over per-row evaluation at 256,
-#: 0.55 MiB at 512 and 2.9 MiB with all rows at once; the quantum and
-#: exact columns took 35-38 ms at any size from 128 to 512.
+#: at most, which bounds the memory a large scan holds beyond its result
+#: rows. On a 72x72 spin scan, peak RSS rose 0.3 MiB over per-row
+#: evaluation at 256, 0.55 MiB at 512 and 2.9 MiB with all rows at once;
+#: the quantum and exact columns took 35-38 ms at any size from 128 to
+#: 512. A scan of more rows is cut into chunks of nearly equal size
+#: (``_chunk_bounds``), each at least half of this.
 EVAL_CHUNK_ROWS = 256
 #: Rows a scenario may ask for at most, checked before any row is built.
 #: Every row's settings and results are held in memory until the outputs
-#: are written, about 0.17 KiB a row (peak RSS of a spin scan at n = 2:
-#: 32.4 MiB at 72x72, 43.3 MiB at 256x256, 75.1 MiB at 512x512), so
-#: MAX_ROWS rows take about 0.17 GiB.
+#: are written, about 0.08 KiB a row: the settings array (16 bytes) and the
+#: result table (56 bytes). Peak RSS of cold spin scans at n = 2, 2-vCPU
+#: x86-64 host: 31.4 MiB at 72x72, 36.6 MiB at 256x256, 51.9 MiB at
+#: 512x512. So MAX_ROWS rows take about 0.08 GiB.
 MAX_ROWS = 1 << 20
 
 EXIT_OK = 0
@@ -124,12 +133,14 @@ _MAX_SEED = 1 << 64
 _TOP_KEYS = {"kind", "name", "state", "settings", "samples", "seed", "chsh"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
+    """A loaded scenario; ``setting_pairs`` is a read-only, C-contiguous (rows, 2) array."""
+
     kind: str
     name: str
     moments: MomentMatrix | None
-    setting_pairs: tuple[tuple[float, float], ...]
+    setting_pairs: np.ndarray
     samples: int
     seed: int
     chsh: tuple[float, float, float, float] | None
@@ -176,7 +187,8 @@ def _check_row_count(rows: int) -> None:
                             f"more than MAX_ROWS = {MAX_ROWS}")
 
 
-def _parse_settings(data) -> tuple[tuple[float, float], ...]:
+def _parse_settings(data) -> np.ndarray:
+    """The setting pairs as a read-only (rows, 2) array, row r = (setting1, setting2)."""
     if not isinstance(data, dict):
         raise ScenarioError("'settings' must be an object")
     if set(data) == {"pairs"}:
@@ -184,22 +196,26 @@ def _parse_settings(data) -> tuple[tuple[float, float], ...]:
         if not isinstance(pairs, list) or not pairs:
             raise ScenarioError("'settings.pairs' must be a non-empty list of [s1, s2] pairs")
         _check_row_count(len(pairs))
-        out = []
+        out = np.empty((len(pairs), 2))
         for i, pair in enumerate(pairs):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ScenarioError(f"settings.pairs[{i}] must be a [s1, s2] pair")
-            out.append((_require_number(pair[0], f"settings.pairs[{i}][0]"),
-                        _require_number(pair[1], f"settings.pairs[{i}][1]")))
-        return tuple(out)
-    if set(data) == {"setting1", "setting2"}:
+            out[i] = (_require_number(pair[0], f"settings.pairs[{i}][0]"),
+                      _require_number(pair[1], f"settings.pairs[{i}][1]"))
+    elif set(data) == {"setting1", "setting2"}:
         axis1 = _axis(data["setting1"], "settings.setting1")
         axis2 = _axis(data["setting2"], "settings.setting2")
         _check_row_count(axis1[2] * axis2[2])
-        values1, values2 = _axis_values(*axis1), _axis_values(*axis2)
-        return tuple((v1, v2) for v1 in values1 for v2 in values2)
-    raise ScenarioError(
-        "'settings' must contain either 'pairs' or both 'setting1' and 'setting2'"
-    )
+        # setting1 is the outer loop of the Cartesian product.
+        out = np.empty((axis1[2] * axis2[2], 2))
+        out[:, 0] = np.repeat(_axis_values(*axis1), axis2[2])
+        out[:, 1] = np.tile(_axis_values(*axis2), axis1[2])
+    else:
+        raise ScenarioError(
+            "'settings' must contain either 'pairs' or both 'setting1' and 'setting2'"
+        )
+    out.flags.writeable = False
+    return out
 
 
 def _parse_state(data, kind: str) -> MomentMatrix | None:
@@ -262,6 +278,10 @@ def load_scenario(path: Path) -> Scenario:
     if name in (".", "..") or any(c in name for c in "/\\\0"):
         raise ScenarioError(f"'name' must be one path component without '/', '\\' or NUL, "
                             f"got {name!r}")
+    try:
+        os.fsencode(name)
+    except UnicodeEncodeError:
+        raise ScenarioError(f"'name' cannot be encoded as a file name, got {name!r}") from None
     samples = data.get("samples")
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 2:
         raise ScenarioError(f"'samples' must be an integer >= 2, got {samples!r}")
@@ -376,22 +396,24 @@ def _evaluate(scenario: Scenario, workers: int) -> tuple[np.ndarray, dict]:
         return (phi1, phi2, engine.quantum_rows(columns1, columns2), _contract(weights, phi1, phi2),
                 engine.magnitude(columns1, columns2))
 
-    values1, values2 = np.array(scenario.setting_pairs, dtype=float).T.copy()
-    table = np.empty((len(values1), len(CSV_COLUMNS)))
-    table[:, 0], table[:, 1] = values1, values2
+    table = np.empty((len(scenario.setting_pairs), len(CSV_COLUMNS)))
+    table[:, :2] = scenario.setting_pairs
     consistency_pass = True
-    for start in range(0, len(table), EVAL_CHUNK_ROWS):
-        end = min(start + EVAL_CHUNK_ROWS, len(table))
-        phi1, phi2, quantum, exact, magnitude = evaluate(values1[start:end], values2[start:end])
+    # |z| >= 0, so the running maximum from 0.0 is the maximum over all rows.
+    max_abs_z = 0.0
+    for start, end in _chunk_bounds(len(table)):
+        chunk = table[start:end]
+        phi1, phi2, quantum, exact, magnitude = evaluate(chunk[:, 0], chunk[:, 1])
         keys = [scenario.seed + (row << 64) for row in range(start, end)]
         mean, stderr = _mc_rows(model, phi1, phi2, scenario.samples, keys, workers)
         for column, values in enumerate((quantum, exact, mean, stderr), 2):
-            table[start:end, column] = values
+            chunk[:, column] = values
+        z, _ = _z_scores(chunk[:, 3], chunk[:, 4], chunk[:, 5])
+        chunk[:, 6] = z
+        max_abs_z = max(max_abs_z, float(np.abs(z).max()))
         # fmax ignores a NaN magnitude, as Python's max(1.0, S) does.
         tolerance = CONSISTENCY_TOL * np.fmax(1.0, magnitude)
         consistency_pass = consistency_pass and bool(np.all(np.abs(exact - quantum) <= tolerance))
-    z, _ = _z_scores(table[:, 3], table[:, 4], table[:, 5])
-    table[:, 6] = z
     _check_finite(table)
 
     chsh_quantum = chsh_lhv = None
@@ -413,7 +435,7 @@ def _evaluate(scenario: Scenario, workers: int) -> tuple[np.ndarray, dict]:
         "chsh_quantum": chsh_quantum,
         "chsh_lhv_exact": chsh_lhv,
         "sup_bound": bound if math.isfinite(bound) else "unbounded",
-        "max_abs_z": float(np.abs(z).max()),
+        "max_abs_z": max_abs_z,
         "consistency_pass": consistency_pass,
     }
     return table, summary
@@ -434,10 +456,25 @@ def _check_finite(table: np.ndarray) -> None:
         )
 
 
+def _chunk_bounds(rows: int) -> list[tuple[int, int]]:
+    """(start, end) of ceil(rows / EVAL_CHUNK_ROWS) consecutive chunks of nearly equal size.
+
+    Sizes differ by at most one, so with two or more chunks each holds at
+    least EVAL_CHUNK_ROWS // 2 rows, never a short tail: a chunk of fewer
+    than ``estimator.BATCH_MIN_ROWS`` short rows would draw them from
+    numpy's C generator and import ``numpy.random``. (Chunks of
+    ceil(rows / count) rows, the rule of ``_mc_rows``' batched tiles, end
+    in a one-row chunk at 65 537 rows.)
+    """
+    count = max(1, -(-rows // EVAL_CHUNK_ROWS))
+    edges = [rows * i // count for i in range(count + 1)]
+    return list(zip(edges, edges[1:]))
+
+
 def _chunks(table: np.ndarray) -> Iterator[list[tuple]]:
-    """The rows of ``table`` as plain tuples of floats, one list per ``EVAL_CHUNK_ROWS`` rows."""
-    for start in range(0, len(table), EVAL_CHUNK_ROWS):
-        yield list(zip(*table[start:start + EVAL_CHUNK_ROWS].T.tolist()))
+    """The rows of ``table`` as plain tuples of floats, one list per chunk of ``_chunk_bounds``."""
+    for start, end in _chunk_bounds(len(table)):
+        yield list(zip(*table[start:end].T.tolist()))
 
 
 def _write_csv(fh, chunks: Iterable[list[tuple]]) -> None:

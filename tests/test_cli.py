@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from eprlab import (
     unbounded_spin_model,
 )
 from conftest import gaussian_row_reference
-from eprlab.estimator import BLOCK_DRAWS, MAX_WORKERS
+from eprlab.estimator import BATCH_MIN_ROWS, BLOCK_DRAWS, MAX_WORKERS
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -428,6 +429,17 @@ class TestInputErrors:
                                          "settings": {"pairs": [[0.0, 0.0]]},
                                          "samples": 10, "seed": 0})
         assert run_cli(["run", path, "--out-dir", tmp_path / "out"]) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
+    def test_name_the_file_system_cannot_encode_exits_one(self, tmp_path, capsys):
+        # A lone high surrogate, which the JSON decoder takes from "\ud800",
+        # used to end in a UnicodeEncodeError from the temporary file's unlink.
+        path = tmp_path / "scenario.json"
+        path.write_text('{"kind": "SPIN_CHSH", "name": "\\ud800", "samples": 10, "seed": 0, '
+                        '"settings": {"pairs": [[0.0, 0.0]]}}')
+        assert run_cli(["run", path, "--out-dir", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == \
+            "error: 'name' cannot be encoded as a file name, got '\\ud800'\n"
         assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
 
     def test_the_first_invalid_setting_in_row_order_is_reported(self, tmp_path, capsys):
@@ -937,6 +949,81 @@ class TestGridEvaluation:
             assert rows[index][4] == mc_estimate(model, a, b, 2, 11 + (index << 64)).mean
 
 
+class TestScanMemory:
+    """A scan's settings are one (rows, 2) array, and its z-scores are taken chunk by chunk."""
+
+    @pytest.mark.parametrize("rows", [1, 255, 256, 257, 511, 512, 513, 65_537, cli.MAX_ROWS])
+    def test_chunks_cover_the_rows_in_nearly_equal_sizes(self, rows):
+        bounds = cli._chunk_bounds(rows)
+        assert len(bounds) == math.ceil(rows / cli.EVAL_CHUNK_ROWS)
+        assert [start for start, _ in bounds] == [0] + [end for _, end in bounds[:-1]]
+        assert bounds[-1][1] == rows
+        sizes = [end - start for start, end in bounds]
+        assert max(sizes) <= cli.EVAL_CHUNK_ROWS and max(sizes) - min(sizes) <= 1
+
+    def test_every_chunk_of_a_multi_chunk_scan_is_batched(self):
+        # Chunks of a scan of several chunks hold at least EVAL_CHUNK_ROWS // 2
+        # rows, so none falls below the batching cutoff.
+        assert cli.EVAL_CHUNK_ROWS // 2 >= BATCH_MIN_ROWS
+
+    @pytest.mark.parametrize("settings", [
+        {"pairs": [[0.0, -0.5], [1.5, 2.0]]},
+        {"setting1": {"start": 0.0, "stop": 1.0, "count": 3}, "setting2": {"value": -0.0}},
+    ], ids=["pairs", "scan"])
+    def test_setting_pairs_are_a_read_only_array(self, tmp_path, settings):
+        scenario = cli.load_scenario(write_scenario(tmp_path, {
+            "kind": "SPIN_CHSH", "settings": settings, "samples": 10, "seed": 0}))
+        pairs = scenario.setting_pairs
+        assert pairs.dtype == np.float64 and pairs.flags.c_contiguous
+        assert pairs.shape == (len(pairs), 2)
+        with pytest.raises(ValueError):
+            pairs[0, 0] = 1.0
+
+    def test_scan_is_setting1_major(self, tmp_path):
+        scenario = cli.load_scenario(write_scenario(tmp_path, {
+            "kind": "SPIN_CHSH",
+            "settings": {"setting1": {"start": 0.0, "stop": 1.0, "count": 3},
+                         "setting2": {"start": -1.0, "stop": 2.0, "count": 2}},
+            "samples": 10, "seed": 0}))
+        want = [(x1, x2) for x1 in (0.0, 0.5, 1.0) for x2 in (-1.0, 2.0)]
+        assert [bits(row) for row in scenario.setting_pairs.tolist()] == \
+            [bits(row) for row in want]
+
+    def test_traced_peak_of_a_scan_stays_under_twice_its_table(self, tmp_path):
+        # A 128x128 spin scan at n = 2: the result table takes 56 bytes a row,
+        # the settings 16; the tuples of pairs and whole-table z-scores of
+        # earlier versions took the peak to about 170 bytes a row.
+        def scan(count):
+            return write_scenario(tmp_path, {
+                "kind": "SPIN_CHSH",
+                "settings": {"setting1": {"start": 0.1, "stop": 6.2, "count": count},
+                             "setting2": {"start": 0.3, "stop": 6.4, "count": count}},
+                "samples": 2, "seed": 5}, name=f"scan{count}.json")
+        small, large = scan(8), scan(128)
+        cli._evaluate(cli.load_scenario(small), 1)  # caches and lazy imports outside the trace
+        rows = 128 * 128
+        tracemalloc.start()
+        try:
+            table, _ = cli._evaluate(cli.load_scenario(large), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (rows, len(cli.CSV_COLUMNS))
+        assert peak < 2 * table.itemsize * len(cli.CSV_COLUMNS) * rows
+
+    def test_max_abs_z_is_the_largest_z_of_all_chunks(self, tmp_path):
+        # A 9x40 spin grid at 2 samples spans two chunks and holds rows of z = +-inf.
+        path = write_scenario(tmp_path, {
+            "kind": "SPIN_CHSH",
+            "settings": {"setting1": {"start": 0.0, "stop": 3.0, "count": 9},
+                         "setting2": {"start": -1.0, "stop": 2.0, "count": 40}},
+            "samples": 2, "seed": 11})
+        table, summary = cli._evaluate(cli.load_scenario(path), 1)
+        assert len(cli._chunk_bounds(len(table))) == 2
+        assert np.isinf(table[:, 6]).any()
+        assert summary["max_abs_z"] == float(np.abs(table[:, 6]).max())
+
+
 #: Moments whose free-evolution correlator rounds differently from the model
 #: at large times, by up to 1.16e-10 at |t| = 1e3 and 1.2e-4 at |t| = 1e6.
 FREE_MOMENTS = {"qq": 0.3, "pq": 0.7, "qp": -0.23, "pp": 1.1}
@@ -1026,7 +1113,7 @@ class TestStdoutFailures:
 
 
 def test_parse_settings_takes_only_the_settings():
-    assert cli._parse_settings({"pairs": [[0.0, -0.5]]}) == ((0.0, -0.5),)
+    assert cli._parse_settings({"pairs": [[0.0, -0.5]]}).tolist() == [[0.0, -0.5]]
 
 
 class TestEntryPoint:
@@ -1045,6 +1132,23 @@ class TestEntryPoint:
             "kind": "SPIN_CHSH",
             "settings": {"setting1": {"start": 0.0, "stop": 3.0, "count": 8},
                          "setting2": {"start": -1.0, "stop": 2.0, "count": 8}},
+            "samples": 2, "seed": 5})
+        code = (
+            "import sys, eprlab.cli\n"
+            f"code = eprlab.cli.main(['run', {str(path)!r}, '--out-dir', {str(tmp_path)!r}])\n"
+            "print(code, 'numpy.random' in sys.modules)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 False"
+
+    def test_scan_with_one_row_past_a_chunk_never_imports_numpy_random(self, tmp_path):
+        # 257 rows at 2 samples: chunks of 129 and 128 rows, both batched. A
+        # one-row last chunk was drawn from numpy's C generator.
+        path = write_scenario(tmp_path, {
+            "kind": "SPIN_CHSH",
+            "settings": {"setting1": {"start": 0.0, "stop": 3.0, "count": 257},
+                         "setting2": {"value": 0.5}},
             "samples": 2, "seed": 5})
         code = (
             "import sys, eprlab.cli\n"
