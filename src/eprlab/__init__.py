@@ -49,7 +49,6 @@ from .lhv import (
     SampleSpace,
     SpaceKind,
     Spectrum,
-    SpectrumReport,
     TabulatedResponse,
     exact_expectation,
     expectation_grid,
@@ -95,7 +94,6 @@ __all__ = [
     "ScenarioError",
     "SpaceKind",
     "Spectrum",
-    "SpectrumReport",
     "TabulatedResponse",
     "TimeSetting",
     "UNBOUNDED",

@@ -60,7 +60,6 @@ object of the run; ``main`` itself does not freeze.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -74,8 +73,9 @@ import numpy as np
 from .correlators import (
     QuadratureSetting,
     TimeSetting,
-    _free_evolution_value,
-    _quadrature_value,
+    _add,
+    _free_evolution_terms,
+    _quadrature_terms,
     spin_correlation_rows,
 )
 from .errors import ConsistencyError, ScenarioError, ValidationError
@@ -248,7 +248,18 @@ def _parse_chsh(data, kind: str) -> tuple[float, float, float, float] | None:
                  for k in ("a", "a_prime", "b", "b_prime"))
 
 
-def load_scenario(path: Path) -> Scenario:
+def _override(data: dict, key: str, value) -> tuple:
+    """``value`` labelled as its flag, or when it is None the file's value labelled as its key."""
+    return (data.get(key), f"'{key}'") if value is None else (value, f"--{key}")
+
+
+def load_scenario(path: Path, seed: int | None = None, samples: int | None = None) -> Scenario:
+    """The scenario in the file at ``path``.
+
+    ``seed`` and ``samples``, when given, take the place of the file's
+    values, or supply them where the file has none, and are checked as
+    those are; an error names the flag instead of the key.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -282,12 +293,12 @@ def load_scenario(path: Path) -> Scenario:
         os.fsencode(name)
     except UnicodeEncodeError:
         raise ScenarioError(f"'name' cannot be encoded as a file name, got {name!r}") from None
-    samples = data.get("samples")
+    samples, label = _override(data, "samples", samples)
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 2:
-        raise ScenarioError(f"'samples' must be an integer >= 2, got {samples!r}")
-    seed = data.get("seed")
+        raise ScenarioError(f"{label} must be an integer >= 2, got {samples!r}")
+    seed, label = _override(data, "seed", seed)
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < _MAX_SEED:
-        raise ScenarioError(f"'seed' must be a 64-bit unsigned integer, got {seed!r}")
+        raise ScenarioError(f"{label} must be a 64-bit unsigned integer, got {seed!r}")
     return Scenario(
         kind=kind,
         name=name,
@@ -312,43 +323,38 @@ class _Engine:
 
     ``columns(setting)`` are the numbers the row functions read from one
     setting: its direction cosines (spin), the cosine and sine of its angle
-    (quadrature) or its time. ``quantum_rows(c1, c2)`` is the quantum
-    correlation at each row of two row-aligned stacks of such columns, and
-    ``magnitude(c1, c2)`` the sum of the absolute values of the terms of its
-    closed form, the scale of its rounding error. The CHSH block is four
-    more rows of the same functions.
+    (quadrature) or its time. ``quantum_rows(c1, c2)`` gives, at each row
+    of two row-aligned stacks of such columns, the quantum correlation and
+    its magnitude: the sum of the absolute values of its closed form's
+    terms, the scale of its rounding error (1.0 for spins, whose terms add
+    up to at most 1 in absolute value). The CHSH block is four more rows of
+    the same functions.
     """
 
     model: HiddenVariableModel
     make_setting: Callable
     columns: Callable
-    quantum_rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    magnitude: Callable
+    quantum_rows: Callable[[np.ndarray, np.ndarray], tuple]
+
+
+def _value_and_magnitude(terms: tuple) -> tuple:
+    """A closed form's value and magnitude from its signed terms."""
+    return _add(terms), _add([abs(term) for term in terms])
 
 
 def _build_engine(scenario: Scenario) -> _Engine:
     if scenario.kind == "SPIN_CHSH":
         return _Engine(unbounded_spin_model(), _spin_direction, lambda d: (d.x, d.y, d.z),
-                       spin_correlation_rows, lambda c1, c2: 1.0)
+                       lambda c1, c2: (spin_correlation_rows(c1, c2), 1.0))
     m = scenario.moments
     if scenario.kind == "EPR_QUADRATURE":
-        def quantum_rows(c1, c2):
-            return _quadrature_value(m, c1[:, 0], c1[:, 1], c2[:, 0], c2[:, 1])
-
-        def magnitude(c1, c2):
-            (cos1, sin1), (cos2, sin2) = c1.T, c2.T
-            return (abs(m.qq * cos1 * cos2) + abs(m.pq * sin1 * cos2)
-                    + abs(m.qp * cos1 * sin2) + abs(m.pp * sin1 * sin2))
         return _Engine(quadrature_model(m), QuadratureSetting,
-                       lambda a: (math.cos(a.alpha), math.sin(a.alpha)), quantum_rows, magnitude)
-
-    def quantum_rows(c1, c2):
-        return _free_evolution_value(m, c1[:, 0], c2[:, 0])
-
-    def magnitude(c1, c2):
-        t1, t2 = c1[:, 0], c2[:, 0]
-        return abs(m.qq) + abs(m.pq * t1) + abs(m.qp * t2) + abs(m.pp * (t1 * t2))
-    return _Engine(free_evolution_model(m), TimeSetting, lambda t: (t.t,), quantum_rows, magnitude)
+                       lambda a: (math.cos(a.alpha), math.sin(a.alpha)),
+                       lambda c1, c2: _value_and_magnitude(
+                           _quadrature_terms(m, c1[:, 0], c1[:, 1], c2[:, 0], c2[:, 1])))
+    return _Engine(free_evolution_model(m), TimeSetting, lambda t: (t.t,),
+                   lambda c1, c2: _value_and_magnitude(
+                       _free_evolution_terms(m, c1[:, 0], c2[:, 0])))
 
 
 @_quiet
@@ -364,16 +370,15 @@ def _evaluate(scenario: Scenario, workers: int) -> tuple[np.ndarray, dict]:
     weights = np.array(model.space.basis_weights)
     # Grids repeat their axis values; each distinct value is made once per
     # run, as (columns, party-1 feature row, party-2 feature row). Keyed by
-    # float.hex, so that 0.0 and -0.0 stay distinct.
-    made: dict[str, tuple] = {}
+    # its bits, so that 0.0 and -0.0 stay distinct.
+    made: dict[int, tuple] = {}
 
-    def make(x: float) -> tuple:
-        key = x.hex()
-        entry = made.get(key)
+    def make(bits: int, x: float) -> tuple:
+        entry = made.get(bits)
         if entry is None:
             setting = engine.make_setting(x)
-            entry = made[key] = (engine.columns(setting), model.response1.features(setting),
-                                 model.response2.features(setting))
+            entry = made[bits] = (engine.columns(setting), model.response1.features(setting),
+                                  model.response2.features(setting))
         return entry
 
     def gather(values: np.ndarray, party: int) -> tuple[np.ndarray, np.ndarray]:
@@ -385,16 +390,15 @@ def _evaluate(scenario: Scenario, workers: int) -> tuple[np.ndarray, dict]:
         slots: dict[int, int] = {}
         rows = [slots.setdefault(bits, len(slots)) for bits in values.view(np.uint64).tolist()]
         distinct = np.array(list(slots), dtype=np.uint64).view(np.float64).tolist()
-        entries = [make(x) for x in distinct]
+        entries = [make(bits, x) for bits, x in zip(slots, distinct)]
         return (np.array([entry[party] for entry in entries])[rows],
                 np.array([entry[0] for entry in entries])[rows])
 
     def evaluate(values1: np.ndarray, values2: np.ndarray) -> tuple:
-        """Feature stacks, quantum and exact values and magnitudes at the pairs of two columns."""
+        """Feature stacks, exact values, quantum values and magnitudes at two columns' pairs."""
         phi1, columns1 = gather(values1, 1)
         phi2, columns2 = gather(values2, 2)
-        return (phi1, phi2, engine.quantum_rows(columns1, columns2), _contract(weights, phi1, phi2),
-                engine.magnitude(columns1, columns2))
+        return phi1, phi2, _contract(weights, phi1, phi2), *engine.quantum_rows(columns1, columns2)
 
     table = np.empty((len(scenario.setting_pairs), len(CSV_COLUMNS)))
     table[:, :2] = scenario.setting_pairs
@@ -403,7 +407,7 @@ def _evaluate(scenario: Scenario, workers: int) -> tuple[np.ndarray, dict]:
     max_abs_z = 0.0
     for start, end in _chunk_bounds(len(table)):
         chunk = table[start:end]
-        phi1, phi2, quantum, exact, magnitude = evaluate(chunk[:, 0], chunk[:, 1])
+        phi1, phi2, exact, quantum, magnitude = evaluate(chunk[:, 0], chunk[:, 1])
         keys = [scenario.seed + (row << 64) for row in range(start, end)]
         mean, stderr = _mc_rows(model, phi1, phi2, scenario.samples, keys, workers)
         for column, values in enumerate((quantum, exact, mean, stderr), 2):
@@ -422,7 +426,7 @@ def _evaluate(scenario: Scenario, workers: int) -> tuple[np.ndarray, dict]:
         # order. They are not consistency-checked.
         a, a_prime, b, b_prime = scenario.chsh
         rows = evaluate(np.array([a, a, a_prime, a_prime]), np.array([b, b_prime, b, b_prime]))
-        chsh_quantum, chsh_lhv = (float(v[0] - v[1] + v[2] + v[3]) for v in rows[2:4])
+        chsh_lhv, chsh_quantum = (float(v[0] - v[1] + v[2] + v[3]) for v in rows[2:4])
         # Finite rows can still add up past double precision.
         for label, value in (("chsh_quantum", chsh_quantum), ("chsh_lhv_exact", chsh_lhv)):
             if not math.isfinite(value):
@@ -544,17 +548,9 @@ def run_scenario(path: Path, out_dir: Path | None = None, seed: int | None = Non
                  samples: int | None = None, workers: int = 1) -> int:
     """Execute a scenario file and write its CSV and summary outputs.
 
-    ``seed`` and ``samples`` override the file values when given.
+    ``seed`` and ``samples`` override the file values when given (``load_scenario``).
     """
-    scenario = load_scenario(Path(path))
-    if seed is not None:
-        if not 0 <= seed < _MAX_SEED:
-            raise ScenarioError(f"--seed must be a 64-bit unsigned integer, got {seed}")
-        scenario = dataclasses.replace(scenario, seed=seed)
-    if samples is not None:
-        if samples < 2:
-            raise ScenarioError(f"--samples must be >= 2, got {samples}")
-        scenario = dataclasses.replace(scenario, samples=samples)
+    scenario = load_scenario(Path(path), seed=seed, samples=samples)
 
     draws = scenario.samples * len(scenario.setting_pairs)
     if draws > MAX_DRAWS:

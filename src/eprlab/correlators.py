@@ -162,34 +162,46 @@ def spin_correlation(a: UnitVector3, b: UnitVector3) -> float:
     return float(spin_correlation_rows([(a.x, a.y, a.z)], [(b.x, b.y, b.z)])[0])
 
 
-# The two closed forms below take floats or row-aligned float arrays alike.
-# numpy does the same IEEE operations in the same order on each element,
-# so a row of an array result equals the float result bit for bit.
+# The two closed forms below are given as their four signed terms, and take
+# floats or row-aligned float arrays alike. numpy does the same IEEE
+# operations in the same order on each element, so a row of an array result
+# equals the float result bit for bit. The value is ``_add`` of the terms;
+# the sum of their absolute values is the scale of its rounding error.
 
 
-def _quadrature_value(m: MomentMatrix, c1, s1, c2, s2):
-    """<q1(alpha1) q2(alpha2)> from the cosines and sines of the two angles."""
-    return m.qq * c1 * c2 - m.pq * s1 * c2 - m.qp * c1 * s2 + m.pp * s1 * s2
+def _quadrature_terms(m: MomentMatrix, c1, s1, c2, s2) -> tuple:
+    """The terms of <q1(alpha1) q2(alpha2)>, from the cosines and sines of the two angles."""
+    return (m.qq * c1 * c2, -(m.pq * s1 * c2), -(m.qp * c1 * s2), m.pp * s1 * s2)
 
 
-def _free_evolution_value(m: MomentMatrix, t1, t2):
-    """<q1(t1) q2(t2)> from the two times."""
-    return m.qq + m.pq * t1 + m.qp * t2 + m.pp * (t1 * t2)
+def _free_evolution_terms(m: MomentMatrix, t1, t2) -> tuple:
+    """The terms of <q1(t1) q2(t2)>, from the two times."""
+    return (m.qq, m.pq * t1, m.qp * t2, m.pp * (t1 * t2))
+
+
+def _add(terms):
+    """The four terms added in order, starting from the first rather than from 0.0.
+
+    So a -0.0 keeps its sign, and since IEEE defines x - y as x + (-y), a
+    negated term adds to the bits that subtracting it gives.
+    """
+    a, b, c, d = terms
+    return a + b + c + d
 
 
 def quadrature_correlation(m: MomentMatrix, a1: QuadratureSetting, a2: QuadratureSetting) -> float:
     """<q1(alpha1) q2(alpha2)> expanded over the four cross moments."""
     if not isinstance(a1, QuadratureSetting) or not isinstance(a2, QuadratureSetting):
         raise ValidationError("quadrature_correlation expects QuadratureSetting arguments")
-    return _quadrature_value(m, math.cos(a1.alpha), math.sin(a1.alpha),
-                             math.cos(a2.alpha), math.sin(a2.alpha))
+    return _add(_quadrature_terms(m, math.cos(a1.alpha), math.sin(a1.alpha),
+                                  math.cos(a2.alpha), math.sin(a2.alpha)))
 
 
 def free_evolution_correlation(m: MomentMatrix, t1: TimeSetting, t2: TimeSetting) -> float:
     """<q1(t1) q2(t2)> for freely evolving particles, q(t) = q + p t."""
     if not isinstance(t1, TimeSetting) or not isinstance(t2, TimeSetting):
         raise ValidationError("free_evolution_correlation expects TimeSetting arguments")
-    return _free_evolution_value(m, t1.t, t2.t)
+    return _add(_free_evolution_terms(m, t1.t, t2.t))
 
 
 def chsh_value(corr, settings: ChshSettings) -> float:

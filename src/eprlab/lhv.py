@@ -22,6 +22,11 @@ cover everything this package needs:
   features are matched to the four cross moments. Such responses are
   unbounded, which is exactly what lets them escape the CHSH bound
   argument.
+
+The response bound of a model, the number that contrast turns on, is
+``sup_bound``: the exact supremum of both responses, read off their
+coefficients. ``spectrum_compatibility`` compares it, or the responses'
+range, with an observable's spectrum.
 """
 
 from __future__ import annotations
@@ -42,7 +47,8 @@ from .operators import UnitVector3
 UNBOUNDED = math.inf
 
 WEIGHT_TOL = 1e-12
-CERTIFICATE_TOL = 1e-12
+#: Slack of the SPIN_PM1 verdict: a response bound up to 1 + SPIN_PM1_TOL fits [-1, 1].
+SPIN_PM1_TOL = 1e-12
 
 #: Below this, the pivot-on-qq coefficient solution is refused as degenerate.
 PIVOT_EPS = 1e-9
@@ -227,17 +233,13 @@ class HiddenVariableModel:
     Each response (``ComponentResponse``, ``TabulatedResponse`` or
     ``LinearResponse``) names the space kind it lives on and its feature
     count ``dim``; both must match the space, and the two responses must
-    share one response mode.
-    ``certified_sup_bound`` is trusted metadata validated at
-    construction: the exact suprema of both responses must not exceed
-    it. A value of ``UNBOUNDED`` (inf) makes no claim; ``None`` means
-    uncertified.
+    share one response mode. The model's response bound is
+    ``sup_bound(model)``, exact from the two responses.
     """
 
     space: SampleSpace
     response1: object
     response2: object
-    certified_sup_bound: float | None = None
 
     def __post_init__(self) -> None:
         kind, dim = self.space.kind, len(self.space.basis_weights)
@@ -253,16 +255,6 @@ class HiddenVariableModel:
                 )
         if getattr(self.response1, "mode", None) is not getattr(self.response2, "mode", None):
             raise ValidationError("both responses must share one response mode")
-        c = self.certified_sup_bound
-        if c is None:
-            return
-        if math.isnan(c) or c < 0.0:
-            raise ValidationError(f"certified sup bound must be nonnegative, got {c!r}")
-        worst = sup_bound(self)
-        if worst > c + CERTIFICATE_TOL:
-            raise ValidationError(
-                f"certified sup bound {c!r} violated: responses reach {worst!r}"
-            )
 
 
 class Factorization(Enum):
@@ -295,7 +287,6 @@ def unbounded_spin_model() -> HiddenVariableModel:
         space=SampleSpace.finite((third, third, third)),
         response1=ComponentResponse(root3),
         response2=ComponentResponse(-root3),
-        certified_sup_bound=root3,
     )
 
 
@@ -306,7 +297,6 @@ def _general_model(m: MomentMatrix, mode: ResponseMode) -> HiddenVariableModel:
         space=SampleSpace.gaussian_pair(),
         response1=LinearResponse((m.qq, m.qp), (m.pq, m.pp), mode),
         response2=LinearResponse((1.0, 0.0), (0.0, 1.0), mode),
-        certified_sup_bound=UNBOUNDED,
     )
 
 
@@ -333,7 +323,6 @@ def quadrature_model(m: MomentMatrix,
         response1=LinearResponse((m.qq, 0.0), (m.pq, m.pp - m.pq * m.qp / m.qq),
                                  ResponseMode.TRIG),
         response2=LinearResponse((1.0, 0.0), (m.qp / m.qq, 1.0), ResponseMode.TRIG),
-        certified_sup_bound=UNBOUNDED,
     )
 
 
@@ -418,52 +407,27 @@ class Spectrum(Enum):
     QUADRATURE_REAL_LINE = "QUADRATURE_REAL_LINE"
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    passed: bool
-    spectrum: Spectrum
-    sup: float
-    detail: str
-
-
 def _spans_line_at_every_setting(resp: LinearResponse) -> bool:
     # The response at a fixed setting spans all of R over the latent pair
-    # iff its coefficient vector there is nonzero.
+    # iff its coefficient vector there is nonzero. f cos - g sin vanishes at
+    # some angle iff f and g are dependent; so does f + g t, except when
+    # g = 0 and f != 0.
     q, p = resp.q_coeffs, resp.p_coeffs
-    det = q[0] * p[1] - q[1] * p[0]
-    if resp.mode is ResponseMode.TRIG:
-        # f cos - g sin vanishes at some angle iff f and g are dependent.
-        return det != 0.0
-    p_zero = p == (0.0, 0.0)
-    q_zero = q == (0.0, 0.0)
-    if p_zero:
-        return not q_zero
-    return det != 0.0
+    return (q[0] * p[1] - q[1] * p[0] != 0.0
+            or resp.mode is ResponseMode.LINEAR_TIME and p == (0.0, 0.0) and q != (0.0, 0.0))
 
 
-def spectrum_compatibility(model: HiddenVariableModel, spectrum: Spectrum) -> SpectrumReport:
-    """Check that response ranges are compatible with the observable spectrum.
+def spectrum_compatibility(model: HiddenVariableModel, spectrum: Spectrum) -> bool:
+    """Whether the response ranges are compatible with the observable spectrum.
 
-    SPIN_PM1 requires every response value to lie in [-1, 1].
+    SPIN_PM1 requires every response value to lie in [-1, 1], that is a
+    ``sup_bound`` of at most 1 (up to ``SPIN_PM1_TOL``).
     QUADRATURE_REAL_LINE requires each response to reach the whole real
     line at every setting, which only gaussian linear responses with
     independent coefficient vectors provide.
     """
-    sup = sup_bound(model)
     if spectrum is Spectrum.SPIN_PM1:
-        passed = sup <= 1.0 + CERTIFICATE_TOL
-        detail = ("response range within [-1, 1]" if passed
-                  else f"response magnitude reaches {sup!r} > 1")
-        return SpectrumReport(passed, spectrum, sup, detail)
-    if model.space.kind is not SpaceKind.GAUSSIAN_PAIR:
-        return SpectrumReport(
-            False, spectrum, sup,
-            "finite sample spaces have bounded response ranges and cannot cover R",
-        )
-    for name, resp in (("response1", model.response1), ("response2", model.response2)):
-        if not _spans_line_at_every_setting(resp):
-            return SpectrumReport(
-                False, spectrum, sup,
-                f"{name} collapses to a degenerate range at some setting",
-            )
-    return SpectrumReport(True, spectrum, sup, "responses span R at every setting")
+        return sup_bound(model) <= 1.0 + SPIN_PM1_TOL
+    return (model.space.kind is SpaceKind.GAUSSIAN_PAIR
+            and _spans_line_at_every_setting(model.response1)
+            and _spans_line_at_every_setting(model.response2))

@@ -66,7 +66,7 @@ def two_mode_squeeze_cov(r: float) -> np.ndarray:
 
 def random_sign_model(rng: np.random.Generator, settings1, settings2,
                       n_atoms: int) -> HiddenVariableModel:
-    """Random +-1-valued tabulated model with certified sup bound 1."""
+    """Random +-1-valued tabulated model; its sup bound is 1."""
     raw = rng.random(n_atoms) + 1e-3
     weights = tuple(float(w) for w in raw / raw.sum())
     values1 = tuple(
@@ -81,7 +81,6 @@ def random_sign_model(rng: np.random.Generator, settings1, settings2,
         space=SampleSpace.finite(weights),
         response1=TabulatedResponse(settings=tuple(settings1), values=values1),
         response2=TabulatedResponse(settings=tuple(settings2), values=values2),
-        certified_sup_bound=1.0,
     )
 
 

@@ -112,7 +112,7 @@ def test_criterion_3_chsh_contrast():
                              STANDARD_SPIN_CHSH)
         assert abs(abs(s_model) - 2.0 * ROOT2) <= 1e-9
         assert abs(s_model - s_quantum) <= 1e-9
-        assert not spectrum_compatibility(model, Spectrum.SPIN_PM1).passed
+        assert not spectrum_compatibility(model, Spectrum.SPIN_PM1)
 
         rng = np.random.default_rng(303)
         settings = ChshSettings(CHSH_PARTY1_SETTINGS[0], CHSH_PARTY1_SETTINGS[1],

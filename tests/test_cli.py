@@ -315,20 +315,48 @@ class TestScansAndOverrides:
             fields = [float(f) for f in line.split(",")]
             assert fields[2] == 0.0 and fields[3] == 0.0
 
-    def test_seed_and_samples_overrides(self, tmp_path):
+    def test_seed_and_samples_overrides(self, tmp_path, capsys):
+        # An override writes what a copy of the file that holds its value writes.
         scenario = SCENARIOS / "free_evolution.json"
-        base, reseeded, resampled = tmp_path / "base", tmp_path / "s", tmp_path / "n"
-        assert run_cli(["run", scenario, "--out-dir", base]) == 0
-        assert run_cli(["run", scenario, "--out-dir", reseeded, "--seed", 12345]) == 0
-        assert run_cli(["run", scenario, "--out-dir", resampled, "--samples", 5000]) == 0
-        read = lambda d: (d / "free_evolution.csv").read_text()
-        assert read(base) != read(reseeded)
-        assert read(base) != read(resampled)
+        assert run_cli(["run", scenario, "--out-dir", tmp_path / "base"]) == 0
+        capsys.readouterr()
+        read = lambda d, name="free_evolution.csv": (tmp_path / d / name).read_bytes()
+        for key, value in (("seed", 12345), ("samples", 5000)):
+            copy = write_scenario(tmp_path, {**json.loads(scenario.read_text()), key: value})
+            assert run_cli(["run", copy, "--out-dir", tmp_path / key / "file"]) == 0
+            from_file = table_sha256(capsys)
+            assert run_cli(["run", scenario, "--out-dir", tmp_path / key / "flag",
+                            f"--{key}", value]) == 0
+            assert table_sha256(capsys) == from_file
+            assert read("base") != read(f"{key}/flag")
+            for name in ("free_evolution.csv", "free_evolution.summary.json"):
+                assert read(f"{key}/flag", name) == read(f"{key}/file", name)
+
+    @pytest.mark.parametrize("key,file_value,value", [
+        ("seed", None, 3), ("seed", -1, 3), ("seed", 1 << 64, 3), ("seed", "7", 3),
+        ("samples", None, 1000), ("samples", 1, 1000), ("samples", 2.5, 1000),
+        ("samples", True, 1000),
+    ])
+    def test_an_override_replaces_a_missing_or_invalid_file_value(self, tmp_path, capsys, key,
+                                                                  file_value, value):
+        # file_value None: the file lacks the key.
+        data = json.loads((SCENARIOS / "free_evolution.json").read_text())
+        data.pop(key)
+        path = write_scenario(tmp_path, data if file_value is None else {**data, key: file_value},
+                              name="edited.json")
+        complete = write_scenario(tmp_path, {**data, key: value})
+        assert run_cli(["run", path, "--out-dir", tmp_path / "edited"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: '{key}' must be ")
+        assert run_cli(["run", path, "--out-dir", tmp_path / "flag", f"--{key}", value]) == 0
+        assert run_cli(["run", complete, "--out-dir", tmp_path / "file"]) == 0
+        for name in ("free_evolution.csv", "free_evolution.summary.json"):
+            assert (tmp_path / "flag" / name).read_bytes() == \
+                (tmp_path / "file" / name).read_bytes()
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--seed", -1, "--seed must be a 64-bit unsigned integer, got -1"),
         ("--seed", 1 << 64, "--seed must be a 64-bit unsigned integer, got 18446744073709551616"),
-        ("--samples", 1, "--samples must be >= 2, got 1"),
+        ("--samples", 1, "--samples must be an integer >= 2, got 1"),
     ], ids=["seed_negative", "seed_past_64_bits", "samples_one"])
     def test_overrides_outside_their_range_exit_one(self, tmp_path, capsys, flag, value,
                                                     message):

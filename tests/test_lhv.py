@@ -62,7 +62,6 @@ def all_zero_finite_model() -> HiddenVariableModel:
         space=SampleSpace.finite((0.5, 0.5)),
         response1=TabulatedResponse(settings=settings, values=zeros),
         response2=TabulatedResponse(settings=settings, values=zeros),
-        certified_sup_bound=0.0,
     )
 
 
@@ -248,7 +247,6 @@ class TestBoundedModelsRespectChsh:
                 space=SampleSpace.finite((1.0,)),
                 response1=TabulatedResponse(CHSH_PARTY1_SETTINGS, ((a,), (a_prime,))),
                 response2=TabulatedResponse(CHSH_PARTY2_SETTINGS, ((b,), (b_prime,))),
-                certified_sup_bound=1.0,
             )
             values.append(chsh_value(lambda u, v: exact_expectation(model, u, v), settings))
         assert len(values) == 16
@@ -276,37 +274,91 @@ class TestSupBound:
         )
         assert sup_bound(model) == 2.0
 
+    def test_certificates_of_the_package_models(self):
+        # sup_bound is the response bound each construction certifies.
+        assert sup_bound(unbounded_spin_model()) == ROOT3
+        for m in (MomentMatrix(qq=1.0, pq=0.5, qp=-0.25, pp=2.0), extract_moments(tmsv(0.7))):
+            for variant in Factorization:
+                assert sup_bound(quadrature_model(m, variant)) == UNBOUNDED
+            assert sup_bound(free_evolution_model(m)) == UNBOUNDED
+        rng = np.random.default_rng(47)
+        for n_atoms in range(1, 7):
+            model = random_sign_model(rng, CHSH_PARTY1_SETTINGS, CHSH_PARTY2_SETTINGS, n_atoms)
+            assert sup_bound(model) == 1.0
+
+
+#: Coefficients of the exhaustive spectrum test. The ratio of two nonzero
+#: ones is one of SPAN_RATIOS, which therefore hold every t at which a pair
+#: of coefficient vectors drawn from them can be linearly dependent.
+SPAN_COEFFS = (0.0, -0.0, 1.0, -1.0, 2.0)
+SPAN_RATIOS = (0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5)
+
+
+def vanishes_at_some_setting(resp: LinearResponse) -> bool:
+    """Reference from the definition: is the response's coefficient vector zero at some setting?
+
+    In TRIG mode it is q cos(alpha) - p sin(alpha): zero at some angle iff
+    c q + d p = 0 for some (c, d) != 0, which can be scaled to (0, 1) or
+    (1, t). In LINEAR_TIME mode it is q + p t: zero iff c q + d p = 0 at
+    some (1, t). With coefficients from SPAN_COEFFS a root has t in SPAN_RATIOS.
+    """
+    q, p = resp.q_coeffs, resp.p_coeffs
+    directions = [(1.0, t) for t in SPAN_RATIOS]
+    if resp.mode is ResponseMode.TRIG:
+        directions.append((0.0, 1.0))
+    return any(c * q[0] + d * p[0] == 0.0 and c * q[1] + d * p[1] == 0.0
+               for c, d in directions)
+
 
 class TestSpectrumCompatibility:
+    @pytest.mark.parametrize("mode", list(ResponseMode))
+    def test_gaussian_verdicts_equal_the_definition(self, mode):
+        # Every coefficient vector pair from SPAN_COEFFS, on either side of a
+        # partner that spans R at every setting and of one that is zero.
+        spanning = LinearResponse((1.0, 0.0), (0.0, 1.0), mode)
+        zero = LinearResponse((0.0, 0.0), (0.0, 0.0), mode)
+        checked = 0
+        for q0, q1, p0, p1 in itertools.product(SPAN_COEFFS, repeat=4):
+            resp = LinearResponse((q0, q1), (p0, p1), mode)
+            spans = not vanishes_at_some_setting(resp)
+            is_zero = all(v == 0.0 for v in (q0, q1, p0, p1))
+            for partner in (spanning, zero):
+                for pair in ((resp, partner), (partner, resp)):
+                    model = HiddenVariableModel(SampleSpace.gaussian_pair(), *pair)
+                    assert spectrum_compatibility(model, Spectrum.QUADRATURE_REAL_LINE) is (
+                        spans and partner is spanning), pair
+                    # A linear form in two standard normals is bounded only when it is zero.
+                    assert spectrum_compatibility(model, Spectrum.SPIN_PM1) is (
+                        is_zero and partner is zero), pair
+                    checked += 1
+        assert checked == 4 * 5**4
+
     def test_unbounded_spin_model_fails_pm1(self):
-        report = spectrum_compatibility(unbounded_spin_model(), Spectrum.SPIN_PM1)
-        assert not report.passed
-        assert abs(report.sup - ROOT3) < 1e-12
+        model = unbounded_spin_model()
+        assert not spectrum_compatibility(model, Spectrum.SPIN_PM1)
+        assert abs(sup_bound(model) - ROOT3) < 1e-12
 
     def test_all_zero_passes_pm1(self):
-        report = spectrum_compatibility(all_zero_finite_model(), Spectrum.SPIN_PM1)
-        assert report.passed
+        assert spectrum_compatibility(all_zero_finite_model(), Spectrum.SPIN_PM1)
 
     def test_bounded_sign_model_passes_pm1(self):
         rng = np.random.default_rng(43)
         model = random_sign_model(rng, CHSH_PARTY1_SETTINGS, CHSH_PARTY2_SETTINGS, n_atoms=3)
-        assert spectrum_compatibility(model, Spectrum.SPIN_PM1).passed
+        assert spectrum_compatibility(model, Spectrum.SPIN_PM1)
 
     def test_quadrature_model_passes_real_line(self):
         model = quadrature_model(MomentMatrix(qq=1.0, pq=0.0, qp=0.0, pp=-1.0))
-        report = spectrum_compatibility(model, Spectrum.QUADRATURE_REAL_LINE)
-        assert report.passed
-        assert report.sup == UNBOUNDED
+        assert spectrum_compatibility(model, Spectrum.QUADRATURE_REAL_LINE)
+        assert sup_bound(model) == UNBOUNDED
 
     def test_degenerate_moments_fail_real_line(self):
         # with only a qq moment, party 1's response vanishes identically
         # at the momentum setting while the observable still spans R
         model = quadrature_model(MomentMatrix(qq=1.0, pq=0.0, qp=0.0, pp=0.0))
-        assert not spectrum_compatibility(model, Spectrum.QUADRATURE_REAL_LINE).passed
+        assert not spectrum_compatibility(model, Spectrum.QUADRATURE_REAL_LINE)
 
     def test_finite_space_fails_real_line(self):
-        report = spectrum_compatibility(unbounded_spin_model(), Spectrum.QUADRATURE_REAL_LINE)
-        assert not report.passed
+        assert not spectrum_compatibility(unbounded_spin_model(), Spectrum.QUADRATURE_REAL_LINE)
 
 
 class TestValidation:
@@ -317,25 +369,6 @@ class TestValidation:
     def test_weights_must_be_nonnegative(self):
         with pytest.raises(ValidationError):
             SampleSpace.finite((1.5, -0.5))
-
-    def test_certificate_violation_rejected(self):
-        settings = (QuadratureSetting(0.0),)
-        with pytest.raises(ValidationError):
-            HiddenVariableModel(
-                space=SampleSpace.finite((1.0,)),
-                response1=TabulatedResponse(settings, ((2.0,),)),
-                response2=TabulatedResponse(settings, ((1.0,),)),
-                certified_sup_bound=1.0,
-            )
-
-    def test_gaussian_cannot_certify_finite_bound(self):
-        with pytest.raises(ValidationError):
-            HiddenVariableModel(
-                space=SampleSpace.gaussian_pair(),
-                response1=LinearResponse((1.0, 0.0), (0.0, 1.0), ResponseMode.TRIG),
-                response2=LinearResponse((1.0, 0.0), (0.0, 1.0), ResponseMode.TRIG),
-                certified_sup_bound=1.0,
-            )
 
     def test_setting_kind_mismatch(self):
         spin = unbounded_spin_model()

@@ -97,6 +97,81 @@ def test_quadrature_values_are_two_pi_periodic(m, alpha, other):
     assert exact_expectation(model, b, shifted) == exact_expectation(model, b, base)
 
 
+#: Doubles with the edge cases of the closed forms: signed zeros, subnormals,
+#: and +-1e300, whose products overflow to +-inf and then to NaN.
+EDGE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300]),
+                 st.floats(allow_nan=False, allow_infinity=False))
+EDGE_MOMENTS = st.builds(MomentMatrix, qq=EDGE, pq=EDGE, qp=EDGE, pp=EDGE)
+EDGE_ROWS = st.lists(st.tuples(EDGE, EDGE, EDGE, EDGE), min_size=1, max_size=6)
+
+
+def _engine(kind: str, m: MomentMatrix):
+    scenario = cli.Scenario(kind=kind, name="rows", moments=m, setting_pairs=np.empty((0, 2)),
+                            samples=2, seed=0, chsh=None)
+    return cli._build_engine(scenario)
+
+
+def _bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+@PROPERTY
+@given(m=EDGE_MOMENTS, rows=EDGE_ROWS)
+@example(m=MomentMatrix(qq=1e300, pq=-1e300, qp=0.0, pp=-0.0),
+         rows=[(1e300, 0.0, -0.0, 5e-324), (-0.0, 1e300, 1e300, -1e300)])
+def test_quantum_rows_equal_the_one_pair_correlators(m, rows):
+    """The engine's quantum rows, from the shared signed terms, equal
+    ``quadrature_correlation`` and ``free_evolution_correlation`` bit for bit."""
+    angles = [(QuadratureSetting(a1), QuadratureSetting(a2)) for a1, _, a2, _ in rows]
+    times = [(TimeSetting(t1), TimeSetting(t2)) for _, t1, _, t2 in rows]
+    quadrature, free = _engine("EPR_QUADRATURE", m), _engine("FREE_EVOLUTION", m)
+    with np.errstate(all="ignore"):
+        quantum, _ = quadrature.quantum_rows(
+            np.array([quadrature.columns(a1) for a1, _ in angles]),
+            np.array([quadrature.columns(a2) for _, a2 in angles]))
+        one_pair = [quadrature_correlation(m, a1, a2) for a1, a2 in angles]
+        time_quantum, _ = free.quantum_rows(np.array([free.columns(t1) for t1, _ in times]),
+                                            np.array([free.columns(t2) for _, t2 in times]))
+        time_one_pair = [free_evolution_correlation(m, t1, t2) for t1, t2 in times]
+    assert _bits(quantum) == _bits(one_pair)
+    assert _bits(time_quantum) == _bits(time_one_pair)
+
+
+@PROPERTY
+@given(m=EDGE_MOMENTS, rows=EDGE_ROWS)
+@example(m=MomentMatrix(qq=1e300, pq=-1e300, qp=0.0, pp=-0.0),
+         rows=[(1e300, 0.0, -0.0, 5e-324), (-0.0, 1e300, 1e300, -1e300)])
+@example(m=MomentMatrix(qq=-0.0, pq=0.0, qp=-0.0, pp=5e-324),
+         rows=[(-0.0, -0.0, 0.0, -5e-324), (1e-310, -1e-310, 1e-310, 1e-310)])
+# (pq * sin1) * cos2 = inf * 0.0: a NaN term that is subtracted.
+@example(m=MomentMatrix(qq=1.0, pq=1e300, qp=0.0, pp=0.0), rows=[(1.0, 1e300, 0.0, 0.0)])
+def test_closed_form_rows_equal_the_terms_written_out(m, rows):
+    """Quantum values and magnitudes from the shared signed terms equal the
+    closed forms written out term by term, bit for bit, at any columns.
+
+    One exception is allowed: where a negated term is NaN, x - y keeps the
+    NaN's sign and x + (-y) flips it. The NaN is compared as NaN; the CSV
+    prints either as nan, and no NaN reaches an output (``cli._check_finite``).
+    """
+    cos1, sin1, cos2, sin2 = (np.array(column) for column in zip(*rows))
+    t1, t2 = sin1, sin2
+    with np.errstate(all="ignore"):
+        quantum, magnitude = _engine("EPR_QUADRATURE", m).quantum_rows(
+            np.stack([cos1, sin1], axis=1), np.stack([cos2, sin2], axis=1))
+        want = m.qq * cos1 * cos2 - m.pq * sin1 * cos2 - m.qp * cos1 * sin2 + m.pp * sin1 * sin2
+        want_magnitude = (abs(m.qq * cos1 * cos2) + abs(m.pq * sin1 * cos2)
+                          + abs(m.qp * cos1 * sin2) + abs(m.pp * sin1 * sin2))
+        time_quantum, time_magnitude = _engine("FREE_EVOLUTION", m).quantum_rows(
+            t1[:, None], t2[:, None])
+        time_want = m.qq + m.pq * t1 + m.qp * t2 + m.pp * (t1 * t2)
+        time_want_magnitude = abs(m.qq) + abs(m.pq * t1) + abs(m.qp * t2) + abs(m.pp * (t1 * t2))
+    nan_as_nan = lambda v: np.where(np.isnan(v), np.nan, v)
+    assert _bits(nan_as_nan(quantum)) == _bits(nan_as_nan(want))
+    assert _bits(magnitude) == _bits(want_magnitude)
+    assert _bits(time_quantum) == _bits(time_want)
+    assert _bits(time_magnitude) == _bits(time_want_magnitude)
+
+
 def _tabulated_model(n_atoms: int) -> tuple[HiddenVariableModel, list]:
     rng = np.random.default_rng(8)
     raw = rng.random(n_atoms)

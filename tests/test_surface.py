@@ -17,7 +17,7 @@ PUBLIC_NAMES = [
     "CorrelationEstimate", "DegenerateMomentError", "Factorization", "GaussianState",
     "HiddenVariableModel", "LinearResponse", "MOMENTUM", "MomentMatrix", "QuadratureSetting",
     "ResponseMode", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "SampleSpace", "ScenarioError",
-    "SpaceKind", "Spectrum", "SpectrumReport", "TabulatedResponse", "TimeSetting",
+    "SpaceKind", "Spectrum", "TabulatedResponse", "TimeSetting",
     "UNBOUNDED", "UnitVector3", "ValidationError", "chsh_value", "compare",
     "exact_expectation", "expectation", "expectation_grid", "extract_moments",
     "free_evolution_correlation", "free_evolution_model", "matched_moments", "mc_estimate",
