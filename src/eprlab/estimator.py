@@ -55,24 +55,43 @@ the former inverse normal CDF, is kept for the sub-chunk transform
 (E, U -> y), which Gaussian tiles call through the module: it is the
 transform layer's probe point for the benchmark's traced runs.
 
-A finite model draws atom ``k`` when the uniform (word >> 11) * 2**-53
-lies in [cum[k-1], cum[k]), the last atom taking the rest. Scaling by
-2**53 is exact, so that test is done on the raw word itself: the atom
-index is the number of thresholds ceil(cum[k] * 2**53) << 11, over
-k < K - 1, that the word reaches. Thresholds at or above 2**53 << 11
-cannot be reached and are dropped. That is the atom that
-``searchsorted(cum, u, side="right")``, clipped to K - 1, gives. A
-finite model's draws are summed up by their atom counts: one kernel
-counts the words at or above each threshold and takes differences, one
-pass over the words per threshold. That beats a binary search of the
-thresholds up to about 128 atoms: on one-row tiles of 65 536 words
-(2-vCPU x86-64 host, timeit minimum) it took 1.1 against 3.6 ms at 33
-atoms and 3.4 against 4.6 ms at 80, broke even at 112 to 128, and took
-9.0 against 5.2 ms at 256. Larger tables pay that; the CLI's singlet
-model has 3 atoms.
+Finite rows (stream contract v4) take two draws from each Philox word:
+draws 2j and 2j + 1 of a row are the low and high 32 bits of its word j,
+so a row of n draws consumes ceil(n / 2) words, and an odd n leaves the
+high half of its last word unused. A draw picks one of a few atoms, and
+both halves of a word are a pure function of (key, j), as the whole word
+is. A half h draws atom ``k`` when h * 2**-32 lies in [cum[k-1], cum[k]),
+the last atom taking the rest. Scaling by 2**32 is exact and h is an
+integer, so the atom index is the number of thresholds
+T_k = ceil(cum[k] * 2**32), over k < K - 1, that h reaches. Thresholds
+at or above 2**32 cannot be reached and are dropped. That is the atom
+that ``searchsorted(cum, h * 2**-32, side="right")``, clipped to K - 1,
+gives. So atom k has probability (T_k - T_{k-1}) / 2**32 (T_{-1} = 0,
+and 2**32 for the last atom and for a dropped threshold), and each
+P(atom > k) = 1 - T_k / 2**32 is within 2**-32 of 1 - cum[k]. By
+summation by parts, E[x] = x_0 + sum_k (x_{k+1} - x_k) P(atom > k), so
+the law's mean is off by at most 2**-32 * sum_k |x_{k+1} - x_k| over the
+row's per-atom products x_k. For the singlet model |x_k| <= 3, so that is
+at most 12 * 2**-32, about 2.8e-9, where a row of unit variance has a
+standard error of 2**-18, about 3.8e-6, even at ``MAX_DRAWS``. A row whose
+products are all equal has no bias, and the bound shrinks with the
+products' spread as the standard error does. Contract v3 took one draw a
+word, from its top 53 bits.
+
+A finite model's draws are summed up by their atom counts: one kernel
+counts the halves at or above each threshold and takes differences, one
+pass over the halves per threshold. It counts a uint32 view of the
+row's complete words, both halves of each, and an odd tile's last draw
+as ``word & 0xFFFFFFFF``, so the counts do not depend on byte order.
+Counting beats a binary search of the thresholds up to about 128 atoms:
+on one-row tiles of 65 536 words (2-vCPU x86-64 host, timeit minimum,
+contract v3) it took 1.1 against 3.6 ms at 33 atoms and 3.4 against
+4.6 ms at 80, broke even at 112 to 128, and took 9.0 against 5.2 ms at
+256. Larger tables pay that; the CLI's singlet model has 3 atoms.
 
 Every draw goes through one kernel, ``_tile_stats``. A tile is a
-C-contiguous (rows, words) stack of Philox words, one word a draw; the
+C-contiguous (rows, words) stack of Philox words, one word a Gaussian
+draw and half a word a finite one; the
 kernel turns it into each row's sufficient statistics: the atom counts
 of a finite model, or the sums of y and of y * y. A Gaussian tile writes
 y into a y array that each worker allocates once per call, as long as
@@ -86,11 +105,13 @@ order after that. A multi-row tile has one sub-chunk, so the rule
 re-keys each of its rows once, and a one-row tile once per block.
 ``mc_estimate_rows`` cuts its rows into tiles of at most ``BLOCK_DRAWS``
 draws. A chunk of at least ``BATCH_MIN_ROWS`` rows of at most
-``BATCH_ROW_WORDS`` draws each gives multi-row tiles, whose words come
+``BATCH_ROW_WORDS`` words each (ceil(n / 2) for a finite row, n for a
+Gaussian one) gives multi-row tiles, whose words come
 from a numpy Philox4x64-10 vectorised over keys and counters
 (``_philox_words``, bit-identical to numpy's generator). Every other row
 gives a one-row tile per block of ``BLOCK_DRAWS`` draws from numpy's C
-generator (``_raw_words``). All tiles of a call are shared among
+generator (``_raw_words``); block b of a finite row is its words
+b * BLOCK_DRAWS / 2 onward. All tiles of a call are shared among
 ``workers`` threads (the calling thread is one of them), and each row's
 statistics are then added up tile by tile in block order. So a row's
 estimate is a pure function of (model, settings, n, key), bit-identical
@@ -131,6 +152,7 @@ infinite or NaN result, which the caller reports with the row.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from itertools import accumulate
@@ -145,9 +167,11 @@ from .lhv import HiddenVariableModel, SpaceKind, _contract, _feature_stack
 #: the reduction order of partial sums) never depend on the worker count.
 BLOCK_DRAWS = 1 << 16
 
-#: Rows of more draws (one Philox word each) than this take numpy's C
-#: generator. Per row of a 256-row batch on a 2-vCPU x86-64 host, batched
-#: against C generator (spin model, medians of 7): 5 vs 60 us at 2 words,
+#: Rows of more Philox words than this take numpy's C generator: a finite
+#: row of n draws has ceil(n / 2) words, a Gaussian one n. The cutoff is in
+#: words because the vectorised generator's cost is. Per row of a 256-row
+#: batch on a 2-vCPU x86-64 host, batched against C generator (spin model
+#: at one word a draw, medians of 7): 5 vs 60 us at 2 words,
 #: 13 vs 64 us at 64, 32 vs 66 us at 256, 60 vs 72 us at 512, 133 vs 79 us
 #: at 1024; Gaussian rows (one worker, medians of 7): 14 vs 54 us at 2,
 #: 20 vs 64 at 64, 41 vs 66 at 256, 73 vs 81 at 512, 122 vs 77 at 1024.
@@ -321,25 +345,34 @@ def ndtri(u: np.ndarray, rho: np.ndarray, e: np.ndarray) -> np.ndarray:
     return e
 
 
-def _atom_counts(weights, raw: np.ndarray) -> np.ndarray:
-    """Each row's count of every atom in a (rows, words) stack of raw Philox words.
+def _atom_counts(weights, words: np.ndarray, draws: int) -> np.ndarray:
+    """Each row's count of every atom over ``draws`` draws of a (rows, words) stack of Philox words.
 
-    Returns a (rows, len(weights)) int64 array; the atom of a word is
-    found by its thresholds (see the module docstring). The one finite
-    kernel: it passes over the words once per threshold, so above about
-    128 atoms it is slower than a binary search would be.
+    A row's draws 2j and 2j + 1 are the low and high halves of its word j,
+    so ``words`` holds ceil(draws / 2) words a row. Returns a
+    (rows, len(weights)) int64 array; the atom of a half is found by its
+    thresholds (see the module docstring). The one finite kernel: it
+    passes over the halves once per threshold, so above about 128 atoms it
+    is slower than a binary search would be.
     """
-    # Partial sums in index order, as np.cumsum forms them; c < 1 is c * 2**53 < 2**53.
-    thresholds = [np.uint64(math.ceil(c * 2.0**53) << 11)
-                  for c in accumulate(weights[:-1]) if c < 1.0]
-    rows, atoms = raw.shape[0], len(weights)
-    # reached[:, j] counts the words that reach j thresholds or more; atom k
-    # is reached by k but not k + 1, and no word reaches past the last one.
+    # Partial sums in index order, as np.cumsum forms them; c * 2**32 is exact.
+    thresholds = [np.uint32(t) for t in (math.ceil(c * 2.0**32) for c in accumulate(weights[:-1]))
+                  if t < 1 << 32]
+    rows, atoms = words.shape[0], len(weights)
+    # Both halves of every complete word, in an order set by the byte order,
+    # which a count does not see; an odd count's last draw is a low half.
+    halves = words[:, :draws // 2].view(np.uint32)
+    odd = words[:, draws // 2:] & _LOW32 if draws % 2 else None
+    # Counting a one-row stack whole takes half the time of counting along its axis.
+    axis = 1 if rows > 1 else None
+    # reached[:, j] counts the draws that reach j thresholds or more; atom k
+    # is reached by k but not k + 1, and no draw reaches past the last one.
     reached = np.zeros((rows, atoms + 1), dtype=np.int64)
-    reached[:, 0] = raw.shape[1]
+    reached[:, 0] = draws
     for j, t in enumerate(thresholds, 1):
-        # Counting a one-row stack whole takes half the time of counting along its axis.
-        reached[:, j] = np.count_nonzero(raw >= t, axis=1 if rows > 1 else None)
+        reached[:, j] = np.count_nonzero(halves >= t, axis=axis)
+        if odd is not None:
+            reached[:, j] += np.count_nonzero(odd >= t, axis=axis)
     return reached[:, :-1] - reached[:, 1:]
 
 
@@ -358,9 +391,10 @@ def _tile_stats(model: HiddenVariableModel, words, count: int, keys: Sequence[in
     """Each row's sufficient statistics over the ``count`` draws per row of one tile.
 
     ``words(lo, hi)`` returns a C-contiguous (rows, words) stack of the
-    Philox words of draws lo .. hi - 1 of each row. A finite tile returns
-    the rows' atom counts, (rows, K) int64, and ignores the other
-    arguments. A Gaussian tile takes the rows' stream ``keys``, the
+    tile's Philox words lo .. hi - 1 of each row: a Gaussian draw takes one
+    word, and a finite tile's draws 2j and 2j + 1 share its word j. A
+    finite tile returns the rows' atom counts, (rows, K) int64, and ignores
+    the other arguments. A Gaussian tile takes the rows' stream ``keys``, the
     ``counter`` (0, b + 1, 0, 0) of the block b that it lies in, and the
     rows' law parameters ``rho``, a (rows, 1) column. It works one
     sub-chunk of ``SUBCHUNK_DRAWS`` draws at a time in a one-row tile, and
@@ -372,7 +406,7 @@ def _tile_stats(model: HiddenVariableModel, words, count: int, keys: Sequence[in
     the rows' sums of y and of y * y, (rows, 2) float64.
     """
     if model.space.kind is SpaceKind.FINITE:
-        return _atom_counts(model.space.weights, words(0, count))
+        return _atom_counts(model.space.weights, words(0, -(-count // 2)), count)
     y = y[:len(keys) * count].reshape(len(keys), count)
     step = SUBCHUNK_DRAWS if len(keys) == 1 else count
     for lo in range(0, count, step):
@@ -389,9 +423,12 @@ def _tile_stats(model: HiddenVariableModel, words, count: int, keys: Sequence[in
 
 
 def _decimal(value) -> str:
-    """``repr(value)``, or past Python's str(int) digit limit a power-of-two bound or the type."""
+    """``repr(value)``, after its type's name unless it is an int.
+
+    Past Python's str(int) digit limit, a power-of-two bound or the type.
+    """
     try:
-        return repr(value)
+        return repr(value) if type(value) is int else f"{type(value).__name__} {value!r}"
     except ValueError:
         if not isinstance(value, int):
             return f"a {type(value).__name__} too long to print"
@@ -399,19 +436,31 @@ def _decimal(value) -> str:
         return f"at least {bound}" if value > 0 else f"at most -{bound}"
 
 
-def _check_draws(n, keys: Sequence[int], workers) -> None:
-    if type(workers) is not int or not 1 <= workers <= MAX_WORKERS:
-        raise ValidationError(f"workers must be an integer in [1, {MAX_WORKERS}], "
-                              f"got {_decimal(workers)}")
-    if not isinstance(n, int) or n < 2:
-        raise ValidationError(f"sample count must be an integer >= 2, got {_decimal(n)}")
+def _integer(value, low: int, high: float, message: str) -> int:
+    """``value`` as a Python int in [low, high), or a ValidationError ``message, got ...``.
+
+    The one rule for sample counts, stream keys and worker counts: an
+    integer, Python's or numpy's but not a bool, converted before any
+    arithmetic. Anything else is named with its type.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        value = operator.index(value)
+        if low <= value < high:
+            return value
+    raise ValidationError(f"{message}, got {_decimal(value)}")
+
+
+def _check_draws(n, keys: Sequence, workers) -> tuple[int, list[int], int]:
+    """``n``, the keys and ``workers`` as Python ints, once each has passed its check."""
+    workers = _integer(workers, 1, MAX_WORKERS + 1,
+                       f"workers must be an integer in [1, {MAX_WORKERS}]")
+    n = _integer(n, 2, math.inf, "sample count must be an integer >= 2")
     if n * len(keys) > MAX_DRAWS:
         raise ValidationError(f"{len(keys)} rows of {_decimal(n)} draws ask for "
                               f"{_decimal(n * len(keys))} draws, more than MAX_DRAWS = {MAX_DRAWS}")
-    for key in keys:
-        if not isinstance(key, int) or not 0 <= key < 1 << 128:
-            raise ValidationError(f"stream key must be a 128-bit unsigned integer, "
-                                  f"got {_decimal(key)}")
+    keys = [_integer(key, 0, 1 << 128, "stream key must be a 128-bit unsigned integer")
+            for key in keys]
+    return n, keys, workers
 
 
 def mc_estimate(model: HiddenVariableModel, s1, s2, n: int, key: int, *,
@@ -440,6 +489,7 @@ def mc_estimate_rows(model: HiddenVariableModel, settings1: Sequence, settings2:
     if not len(settings1) == len(settings2) == len(keys):
         raise ValidationError(f"row lists differ in length: {len(settings1)}, "
                               f"{len(settings2)} settings and {len(keys)} keys")
+    n, keys, workers = _check_draws(n, keys, workers)
     mean, stderr = _mc_rows(model, _feature_stack(model.response1, settings1),
                             _feature_stack(model.response2, settings2), n, keys, workers)
     return [CorrelationEstimate(mean=m, stderr=s, n=n, key=key)
@@ -455,10 +505,13 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
     drawing from the stream keyed by ``keys[i]``. Checks ``n``, the keys,
     ``workers`` and the total draws before it lists any tile.
     """
-    _check_draws(n, keys, workers)
+    n, keys, workers = _check_draws(n, keys, workers)
     if not keys:
         return np.empty(0), np.empty(0)
     finite = model.space.kind is SpaceKind.FINITE
+    # A finite draw takes half a Philox word (draws 2j and 2j + 1 share word j),
+    # a Gaussian one a whole word.
+    per_word = 2 if finite else 1
     # A finite row's squared deviations, and a Gaussian row's scale s, underflow
     # for small features. A row whose parties' largest features multiply to less
     # than 1 is scaled up by the power of two 2**shift that brings that product
@@ -475,7 +528,7 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
     if not finite:
         scale, rho = _gaussian_law(phi1, phi2)
     # A tile is (first row, end row, first draw, draws per row), in row and block order.
-    batched = n <= BATCH_ROW_WORDS and len(keys) >= BATCH_MIN_ROWS
+    batched = -(-n // per_word) <= BATCH_ROW_WORDS and len(keys) >= BATCH_MIN_ROWS
     if batched:
         # As few tiles of at most BLOCK_DRAWS draws as can be, of nearly equal size.
         per_tile = -(-len(keys) // -(-len(keys) // max(1, BLOCK_DRAWS // n)))
@@ -492,10 +545,10 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
             # at 31.53 MiB with the words made up front, 31.15 MiB this way
             # (medians of 8, 2-vCPU x86-64 host).
             def words(lo: int, hi: int) -> np.ndarray:
-                return _philox_words(k0[first:end], k1[first:end], count)[:, lo:hi]
+                return _philox_words(k0[first:end], k1[first:end], hi)[:, lo:]
         else:
             def words(lo: int, hi: int) -> np.ndarray:
-                return _raw_words(bg, keys[first], start + lo, hi - lo)[None, :]
+                return _raw_words(bg, keys[first], start // per_word + lo, hi - lo)[None, :]
         # Block b's exponentials come from the row key's Philox substream from
         # counter (0, b + 1, 0, 0); a tile lies in one block of each of its rows.
         return _tile_stats(model, words, count, keys[first:end],

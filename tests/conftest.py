@@ -1,5 +1,6 @@
-"""Shared helpers: deterministic direction samplers and an independent
-covariance oracle for the two-mode squeezed vacuum."""
+"""Shared helpers: deterministic direction samplers, an independent
+covariance oracle for the two-mode squeezed vacuum, and per-draw
+references for the Monte Carlo streams."""
 
 from __future__ import annotations
 
@@ -123,3 +124,18 @@ def gaussian_row_reference(u, v, n: int, key: int, block_draws: int = 1 << 16) -
     mean = total / n
     stderr = math.sqrt(max(total_squares - n * mean * mean, 0.0) / (n - 1) / n)
     return scale * mean + 0.0, scale * stderr
+
+
+def draw_halves(key: int, n: int) -> np.ndarray:
+    """The 32-bit halves of draws 0 .. n - 1 of the finite row keyed by ``key``.
+
+    Draws 2j and 2j + 1 are the low and high halves of Philox word j.
+    """
+    words = np.random.Philox(key=key).random_raw(-(-n // 2))
+    return np.stack((words & 0xFFFFFFFF, words >> 32), axis=1).ravel()[:n]
+
+
+def reference_atoms(weights, halves: np.ndarray) -> np.ndarray:
+    """Atom indices by float searchsorted on the uniforms h * 2**-32."""
+    cum = np.cumsum(np.array(weights))
+    return np.minimum(np.searchsorted(cum, halves * 2.0**-32, side="right"), len(weights) - 1)

@@ -40,10 +40,12 @@ SCENARIOS = Path(__file__).parent.parent / "scenarios"
 #: with rows keyed by (seed, row) and finite rows reduced from atom counts;
 #: the Gaussian ones again when x was first drawn from its product law
 #: (stream contract v3), after test_gaussian_rows_equal_the_per_draw_reference
-#: passed on them.
+#: passed on them; the spin ones again when finite rows first took two draws
+#: a Philox word (finite stream contract v4), after every row's lhv_mc and
+#: stderr equalled two passes over its draws rebuilt from numpy's Philox.
 BUNDLED_SHA256 = {
-    "spin_chsh.csv": "cb2278e6237f92792b5c9bdda98810063af4cc147a4d9b7577b679f158775cff",
-    "spin_chsh.summary.json": "6761085e2b5220e4c86b51c3a64e0182fafe14810d7839e27c9df1bba0ab2ba1",
+    "spin_chsh.csv": "dc585c84e3641c177e7f6aa3419c9ea8286c6b52992e7fa07c2e8a22de95a3bc",
+    "spin_chsh.summary.json": "3d49dd93c33bb955f37ffe9969d3033051c1ec1298042e1bebd779c8c7a67eda",
     "epr_quadrature.csv": "99d1819e489614a77f0523d78e25ee656b67ce4656a91271a54e963bfc94c8f4",
     "epr_quadrature.summary.json":
         "7c03ce84749d74b7a3130bb0f46908c6a169b0b80e6bea8457ec5b3aa300fcdb",
@@ -55,7 +57,7 @@ BUNDLED_SHA256 = {
 #: sha256 of the bundled scenarios' stdout tables without their last line,
 #: which names the output directory. Taken with the bundled hashes above.
 BUNDLED_STDOUT_SHA256 = {
-    "spin_chsh": "ff34c995e4b14fbe7c89ba0cdbf1c5f98375ab78080be1e90460c5d3f5238ae9",
+    "spin_chsh": "73465a6917f777db6335b41bcb182be4e9850468bd9f55935c9c652d5afb4340",
     "epr_quadrature": "1728b77063c66e5e7ebd6141ee0d06c8b50cd12faa630cd5cfa88150e8168daa",
     "free_evolution": "36f82f0ef5035f2423729488c6914f5e979eacc41236e64d117f65b143eecd98",
 }

@@ -31,9 +31,10 @@ from eprlab import (
     tmsv,
     unbounded_spin_model,
 )
-from conftest import gaussian_row_reference
+from conftest import draw_halves, gaussian_row_reference, reference_atoms
 from eprlab import estimator
 from eprlab.estimator import (
+    BATCH_MIN_ROWS,
     BATCH_ROW_WORDS,
     BLOCK_DRAWS,
     MAX_WORKERS,
@@ -107,13 +108,47 @@ class TestMcEstimate:
         # Key (1 << 64) + 5 is row 1 of seed 5: its own stream, not seed 5's.
         model = unbounded_spin_model()
         for key in ((1 << 64) + 5, (1 << 128) - 1):
-            est = mc_estimate(model, Z_AXIS, Z_AXIS, 1000, key)
-            atoms = reference_atoms(model.space.weights,
-                                    np.random.Philox(key=key).random_raw(1000))
-            want = -3.0 * np.count_nonzero(atoms == 2) / 1000
+            est = mc_estimate(model, Z_AXIS, Z_AXIS, 1001, key)
+            atoms = reference_atoms(model.space.weights, draw_halves(key, 1001))
+            want = -3.0 * np.count_nonzero(atoms == 2) / 1001
             assert est.mean == pytest.approx(want, abs=1e-15)
         assert mc_estimate(model, Z_AXIS, Z_AXIS, 1000, (1 << 64) + 5) != \
             mc_estimate(model, Z_AXIS, Z_AXIS, 1000, 5)
+
+    def test_accepts_numpy_integers(self):
+        model = unbounded_spin_model()
+        want = mc_estimate(model, Z_AXIS, Z_AXIS, 10, 7)
+        for n, key, workers in ((np.int64(10), np.uint64(7), np.int64(2)),
+                                (np.uint8(10), np.int32(7), np.uint16(1))):
+            got = mc_estimate(model, Z_AXIS, Z_AXIS, n, key, workers=workers)
+            assert got == want and type(got.n) is int and type(got.key) is int
+        keys = np.arange(40, dtype=np.uint64) + np.uint64((1 << 64) - 40)
+        rows = mc_estimate_rows(model, [Z_AXIS] * 40, [Z_AXIS] * 40, np.int16(3), keys,
+                                workers=np.int8(2))
+        assert rows == [mc_estimate(model, Z_AXIS, Z_AXIS, 3, int(key)) for key in keys]
+
+    # bool is an int and np.bool_ converts to one, but neither is a count or a key.
+    @pytest.mark.parametrize("n, key, workers, message", [
+        (True, 7, 1, "sample count must be an integer >= 2, got bool True"),
+        (np.True_, 7, 1, "sample count must be an integer >= 2, got bool np.True_"),
+        (10.0, 7, 1, "sample count must be an integer >= 2, got float 10.0"),
+        (10, True, 1, "stream key must be a 128-bit unsigned integer, got bool True"),
+        (10, np.False_, 1, "stream key must be a 128-bit unsigned integer, got bool np.False_"),
+        (10, np.float64(7.0), 1,
+         "stream key must be a 128-bit unsigned integer, got float64 np.float64(7.0)"),
+        (10, 7, np.True_, f"workers must be an integer in [1, {MAX_WORKERS}], got bool np.True_"),
+        (10, 7, 2.0, f"workers must be an integer in [1, {MAX_WORKERS}], got float 2.0"),
+        (np.int64(1), 7, 1, "sample count must be an integer >= 2, got 1"),
+        (10, np.int64(-1), 1, "stream key must be a 128-bit unsigned integer, got -1"),
+        (10, 7, np.uint64(MAX_WORKERS + 1),
+         f"workers must be an integer in [1, {MAX_WORKERS}], got {MAX_WORKERS + 1}"),
+    ], ids=["bool_n", "numpy_bool_n", "float_n", "bool_key", "numpy_bool_key", "numpy_float_key",
+            "numpy_bool_workers", "float_workers", "numpy_n_below_two", "numpy_negative_key",
+            "numpy_workers_above_cap"])
+    def test_one_rule_for_counts_keys_and_workers(self, n, key, workers, message):
+        with pytest.raises(ValidationError) as excinfo:
+            mc_estimate(unbounded_spin_model(), Z_AXIS, Z_AXIS, n, key, workers=workers)
+        assert str(excinfo.value) == message
 
     def test_stderr_does_not_cancel_at_large_products(self):
         # Products 1e8 and 1e8 + 1 at even odds: a variance from
@@ -169,24 +204,32 @@ class TestDeterminism:
         b = mc_estimate(unbounded_spin_model(), Z_AXIS, Z_AXIS, 10_000, 2)
         assert a.mean != b.mean
 
-    def test_matches_direct_stream_reconstruction(self):
+    # Odd and even n, one draw short of a block, and odd n across a block boundary.
+    @pytest.mark.parametrize("n", [2, 3, 1000, 1001, BLOCK_DRAWS - 1, BLOCK_DRAWS + 3])
+    def test_matches_direct_stream_reconstruction(self, n):
         # Rebuild the same Philox word stream by hand and recompute the
-        # statistics with plain numpy.
+        # statistics with plain numpy, one draw at a time.
         model = unbounded_spin_model()
-        n, seed = 1000, 31
-        est = mc_estimate(model, Z_AXIS, Z_AXIS, n, seed)
+        d = UnitVector3(0.48, 0.6, 0.64)
+        for key in (31, (7 << 64) + 31):
+            est = mc_estimate(model, Z_AXIS, d, n, key)
+            x = reference_products(model, Z_AXIS, d)[
+                reference_atoms(model.space.weights, draw_halves(key, n))]
+            assert est.mean == pytest.approx(np.mean(x), abs=1e-15)
+            assert est.stderr == pytest.approx(np.std(x, ddof=1) / math.sqrt(n), abs=1e-15)
 
-        raw = np.random.Philox(key=seed).random_raw(n)
-        u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        cum = np.cumsum(np.array(model.space.weights))
-        atoms = np.minimum(np.searchsorted(cum, u, side="right"), 2)
-        per_atom = np.array([
-            model.response1.features(Z_AXIS)[k] * model.response2.features(Z_AXIS)[k]
-            for k in range(3)
-        ])
-        x = per_atom[atoms]
-        assert abs(est.mean - np.mean(x)) < 1e-15
-        assert abs(est.stderr - np.std(x, ddof=1) / math.sqrt(n)) < 1e-15
+    # Multi-row tiles of 2 and 3 draws a row: one word, whole or half used.
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_batched_rows_match_the_per_draw_reference(self, n):
+        model = unbounded_spin_model()
+        settings = [UnitVector3(math.sin(t), 0.0, math.cos(t)) for t in np.linspace(0, 3, 40)]
+        keys = [(i << 64) + 17 for i in range(40)]
+        rows = mc_estimate_rows(model, [Z_AXIS] * 40, settings, n, keys, workers=2)
+        for est, s2, key in zip(rows, settings, keys):
+            x = reference_products(model, Z_AXIS, s2)[
+                reference_atoms(model.space.weights, draw_halves(key, n))]
+            assert est.mean == pytest.approx(np.mean(x), abs=1e-15)
+            assert est.stderr == pytest.approx(np.std(x, ddof=1) / math.sqrt(n), abs=1e-15)
 
     @pytest.mark.parametrize("features,n,key", [
         (((1.0, 0.0), (1.0, 0.0)), 500, 77),  # rho = 1
@@ -523,10 +566,12 @@ class TestTinyFeatures:
     #: float.hex of (mean, stderr) of the rows below for parties of values
     #: about 1e-200 and 1e200, taken before any rescaling: their products are
     #: about 1, so no row is scaled and nothing overflows. The linear rows
-    #: were taken again from ``gaussian_row_reference`` under stream contract v3.
+    #: were taken again from ``gaussian_row_reference`` under stream contract v3,
+    #: the table rows under finite contract v4, after each matched two passes
+    #: over its draws from ``draw_halves`` to 2e-16 relative.
     UNEQUAL_PARTIES_HEX = {
-        "table": [("-0x1.26e978d4fdf3cp-5", "0x1.a93137f8a5768p-7"),
-                  ("-0x1.1a9fbe76c8b45p-4", "0x1.8f294b01023d3p-7")],
+        "table": [("-0x1.374bc6a7ef9dcp-5", "0x1.a7bd21d96fdcdp-7"),
+                  ("-0x1.4bc6a7ef9db23p-4", "0x1.8484966870cb6p-7")],
         "linear": [("0x1.fcbf955ed73eap-3", "0x1.4097800f40b9dp-6"),
                    ("0x1.34bec56a463a8p-2", "0x1.415303cf72256p-6")],
     }
@@ -548,25 +593,34 @@ class TestTinyFeatures:
         assert est.stderr == math.ldexp(ref.stderr, -1060) != 0.0
 
 
-def reference_atoms(weights, raw: np.ndarray) -> np.ndarray:
-    """Atom indices by float searchsorted on the 53-bit uniforms."""
-    u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    cum = np.cumsum(np.array(weights))
-    return np.minimum(np.searchsorted(cum, u, side="right"), len(weights) - 1)
+def reference_products(model, s1, s2) -> np.ndarray:
+    """The model's per-atom products phi1_k * phi2_k at (s1, s2)."""
+    return np.array(model.response1.features(s1)) * np.array(model.response2.features(s2))
 
 
-def boundary_words(weights) -> np.ndarray:
-    """Every reachable threshold word T_k << 11 and the word below it, plus the extremes.
+def thresholds(weights) -> list[int]:
+    """Every reachable threshold T_k = ceil(cum_k * 2**32), by exact rationals."""
+    found = (math.ceil(Fraction(float(c)) * 2**32) for c in np.cumsum(np.array(weights))[:-1])
+    return [t for t in found if t < 2**32]
 
-    T_k = ceil(cum_k * 2**53) is computed with exact rationals.
+
+def boundary_halves(weights) -> np.ndarray:
+    """T_k - 1, T_k and T_k + 1 at every reachable threshold and the extremes, then a stream."""
+    halves = {0, 1, 2**32 - 1}
+    for t in thresholds(weights):
+        halves.update(h for h in (t - 1, t, t + 1) if 0 <= h < 2**32)
+    stream = draw_halves(11, 4097)
+    return np.concatenate([np.array(sorted(halves), dtype=np.uint64), stream])
+
+
+def pack(halves: np.ndarray) -> np.ndarray:
+    """(rows, draws) halves as the (rows, ceil(draws / 2)) words they come from.
+
+    An odd row's unused high half is 2**32 - 1, which reaches every threshold.
     """
-    words = {0, 1, 2**64 - 1}
-    for c in np.cumsum(np.array(weights))[:-1]:
-        t = math.ceil(Fraction(float(c)) * 2**53)
-        if t < 2**53:
-            words.update(w for w in ((t << 11) - 1, t << 11, (t << 11) + 2047) if w >= 0)
-    stream = np.random.Philox(key=11).random_raw(4096)
-    return np.concatenate([np.array(sorted(words), dtype=np.uint64), stream])
+    if halves.shape[1] % 2:
+        halves = np.concatenate([halves, np.full((len(halves), 1), 2**32 - 1, np.uint64)], 1)
+    return np.ascontiguousarray(halves[:, 0::2] | (halves[:, 1::2] << 32))
 
 
 def random_weights(n: int, seed: int) -> tuple[float, ...]:
@@ -583,8 +637,12 @@ ATOM_WEIGHTS = {
     "trailing_zero": (0.5, 0.5, 0.0),
     "zeros_between": (0.0, 0.3, 0.0, 0.0, 0.7, 0.0),
     "cumsum_below_one": (0.1,) * 10,
+    # Partial sums in (1 - 2**-32, 1): their thresholds round up to 2**32 and are dropped.
     "cumsum_just_below_one": (0.5, 0.5 - 2.0**-53, 0.0),
+    "last_atom_below_2_32": (0.5, 0.5 - 2.0**-40, 2.0**-40),
     "cumsum_just_above_one": (0.5, 0.5 + 2.0**-52, 0.0),
+    # An atom of weight below 2**-32 between two others still takes one half.
+    "middle_atom_below_2_32": (0.5, 2.0**-40, 0.5 - 2.0**-40),
     # 32 and 33 atoms straddle the former cutoff between counting and a binary search.
     "counted_cutoff": random_weights(32, 1),
     "searched_cutoff": random_weights(33, 2),
@@ -593,66 +651,82 @@ ATOM_WEIGHTS = {
 }
 
 
-def reference_counts(weights, raw: np.ndarray) -> np.ndarray:
-    """Each row's atom counts, by bincount of the float-searchsorted atoms."""
+def reference_counts(weights, halves: np.ndarray) -> np.ndarray:
+    """Each row's atom counts, by bincount of the float-searchsorted atoms of its halves."""
     return np.array([np.bincount(reference_atoms(weights, row), minlength=len(weights))
-                     for row in raw])
+                     for row in halves])
+
+
+def boundary_rows(weights, rows: int | None = None, draws: int | None = None) -> np.ndarray:
+    """``boundary_halves`` cut into ``rows`` rows or rows of ``draws`` draws, first rows first."""
+    halves = boundary_halves(weights)
+    if rows is None:
+        return halves[:len(halves) // draws * draws].reshape(-1, draws)
+    return halves[:len(halves) // rows * rows].reshape(rows, -1)
 
 
 class TestAtomLookup:
     @pytest.mark.parametrize("weights", ATOM_WEIGHTS.values(), ids=ATOM_WEIGHTS.keys())
     def test_matches_float_searchsorted(self, weights):
-        words = boundary_words(weights)
-        counts = _atom_counts(weights, words[None, :])
-        assert counts.dtype == np.int64 and counts.shape == (1, len(weights))
-        assert np.array_equal(counts, reference_counts(weights, words[None, :]))
+        halves = boundary_halves(weights)[None, :]
+        # One of the two counts is odd, its last draw a low half.
+        for draws in (halves.shape[1], halves.shape[1] - 1):
+            counts = _atom_counts(weights, pack(halves[:, :draws]), draws)
+            assert counts.dtype == np.int64 and counts.shape == (1, len(weights))
+            assert np.array_equal(counts, reference_counts(weights, halves[:, :draws]))
 
-    @pytest.mark.parametrize("rows,words_per_row", [
+    def test_boundary_halves_draw_the_atoms_on_either_side(self):
+        # T_0 = 2**31 and T_1 = 2**31 + 1: the atom of weight 2**-40 takes one half.
+        weights = ATOM_WEIGHTS["middle_atom_below_2_32"]
+        assert thresholds(weights) == [2**31, 2**31 + 1]
+        halves = np.array([[2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1]], dtype=np.uint64).T
+        assert _atom_counts(weights, pack(halves), 1).argmax(axis=1).tolist() == [0, 1, 2, 2]
+        # A partial sum that rounds up to 2**32 leaves its next atom undrawn.
+        weights = ATOM_WEIGHTS["last_atom_below_2_32"]
+        assert thresholds(weights) == [2**31]
+        assert _atom_counts(weights, pack(halves), 1).argmax(axis=1).tolist() == [0, 1, 1, 1]
+
+    @pytest.mark.parametrize("rows,draws", [
         pytest.param(2, None, id="2"), pytest.param(3, None, id="3"),
-        pytest.param(64, None, id="64"), pytest.param(None, 2, id="2_words"),
-        pytest.param(None, 40, id="40_words")])
+        pytest.param(64, None, id="64"), pytest.param(None, 2, id="2_draws"),
+        pytest.param(None, 3, id="3_draws"), pytest.param(None, 40, id="40_draws"),
+        pytest.param(None, 41, id="41_draws")])
     @pytest.mark.parametrize("weights", ATOM_WEIGHTS.values(), ids=ATOM_WEIGHTS.keys())
-    def test_multi_row_counts_match_float_searchsorted(self, weights, rows, words_per_row):
-        # The boundary words lead, so the first rows hold them all.
-        words = boundary_words(weights)
-        if rows is None:
-            words = words[:len(words) // words_per_row * words_per_row].reshape(-1, words_per_row)
-        else:
-            words = words[:len(words) // rows * rows].reshape(rows, -1)
-        words = np.ascontiguousarray(words)
-        assert np.array_equal(_atom_counts(weights, words), reference_counts(weights, words))
+    def test_multi_row_counts_match_float_searchsorted(self, weights, rows, draws):
+        # The boundary halves lead, so the first rows hold them all.
+        halves = boundary_rows(weights, rows, draws)
+        counts = _atom_counts(weights, pack(halves), halves.shape[1])
+        assert np.array_equal(counts, reference_counts(weights, halves))
 
     def test_block_sums_match_stream_reconstruction_off_axis(self):
         # Three distinct nonzero per-atom products, so both atom boundaries show.
         model = unbounded_spin_model()
         d = UnitVector3(0.48, 0.6, 0.64)
         seed = 31
-        per_atom = (np.array(model.response1.features(d))
-                    * np.array(model.response2.features(d)))
+        per_atom = reference_products(model, d, d)
         assert len(set(per_atom.tolist())) == 3 and np.all(per_atom != 0.0)
-        for start in (0, BLOCK_DRAWS, 40 * BLOCK_DRAWS):
-            bg = np.random.Philox(key=seed)
-            bg.advance(start // 4)
-            words = bg.random_raw(BLOCK_DRAWS)
-            atoms = reference_atoms(model.space.weights, words)
-            counts = _tile_stats(model, lambda lo, hi: words[None, lo:hi], BLOCK_DRAWS, None,
+        # Block b's draws are halves of words b * BLOCK_DRAWS / 2 on; a row's
+        # last block may have an odd count.
+        for start, count in ((0, BLOCK_DRAWS), (BLOCK_DRAWS, BLOCK_DRAWS),
+                             (40 * BLOCK_DRAWS, BLOCK_DRAWS - 3)):
+            words = np.random.Philox(key=seed).random_raw((start + count + 1) // 2)[start // 2:]
+            atoms = reference_atoms(model.space.weights, draw_halves(seed, start + count)[start:])
+            counts = _tile_stats(model, lambda lo, hi: words[None, lo:hi], count, None,
                                  None, None, None, None)
             assert np.array_equal(counts, [np.bincount(atoms, minlength=3)])
             # The counts are the block's x = per_atom[atoms], grouped by value.
             assert counts[0] @ per_atom == pytest.approx(np.sum(per_atom[atoms]), rel=1e-12)
 
-    # Rows of 15, 16 and 17 words straddle the former cutoff below which
-    # multi-row tiles were binary-searched.
+    # Rows of 15, 16 and 17 draws straddle the former cutoff below which
+    # multi-row tiles were binary-searched, in odd and even counts.
     @pytest.mark.parametrize("words_per_row", [15, 16, 17])
     @pytest.mark.parametrize("weights", [ATOM_WEIGHTS["thirds"], ATOM_WEIGHTS["counted_cutoff"],
                                          ATOM_WEIGHTS["cumsum_just_below_one"]],
                              ids=["thirds", "counted_cutoff", "cumsum_just_below_one"])
     def test_searched_and_counted_rows_agree_at_the_row_cutoff(self, weights, words_per_row):
-        # The boundary words lead, so the first rows hold them all.
-        words = boundary_words(weights)
-        rows = len(words) // words_per_row
-        words = np.ascontiguousarray(words[:rows * words_per_row].reshape(rows, -1))
-        assert np.array_equal(_atom_counts(weights, words), reference_counts(weights, words))
+        halves = boundary_rows(weights, draws=words_per_row)
+        counts = _atom_counts(weights, pack(halves), words_per_row)
+        assert np.array_equal(counts, reference_counts(weights, halves))
 
 
 PHILOX_KEYS = [0, 1, 1 << 63, (1 << 64) - 1,
@@ -677,6 +751,34 @@ class TestPhiloxWords:
         k = np.array([[(1 << 64) - 1]], dtype=np.uint64)
         assert np.array_equal(_philox_words(k, np.zeros_like(k), 9)[0],
                               np.random.Philox(key=(1 << 64) - 1).random_raw(9))
+
+
+class TestBatchCutoff:
+    """``BATCH_ROW_WORDS`` counts Philox words a row: ceil(n / 2) finite, n Gaussian."""
+
+    @pytest.mark.parametrize("name,n,batched", [
+        ("spin", 2 * BATCH_ROW_WORDS - 1, True), ("spin", 2 * BATCH_ROW_WORDS, True),
+        ("spin", 2 * BATCH_ROW_WORDS + 1, False), ("gauss", BATCH_ROW_WORDS, True),
+        ("gauss", BATCH_ROW_WORDS + 1, False)])
+    def test_batched_and_one_row_tiles_give_the_same_bits(self, monkeypatch, name, n, batched):
+        rows = range(BATCH_MIN_ROWS)
+        if name == "spin":
+            model, s1 = unbounded_spin_model(), Z_AXIS
+            settings = [UnitVector3(math.sin(t), 0.0, math.cos(t)) for t in rows]
+        else:
+            model, s1 = quadrature_model(extract_moments(tmsv(0.8))), QuadratureSetting(0.0)
+            settings = [QuadratureSetting(0.1 * i) for i in rows]
+        keys = [(i << 64) + 3 for i in rows]
+        # One row alone is drawn in one-row tiles.
+        want = [mc_estimate(model, s1, s2, n, key) for s2, key in zip(settings, keys)]
+        calls = []
+        philox_words = estimator._philox_words
+        monkeypatch.setattr(estimator, "_philox_words",
+                            lambda *args: calls.append(args) or philox_words(*args))
+        assert mc_estimate_rows(model, [s1] * len(rows), settings, n, keys, workers=2) == want
+        assert bool(calls) == batched
+        if batched:
+            assert {args[2] for args in calls} == {-(-n // 2) if name == "spin" else n}
 
 
 class TestMcEstimateRows:

@@ -9,6 +9,7 @@ import math
 import os
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -41,6 +42,7 @@ from eprlab import (
     tmsv,
     unbounded_spin_model,
 )
+from conftest import draw_halves, reference_atoms
 from eprlab.estimator import BATCH_MIN_ROWS, BATCH_ROW_WORDS, BLOCK_DRAWS, SUBCHUNK_DRAWS
 
 # Fixed example sequence and no example database, so every run checks the same inputs.
@@ -205,9 +207,22 @@ ROW_MODELS = {
     "tabulated": _tabulated_model(40),
 }
 ROW_SAMPLES = sorted({2, 3, BATCH_ROW_WORDS // 2, BATCH_ROW_WORDS // 2 + 1,
-                      BATCH_ROW_WORDS, BATCH_ROW_WORDS + 1, BLOCK_DRAWS + 1})
+                      BATCH_ROW_WORDS, BATCH_ROW_WORDS + 1, 2 * BATCH_ROW_WORDS,
+                      2 * BATCH_ROW_WORDS + 1, BLOCK_DRAWS + 1})
 ROW_COUNTS = (1, BATCH_MIN_ROWS - 1, BATCH_MIN_ROWS, BATCH_MIN_ROWS + 9)
 KEY = st.integers(min_value=0, max_value=(1 << 128) - 1)
+
+
+def _recorder(fn, calls: list):
+    """``fn``, appending each call's arguments to ``calls``.
+
+    list.append is atomic, so calls from several worker threads are all
+    kept, as a Mock's call count need not.
+    """
+    def record(*args):
+        calls.append(args)
+        return fn(*args)
+    return record
 
 
 def _fingerprint(est) -> tuple:
@@ -232,8 +247,9 @@ def test_row_estimates_equal_per_row_estimates(name, n, data):
         pairs[0] = (0, 1)
     keys = data.draw(st.lists(KEY, min_size=rows, max_size=rows), label="keys")
     finite = model.space.kind is estimator.SpaceKind.FINITE
-    # A draw takes one Philox word whatever the model.
-    batched = rows >= BATCH_MIN_ROWS and n <= BATCH_ROW_WORDS
+    # A finite draw takes half a Philox word, a Gaussian one a whole word.
+    row_words = -(-n // 2) if finite else n
+    batched = rows >= BATCH_MIN_ROWS and row_words <= BATCH_ROW_WORDS
     # Smaller tiles split a batched chunk; rows drawn in blocks keep the real
     # block size, whose boundaries the per-row reference shares (a Gaussian
     # block's exponentials come from a substream of their own).
@@ -243,23 +259,28 @@ def test_row_estimates_equal_per_row_estimates(name, n, data):
     settings1 = [pool[i] for i, _ in pairs]
     settings2 = [pool[j] for _, j in pairs]
 
-    tiles = mock.patch.object(estimator, "_philox_words", wraps=estimator._philox_words)
-    blocks = mock.patch.object(estimator, "_raw_words", wraps=estimator._raw_words)
-    with mock.patch.object(estimator, "BLOCK_DRAWS", tile_draws), tiles as tile_spy, \
-            blocks as block_spy:
+    tile_calls, block_calls = [], []
+    tiles = mock.patch.object(estimator, "_philox_words",
+                              _recorder(estimator._philox_words, tile_calls))
+    blocks = mock.patch.object(estimator, "_raw_words",
+                               _recorder(estimator._raw_words, block_calls))
+    with mock.patch.object(estimator, "BLOCK_DRAWS", tile_draws), tiles, blocks:
         got = mc_estimate_rows(model, settings1, settings2, n, keys, workers=workers)
     want = [mc_estimate(model, s1, s2, n, k) for s1, s2, k in zip(settings1, settings2, keys)]
     assert [_fingerprint(e) for e in got] == [_fingerprint(e) for e in want]
 
     if not batched:
-        assert tile_spy.call_count == 0
+        assert tile_calls == []
         # A finite tile draws its words in one call, a Gaussian one per sub-chunk.
         per_call = BLOCK_DRAWS if finite else SUBCHUNK_DRAWS
-        assert block_spy.call_count == rows * sum(-(-min(BLOCK_DRAWS, n - start) // per_call)
-                                                  for start in range(0, n, BLOCK_DRAWS))
+        assert len(block_calls) == rows * sum(-(-min(BLOCK_DRAWS, n - start) // per_call)
+                                              for start in range(0, n, BLOCK_DRAWS))
+        # The words drawn: ceil(n / 2) a finite row, n a Gaussian one.
+        assert sum(args[3] for args in block_calls) == rows * row_words
     else:
-        assert block_spy.call_count == 0
-        sizes = [len(call.args[0]) for call in tile_spy.call_args_list]
+        assert block_calls == []
+        sizes = [len(args[0]) for args in tile_calls]
+        assert all(args[2] == row_words for args in tile_calls)
         assert sum(sizes) == rows and len(sizes) == -(-rows // max(1, tile_draws // n))
         # A tile holds at most BLOCK_DRAWS draws, unless one row alone has more.
         assert all(size * n <= tile_draws or size == 1 for size in sizes)
@@ -290,10 +311,7 @@ def test_finite_mean_and_stderr_equal_a_two_pass_reference(atoms, n, offset, key
     )
     est = mc_estimate(model, s, s, n, key)
 
-    # The drawn atoms by float searchsorted on the 53-bit uniforms.
-    u = (np.random.Philox(key=key).random_raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    drawn = np.minimum(np.searchsorted(np.cumsum(weights), u, side="right"), atoms - 1)
-    x = np.array(model.response1.values[0])[drawn]
+    x = np.array(model.response1.values[0])[reference_atoms(weights, draw_halves(key, n))]
     mean = np.sum(x) / n
     stderr = math.sqrt(np.sum((x - mean) ** 2) / (n - 1) / n)
     # The absolute floors are the two-pass reference's own rounding of the
@@ -301,6 +319,31 @@ def test_finite_mean_and_stderr_equal_a_two_pass_reference(atoms, n, offset, key
     scale = float(np.max(np.abs(x)))
     assert est.mean == pytest.approx(mean, rel=1e-12, abs=1e-14 * scale)
     assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=1e-14 * scale / math.sqrt(n))
+
+
+# Weights of every size down to below 2**-32, and zeros.
+RAW_WEIGHT = st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 2.0**-30), st.just(0.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(raw=st.lists(RAW_WEIGHT, min_size=1, max_size=40).filter(lambda w: sum(w) > 0.0))
+def test_each_atom_takes_its_share_of_the_halves(raw):
+    """Atom k takes the halves in [T_{k-1}, T_k), (T_k - T_{k-1}) / 2**32 of
+    them, within 2**-31 of w_k. Checked at the thresholds, with T_k =
+    ceil(cum_k * 2**32) by exact rationals and 2**32 where that is larger."""
+    weights = tuple(float(w) for w in np.array(raw) / sum(raw))
+    full = 2**32
+    bounds = [min(math.ceil(Fraction(float(c)) * full), full)
+              for c in np.cumsum(np.array(weights))[:-1]]
+    # Each half h draws the atom #{k : T_k <= h}; the probes are the halves on
+    # both sides of every threshold, and the extremes.
+    probes = sorted({0, full - 1} | {h for t in bounds for h in (t - 1, t) if 0 <= h < full})
+    words = np.array(probes, dtype=np.uint64)[:, None]
+    drawn = estimator._atom_counts(weights, words, 1).argmax(axis=1)
+    assert drawn.tolist() == [sum(t <= h for t in bounds) for h in probes]
+    edges = [0, *bounds, full]
+    for k, w in enumerate(weights):
+        assert abs(Fraction(edges[k + 1] - edges[k], full) - Fraction(w)) <= Fraction(1, 2**31)
 
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
