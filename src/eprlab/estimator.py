@@ -35,9 +35,9 @@ U of word i of the row's stream (U - 1/2 is exact), and E from numpy's
 ziggurat ``Generator.standard_exponential`` on the row key's Philox
 substream from counter (0, b + 1, 0, 0) for block b = i // BLOCK_DRAWS.
 The ziggurat takes a variable number of words a value, so a block's
-exponentials are read in order; the bits do not depend on
-``SUBCHUNK_DRAWS`` or on the worker count, but the block boundaries are
-part of the output. The tile sums y = E (rho + S), which is of order 1,
+exponentials are read in order from the start of its substream; the bits
+do not depend on the worker count, but the block boundaries are part of
+the output. The tile sums y = E (rho + S), which is of order 1,
 and its square; the row's mean and standard error of y are multiplied by
 s at the end (s = rho = 0 for a row with a zero party, whose estimate is
 then +0.0 with stderr 0). ``_gaussian_law`` gives s by ``hypot`` and rho
@@ -51,7 +51,7 @@ pinned outputs on hosts without AVX-512. The Gaussian bits are tied to
 numpy's C ziggurat, whose stream NEP 19 does not promise to keep across
 numpy versions (contract v2 was tied to scipy's ``ndtri`` build in the
 same way); the pinned tests detect such a change. ``ndtri``, the name of
-the former inverse normal CDF, is kept for the sub-chunk transform
+the former inverse normal CDF, is kept for the tile transform
 (E, U -> y), which Gaussian tiles call through the module: it is the
 transform layer's probe point for the benchmark's traced runs.
 
@@ -93,16 +93,14 @@ Every draw goes through one kernel, ``_tile_stats``. A tile is a
 C-contiguous (rows, words) stack of Philox words, one word a Gaussian
 draw and half a word a finite one; the
 kernel turns it into each row's sufficient statistics: the atom counts
-of a finite model, or the sums of y and of y * y. A Gaussian tile writes
-y into a y array that each worker allocates once per call, as long as
-the call's largest tile, sub-chunk by sub-chunk of ``SUBCHUNK_DRAWS``
-draws in a one-row tile and at once in a multi-row one, and then sums it
-along its rows, squares it and sums again: row sums of a C-contiguous
-stack equal the per-row sums bit for bit. One substream rule places the
-exponentials: the kernel re-keys the worker's exponential generator to a
-row's block substream at the row's first sub-chunk, and reads it in
-order after that. A multi-row tile has one sub-chunk, so the rule
-re-keys each of its rows once, and a one-row tile once per block.
+of a finite model, or the sums of y and of y * y. A Gaussian tile draws
+each row's exponentials whole, from the row's block substream, into a y
+array that each worker allocates once per call, as long as the call's
+largest tile, turns them into y in place, and then sums y along its
+rows, squares it and sums again: row sums of a C-contiguous stack equal
+the per-row sums bit for bit. Each worker has one Philox generator,
+re-keyed through its state setter in turn for a one-row tile's words and
+for each row's exponentials; batched finite tiles need none.
 ``mc_estimate_rows`` cuts its rows into tiles of at most ``BLOCK_DRAWS``
 draws. A chunk of at least ``BATCH_MIN_ROWS`` rows of at most
 ``BATCH_ROW_WORDS`` words each (ceil(n / 2) for a finite row, n for a
@@ -190,18 +188,6 @@ BATCH_ROW_WORDS = 256
 #: (+6 MiB, +12 ms), which the vectorised generator never loads: a spin
 #: grid of 5184 rows at n = 2 peaked at 38.3 against 32.9 MiB that way.
 BATCH_MIN_ROWS = 32
-
-#: Draws per sub-chunk of a Gaussian tile. A tile draws its words and
-#: exponentials one sub-chunk at a time and turns them into y in place; a
-#: worker's only buffers are its y row of BLOCK_DRAWS values, made once per
-#: call, and the sub-chunk's words. mc_gauss (36 rows of 10**6 draws,
-#: 2 workers), cold runs on a 2-vCPU x86-64 host, medians of 8 alternating:
-#: sub-chunks of 4096 draws took 1.28 s, 37.5 MiB peak RSS; 16384 1.02 s,
-#: 37.6 MiB; 65536 1.02 s, 38.5 MiB. Small sub-chunks lose time to the GIL:
-#: each numpy call hands it to the other worker and back. A multiple of 4,
-#: so that every sub-chunk starts at a 4-aligned word; the bits do not
-#: depend on it.
-SUBCHUNK_DRAWS = 1 << 14
 
 #: Most worker threads a call may ask for. A call starts at most
 #: min(workers, tiles) - 1 threads, one per tile at most, and a count
@@ -329,7 +315,7 @@ def _philox_words(k0: np.ndarray, k1: np.ndarray, n_words: int) -> np.ndarray:
 
 
 def ndtri(u: np.ndarray, rho: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """y = e * (rho + sin(pi * (u - 1/2))) for a sub-chunk's uniforms ``u`` and exponentials ``e``.
+    """y = e * (rho + sin(pi * (u - 1/2))) for a tile's uniforms ``u`` and exponentials ``e``.
 
     ``u`` and ``e`` are (rows, m) arrays and ``rho`` the rows' (rows, 1)
     column. The transform layer's probe point: the benchmark's traced run
@@ -386,36 +372,28 @@ def _uniforms(raw: np.ndarray) -> np.ndarray:
 
 
 @_quiet
-def _tile_stats(model: HiddenVariableModel, words, count: int, keys: Sequence[int], counter,
-                rho: np.ndarray, gen: np.random.Generator, y: np.ndarray) -> np.ndarray:
+def _tile_stats(model: HiddenVariableModel, words: np.ndarray, count: int, keys: Sequence[int],
+                counter, rho: np.ndarray, gen: np.random.Generator, y: np.ndarray) -> np.ndarray:
     """Each row's sufficient statistics over the ``count`` draws per row of one tile.
 
-    ``words(lo, hi)`` returns a C-contiguous (rows, words) stack of the
-    tile's Philox words lo .. hi - 1 of each row: a Gaussian draw takes one
-    word, and a finite tile's draws 2j and 2j + 1 share its word j. A
-    finite tile returns the rows' atom counts, (rows, K) int64, and ignores
-    the other arguments. A Gaussian tile takes the rows' stream ``keys``, the
-    ``counter`` (0, b + 1, 0, 0) of the block b that it lies in, and the
-    rows' law parameters ``rho``, a (rows, 1) column. It works one
-    sub-chunk of ``SUBCHUNK_DRAWS`` draws at a time in a one-row tile, and
-    on all its draws at once in a multi-row one. Each row's exponentials
-    come from ``gen``, re-keyed to the row's key at ``counter`` at the
-    row's first sub-chunk and read in order after it; a multi-row tile
-    has one sub-chunk, so this one rule covers both. It writes y into
-    ``y``, which holds the whole tile, overwrites the words, and returns
-    the rows' sums of y and of y * y, (rows, 2) float64.
+    ``words`` is the tile's C-contiguous (rows, words) stack of Philox
+    words: a Gaussian draw takes one word, and a finite tile's draws 2j and
+    2j + 1 share its word j. A finite tile returns the rows' atom counts,
+    (rows, K) int64, and ignores the other arguments. A Gaussian tile takes
+    the rows' stream ``keys``, the ``counter`` (0, b + 1, 0, 0) of the block
+    b that it lies in, and the rows' law parameters ``rho``, a (rows, 1)
+    column. Each row's exponentials come from ``gen``, re-keyed to the
+    row's key at ``counter``, all ``count`` of them in one call. It writes y
+    into ``y``, which holds the whole tile, overwrites the words, and
+    returns the rows' sums of y and of y * y, (rows, 2) float64.
     """
     if model.space.kind is SpaceKind.FINITE:
-        return _atom_counts(model.space.weights, words(0, -(-count // 2)), count)
+        return _atom_counts(model.space.weights, words, count)
     y = y[:len(keys) * count].reshape(len(keys), count)
-    step = SUBCHUNK_DRAWS if len(keys) == 1 else count
-    for lo in range(0, count, step):
-        hi = min(lo + step, count)
-        for key, values in zip(keys, y[:, lo:hi]):
-            if lo == 0:
-                _rekey(gen.bit_generator, key, counter)
-            gen.standard_exponential(out=values)
-        ndtri(_uniforms(words(lo, hi)), rho, y[:, lo:hi])
+    for key, values in zip(keys, y):
+        _rekey(gen.bit_generator, key, counter)
+        gen.standard_exponential(out=values)
+    ndtri(_uniforms(words), rho, y)
     # Row sums of a C-contiguous stack equal the per-row sums bit for bit.
     sums = y.sum(axis=1)
     y *= y
@@ -539,16 +517,12 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
         tiles = [(row, row + 1, start, min(BLOCK_DRAWS, n - start))
                  for row in range(len(keys)) for start in range(0, n, BLOCK_DRAWS)]
 
-    def tile_stats(first: int, end: int, start: int, count: int, bg, gen, y) -> np.ndarray:
+    def tile_stats(first: int, end: int, start: int, count: int, gen, y) -> np.ndarray:
+        n_words = -(-count // per_word)
         if batched:
-            # Made when the kernel asks: a cold 72x72 spin grid at n = 2 peaked
-            # at 31.53 MiB with the words made up front, 31.15 MiB this way
-            # (medians of 8, 2-vCPU x86-64 host).
-            def words(lo: int, hi: int) -> np.ndarray:
-                return _philox_words(k0[first:end], k1[first:end], hi)[:, lo:]
+            words = _philox_words(k0[first:end], k1[first:end], n_words)
         else:
-            def words(lo: int, hi: int) -> np.ndarray:
-                return _raw_words(bg, keys[first], start // per_word + lo, hi - lo)[None, :]
+            words = _raw_words(gen.bit_generator, keys[first], start // per_word, n_words)[None, :]
         # Block b's exponentials come from the row key's Philox substream from
         # counter (0, b + 1, 0, 0); a tile lies in one block of each of its rows.
         return _tile_stats(model, words, count, keys[first:end],
@@ -556,15 +530,16 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
                            None if finite else rho[first:end, None], gen, y)
 
     # Each worker takes the next tile number under a lock and stores the
-    # tile's statistics in its slot. Its bit generator for one-row tiles, and
-    # the Gaussian tiles' exponential generator and y array, are made once, here.
+    # tile's statistics in its slot. Its generator, for one-row tiles' words
+    # and Gaussian tiles' exponentials, and the Gaussian tiles' y array are
+    # made once, here; batched finite tiles need no generator, so a batched
+    # spin grid never imports numpy.random.
     stats = [None] * len(tiles)
     tasks = iter(range(len(tiles)))
     taking = threading.Lock()
 
     def drain() -> None:
-        bg = None if batched else np.random.Philox()
-        gen = None if finite else np.random.Generator(np.random.Philox())
+        gen = None if batched and finite else np.random.Generator(np.random.Philox())
         y = None if finite else np.empty(max((end - first) * count
                                              for first, end, _, count in tiles))
         while True:
@@ -572,7 +547,7 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
                 index = next(tasks, None)
             if index is None:
                 return
-            stats[index] = tile_stats(*tiles[index], bg, gen, y)
+            stats[index] = tile_stats(*tiles[index], gen, y)
 
     # The calling thread is one of the workers; the others are plain threads
     # (an executor would import concurrent.futures and logging, about 7 ms of

@@ -357,7 +357,8 @@ def exact_expectation(model: HiddenVariableModel, s1, s2) -> float:
 
 
 def _feature_stack(response, settings: Sequence) -> np.ndarray:
-    return np.array([response.features(s) for s in settings])
+    """The settings' feature rows as a (len(settings), response.dim) array, empty lists too."""
+    return np.array([response.features(s) for s in settings]).reshape(len(settings), response.dim)
 
 
 def expectation_grid(model: HiddenVariableModel,
@@ -428,6 +429,8 @@ def spectrum_compatibility(model: HiddenVariableModel, spectrum: Spectrum) -> bo
     """
     if spectrum is Spectrum.SPIN_PM1:
         return sup_bound(model) <= 1.0 + SPIN_PM1_TOL
+    if spectrum is not Spectrum.QUADRATURE_REAL_LINE:
+        raise ValidationError(f"unknown spectrum: {spectrum!r}")
     return (model.space.kind is SpaceKind.GAUSSIAN_PAIR
             and _spans_line_at_every_setting(model.response1)
             and _spans_line_at_every_setting(model.response2))

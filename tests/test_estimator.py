@@ -38,7 +38,6 @@ from eprlab.estimator import (
     BATCH_ROW_WORDS,
     BLOCK_DRAWS,
     MAX_WORKERS,
-    SUBCHUNK_DRAWS,
     _atom_counts,
     _philox_words,
     _tile_stats,
@@ -385,16 +384,16 @@ class TestGaussianRowPinned:
         assert (rows[0].mean.hex(), rows[0].stderr.hex()) == GAUSSIAN_ROW_HEX
 
 
-#: Gaussian rows whose last tile ends at, inside or just past a sub-chunk
-#: or block boundary, as float.hex of (mean, stderr); taken from
+#: Gaussian rows whose last tile ends at, inside or just past 16 384 draws
+#: or a block boundary, as float.hex of (mean, stderr); taken from
 #: ``gaussian_row_reference``, which draws one value at a time.
 SUBCHUNK_ROW_HEX = {
-    SUBCHUNK_DRAWS - 1: ("0x1.3f812c2627f06p+0", "0x1.1838038c68255p-6"),
-    SUBCHUNK_DRAWS: ("0x1.3f7e412c33385p+0", "0x1.1833e0de329fbp-6"),
-    SUBCHUNK_DRAWS + 1: ("0x1.3fba8a0914801p+0", "0x1.189731232f5a2p-6"),
+    16383: ("0x1.3f812c2627f06p+0", "0x1.1838038c68255p-6"),
+    16384: ("0x1.3f7e412c33385p+0", "0x1.1833e0de329fbp-6"),
+    16385: ("0x1.3fba8a0914801p+0", "0x1.189731232f5a2p-6"),
     BLOCK_DRAWS - 1: ("0x1.412952244f146p+0", "0x1.19b1a69878f5dp-7"),
     BLOCK_DRAWS + 1: ("0x1.4126382c56809p+0", "0x1.19b0080299e6cp-7"),
-    2 * BLOCK_DRAWS + SUBCHUNK_DRAWS + 3: ("0x1.420854e326bd1p+0", "0x1.77072a7c41a92p-8"),
+    2 * BLOCK_DRAWS + 16387: ("0x1.420854e326bd1p+0", "0x1.77072a7c41a92p-8"),
 }
 
 
@@ -407,36 +406,27 @@ class TestGaussianSubchunks:
                           workers=workers)
         assert (est.mean.hex(), est.stderr.hex()) == SUBCHUNK_ROW_HEX[n]
 
-    @pytest.mark.parametrize("subchunk", [100, 300, 1000])
-    def test_row_groups_of_any_size_give_the_same_rows(self, monkeypatch, subchunk):
-        # 40 rows of 100 draws form one batched tile, which takes all its
-        # rows' draws at once whatever SUBCHUNK_DRAWS is.
+    @pytest.mark.parametrize("n", [100, 300, 1000])
+    def test_row_groups_of_any_size_give_the_same_rows(self, n):
+        # 40 rows of 100 draws form one batched tile; rows of 300 or 1000
+        # draws are one-row tiles. Either way each row equals its lone estimate.
         model = quadrature_model(extract_moments(tmsv(0.8)))
         settings1 = [QuadratureSetting(0.1 * i) for i in range(40)]
         settings2 = [QuadratureSetting(-0.07 * i) for i in range(40)]
         keys = [(i << 64) + 5 for i in range(40)]
-        want = mc_estimate_rows(model, settings1, settings2, 100, keys)
-        monkeypatch.setattr(estimator, "SUBCHUNK_DRAWS", subchunk)
-        assert mc_estimate_rows(model, settings1, settings2, 100, keys, workers=2) == want
+        assert mc_estimate_rows(model, settings1, settings2, n, keys, workers=2) == [
+            mc_estimate(model, s1, s2, n, key) for s1, s2, key in zip(settings1, settings2, keys)]
 
-    @pytest.mark.parametrize("subchunk", [4096, 1 << 16])
-    def test_subchunk_size_does_not_change_the_bits(self, monkeypatch, subchunk):
-        # The ziggurat takes a variable number of words per value, so each
-        # block's exponentials are read in order across its sub-chunks.
-        monkeypatch.setattr(estimator, "SUBCHUNK_DRAWS", subchunk)
-        self.test_mean_and_stderr_bits(2 * BLOCK_DRAWS + SUBCHUNK_DRAWS + 3, 2)
-
-    @pytest.mark.parametrize("subchunk", [4, 12, 300])
-    def test_one_row_subchunks_of_any_aligned_size_give_the_same_row(self, monkeypatch,
-                                                                     subchunk):
-        # Rows of 1000 draws alone are one-row tiles of 250, 84 and 4 sub-chunks;
-        # a sub-chunk is a multiple of 4 draws, so its words start 4-aligned.
-        model = quadrature_model(extract_moments(tmsv(0.8)))
-        s1, s2 = QuadratureSetting(0.4), QuadratureSetting(-1.2)
-        want = [mc_estimate(model, s1, s2, 1000, key) for key in (5, (3 << 64) + 5)]
-        monkeypatch.setattr(estimator, "SUBCHUNK_DRAWS", subchunk)
-        assert [mc_estimate(model, s1, s2, 1000, key, workers=2)
-                for key in (5, (3 << 64) + 5)] == want
+    @pytest.mark.parametrize("n", [4, 12, 300])
+    def test_one_row_subchunks_of_any_aligned_size_give_the_same_row(self, n):
+        # A one-row tile of n draws, a multiple of Philox's 4-word output,
+        # is drawn whole and gives the row the per-draw reference gives.
+        features = ((0.8, -0.3), (0.4, 0.6))
+        model = pair_model(*features)
+        s = QuadratureSetting(0.0)
+        for key in (5, (3 << 64) + 5):
+            est = mc_estimate(model, s, s, n, key, workers=2)
+            assert (est.mean, est.stderr) == gaussian_row_reference(*features, n, key)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_traced_peak_memory_per_worker(self, workers):
@@ -711,8 +701,7 @@ class TestAtomLookup:
                              (40 * BLOCK_DRAWS, BLOCK_DRAWS - 3)):
             words = np.random.Philox(key=seed).random_raw((start + count + 1) // 2)[start // 2:]
             atoms = reference_atoms(model.space.weights, draw_halves(seed, start + count)[start:])
-            counts = _tile_stats(model, lambda lo, hi: words[None, lo:hi], count, None,
-                                 None, None, None, None)
+            counts = _tile_stats(model, words[None, :], count, None, None, None, None, None)
             assert np.array_equal(counts, [np.bincount(atoms, minlength=3)])
             # The counts are the block's x = per_atom[atoms], grouped by value.
             assert counts[0] @ per_atom == pytest.approx(np.sum(per_atom[atoms]), rel=1e-12)

@@ -360,6 +360,13 @@ class TestSpectrumCompatibility:
     def test_finite_space_fails_real_line(self):
         assert not spectrum_compatibility(unbounded_spin_model(), Spectrum.QUADRATURE_REAL_LINE)
 
+    @pytest.mark.parametrize("spectrum", ["SPIN_PM1", "QUADRATURE_REAL_LINE", None])
+    def test_non_spectrum_value_is_refused(self, spectrum):
+        # Such a value used to take the real-line branch: True for this model.
+        model = quadrature_model(MomentMatrix(qq=1.0, pq=0.0, qp=0.0, pp=-1.0))
+        with pytest.raises(ValidationError, match="unknown spectrum"):
+            spectrum_compatibility(model, spectrum)
+
 
 class TestValidation:
     def test_weights_must_sum_to_one(self):
@@ -431,6 +438,17 @@ class TestExpectationGrid:
         for i, a in enumerate(plane):
             for j, b in enumerate(plane):
                 assert grid[i, j] == exact_expectation(model, a, b)
+
+
+    @pytest.mark.parametrize("rows, cols", [(0, 3), (4, 0), (0, 0)])
+    def test_empty_setting_lists_give_empty_grids(self, rows, cols):
+        quadratures = [QuadratureSetting(a) for a in (0.0, 0.5, 1.0, 1.5)]
+        for model, settings in ((unbounded_spin_model(),
+                                 random_unit_vectors(np.random.default_rng(5), 4)),
+                                (quadrature_model(MomentMatrix(qq=1.5, pq=-0.25, qp=2.0, pp=0.5)),
+                                 quadratures)):
+            grid = expectation_grid(model, settings[:rows], settings[:cols])
+            assert grid.shape == (rows, cols) and grid.dtype == np.float64
 
 
 class TestExpectationRows:

@@ -43,7 +43,7 @@ from eprlab import (
     unbounded_spin_model,
 )
 from conftest import draw_halves, reference_atoms
-from eprlab.estimator import BATCH_MIN_ROWS, BATCH_ROW_WORDS, BLOCK_DRAWS, SUBCHUNK_DRAWS
+from eprlab.estimator import BATCH_MIN_ROWS, BATCH_ROW_WORDS, BLOCK_DRAWS
 
 # Fixed example sequence and no example database, so every run checks the same inputs.
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -271,10 +271,8 @@ def test_row_estimates_equal_per_row_estimates(name, n, data):
 
     if not batched:
         assert tile_calls == []
-        # A finite tile draws its words in one call, a Gaussian one per sub-chunk.
-        per_call = BLOCK_DRAWS if finite else SUBCHUNK_DRAWS
-        assert len(block_calls) == rows * sum(-(-min(BLOCK_DRAWS, n - start) // per_call)
-                                              for start in range(0, n, BLOCK_DRAWS))
+        # A tile draws its words in one call, one tile per block of each row.
+        assert len(block_calls) == rows * -(-n // BLOCK_DRAWS)
         # The words drawn: ceil(n / 2) a finite row, n a Gaussian one.
         assert sum(args[3] for args in block_calls) == rows * row_words
     else:
