@@ -22,7 +22,6 @@ from .correlators import (
 )
 from .errors import (
     ConsistencyError,
-    DegenerateMomentError,
     ScenarioError,
     ValidationError,
 )
@@ -42,7 +41,6 @@ from .gaussian import (
 from .lhv import (
     UNBOUNDED,
     ComponentResponse,
-    Factorization,
     HiddenVariableModel,
     LinearResponse,
     ResponseMode,
@@ -53,7 +51,6 @@ from .lhv import (
     exact_expectation,
     expectation_grid,
     free_evolution_model,
-    matched_moments,
     quadrature_model,
     spectrum_compatibility,
     sup_bound,
@@ -78,8 +75,6 @@ __all__ = [
     "ComponentResponse",
     "ConsistencyError",
     "CorrelationEstimate",
-    "DegenerateMomentError",
-    "Factorization",
     "GaussianState",
     "HiddenVariableModel",
     "LinearResponse",
@@ -107,7 +102,6 @@ __all__ = [
     "extract_moments",
     "free_evolution_correlation",
     "free_evolution_model",
-    "matched_moments",
     "mc_estimate",
     "mc_estimate_rows",
     "pauli_observable",

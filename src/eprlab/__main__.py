@@ -10,9 +10,8 @@ def main() -> int:
 
     ``gc.freeze()`` moves every tracked object into the permanent
     generation, so the collections of interpreter shutdown no longer walk
-    the objects numpy made: from 32 to 8 ms after a 72x72 spin grid and
-    from 90 to 19 ms after a Gaussian run that still loaded scipy (medians
-    of 8 cold runs, 2-vCPU x86-64 host).
+    the objects numpy made: from 32 to 8 ms after a 72x72 spin grid
+    (median of 8 cold runs, 2-vCPU x86-64 host).
     atexit handlers, stream flushes and module teardown still run.
     ``cli.main`` does not freeze, because tests call it in-process.
     """

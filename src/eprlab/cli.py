@@ -79,7 +79,7 @@ from .correlators import (
     spin_correlation_rows,
 )
 from .errors import ConsistencyError, ScenarioError, ValidationError
-from .estimator import MAX_DRAWS, MAX_WORKERS, _decimal, _mc_rows, _quiet, _z_scores
+from .estimator import MAX_WORKERS, _check_draws, _decimal, _mc_rows, _quiet, _z_scores
 from .gaussian import MomentMatrix, extract_moments, tmsv
 from .lhv import (
     HiddenVariableModel,
@@ -551,11 +551,9 @@ def run_scenario(path: Path, out_dir: Path | None = None, seed: int | None = Non
     ``seed`` and ``samples`` override the file values when given (``load_scenario``).
     """
     scenario = load_scenario(Path(path), seed=seed, samples=samples)
-
-    draws = scenario.samples * len(scenario.setting_pairs)
-    if draws > MAX_DRAWS:
-        raise ScenarioError(f"{len(scenario.setting_pairs)} rows of {scenario.samples} samples "
-                            f"ask for {_decimal(draws)} draws, more than MAX_DRAWS = {MAX_DRAWS}")
+    # The run's keys, seed + (row << 64), are valid by construction: the seed
+    # is below 2**64 and there are at most MAX_ROWS rows.
+    _, workers = _check_draws(scenario.samples, len(scenario.setting_pairs), workers)
 
     table, summary = _evaluate(scenario, workers)
 

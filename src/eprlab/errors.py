@@ -9,9 +9,5 @@ class ConsistencyError(RuntimeError):
     """Two independent computations of the same quantity disagree."""
 
 
-class DegenerateMomentError(ValidationError):
-    """A coefficient construction divides by a moment that is (numerically) zero."""
-
-
 class ScenarioError(ValidationError):
     """A scenario file is missing, malformed, or fails validation."""

@@ -80,9 +80,9 @@ word, from its top 53 bits.
 
 A finite model's draws are summed up by their atom counts: one kernel
 counts the halves at or above each threshold and takes differences, one
-pass over the halves per threshold. It counts a uint32 view of the
-row's complete words, both halves of each, and an odd tile's last draw
-as ``word & 0xFFFFFFFF``, so the counts do not depend on byte order.
+pass over the halves per threshold. It counts a little-endian uint32
+view of the row's words, cut to its first n halves, so draw 2j is the
+low half of word j and the counts do not depend on the host's byte order.
 Counting beats a binary search of the thresholds up to about 128 atoms:
 on one-row tiles of 65 536 words (2-vCPU x86-64 host, timeit minimum,
 contract v3) it took 1.1 against 3.6 ms at 33 atoms and 3.4 against
@@ -335,7 +335,8 @@ def _atom_counts(weights, words: np.ndarray, draws: int) -> np.ndarray:
     """Each row's count of every atom over ``draws`` draws of a (rows, words) stack of Philox words.
 
     A row's draws 2j and 2j + 1 are the low and high halves of its word j,
-    so ``words`` holds ceil(draws / 2) words a row. Returns a
+    so ``words`` holds ceil(draws / 2) words a row, and an odd ``draws``
+    leaves the high half of the last word uncounted. Returns a
     (rows, len(weights)) int64 array; the atom of a half is found by its
     thresholds (see the module docstring). The one finite kernel: it
     passes over the halves once per threshold, so above about 128 atoms it
@@ -345,10 +346,10 @@ def _atom_counts(weights, words: np.ndarray, draws: int) -> np.ndarray:
     thresholds = [np.uint32(t) for t in (math.ceil(c * 2.0**32) for c in accumulate(weights[:-1]))
                   if t < 1 << 32]
     rows, atoms = words.shape[0], len(weights)
-    # Both halves of every complete word, in an order set by the byte order,
-    # which a count does not see; an odd count's last draw is a low half.
-    halves = words[:, :draws // 2].view(np.uint32)
-    odd = words[:, draws // 2:] & _LOW32 if draws % 2 else None
+    # The words as little-endian pairs of 32-bit halves, low half first, on
+    # any byte order: half 2j is the low half of word j, so the first
+    # ``draws`` halves are the draws, an odd count's last one a low half.
+    halves = words.astype("<u8", copy=False).view("<u4")[:, :draws]
     # Counting a one-row stack whole takes half the time of counting along its axis.
     axis = 1 if rows > 1 else None
     # reached[:, j] counts the draws that reach j thresholds or more; atom k
@@ -357,8 +358,6 @@ def _atom_counts(weights, words: np.ndarray, draws: int) -> np.ndarray:
     reached[:, 0] = draws
     for j, t in enumerate(thresholds, 1):
         reached[:, j] = np.count_nonzero(halves >= t, axis=axis)
-        if odd is not None:
-            reached[:, j] += np.count_nonzero(odd >= t, axis=axis)
     return reached[:, :-1] - reached[:, 1:]
 
 
@@ -428,17 +427,16 @@ def _integer(value, low: int, high: float, message: str) -> int:
     raise ValidationError(f"{message}, got {_decimal(value)}")
 
 
-def _check_draws(n, keys: Sequence, workers) -> tuple[int, list[int], int]:
-    """``n``, the keys and ``workers`` as Python ints, once each has passed its check."""
+def _check_draws(n, rows: int, workers) -> tuple[int, int]:
+    """``n`` and ``workers`` as Python ints, once each has passed its check
+    and ``rows`` rows of ``n`` draws are at most ``MAX_DRAWS``."""
     workers = _integer(workers, 1, MAX_WORKERS + 1,
                        f"workers must be an integer in [1, {MAX_WORKERS}]")
     n = _integer(n, 2, math.inf, "sample count must be an integer >= 2")
-    if n * len(keys) > MAX_DRAWS:
-        raise ValidationError(f"{len(keys)} rows of {_decimal(n)} draws ask for "
-                              f"{_decimal(n * len(keys))} draws, more than MAX_DRAWS = {MAX_DRAWS}")
-    keys = [_integer(key, 0, 1 << 128, "stream key must be a 128-bit unsigned integer")
-            for key in keys]
-    return n, keys, workers
+    if n * rows > MAX_DRAWS:
+        raise ValidationError(f"{rows} rows of {_decimal(n)} samples ask for "
+                              f"{_decimal(n * rows)} draws, more than MAX_DRAWS = {MAX_DRAWS}")
+    return n, workers
 
 
 def mc_estimate(model: HiddenVariableModel, s1, s2, n: int, key: int, *,
@@ -467,7 +465,9 @@ def mc_estimate_rows(model: HiddenVariableModel, settings1: Sequence, settings2:
     if not len(settings1) == len(settings2) == len(keys):
         raise ValidationError(f"row lists differ in length: {len(settings1)}, "
                               f"{len(settings2)} settings and {len(keys)} keys")
-    n, keys, workers = _check_draws(n, keys, workers)
+    n, workers = _check_draws(n, len(keys), workers)
+    keys = [_integer(key, 0, 1 << 128, "stream key must be a 128-bit unsigned integer")
+            for key in keys]
     mean, stderr = _mc_rows(model, _feature_stack(model.response1, settings1),
                             _feature_stack(model.response2, settings2), n, keys, workers)
     return [CorrelationEstimate(mean=m, stderr=s, n=n, key=key)
@@ -480,10 +480,10 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
     """Mean and standard error of each row's ``n`` draws, as two arrays.
 
     ``phi1`` and ``phi2`` are the rows' (rows, d) feature stacks, row i
-    drawing from the stream keyed by ``keys[i]``. Checks ``n``, the keys,
-    ``workers`` and the total draws before it lists any tile.
+    drawing from the stream keyed by ``keys[i]``. ``n``, the keys and
+    ``workers`` are Python ints that its callers have checked: ``n`` and
+    ``workers`` by ``_check_draws``, the keys as 128-bit unsigned integers.
     """
-    n, keys, workers = _check_draws(n, keys, workers)
     if not keys:
         return np.empty(0), np.empty(0)
     finite = model.space.kind is SpaceKind.FINITE

@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .correlators import QuadratureSetting, TimeSetting
-from .errors import DegenerateMomentError, ValidationError
+from .errors import ValidationError
 from .gaussian import MomentMatrix
 from .operators import UnitVector3
 
@@ -49,9 +49,6 @@ UNBOUNDED = math.inf
 WEIGHT_TOL = 1e-12
 #: Slack of the SPIN_PM1 verdict: a response bound up to 1 + SPIN_PM1_TOL fits [-1, 1].
 SPIN_PM1_TOL = 1e-12
-
-#: Below this, the pivot-on-qq coefficient solution is refused as degenerate.
-PIVOT_EPS = 1e-9
 
 
 class SpaceKind(Enum):
@@ -67,6 +64,8 @@ class SampleSpace:
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, SpaceKind):
+            raise ValidationError(f"sample space kind must be a SpaceKind, got {self.kind!r}")
         if self.kind is SpaceKind.FINITE:
             if not self.weights:
                 raise ValidationError("FINITE sample space needs at least one atom weight")
@@ -157,7 +156,11 @@ class TabulatedResponse:
             raise ValidationError("tabulated response values must be finite")
         rows: dict = {}
         for setting, row in zip(settings, values):
-            rows.setdefault(setting, row)
+            try:
+                rows.setdefault(setting, row)
+            except TypeError:
+                raise ValidationError(
+                    f"tabulated settings must be hashable, got {setting!r}") from None
         object.__setattr__(self, "settings", settings)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_rows", rows)
@@ -169,7 +172,7 @@ class TabulatedResponse:
     def features(self, setting) -> tuple[float, ...]:
         try:
             return self._rows[setting]
-        except KeyError:
+        except (KeyError, TypeError):
             raise ValidationError(
                 f"setting {setting!r} is not tabulated in this response") from None
 
@@ -194,6 +197,8 @@ class LinearResponse:
     dim = 2
 
     def __post_init__(self) -> None:
+        if not isinstance(self.mode, ResponseMode):
+            raise ValidationError(f"response mode must be a ResponseMode, got {self.mode!r}")
         q = tuple(float(v) for v in self.q_coeffs)
         p = tuple(float(v) for v in self.p_coeffs)
         if len(q) != 2 or len(p) != 2:
@@ -257,20 +262,6 @@ class HiddenVariableModel:
             raise ValidationError("both responses must share one response mode")
 
 
-class Factorization(Enum):
-    """Coefficient constructions matching the four cross moments.
-
-    GENERAL takes party-1 coefficients straight from the rows of the
-    cross-moment block and gives party 2 the identity; it solves the
-    moment equations for every moment matrix, including qq = 0.
-    PIVOT_A is the closed-form alternative that pivots on the qq moment
-    (dividing by it twice) and is refused when |qq| <= PIVOT_EPS.
-    """
-
-    GENERAL = "GENERAL"
-    PIVOT_A = "PIVOT_A"
-
-
 def unbounded_spin_model() -> HiddenVariableModel:
     """Three-atom model reproducing the singlet correlation -(a . b).
 
@@ -290,9 +281,9 @@ def unbounded_spin_model() -> HiddenVariableModel:
     )
 
 
-def _general_model(m: MomentMatrix, mode: ResponseMode) -> HiddenVariableModel:
-    """GENERAL coefficients: party 1 takes the rows of the cross-moment
-    block, party 2 the identity."""
+def _moment_model(m: MomentMatrix, mode: ResponseMode) -> HiddenVariableModel:
+    """The Gaussian-pair model of ``m``: party 1 takes the rows of the
+    cross-moment block as coefficients, party 2 the identity."""
     return HiddenVariableModel(
         space=SampleSpace.gaussian_pair(),
         response1=LinearResponse((m.qq, m.qp), (m.pq, m.pp), mode),
@@ -300,39 +291,25 @@ def _general_model(m: MomentMatrix, mode: ResponseMode) -> HiddenVariableModel:
     )
 
 
-def quadrature_model(m: MomentMatrix,
-                     variant: Factorization = Factorization.GENERAL) -> HiddenVariableModel:
+def quadrature_model(m: MomentMatrix) -> HiddenVariableModel:
     """Gaussian-pair model whose rotated-quadrature correlation matches ``m``.
 
-    Both variants satisfy the four moment equations
-    E f1 f2 = qq, E g1 f2 = pq, E f1 g2 = qp, E g1 g2 = pp,
-    and therefore reproduce the quadrature correlator exactly for every
-    pair of angles.
+    Party 1 takes the rows of the cross-moment block as coefficients and
+    party 2 the identity, which solves the four moment equations
+    E f1 f2 = qq, E g1 f2 = pq, E f1 g2 = qp, E g1 g2 = pp
+    for every moment matrix, qq = 0 included, and therefore reproduces
+    the quadrature correlator exactly for every pair of angles.
     """
-    if variant is Factorization.GENERAL:
-        return _general_model(m, ResponseMode.TRIG)
-    if variant is not Factorization.PIVOT_A:
-        raise ValidationError(f"unknown factorization variant: {variant!r}")
-    if abs(m.qq) <= PIVOT_EPS:
-        raise DegenerateMomentError(
-            f"pivot-on-qq coefficients are undefined for |qq| <= {PIVOT_EPS} "
-            f"(got qq = {m.qq!r}); use Factorization.GENERAL"
-        )
-    return HiddenVariableModel(
-        space=SampleSpace.gaussian_pair(),
-        response1=LinearResponse((m.qq, 0.0), (m.pq, m.pp - m.pq * m.qp / m.qq),
-                                 ResponseMode.TRIG),
-        response2=LinearResponse((1.0, 0.0), (m.qp / m.qq, 1.0), ResponseMode.TRIG),
-    )
+    return _moment_model(m, ResponseMode.TRIG)
 
 
 def free_evolution_model(m: MomentMatrix) -> HiddenVariableModel:
     """Gaussian-pair model matching <q1(t1) q2(t2)> for free evolution.
 
-    Uses the GENERAL coefficient rows, so the exact expectation equals
-    qq + pq t1 + qp t2 + pp t1 t2 for all times.
+    Uses the coefficient rows of ``quadrature_model``, so the exact
+    expectation equals qq + pq t1 + qp t2 + pp t1 t2 for all times.
     """
-    return _general_model(m, ResponseMode.LINEAR_TIME)
+    return _moment_model(m, ResponseMode.LINEAR_TIME)
 
 
 def _contract(weights, phi1, phi2) -> np.ndarray:
@@ -372,23 +349,6 @@ def expectation_grid(model: HiddenVariableModel,
     phi1 = _feature_stack(model.response1, settings1)
     phi2 = _feature_stack(model.response2, settings2)
     return _contract(np.array(model.space.basis_weights), phi1[:, None, :], phi2[None, :, :])
-
-
-def matched_moments(model: HiddenVariableModel) -> MomentMatrix:
-    """The four latent moments E f1 f2, E g1 f2, E f1 g2, E g1 g2.
-
-    The same contraction, taken over the (f, g) coefficient rows of the
-    two linear responses. For a model built by ``quadrature_model`` or
-    ``free_evolution_model`` this returns the input moment matrix exactly.
-    """
-    r1, r2 = model.response1, model.response2
-    if not isinstance(r1, LinearResponse):
-        raise ValidationError("matched_moments is defined for GAUSSIAN_PAIR models")
-    rows1 = np.array([r1.q_coeffs, r1.p_coeffs])
-    rows2 = np.array([r2.q_coeffs, r2.p_coeffs])
-    (qq, qp), (pq, pp) = _contract(np.array(model.space.basis_weights),
-                                   rows1[:, None, :], rows2[None, :, :]).tolist()
-    return MomentMatrix(qq=qq, pq=pq, qp=qp, pp=pp)
 
 
 def sup_bound(model: HiddenVariableModel) -> float:

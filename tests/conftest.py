@@ -1,6 +1,6 @@
 """Shared helpers: deterministic direction samplers, an independent
-covariance oracle for the two-mode squeezed vacuum, and per-draw
-references for the Monte Carlo streams."""
+covariance oracle for the two-mode squeezed vacuum, a second quadrature
+construction, and per-draw references for the Monte Carlo streams."""
 
 from __future__ import annotations
 
@@ -10,7 +10,10 @@ import numpy as np
 
 from eprlab import (
     HiddenVariableModel,
+    LinearResponse,
+    MomentMatrix,
     QuadratureSetting,
+    ResponseMode,
     SampleSpace,
     TabulatedResponse,
     UnitVector3,
@@ -63,6 +66,20 @@ def two_mode_squeeze_cov(r: float) -> np.ndarray:
     """
     s_mat = two_mode_squeeze_symplectic(r)
     return s_mat @ (0.5 * np.eye(4)) @ s_mat.T
+
+
+def pivot_model(m: MomentMatrix) -> HiddenVariableModel:
+    """A second Gaussian-pair model matching ``m``'s four cross moments, pivoting on qq.
+
+    Closed-form coefficients that divide by ``m.qq`` twice, independent of
+    ``quadrature_model``'s construction; defined only for qq != 0.
+    """
+    trig = ResponseMode.TRIG
+    return HiddenVariableModel(
+        space=SampleSpace.gaussian_pair(),
+        response1=LinearResponse((m.qq, 0.0), (m.pq, m.pp - m.pq * m.qp / m.qq), trig),
+        response2=LinearResponse((1.0, 0.0), (m.qp / m.qq, 1.0), trig),
+    )
 
 
 def random_sign_model(rng: np.random.Generator, settings1, settings2,

@@ -13,7 +13,6 @@ import numpy as np
 
 from eprlab import (
     ChshSettings,
-    Factorization,
     MomentMatrix,
     QuadratureSetting,
     Spectrum,
@@ -38,6 +37,7 @@ from eprlab.cli import run_scenario
 from conftest import (
     CHSH_PARTY1_SETTINGS,
     CHSH_PARTY2_SETTINGS,
+    pivot_model,
     random_sign_model,
     random_unit_vectors,
     two_mode_squeeze_cov,
@@ -145,8 +145,7 @@ def test_criterion_4_representation_theorem():
             assert np.max(np.abs(lhv_grid - quantum_grid)) <= 1e-10
 
             if abs(m.qq) > 1e-9:
-                pivot_grid = expectation_grid(
-                    quadrature_model(m, Factorization.PIVOT_A), settings, settings)
+                pivot_grid = expectation_grid(pivot_model(m), settings, settings)
                 assert np.max(np.abs(pivot_grid - lhv_grid)) <= 1e-10
                 checked_pivot += 1
         assert checked_pivot >= 900

@@ -20,6 +20,7 @@ from eprlab import (
     QuadratureSetting,
     cli,
     correlators,
+    estimator,
     exact_expectation,
     extract_moments,
     free_evolution_model,
@@ -668,7 +669,7 @@ class TestDrawLimit:
         def no_rows(scenario):
             raise AssertionError("a row was evaluated")
 
-        monkeypatch.setattr(cli, "MAX_DRAWS", 30)
+        monkeypatch.setattr(estimator, "MAX_DRAWS", 30)
         pairs = {"pairs": [[0.0, 0.5], [1.0, 2.0], [0.3, -0.1]]}
         at_cap = write_scenario(tmp_path, {"kind": "SPIN_CHSH", "settings": pairs,
                                            "samples": 10, "seed": 0})
@@ -685,6 +686,24 @@ class TestDrawLimit:
             assert not out.exists()
 
 
+    # Four rows: 28 draws fit under the patched limit, 32 do not.
+    @pytest.mark.parametrize("samples", [7, 8], ids=["under", "over"])
+    def test_worker_count_exits_one_before_any_row_and_before_the_limit(
+            self, tmp_path, monkeypatch, capsys, samples):
+        def no_rows(scenario):
+            raise AssertionError("a row was evaluated")
+
+        monkeypatch.setattr(estimator, "MAX_DRAWS", 30)
+        monkeypatch.setattr(cli, "_build_engine", no_rows)
+        path = write_scenario(tmp_path, {"kind": "SPIN_CHSH",
+                                         "settings": {"pairs": [[0.0, 0.5], [1.0, 2.0]] * 2},
+                                         "samples": samples, "seed": 0})
+        out = tmp_path / "out"
+        assert run_cli(["run", path, "--out-dir", out, "--workers", 0]) == 1
+        assert capsys.readouterr().err == \
+            f"error: workers must be an integer in [1, {MAX_WORKERS}], got 0\n"
+        assert not out.exists()
+
     def test_limit_message_past_the_integer_digit_limit_exits_one(self, tmp_path, capsys):
         # 11 rows of a 4300-digit sample count ask for a 4301-digit number of
         # draws, past Python's limit on str(int): the message used to raise.
@@ -696,7 +715,7 @@ class TestDrawLimit:
         draws = 11 * int(samples)
         assert capsys.readouterr().err == (
             f"error: 11 rows of {samples} samples ask for at least 2**{draws.bit_length() - 1} "
-            f"draws, more than MAX_DRAWS = {cli.MAX_DRAWS}\n")
+            f"draws, more than MAX_DRAWS = {estimator.MAX_DRAWS}\n")
         assert not (tmp_path / "out").exists()
 
 

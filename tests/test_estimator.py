@@ -818,7 +818,7 @@ class TestMcEstimateRows:
         assert len(mc_estimate_rows(model, [Z_AXIS] * rows, [Z_AXIS] * rows, 10, keys)) == rows
         monkeypatch.setattr(estimator, "_raw_words", no_words)
         monkeypatch.setattr(estimator, "_philox_words", no_words)
-        with pytest.raises(ValidationError, match=f"{rows} rows of 11 draws ask for {11 * rows} "
+        with pytest.raises(ValidationError, match=f"{rows} rows of 11 samples ask for {11 * rows} "
                                                   f"draws, more than MAX_DRAWS = {10 * rows}"):
             mc_estimate_rows(model, [Z_AXIS] * rows, [Z_AXIS] * rows, 11, keys)
 
@@ -833,9 +833,9 @@ class TestMcEstimateRows:
     # ValueError, print as power-of-two bounds; other values as their type.
     @pytest.mark.parametrize("n, keys, workers, message", [
         (9 * 10**4299, list(range(11)), 1,
-         f"11 rows of {9 * 10**4299} draws ask for at least 2**{(99 * 10**4299).bit_length() - 1} "
+         f"11 rows of {9 * 10**4299} samples ask for at least 2**{(99 * 10**4299).bit_length() - 1} "
          f"draws, more than MAX_DRAWS = {estimator.MAX_DRAWS}"),
-        (10**5000, [1], 1, f"1 rows of at least 2**{HUGE_BITS} draws ask for at least "
+        (10**5000, [1], 1, f"1 rows of at least 2**{HUGE_BITS} samples ask for at least "
                            f"2**{HUGE_BITS} draws, more than MAX_DRAWS = {estimator.MAX_DRAWS}"),
         (-10**5000, [1], 1, f"sample count must be an integer >= 2, got at most -2**{HUGE_BITS}"),
         (10, [10**5000], 1,

@@ -8,8 +8,6 @@ from eprlab import (
     UNBOUNDED,
     ChshSettings,
     ComponentResponse,
-    DegenerateMomentError,
-    Factorization,
     HiddenVariableModel,
     LinearResponse,
     MomentMatrix,
@@ -27,7 +25,6 @@ from eprlab import (
     extract_moments,
     free_evolution_correlation,
     free_evolution_model,
-    matched_moments,
     quadrature_correlation,
     quadrature_model,
     spectrum_compatibility,
@@ -40,6 +37,7 @@ from conftest import (
     CHSH_PARTY1_SETTINGS,
     CHSH_PARTY2_SETTINGS,
     fibonacci_sphere,
+    pivot_model,
     random_sign_model,
     random_unit_vectors,
 )
@@ -124,21 +122,29 @@ class TestUnboundedSpinModel:
         assert sup_bound(model) > 1.0
 
 
+def matched_moments(model: HiddenVariableModel) -> tuple[float, float, float, float]:
+    """The latent moments (E f1 f2, E g1 f2, E f1 g2, E g1 g2) of a Gaussian-pair model.
+
+    The model's contraction, taken over the two responses' (q, p)
+    coefficient rows instead of their features at a setting.
+    """
+    r1, r2 = model.response1, model.response2
+    rows1, rows2 = np.array([r1.q_coeffs, r1.p_coeffs]), np.array([r2.q_coeffs, r2.p_coeffs])
+    (qq, qp), (pq, pp) = _contract(np.array(model.space.basis_weights),
+                                   rows1[:, None, :], rows2[None, :, :]).tolist()
+    return qq, pq, qp, pp
+
+
 class TestQuadratureModel:
     def test_moment_equations_hold_exactly(self):
         rng = np.random.default_rng(23)
         for _ in range(1000):
             m = random_moments(rng)
-            matched = matched_moments(quadrature_model(m))
-            assert matched.qq == m.qq
-            assert matched.pq == m.pq
-            assert matched.qp == m.qp
-            assert matched.pp == m.pp
+            assert matched_moments(quadrature_model(m)) == (m.qq, m.pq, m.qp, m.pp)
 
     def test_moment_equations_off_diagonal_example(self):
         m = MomentMatrix(qq=0.0, pq=1.0, qp=1.0, pp=0.0)
-        matched = matched_moments(quadrature_model(m))
-        assert (matched.qq, matched.pq, matched.qp, matched.pp) == (0.0, 1.0, 1.0, 0.0)
+        assert matched_moments(quadrature_model(m)) == (0.0, 1.0, 1.0, 0.0)
 
     def test_pure_qq_at_zero_angles(self):
         m = MomentMatrix(qq=1.0, pq=0.0, qp=0.0, pp=1.0)
@@ -147,8 +153,7 @@ class TestQuadratureModel:
 
     def test_tmsv_cosine_closed_form(self):
         m = extract_moments(tmsv(1.0))
-        for variant in (Factorization.GENERAL, Factorization.PIVOT_A):
-            model = quadrature_model(m, variant)
+        for model in (quadrature_model(m), pivot_model(m)):
             value = exact_expectation(model, QuadratureSetting(0.3), QuadratureSetting(0.5))
             assert abs(value - m.qq * math.cos(0.8)) < 1e-12
 
@@ -179,20 +184,11 @@ class TestQuadratureModel:
             m = random_moments(rng)
             if abs(m.qq) < 0.05:
                 continue
-            general = quadrature_model(m, Factorization.GENERAL)
-            pivot = quadrature_model(m, Factorization.PIVOT_A)
+            general, pivot = quadrature_model(m), pivot_model(m)
             for a1 in angles[::3]:
                 for a2 in angles[::3]:
                     diff = exact_expectation(general, a1, a2) - exact_expectation(pivot, a1, a2)
                     assert abs(diff) < 1e-10
-
-    def test_pivot_variant_rejects_degenerate_qq(self):
-        with pytest.raises(DegenerateMomentError):
-            quadrature_model(MomentMatrix(qq=0.0, pq=1.0, qp=1.0, pp=0.0),
-                             Factorization.PIVOT_A)
-        with pytest.raises(DegenerateMomentError):
-            quadrature_model(MomentMatrix(qq=1e-10, pq=1.0, qp=1.0, pp=0.0),
-                             Factorization.PIVOT_A)
 
     def test_sup_bound_unbounded(self):
         model = quadrature_model(MomentMatrix(qq=1.0, pq=0.0, qp=0.0, pp=-1.0))
@@ -278,8 +274,8 @@ class TestSupBound:
         # sup_bound is the response bound each construction certifies.
         assert sup_bound(unbounded_spin_model()) == ROOT3
         for m in (MomentMatrix(qq=1.0, pq=0.5, qp=-0.25, pp=2.0), extract_moments(tmsv(0.7))):
-            for variant in Factorization:
-                assert sup_bound(quadrature_model(m, variant)) == UNBOUNDED
+            for model in (quadrature_model(m), pivot_model(m)):
+                assert sup_bound(model) == UNBOUNDED
             assert sup_bound(free_evolution_model(m)) == UNBOUNDED
         rng = np.random.default_rng(47)
         for n_atoms in range(1, 7):
@@ -405,6 +401,28 @@ class TestValidation:
                 response1=LinearResponse((1.0, 0.0), (0.0, 1.0), ResponseMode.TRIG),
                 response2=LinearResponse((1.0, 0.0), (0.0, 1.0), ResponseMode.TRIG),
             )
+
+    @pytest.mark.parametrize("mode", ["TRIG", "LINEAR_TIME", None])
+    def test_non_mode_value_is_refused(self, mode):
+        # "TRIG" used to build a response that answered as LINEAR_TIME, f + g t.
+        with pytest.raises(ValidationError, match=f"response mode .*got {mode!r}"):
+            LinearResponse((1.0, 0.0), (0.0, 1.0), mode)
+
+    @pytest.mark.parametrize("kind, weights", [
+        ("GAUSSIAN_PAIR", None), ("FINITE", (0.5, 0.5)), ("FINITE", None), (None, None),
+    ])
+    def test_non_kind_value_is_refused(self, kind, weights):
+        # Such a kind used to build a space that failed later, or took the
+        # GAUSSIAN_PAIR branch: weights refused, basis weights (1, 1).
+        with pytest.raises(ValidationError, match=f"sample space kind .*got {kind!r}"):
+            SampleSpace(kind, weights)
+
+    def test_unhashable_tabulated_setting_is_refused(self):
+        with pytest.raises(ValidationError, match=r"got \[0, 1\]"):
+            TabulatedResponse(settings=[[0, 1]], values=[[1.0]])
+        response = TabulatedResponse(settings=[0], values=[[1.0]])
+        with pytest.raises(ValidationError, match=r"setting \[0\] is not tabulated"):
+            response.features([0])
 
 
 class TestExpectationGrid:

@@ -14,13 +14,13 @@ ROOT = Path(__file__).parent.parent
 #: needs such a justification before it is added to this list.
 PUBLIC_NAMES = [
     "ChshSettings", "ComparisonReport", "ComponentResponse", "ConsistencyError",
-    "CorrelationEstimate", "DegenerateMomentError", "Factorization", "GaussianState",
+    "CorrelationEstimate", "GaussianState",
     "HiddenVariableModel", "LinearResponse", "MOMENTUM", "MomentMatrix", "QuadratureSetting",
     "ResponseMode", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "SampleSpace", "ScenarioError",
     "SpaceKind", "Spectrum", "TabulatedResponse", "TimeSetting",
     "UNBOUNDED", "UnitVector3", "ValidationError", "chsh_value", "compare",
     "exact_expectation", "expectation", "expectation_grid", "extract_moments",
-    "free_evolution_correlation", "free_evolution_model", "matched_moments", "mc_estimate",
+    "free_evolution_correlation", "free_evolution_model", "mc_estimate",
     "mc_estimate_rows", "pauli_observable", "quadrature_correlation", "quadrature_model",
     "singlet_state", "spectrum_compatibility", "spin_correlation", "spin_correlation_rows",
     "sup_bound", "tensor", "tmsv", "unbounded_spin_model",
