@@ -1,120 +1,135 @@
 """Seeded Monte Carlo estimation of model correlations.
 
-Randomness comes from a counter-based generator (Philox) keyed by a
-128-bit stream key: the value of draw ``i`` depends only on (key, i) for
-a finite model, and on (key, block, i) for a Gaussian one, never on how
-many draws preceded it in this process. The CLI keys row ``r`` of a run
-at seed ``s`` as ``s + (r << 64)``, the pair (seed, row), so no two rows
-of any two seeds share a stream, and row 0 draws from the stream of the
-seed alone.
+Randomness comes from a counter-based generator (Philox4x64-10, Salmon
+et al., SC'11) keyed by a 128-bit stream key: the value of draw ``i``
+depends only on (key, i) for a finite model, and on (key, block, i) for a
+Gaussian one, never on how many draws preceded it in this process. The
+CLI keys row ``r`` of a run at seed ``s`` as ``s + (r << 64)``, the pair
+(seed, row), so no two rows of any two seeds share a stream, and row 0
+draws from the stream of the seed alone.
 
-Uniforms have the form ((word >> 12) + 0.5) * 2**-52, strictly inside
-(0, 1) and symmetric about 1/2. They are built without an
-integer-to-float conversion: OR-ing the exponent bits of 1.0 onto
-m = word >> 12 (m < 2**52) gives the double 1 + m * 2**-52 exactly, and
-subtracting 1 - 2**-53 from it leaves m * 2**-52 + 2**-53
-= (2 m + 1) * 2**-53. That subtraction is exact too: the difference fits
-in 53 bits (Sterbenz's lemma also applies, as 1 + m * 2**-52 lies within
-a factor 2 of 1 - 2**-53).
+Both sample spaces take two draws from each Philox word (finite stream
+contract v4, Gaussian stream contract v5): draws 2j and 2j + 1 of a row
+are the low and high 32 bits h of its word j, so a row of n draws
+consumes ceil(n / 2) words, and an odd n leaves the high half of its
+last word unused. Both halves of a word are a pure function of (key, j),
+as the whole word is. Contract v3 took one draw a word, from its top 53
+bits.
 
-Gaussian rows (stream contract v3). A row samples x = xi1 * xi2 with
-xi1 = u . eta, xi2 = v . eta and eta ~ N(0, I), u and v the parties'
-feature rows. The estimator needs only x, and x has an exact law: with
-s = |u| |v| and rho = u . v / s, x = s E (rho + S), where E ~ Exp(1) and
-S = cos 2 theta, theta uniform, are independent. Proof sketch: x is the
-quadratic form eta^T A eta with A = (u v^T + v u^T) / 2, whose nonzero
-eigenvalues are s (1 + rho) / 2 and -s (1 - rho) / 2, so by rotation
-invariance x = s ((1 + rho) / 2 Z1**2 - (1 - rho) / 2 Z2**2) with Z1, Z2
-independent standard normals. In polar form Z1 = R cos theta,
-Z2 = R sin theta, R**2 / 2 ~ Exp(1) is independent of theta, and the
-bracket is R**2 / 2 (cos 2 theta + rho). This holds for any feature
-dimension and gives E[x] = u . v and E[x * x] = |u|**2 |v|**2
-+ 2 (u . v)**2, as Isserlis does. Draw i of a row takes
-S = sin(pi (U - 1/2)), which has the law of cos 2 theta, from the uniform
-U of word i of the row's stream (U - 1/2 is exact), and E from numpy's
-ziggurat ``Generator.standard_exponential`` on the row key's Philox
-substream from counter (0, b + 1, 0, 0) for block b = i // BLOCK_DRAWS.
-The ziggurat takes a variable number of words a value, so a block's
-exponentials are read in order from the start of its substream; the bits
-do not depend on the worker count, but the block boundaries are part of
-the output. The tile sums y = E (rho + S), which is of order 1,
-and its square; the row's mean and standard error of y are multiplied by
-s at the end (s = rho = 0 for a row with a zero party, whose estimate is
-then +0.0 with stderr 0). ``_gaussian_law`` gives s by ``hypot`` and rho
-from the unit vectors, clipped to [-1, 1].
+Gaussian rows. A row samples x = xi1 * xi2 with xi1 = u . eta,
+xi2 = v . eta and eta ~ N(0, I), u and v the parties' feature rows. The
+estimator needs only x, and x has an exact law: with s = |u| |v| and
+rho = u . v / s, x = s E (rho + S), where E ~ Exp(1) and S = cos 2 theta,
+theta uniform, are independent. Proof sketch: x is the quadratic form
+eta^T A eta with A = (u v^T + v u^T) / 2, whose nonzero eigenvalues are
+s (1 + rho) / 2 and -s (1 - rho) / 2, so by rotation invariance
+x = s ((1 + rho) / 2 Z1**2 - (1 - rho) / 2 Z2**2) with Z1, Z2 independent
+standard normals. In polar form Z1 = R cos theta, Z2 = R sin theta,
+R**2 / 2 ~ Exp(1) is independent of theta, and the bracket is
+R**2 / 2 (cos 2 theta + rho). This holds for any feature dimension and
+gives E[x] = u . v and E[x * x] = |u|**2 |v|**2 + 2 (u . v)**2, as
+Isserlis does.
 
-Only numpy is needed, and only functions whose float64 bits do not depend
-on numpy's SIMD dispatch: ``np.sin`` and the ziggurat give the same bits
-with numpy's AVX-512 loops switched off, ``np.log`` and ``np.log1p`` do
+A draw's S, which has the law of cos 2 theta, is the sine of the angle
+t = (h - (2**31 - 1/2)) * (pi * 2**-32) of its half h, one of 2**32
+points spaced evenly in (-pi / 2, pi / 2). The difference is exact (a
+half-integer below 2**32 in magnitude) and the product rounds once. The
+sine is S = t Q(t**2), Q the degree-10 polynomial in t**2 with the Taylor
+coefficients (-1)**k / (2k + 1)!, k <= 10, evaluated by Horner's rule
+from the highest coefficient, one IEEE multiply and one add a step, and
+then multiplied by t (``ndtri``). Its truncation error is at most
+(pi / 2)**23 / 23!, about 1.3e-18, and S lies within 2 ulp of
+``math.sin(t)`` on the halves the tests try. The map h -> 2**32 - 1 - h
+negates t exactly, and every step of t Q(t**2) commutes with negation,
+rounding included, so the 2**32 sampled sines cancel in pairs and have
+mean exactly 0, as cos 2 theta has: the discrete angle biases no
+Gaussian row's mean, where a finite row's atoms need the bias bound
+below. E comes from numpy's ziggurat
+``Generator.standard_exponential`` on the row key's Philox substream from
+counter (0, b + 1, 0, 0) for block b = i // BLOCK_DRAWS. The ziggurat
+takes a variable number of words a value, so a block's exponentials are
+read in order from the start of its substream; the bits do not depend on
+the worker count, but the block boundaries are part of the output. The
+tile sums y = E (rho + S), which is of order 1, and its square; the row's
+mean and standard error of y are multiplied by s at the end (s = rho = 0
+for a row with a zero party, whose estimate is then +0.0 with stderr 0).
+``_gaussian_law`` gives s by ``hypot`` and rho from the unit vectors,
+clipped to [-1, 1].
+
+Only numpy is needed, and only operations whose float64 bits do not
+depend on numpy's SIMD dispatch or on the C library: a Gaussian draw's
+bits come from integer-to-float conversion, IEEE + and *, which every
+loop rounds correctly, and numpy's ziggurat, which gives the same bits
+with numpy's AVX-512 loops switched off. ``np.log`` and ``np.log1p`` do
 not, so a Box-Muller or inverse-transform exponential would break the
-pinned outputs on hosts without AVX-512. The Gaussian bits are tied to
-numpy's C ziggurat, whose stream NEP 19 does not promise to keep across
-numpy versions (contract v2 was tied to scipy's ``ndtri`` build in the
-same way); the pinned tests detect such a change. ``ndtri``, the name of
-the former inverse normal CDF, is kept for the tile transform
-(E, U -> y), which Gaussian tiles call through the module: it is the
-transform layer's probe point for the benchmark's traced runs.
+pinned outputs on hosts without AVX-512. Contract v3's ``np.sin`` tied
+the bits to the sine that numpy or the C library supplies, and glibc's
+alone took 12-18 ns a draw, where all of ``ndtri`` now takes about 8
+(2-vCPU x86-64 host, one-row tiles of 65 536 draws). The Gaussian bits
+are still tied to numpy's C ziggurat, whose stream NEP 19 does not
+promise to keep across numpy versions (contract v2 was tied to scipy's
+``ndtri`` build in the same way); the pinned tests detect such a
+change. ``ndtri``, the
+name of the former inverse normal CDF, is kept for the tile transform
+(h, rho -> rho + S), which Gaussian tiles call through the module: it is
+the transform layer's probe point for the benchmark's traced runs.
 
-Finite rows (stream contract v4) take two draws from each Philox word:
-draws 2j and 2j + 1 of a row are the low and high 32 bits of its word j,
-so a row of n draws consumes ceil(n / 2) words, and an odd n leaves the
-high half of its last word unused. A draw picks one of a few atoms, and
-both halves of a word are a pure function of (key, j), as the whole word
-is. A half h draws atom ``k`` when h * 2**-32 lies in [cum[k-1], cum[k]),
-the last atom taking the rest. Scaling by 2**32 is exact and h is an
-integer, so the atom index is the number of thresholds
-T_k = ceil(cum[k] * 2**32), over k < K - 1, that h reaches. Thresholds
-at or above 2**32 cannot be reached and are dropped. That is the atom
-that ``searchsorted(cum, h * 2**-32, side="right")``, clipped to K - 1,
-gives. So atom k has probability (T_k - T_{k-1}) / 2**32 (T_{-1} = 0,
-and 2**32 for the last atom and for a dropped threshold), and each
-P(atom > k) = 1 - T_k / 2**32 is within 2**-32 of 1 - cum[k]. By
-summation by parts, E[x] = x_0 + sum_k (x_{k+1} - x_k) P(atom > k), so
-the law's mean is off by at most 2**-32 * sum_k |x_{k+1} - x_k| over the
-row's per-atom products x_k. For the singlet model |x_k| <= 3, so that is
-at most 12 * 2**-32, about 2.8e-9, where a row of unit variance has a
-standard error of 2**-18, about 3.8e-6, even at ``MAX_DRAWS``. A row whose
+Finite rows. A draw picks one of a few atoms. A half h draws atom ``k``
+when h * 2**-32 lies in [cum[k-1], cum[k]), the last atom taking the
+rest. Scaling by 2**32 is exact and h is an integer, so the atom index is
+the number of thresholds T_k = ceil(cum[k] * 2**32), over k < K - 1, that
+h reaches. Thresholds at or above 2**32 cannot be reached and are
+dropped. That is the atom that ``searchsorted(cum, h * 2**-32,
+side="right")``, clipped to K - 1, gives. So atom k has probability
+(T_k - T_{k-1}) / 2**32 (T_{-1} = 0, and 2**32 for the last atom and for
+a dropped threshold), and each P(atom > k) = 1 - T_k / 2**32 is within
+2**-32 of 1 - cum[k]. By summation by parts,
+E[x] = x_0 + sum_k (x_{k+1} - x_k) P(atom > k), so the law's mean is off
+by at most 2**-32 * sum_k |x_{k+1} - x_k| over the row's per-atom
+products x_k. For the singlet model |x_k| <= 3, so that is at most
+12 * 2**-32, about 2.8e-9, where a row of unit variance has a standard
+error of 2**-18, about 3.8e-6, even at ``MAX_DRAWS``. A row whose
 products are all equal has no bias, and the bound shrinks with the
-products' spread as the standard error does. Contract v3 took one draw a
-word, from its top 53 bits.
+products' spread as the standard error does.
 
 A finite model's draws are summed up by their atom counts: one kernel
 counts the halves at or above each threshold and takes differences, one
 pass over the halves per threshold. It counts a little-endian uint32
-view of the row's words, cut to its first n halves, so draw 2j is the
-low half of word j and the counts do not depend on the host's byte order.
-Counting beats a binary search of the thresholds up to about 128 atoms:
-on one-row tiles of 65 536 words (2-vCPU x86-64 host, timeit minimum,
-contract v3) it took 1.1 against 3.6 ms at 33 atoms and 3.4 against
-4.6 ms at 80, broke even at 112 to 128, and took 9.0 against 5.2 ms at
-256. Larger tables pay that; the CLI's singlet model has 3 atoms.
+view of the row's words, cut to its first n halves (``_halves``, which
+Gaussian tiles read too), so draw 2j is the low half of word j and the
+draws do not depend on the host's byte order. Counting beats a binary
+search of the thresholds up to about 128 atoms: on one-row tiles of
+65 536 words (2-vCPU x86-64 host, timeit minimum, contract v3) it took
+1.1 against 3.6 ms at 33 atoms and 3.4 against 4.6 ms at 80, broke even
+at 112 to 128, and took 9.0 against 5.2 ms at 256. Larger tables pay
+that; the CLI's singlet model has 3 atoms.
 
 Every draw goes through one kernel, ``_tile_stats``. A tile is a
-C-contiguous (rows, words) stack of Philox words, one word a Gaussian
-draw and half a word a finite one; the
-kernel turns it into each row's sufficient statistics: the atom counts
-of a finite model, or the sums of y and of y * y. A Gaussian tile draws
-each row's exponentials whole, from the row's block substream, into a y
-array that each worker allocates once per call, as long as the call's
-largest tile, turns them into y in place, and then sums y along its
-rows, squares it and sums again: row sums of a C-contiguous stack equal
-the per-row sums bit for bit. Each worker has one Philox generator,
-re-keyed through its state setter in turn for a one-row tile's words and
-for each row's exponentials; batched finite tiles need none.
-``mc_estimate_rows`` cuts its rows into tiles of at most ``BLOCK_DRAWS``
-draws. A chunk of at least ``BATCH_MIN_ROWS`` rows of at most
-``BATCH_ROW_WORDS`` words each (ceil(n / 2) for a finite row, n for a
-Gaussian one) gives multi-row tiles, whose words come
-from a numpy Philox4x64-10 vectorised over keys and counters
-(``_philox_words``, bit-identical to numpy's generator). Every other row
-gives a one-row tile per block of ``BLOCK_DRAWS`` draws from numpy's C
-generator (``_raw_words``); block b of a finite row is its words
-b * BLOCK_DRAWS / 2 onward. All tiles of a call are shared among
-``workers`` threads (the calling thread is one of them), and each row's
-statistics are then added up tile by tile in block order. So a row's
-estimate is a pure function of (model, settings, n, key), bit-identical
-across runs, worker counts and scheduling; counts add exactly, so a
-finite row's estimate does not even depend on how it is cut into tiles.
+C-contiguous (rows, words) stack of Philox words, half a word a draw;
+the kernel turns it into each row's sufficient statistics: the atom
+counts of a finite model, or the sums of y and of y * y. Each worker
+allocates one float array per call for its Gaussian tiles, twice as long
+as the call's largest tile. A Gaussian tile writes rho + S into its
+first half, with the second as scratch, then draws each row's
+exponentials whole, from the row's block substream, into the second
+half, multiplies, and sums y along its rows, squares it and sums again:
+row sums of a C-contiguous stack equal the per-row sums bit for bit.
+Each worker has one Philox generator, re-keyed through its state setter
+in turn for a one-row tile's words and for each row's exponentials;
+batched finite tiles need none. ``mc_estimate_rows`` cuts its rows into
+tiles of at most ``BLOCK_DRAWS`` draws. A chunk of at least
+``BATCH_MIN_ROWS`` rows of at most ``BATCH_ROW_WORDS`` words each gives
+multi-row tiles, whose words come from a numpy Philox4x64-10 vectorised
+over keys and counters (``_philox_words``, bit-identical to numpy's
+generator). Every other row gives a one-row tile per block of
+``BLOCK_DRAWS`` draws from numpy's C generator (``_raw_words``); block b
+of a row is its words b * BLOCK_DRAWS / 2 onward. All tiles of a call
+are shared among ``workers`` threads (the calling thread is one of
+them), and each row's statistics are then added up tile by tile in block
+order. So a row's estimate is a pure function of (model, settings, n,
+key), bit-identical across runs, worker counts and scheduling; counts
+add exactly, so a finite row's estimate does not even depend on how it
+is cut into tiles.
 
 A finite row's mean is the model's contraction (``lhv._contract``) with
 the empirical weights c / n in place of w, and its squared standard
@@ -165,17 +180,17 @@ from .lhv import HiddenVariableModel, SpaceKind, _contract, _feature_stack
 #: the reduction order of partial sums) never depend on the worker count.
 BLOCK_DRAWS = 1 << 16
 
-#: Rows of more Philox words than this take numpy's C generator: a finite
-#: row of n draws has ceil(n / 2) words, a Gaussian one n. The cutoff is in
-#: words because the vectorised generator's cost is. Per row of a 256-row
-#: batch on a 2-vCPU x86-64 host, batched against C generator (spin model
-#: at one word a draw, medians of 7): 5 vs 60 us at 2 words,
-#: 13 vs 64 us at 64, 32 vs 66 us at 256, 60 vs 72 us at 512, 133 vs 79 us
-#: at 1024; Gaussian rows (one worker, medians of 7): 14 vs 54 us at 2,
-#: 20 vs 64 at 64, 41 vs 66 at 256, 73 vs 81 at 512, 122 vs 77 at 1024.
-#: The vectorised generator costs about 0.1 us per word against a few ns,
-#: so the cutoff sits at half the crossover, where a batched row still
-#: costs half as much.
+#: Rows of more Philox words than this take numpy's C generator: a row of n
+#: draws has ceil(n / 2) words, so rows of up to 512 draws batch, finite or
+#: Gaussian. The cutoff is in words because the vectorised generator's cost
+#: is; the rest of a draw costs the same either way. Per row of a 256-row
+#: batch on a 2-vCPU x86-64 host, batched against C generator (one word a
+#: draw, medians of 7): spin rows 5 vs 60 us at 2 words, 13 vs 64 us at
+#: 64, 32 vs 66 us at 256, 60 vs 72 us at 512, 133 vs 79 us at 1024;
+#: Gaussian rows (one worker): 14 vs 54 us at 2, 20 vs 64 at 64, 41 vs 66
+#: at 256, 73 vs 81 at 512, 122 vs 77 at 1024. The vectorised generator
+#: costs about 0.1 us per word against a few ns, so the cutoff sits at half
+#: the crossover, where a batched row still costs half as much.
 BATCH_ROW_WORDS = 256
 
 #: Chunks of fewer rows take the C generator too. The vectorised generator
@@ -211,9 +226,12 @@ MAX_DRAWS = 1 << 36
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LOW32 = 0xFFFFFFFF
-#: Sign and exponent bits of 1.0: OR-ed onto a word below 2**52 they make
-#: the double 1 + word * 2**-52.
-_ONE_BITS = np.uint64(0x3FF0000000000000)
+#: A Gaussian draw's angle is t = (h - _CENTRE) * _ANGLE_STEP for its 32-bit half h.
+_CENTRE = np.float64(2**31 - 0.5)
+_ANGLE_STEP = np.float64(math.pi * 2.0**-32)
+#: Taylor coefficients (-1)**k / (2k + 1)! of sin t / t in t**2, k = 10 down to 1;
+#: the constant term, k = 0, is 1.
+_SIN_COEFFS = tuple(np.float64((-1) ** k / math.factorial(2 * k + 1)) for k in range(10, 0, -1))
 
 #: Wraps the functions that do a row's arithmetic. On extreme inputs that
 #: arithmetic overflows to inf or NaN, which the caller reports with the
@@ -314,21 +332,32 @@ def _philox_words(k0: np.ndarray, k1: np.ndarray, n_words: int) -> np.ndarray:
     return np.ascontiguousarray(words.reshape(len(words), 4 * n_blocks)[:, :n_words])
 
 
-def ndtri(u: np.ndarray, rho: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """y = e * (rho + sin(pi * (u - 1/2))) for a tile's uniforms ``u`` and exponentials ``e``.
+def ndtri(halves: np.ndarray, rho: np.ndarray, s: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """rho + S, S = t Q(t**2) the sine of each draw's angle t, for a tile's 32-bit ``halves``.
 
-    ``u`` and ``e`` are (rows, m) arrays and ``rho`` the rows' (rows, 1)
-    column. The transform layer's probe point: the benchmark's traced run
-    wraps this name, which Gaussian draws call through the module and
-    finite ones never call. It is no longer an inverse normal CDF.
-    Overwrites ``u`` and writes y into ``e``, which it returns.
+    ``halves``, ``s`` and ``scratch`` are (rows, m) arrays and ``rho`` the
+    rows' (rows, 1) column. Writes rho + S into ``s``, which it returns,
+    and overwrites ``scratch``. Q is evaluated by Horner's rule, one numpy
+    pass a step, in the order the module docstring fixes. The transform
+    layer's probe point: the benchmark's traced run wraps this name, which
+    Gaussian draws call through the module and finite ones never call. It
+    is no longer an inverse normal CDF.
     """
-    u -= 0.5
-    u *= np.pi
-    np.sin(u, out=u)
-    u += rho
-    e *= u
-    return e
+    # t, exact up to the one rounding of the product.
+    np.subtract(halves, _CENTRE, out=s)
+    s *= _ANGLE_STEP
+    np.multiply(s, s, out=scratch)
+    np.multiply(scratch, _SIN_COEFFS[0], out=s)
+    for c in _SIN_COEFFS[1:]:
+        s += c
+        s *= scratch
+    s += 1.0
+    # t again, from the halves, in place of t**2.
+    np.subtract(halves, _CENTRE, out=scratch)
+    scratch *= _ANGLE_STEP
+    s *= scratch
+    s += rho
+    return s
 
 
 def _atom_counts(weights, words: np.ndarray, draws: int) -> np.ndarray:
@@ -346,10 +375,7 @@ def _atom_counts(weights, words: np.ndarray, draws: int) -> np.ndarray:
     thresholds = [np.uint32(t) for t in (math.ceil(c * 2.0**32) for c in accumulate(weights[:-1]))
                   if t < 1 << 32]
     rows, atoms = words.shape[0], len(weights)
-    # The words as little-endian pairs of 32-bit halves, low half first, on
-    # any byte order: half 2j is the low half of word j, so the first
-    # ``draws`` halves are the draws, an odd count's last one a low half.
-    halves = words.astype("<u8", copy=False).view("<u4")[:, :draws]
+    halves = _halves(words, draws)
     # Counting a one-row stack whole takes half the time of counting along its axis.
     axis = 1 if rows > 1 else None
     # reached[:, j] counts the draws that reach j thresholds or more; atom k
@@ -361,13 +387,14 @@ def _atom_counts(weights, words: np.ndarray, draws: int) -> np.ndarray:
     return reached[:, :-1] - reached[:, 1:]
 
 
-def _uniforms(raw: np.ndarray) -> np.ndarray:
-    """((raw >> 12) + 0.5) * 2**-52 in the memory of ``raw``, by the exponent splice."""
-    raw >>= np.uint64(12)
-    raw |= _ONE_BITS
-    u = raw.view(np.float64)
-    u -= 1.0 - 2.0**-53
-    return u
+def _halves(words: np.ndarray, draws: int) -> np.ndarray:
+    """The first ``draws`` 32-bit halves of each row of a (rows, words) stack of Philox words.
+
+    The words are read as little-endian pairs of halves, low half first, on
+    any byte order: half 2j is the low half of word j, so the first
+    ``draws`` halves are the draws, an odd count's last one a low half.
+    """
+    return words.astype("<u8", copy=False).view("<u4")[:, :draws]
 
 
 @_quiet
@@ -376,27 +403,30 @@ def _tile_stats(model: HiddenVariableModel, words: np.ndarray, count: int, keys:
     """Each row's sufficient statistics over the ``count`` draws per row of one tile.
 
     ``words`` is the tile's C-contiguous (rows, words) stack of Philox
-    words: a Gaussian draw takes one word, and a finite tile's draws 2j and
-    2j + 1 share its word j. A finite tile returns the rows' atom counts,
-    (rows, K) int64, and ignores the other arguments. A Gaussian tile takes
-    the rows' stream ``keys``, the ``counter`` (0, b + 1, 0, 0) of the block
-    b that it lies in, and the rows' law parameters ``rho``, a (rows, 1)
-    column. Each row's exponentials come from ``gen``, re-keyed to the
-    row's key at ``counter``, all ``count`` of them in one call. It writes y
-    into ``y``, which holds the whole tile, overwrites the words, and
-    returns the rows' sums of y and of y * y, (rows, 2) float64.
+    words, whose word j holds draws 2j and 2j + 1 of its row. A finite tile
+    returns the rows' atom counts, (rows, K) int64, and ignores the other
+    arguments. A Gaussian tile takes the rows' stream ``keys``, the
+    ``counter`` (0, b + 1, 0, 0) of the block b that it lies in, and the
+    rows' law parameters ``rho``, a (rows, 1) column. It fills the first
+    half of ``y``, which holds twice the tile, with rho + S (``ndtri``), the
+    second with each row's exponentials, drawn from ``gen`` re-keyed to the
+    row's key at ``counter``, all ``count`` of them in one call, and then
+    with y = E (rho + S). It returns the rows' sums of y and of y * y,
+    (rows, 2) float64.
     """
     if model.space.kind is SpaceKind.FINITE:
         return _atom_counts(model.space.weights, words, count)
-    y = y[:len(keys) * count].reshape(len(keys), count)
-    for key, values in zip(keys, y):
+    size = len(keys) * count
+    s, e = y[:size].reshape(len(keys), count), y[size:2 * size].reshape(len(keys), count)
+    ndtri(_halves(words, count), rho, s, e)
+    for key, values in zip(keys, e):
         _rekey(gen.bit_generator, key, counter)
         gen.standard_exponential(out=values)
-    ndtri(_uniforms(words), rho, y)
+    e *= s
     # Row sums of a C-contiguous stack equal the per-row sums bit for bit.
-    sums = y.sum(axis=1)
-    y *= y
-    return np.stack((sums, y.sum(axis=1)), axis=1)
+    sums = e.sum(axis=1)
+    e *= e
+    return np.stack((sums, e.sum(axis=1)), axis=1)
 
 
 def _decimal(value) -> str:
@@ -487,9 +517,6 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
     if not keys:
         return np.empty(0), np.empty(0)
     finite = model.space.kind is SpaceKind.FINITE
-    # A finite draw takes half a Philox word (draws 2j and 2j + 1 share word j),
-    # a Gaussian one a whole word.
-    per_word = 2 if finite else 1
     # A finite row's squared deviations, and a Gaussian row's scale s, underflow
     # for small features. A row whose parties' largest features multiply to less
     # than 1 is scaled up by the power of two 2**shift that brings that product
@@ -506,7 +533,7 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
     if not finite:
         scale, rho = _gaussian_law(phi1, phi2)
     # A tile is (first row, end row, first draw, draws per row), in row and block order.
-    batched = -(-n // per_word) <= BATCH_ROW_WORDS and len(keys) >= BATCH_MIN_ROWS
+    batched = -(-n // 2) <= BATCH_ROW_WORDS and len(keys) >= BATCH_MIN_ROWS
     if batched:
         # As few tiles of at most BLOCK_DRAWS draws as can be, of nearly equal size.
         per_tile = -(-len(keys) // -(-len(keys) // max(1, BLOCK_DRAWS // n)))
@@ -518,11 +545,12 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
                  for row in range(len(keys)) for start in range(0, n, BLOCK_DRAWS)]
 
     def tile_stats(first: int, end: int, start: int, count: int, gen, y) -> np.ndarray:
-        n_words = -(-count // per_word)
+        # Draws 2j and 2j + 1 of a row share its word j.
+        n_words = -(-count // 2)
         if batched:
             words = _philox_words(k0[first:end], k1[first:end], n_words)
         else:
-            words = _raw_words(gen.bit_generator, keys[first], start // per_word, n_words)[None, :]
+            words = _raw_words(gen.bit_generator, keys[first], start // 2, n_words)[None, :]
         # Block b's exponentials come from the row key's Philox substream from
         # counter (0, b + 1, 0, 0); a tile lies in one block of each of its rows.
         return _tile_stats(model, words, count, keys[first:end],
@@ -540,8 +568,8 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
 
     def drain() -> None:
         gen = None if batched and finite else np.random.Generator(np.random.Philox())
-        y = None if finite else np.empty(max((end - first) * count
-                                             for first, end, _, count in tiles))
+        y = None if finite else np.empty(2 * max((end - first) * count
+                                                 for first, end, _, count in tiles))
         while True:
             with taking:
                 index = next(tasks, None)

@@ -32,6 +32,7 @@ range, with an observable's spectrum.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -51,6 +52,32 @@ WEIGHT_TOL = 1e-12
 SPIN_PM1_TOL = 1e-12
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a finite float, or a ValidationError naming ``what``.
+
+    The one rule for a model's numbers: a real number, Python's or numpy's
+    but not a bool, that is finite as a float.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:  # an int beyond the float range
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    raise ValidationError(f"{what}: expected a finite real number, got {value!r}")
+
+
+def _reals(values, what: str) -> tuple[float, ...]:
+    """``values`` as a tuple of finite floats, each by ``_real``."""
+    try:
+        items = iter(values)
+    except TypeError:
+        raise ValidationError(f"{what}: expected a sequence of real numbers, "
+                              f"got {type(values).__name__}") from None
+    return tuple(_real(v, what) for v in items)
+
+
 class SpaceKind(Enum):
     FINITE = "FINITE"
     GAUSSIAN_PAIR = "GAUSSIAN_PAIR"
@@ -67,11 +94,11 @@ class SampleSpace:
         if not isinstance(self.kind, SpaceKind):
             raise ValidationError(f"sample space kind must be a SpaceKind, got {self.kind!r}")
         if self.kind is SpaceKind.FINITE:
-            if not self.weights:
+            w = () if self.weights is None else _reals(self.weights, "atom weights")
+            if not w:
                 raise ValidationError("FINITE sample space needs at least one atom weight")
-            w = tuple(float(x) for x in self.weights)
-            if any(not math.isfinite(x) or x < 0.0 for x in w):
-                raise ValidationError(f"atom weights must be finite and nonnegative, got {w}")
+            if any(x < 0.0 for x in w):
+                raise ValidationError(f"atom weights must be nonnegative, got {w}")
             total = math.fsum(w)
             if abs(total - 1.0) > WEIGHT_TOL:
                 raise ValidationError(f"atom weights must sum to 1, got {total!r}")
@@ -114,8 +141,7 @@ class ComponentResponse:
     dim = 3
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.scale):
-            raise ValidationError(f"response scale must be finite, got {self.scale!r}")
+        object.__setattr__(self, "scale", _real(self.scale, "response scale"))
 
     def features(self, setting: UnitVector3) -> tuple[float, float, float]:
         if not isinstance(setting, UnitVector3):
@@ -146,14 +172,12 @@ class TabulatedResponse:
 
     def __post_init__(self) -> None:
         settings = tuple(self.settings)
-        values = tuple(tuple(float(v) for v in row) for row in self.values)
+        values = tuple(_reals(row, "tabulated response values") for row in self.values)
         if len(settings) != len(values) or not settings:
             raise ValidationError("tabulated response needs one value row per setting")
         n_atoms = len(values[0])
         if any(len(row) != n_atoms or not row for row in values):
             raise ValidationError("tabulated response rows must share one atom count")
-        if any(not math.isfinite(v) for row in values for v in row):
-            raise ValidationError("tabulated response values must be finite")
         rows: dict = {}
         for setting, row in zip(settings, values):
             try:
@@ -199,12 +223,9 @@ class LinearResponse:
     def __post_init__(self) -> None:
         if not isinstance(self.mode, ResponseMode):
             raise ValidationError(f"response mode must be a ResponseMode, got {self.mode!r}")
-        q = tuple(float(v) for v in self.q_coeffs)
-        p = tuple(float(v) for v in self.p_coeffs)
+        q, p = _reals(self.q_coeffs, "q_coeffs"), _reals(self.p_coeffs, "p_coeffs")
         if len(q) != 2 or len(p) != 2:
             raise ValidationError("latent coefficient vectors must have length 2")
-        if any(not math.isfinite(v) for v in q + p):
-            raise ValidationError("latent coefficients must be finite")
         object.__setattr__(self, "q_coeffs", q)
         object.__setattr__(self, "p_coeffs", p)
 

@@ -106,17 +106,36 @@ CHSH_PARTY1_SETTINGS = (QuadratureSetting(0.0), QuadratureSetting(1.1))
 CHSH_PARTY2_SETTINGS = (QuadratureSetting(0.4), QuadratureSetting(2.3))
 
 
+#: Taylor coefficients (-1)**k / (2k + 1)! of sin t / t in t**2, k = 10 down to 0.
+SIN_COEFFS = [(-1) ** k / math.factorial(2 * k + 1) for k in range(10, -1, -1)]
+
+
+def polynomial_sine(half: int) -> tuple[float, float]:
+    """The angle t of a Gaussian draw's 32-bit ``half`` and its sine S = t Q(t**2), in Python floats.
+
+    t = (h - (2**31 - 1/2)) (pi 2**-32); Q is the degree-10 polynomial in
+    t**2 of ``SIN_COEFFS``, by Horner's rule from the highest coefficient.
+    """
+    t = (half - (2**31 - 0.5)) * (math.pi * 2.0**-32)
+    x = t * t
+    q = x * SIN_COEFFS[0]
+    for c in SIN_COEFFS[1:-1]:
+        q = (q + c) * x
+    return t, (q + SIN_COEFFS[-1]) * t
+
+
 def gaussian_row_reference(u, v, n: int, key: int, block_draws: int = 1 << 16) -> tuple[float, float]:
     """Mean and standard error of x = (u . eta)(v . eta) over ``n`` draws, one draw at a time.
 
     Built from the sampling contract, not from the estimator: x = s E (rho + S)
     with s = |u| |v| and rho = u.v / s (hypot-based and clipped; s = rho = 0 for
-    a zero party). Draw i takes S = sin(pi (U - 1/2)) from word i of the
-    Philox stream keyed by ``key``, U = ((word >> 12) + 0.5) 2**-52, and E
-    from a Generator on the same key's substream from counter (0, b + 1, 0, 0)
-    for block b = i // block_draws, one exponential per call, in order. Each
-    block's y values and their squares are summed by numpy, and the block sums
-    are added in block order, which is the reduction the estimator promises.
+    a zero party). Draw i takes S = ``polynomial_sine(h)`` from its half h,
+    the low half of word i // 2 of the Philox stream keyed by ``key`` for an
+    even i and the high half for an odd one, and E from a Generator on the
+    same key's substream from counter (0, b + 1, 0, 0) for block
+    b = i // block_draws, one exponential per call, in order. Each block's y
+    values and their squares are summed by numpy, and the block sums are
+    added in block order, which is the reduction the estimator promises.
     """
     # np.hypot, not math.hypot: Python's own vector norm rounds differently
     # from the C library's hypot in about 0.6 % of cases.
@@ -126,15 +145,15 @@ def gaussian_row_reference(u, v, n: int, key: int, block_draws: int = 1 << 16) -
         rho = 0.0
     else:
         rho = min(max(u[0] / norm1 * (v[0] / norm2) + u[1] / norm1 * (v[1] / norm2), -1.0), 1.0)
-    words = np.random.Philox(key=key).random_raw(n).tolist()
+    halves = draw_halves(key, n).tolist()
     total = total_squares = 0.0
     for start in range(0, n, block_draws):
         exponentials = np.random.Generator(
             np.random.Philox(counter=[0, start // block_draws + 1, 0, 0], key=key))
         y = []
-        for word in words[start:start + block_draws]:
-            uniform = ((word >> 12) + 0.5) * 2.0**-52
-            y.append(exponentials.standard_exponential() * (rho + math.sin(math.pi * (uniform - 0.5))))
+        for half in halves[start:start + block_draws]:
+            sine = polynomial_sine(half)[1]
+            y.append(exponentials.standard_exponential() * (sine + rho))
         y = np.array(y)
         total += float(y.sum())
         total_squares += float((y * y).sum())
@@ -144,7 +163,7 @@ def gaussian_row_reference(u, v, n: int, key: int, block_draws: int = 1 << 16) -
 
 
 def draw_halves(key: int, n: int) -> np.ndarray:
-    """The 32-bit halves of draws 0 .. n - 1 of the finite row keyed by ``key``.
+    """The 32-bit halves of draws 0 .. n - 1 of the row keyed by ``key``.
 
     Draws 2j and 2j + 1 are the low and high halves of Philox word j.
     """

@@ -39,28 +39,29 @@ SCENARIOS = Path(__file__).parent.parent / "scenarios"
 #: sha256 of the bundled outputs. A change that alters the Monte Carlo
 #: stream or the output format on purpose updates these and says so. Taken
 #: with rows keyed by (seed, row) and finite rows reduced from atom counts;
-#: the Gaussian ones again when x was first drawn from its product law
-#: (stream contract v3), after test_gaussian_rows_equal_the_per_draw_reference
-#: passed on them; the spin ones again when finite rows first took two draws
-#: a Philox word (finite stream contract v4), after every row's lhv_mc and
-#: stderr equalled two passes over its draws rebuilt from numpy's Philox.
+#: the spin ones again when finite rows first took two draws a Philox word
+#: (finite stream contract v4), after every row's lhv_mc and stderr equalled
+#: two passes over its draws rebuilt from numpy's Philox; the Gaussian ones
+#: again when Gaussian draws first took half a word and a polynomial sine
+#: (Gaussian stream contract v5), after
+#: test_gaussian_rows_equal_the_per_draw_reference passed on them.
 BUNDLED_SHA256 = {
     "spin_chsh.csv": "dc585c84e3641c177e7f6aa3419c9ea8286c6b52992e7fa07c2e8a22de95a3bc",
     "spin_chsh.summary.json": "3d49dd93c33bb955f37ffe9969d3033051c1ec1298042e1bebd779c8c7a67eda",
-    "epr_quadrature.csv": "99d1819e489614a77f0523d78e25ee656b67ce4656a91271a54e963bfc94c8f4",
+    "epr_quadrature.csv": "0abc839a5d283170a9aec6df225f22b39b34de31e8520e7604a7f5117baab89e",
     "epr_quadrature.summary.json":
-        "7c03ce84749d74b7a3130bb0f46908c6a169b0b80e6bea8457ec5b3aa300fcdb",
-    "free_evolution.csv": "b99e8da78c9274b50341c0483e75300fe3d9f922ac78dd4ce1e376ff84a31e25",
+        "65dd2e7779a5e82373a2b90267bf61ad63dbf50675bdb933662317c6d4afb1ef",
+    "free_evolution.csv": "f648fc41510072c9fcb01e4ff42d6ba50890e1a8b5fb9251a7d1f89b8fd7b74b",
     "free_evolution.summary.json":
-        "8655f8af6755f3bb9d33e5774d36a22ccc3a5cefd52ef85deb0c1c77552c4129",
+        "b98de3c21640178a922f0834dc9e79dec3463af3af2220eb56cca7b76e211e2b",
 }
 
 #: sha256 of the bundled scenarios' stdout tables without their last line,
 #: which names the output directory. Taken with the bundled hashes above.
 BUNDLED_STDOUT_SHA256 = {
     "spin_chsh": "73465a6917f777db6335b41bcb182be4e9850468bd9f55935c9c652d5afb4340",
-    "epr_quadrature": "1728b77063c66e5e7ebd6141ee0d06c8b50cd12faa630cd5cfa88150e8168daa",
-    "free_evolution": "36f82f0ef5035f2423729488c6914f5e979eacc41236e64d117f65b143eecd98",
+    "epr_quadrature": "5d9ab1dc3e57ffbf6b1c1c807aeae739e4ac5ff712a5bf6cbbd60a591b5de7dc",
+    "free_evolution": "918001ecd4bbe2db83943dc310404f91bfd912408f88932e4f6146012c4ed173",
 }
 
 #: sha256 of the CSV of SQUEEZING_0_SCAN, taken while GaussianState still
@@ -75,8 +76,10 @@ SQUEEZING_0_SCAN = {
 
 #: sha256 of the summary of QUADRATURE_CHSH, whose CHSH value is 5.12915518 on
 #: both sides. Taken while the CHSH block still summed the one-pair correlator
-#: and the one-pair exact expectation, not four rows of the chunk evaluator.
-QUADRATURE_CHSH_SUMMARY_SHA256 = "94a3f19797307aa1a3304862f6b2388138bb06e76bcba964436ca22e10ecdff4"
+#: and the one-pair exact expectation, not four rows of the chunk evaluator,
+#: and again under Gaussian stream contract v5, after each of its rows
+#: equalled ``gaussian_row_reference`` bit for bit.
+QUADRATURE_CHSH_SUMMARY_SHA256 = "e71049e92259f6d1a365f2f579a0e1cac2f66b5cd7905a64b48930101da84150"
 QUADRATURE_CHSH = {
     "kind": "EPR_QUADRATURE", "name": "quadrature_chsh", "state": {"squeezing": 1.0},
     "settings": {"setting1": {"start": -0.0, "stop": 3.0, "count": 4},
@@ -828,11 +831,13 @@ class TestAtomicOutputs:
 
 #: sha256 of the stdout tables of the chunk-boundary scans, by row count,
 #: without their last line. Taken with rows keyed by (seed, row), and again
-#: under stream contract v3 (the 257-row scan is in REFERENCE_SCENARIOS).
+#: under Gaussian stream contract v5 (the 257-row scan is in
+#: REFERENCE_SCENARIOS; every row of the 255- and 256-row scans equalled
+#: ``gaussian_row_reference`` bit for bit when they were taken).
 CHUNK_SCAN_STDOUT_SHA256 = {
-    255: "25f70a73adc378886c422d3117c5f0347c65ad6d4dba3c0c603c7c4aad2e9913",
-    256: "531bd74858e22f5f4244e8e5d84f7e9de06e814c1fd7e086d99af7fda3413f32",
-    257: "666481813b8dc4646a3fbf6286e5c31e7a6059506aae939b84c14798578b942a",
+    255: "a4aa0b1850bbb6e71638f1bd6cce553ba125762810b586b7aed6776670e49a23",
+    256: "8d5b249e05b317f87ad2624fcade338d4919ab099a9460dc61067edc27850412",
+    257: "48f1191187a93042450be0816fbf572eb5aef716b1ddec0971a24200726c9a19",
 }
 
 
@@ -923,7 +928,8 @@ class TestTinySqueezing:
         # Party features of about 0.25 and 1e153 multiply to more than 1, so
         # the rows are not scaled; doubling the small party made x * x overflow
         # when x was drawn as a product of normals. Values from
-        # gaussian_row_reference under stream contract v3 (REFERENCE_SCENARIOS).
+        # gaussian_row_reference under Gaussian stream contract v5
+        # (REFERENCE_SCENARIOS).
         path = write_scenario(tmp_path, {"kind": "FREE_EVOLUTION", "name": "unequal",
                                          "state": {"moments": {"qq": 0.25, "pq": 0.05,
                                                                "qp": 0.05, "pp": 0.25}},
@@ -931,8 +937,8 @@ class TestTinySqueezing:
                                          "samples": 1000, "seed": 5})
         assert run_cli(["run", path, "--out-dir", tmp_path]) == 0
         rows = read_columns(tmp_path / "unequal.csv")
-        assert [row[4:6] for row in rows] == [[3.6394743954998874e+151, 8.292864846172967e+150],
-                                              [4.6398851541568986e+151, 7.378231746975319e+150]]
+        assert [row[4:6] for row in rows] == [[5.946929483595688e+151, 8.706925047426615e+150],
+                                              [4.605118698236164e+151, 7.440316343142465e+150]]
 
 
 class TestGridEvaluation:

@@ -31,7 +31,7 @@ from eprlab import (
     tmsv,
     unbounded_spin_model,
 )
-from conftest import draw_halves, gaussian_row_reference, reference_atoms
+from conftest import draw_halves, gaussian_row_reference, polynomial_sine, reference_atoms
 from eprlab import estimator
 from eprlab.estimator import (
     BATCH_MIN_ROWS,
@@ -41,7 +41,7 @@ from eprlab.estimator import (
     _atom_counts,
     _philox_words,
     _tile_stats,
-    _uniforms,
+    ndtri,
 )
 
 Z_AXIS = UnitVector3(0.0, 0.0, 1.0)
@@ -244,30 +244,59 @@ class TestDeterminism:
         assert (est.mean, est.stderr) == gaussian_row_reference(*features, n, key)
 
 
-SPLICE_WORDS = np.concatenate([
-    np.array([0, 1, 4095, 4096, 1 << 63, (1 << 64) - 4096, (1 << 64) - 1], dtype=np.uint64),
-    np.random.Philox(key=13).random_raw(1 << 16),
+#: The halves at both ends and on both sides of the centre 2**31 - 1/2, then a stream.
+SINE_HALVES = np.concatenate([
+    np.array([0, 1, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1], dtype=np.uint32),
+    draw_halves(13, 1 << 16).astype(np.uint32),
 ])
 
 
-class TestUniforms:
-    def test_splice_matches_float_conversion(self):
-        reference = ((SPLICE_WORDS >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
-        u = _uniforms(SPLICE_WORDS.copy())
-        assert [x.hex() for x in u.tolist()] == [x.hex() for x in reference.tolist()]
+def polynomial_sines(halves: np.ndarray) -> np.ndarray:
+    """``ndtri`` on one row of halves at rho = 0: each half's sine S."""
+    s, scratch = np.empty((2, 1, len(halves)))
+    return ndtri(halves[None, :], np.zeros((1, 1)), s, scratch)[0]
 
-    def test_strictly_inside_the_unit_interval_and_symmetric(self):
-        u = _uniforms(SPLICE_WORDS.copy())
-        mirrored = _uniforms(~SPLICE_WORDS)
-        assert np.all(u > 0.0) and np.all(u < 1.0)
-        assert np.all(u + mirrored == 1.0)
+
+class TestPolynomialSine:
+    """S = t Q(t**2), the sine of a Gaussian draw's angle t, from its 32-bit half."""
+
+    def test_odd_bit_for_bit(self):
+        # h -> 2**32 - 1 - h negates t exactly, and t Q(t**2) is odd.
+        sines = polynomial_sines(SINE_HALVES)
+        mirrored = polynomial_sines(np.uint32(2**32 - 1) - SINE_HALVES)
+        assert np.array_equal(sines.view(np.uint64), (-mirrored).view(np.uint64))
+
+    def test_matches_the_per_draw_reference_and_the_sine(self):
+        sines = polynomial_sines(SINE_HALVES).tolist()
+        for half, sine in zip(SINE_HALVES.tolist(), sines):
+            t, want = polynomial_sine(half)
+            assert sine.hex() == want.hex(), half
+            assert abs(sine - math.sin(t)) <= 4 * 2.0**-53, half
+        # No angle is 0, and the end halves' sines round to -1 and 1.
+        assert min(sines) == -1.0 and max(sines) == 1.0 and 0.0 not in sines
+
+    def test_batched_and_one_row_rows_at_odd_n_match_the_per_draw_reference(self):
+        # 40 rows of 511 draws, 256 words each, are drawn as one batched tile,
+        # whose last word's high half goes unused; a lone row of 1001 draws
+        # is a one-row tile.
+        model = quadrature_model(extract_moments(tmsv(0.8)))
+        settings1 = [QuadratureSetting(0.1 * i) for i in range(40)]
+        settings2 = [QuadratureSetting(-0.07 * i) for i in range(40)]
+        keys = [(i << 64) + 5 for i in range(40)]
+        rows = mc_estimate_rows(model, settings1, settings2, 511, keys, workers=2)
+        for est, s1, s2, key in zip(rows, settings1, settings2, keys):
+            features = model.response1.features(s1), model.response2.features(s2)
+            assert (est.mean, est.stderr) == gaussian_row_reference(*features, 511, key)
+        features = model.response1.features(settings1[3]), model.response2.features(settings2[3])
+        est = mc_estimate(model, settings1[3], settings2[3], 1001, 9)
+        assert (est.mean, est.stderr) == gaussian_row_reference(*features, 1001, 9)
 
 
 #: A 150 000-draw Gaussian row (three blocks, the last one partial), as
 #: float.hex of its mean and stderr. Taken from ``gaussian_row_reference``
-#: when x was first drawn from its product law (stream contract v3); any
-#: worker count must reproduce it.
-GAUSSIAN_ROW_HEX = ("0x1.423db4b6b6bb8p+0", "0x1.742ba783368dfp-8")
+#: again when Gaussian draws first took half a Philox word and a polynomial
+#: sine (Gaussian stream contract v5); any worker count must reproduce it.
+GAUSSIAN_ROW_HEX = ("0x1.41b340d770bd0p+0", "0x1.72b5c91564f5cp-8")
 
 
 class _HelperError(Exception):
@@ -386,14 +415,15 @@ class TestGaussianRowPinned:
 
 #: Gaussian rows whose last tile ends at, inside or just past 16 384 draws
 #: or a block boundary, as float.hex of (mean, stderr); taken from
-#: ``gaussian_row_reference``, which draws one value at a time.
+#: ``gaussian_row_reference``, which draws one value at a time, under
+#: Gaussian stream contract v5.
 SUBCHUNK_ROW_HEX = {
-    16383: ("0x1.3f812c2627f06p+0", "0x1.1838038c68255p-6"),
-    16384: ("0x1.3f7e412c33385p+0", "0x1.1833e0de329fbp-6"),
-    16385: ("0x1.3fba8a0914801p+0", "0x1.189731232f5a2p-6"),
-    BLOCK_DRAWS - 1: ("0x1.412952244f146p+0", "0x1.19b1a69878f5dp-7"),
-    BLOCK_DRAWS + 1: ("0x1.4126382c56809p+0", "0x1.19b0080299e6cp-7"),
-    2 * BLOCK_DRAWS + 16387: ("0x1.420854e326bd1p+0", "0x1.77072a7c41a92p-8"),
+    16383: ("0x1.413feb5fc40c6p+0", "0x1.19e0ae2dac3b9p-6"),
+    16384: ("0x1.413e1c3bbb60cp+0", "0x1.19dc5e6a3d32dp-6"),
+    16385: ("0x1.412f02bfb55c0p+0", "0x1.19de6fa76efb2p-6"),
+    BLOCK_DRAWS - 1: ("0x1.4073ba3140180p+0", "0x1.16f5fe855ecd3p-7"),
+    BLOCK_DRAWS + 1: ("0x1.40708ede44bf1p+0", "0x1.16f46a3b36f69p-7"),
+    2 * BLOCK_DRAWS + 16387: ("0x1.41b2923f97c9bp+0", "0x1.75f843786f03dp-8"),
 }
 
 
@@ -419,8 +449,9 @@ class TestGaussianSubchunks:
 
     @pytest.mark.parametrize("n", [4, 12, 300])
     def test_one_row_subchunks_of_any_aligned_size_give_the_same_row(self, n):
-        # A one-row tile of n draws, a multiple of Philox's 4-word output,
-        # is drawn whole and gives the row the per-draw reference gives.
+        # A one-row tile of n draws, n / 2 words that need not fill Philox's
+        # last 4-word output, is drawn whole and gives the row the per-draw
+        # reference gives.
         features = ((0.8, -0.3), (0.4, 0.6))
         model = pair_model(*features)
         s = QuadratureSetting(0.0)
@@ -489,8 +520,9 @@ class TestGaussianLaw:
             assert {(r.mean.hex(), r.stderr.hex()) for r in rows} == {("0x0.0p+0", "0x0.0p+0")}
 
     def test_bits_do_not_depend_on_simd_dispatch(self):
-        # np.log's float64 bits differ with numpy's AVX-512 loops switched
-        # off; np.sin's and the ziggurat's must not.
+        # A Gaussian draw's bits come from IEEE + and * and numpy's ziggurat,
+        # which no SIMD loop may change; np.log's float64 bits, for one,
+        # differ with numpy's AVX-512 loops switched off.
         code = (
             "from eprlab import *\n"
             "model = quadrature_model(extract_moments(tmsv(1.0)))\n"
@@ -556,14 +588,15 @@ class TestTinyFeatures:
     #: float.hex of (mean, stderr) of the rows below for parties of values
     #: about 1e-200 and 1e200, taken before any rescaling: their products are
     #: about 1, so no row is scaled and nothing overflows. The linear rows
-    #: were taken again from ``gaussian_row_reference`` under stream contract v3,
-    #: the table rows under finite contract v4, after each matched two passes
-    #: over its draws from ``draw_halves`` to 2e-16 relative.
+    #: were taken again from ``gaussian_row_reference`` under Gaussian stream
+    #: contract v5, which they equal bit for bit; the table rows under finite
+    #: contract v4, after they matched two passes over their draws from
+    #: ``draw_halves`` to 2e-16 relative.
     UNEQUAL_PARTIES_HEX = {
         "table": [("-0x1.374bc6a7ef9dcp-5", "0x1.a7bd21d96fdcdp-7"),
                   ("-0x1.4bc6a7ef9db23p-4", "0x1.8484966870cb6p-7")],
-        "linear": [("0x1.fcbf955ed73eap-3", "0x1.4097800f40b9dp-6"),
-                   ("0x1.34bec56a463a8p-2", "0x1.415303cf72256p-6")],
+        "linear": [("0x1.33ba6cf5ff400p-2", "0x1.6493a5463be74p-6"),
+                   ("0x1.4bbccb4cbc7b1p-2", "0x1.4be1ef6f1433fp-6")],
     }
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -743,12 +776,11 @@ class TestPhiloxWords:
 
 
 class TestBatchCutoff:
-    """``BATCH_ROW_WORDS`` counts Philox words a row: ceil(n / 2) finite, n Gaussian."""
+    """``BATCH_ROW_WORDS`` counts Philox words a row, ceil(n / 2) in both sample spaces."""
 
     @pytest.mark.parametrize("name,n,batched", [
-        ("spin", 2 * BATCH_ROW_WORDS - 1, True), ("spin", 2 * BATCH_ROW_WORDS, True),
-        ("spin", 2 * BATCH_ROW_WORDS + 1, False), ("gauss", BATCH_ROW_WORDS, True),
-        ("gauss", BATCH_ROW_WORDS + 1, False)])
+        (name, 2 * BATCH_ROW_WORDS + offset, offset <= 0)
+        for name in ("spin", "gauss") for offset in (-1, 0, 1)])
     def test_batched_and_one_row_tiles_give_the_same_bits(self, monkeypatch, name, n, batched):
         rows = range(BATCH_MIN_ROWS)
         if name == "spin":
@@ -767,7 +799,7 @@ class TestBatchCutoff:
         assert mc_estimate_rows(model, [s1] * len(rows), settings, n, keys, workers=2) == want
         assert bool(calls) == batched
         if batched:
-            assert {args[2] for args in calls} == {-(-n // 2) if name == "spin" else n}
+            assert {args[2] for args in calls} == {-(-n // 2)}
 
 
 class TestMcEstimateRows:
@@ -943,6 +975,10 @@ def test_array_reduction_and_z_scores_equal_the_per_row_reference(monkeypatch):
                    for x, xx in zip(sums, squares)])
     monkeypatch.setattr(estimator, "BLOCK_DRAWS", 4)
     monkeypatch.setattr(estimator, "_tile_stats", lambda *args: next(blocks))
+    # Block b of four draws would start at word 2 b, inside a Philox output
+    # of four words; the stub's words are never read.
+    monkeypatch.setattr(estimator, "_raw_words", lambda bg, key, offset, n_words:
+                        np.zeros(n_words, dtype=np.uint64))
     rows, n = len(REDUCTION_ROWS), 12
     s = QuadratureSetting(0.0)
     # Features (1, 0) at both parties: s = 1, so the sums of y are those of x.

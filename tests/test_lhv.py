@@ -14,6 +14,7 @@ from eprlab import (
     QuadratureSetting,
     ResponseMode,
     SampleSpace,
+    SpaceKind,
     Spectrum,
     TabulatedResponse,
     TimeSetting,
@@ -423,6 +424,27 @@ class TestValidation:
         response = TabulatedResponse(settings=[0], values=[[1.0]])
         with pytest.raises(ValidationError, match=r"setting \[0\] is not tabulated"):
             response.features([0])
+
+    def test_weight_array_builds_the_space_its_tuple_builds(self):
+        # ``if not weights`` on an array raised numpy's ambiguous-truth ValueError.
+        space = SampleSpace(SpaceKind.FINITE, np.array([0.5, 0.5]))
+        assert space == SampleSpace.finite((0.5, 0.5))
+
+    # Each of these raised a TypeError or a bare ValueError from float() or
+    # math.isfinite(), none naming the argument.
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ComponentResponse("x"), "response scale: expected a finite real number, got 'x'"),
+        (lambda: LinearResponse(("a", 0), (0, 1), ResponseMode.TRIG),
+         "q_coeffs: expected a finite real number, got 'a'"),
+        (lambda: SampleSpace.finite((0.5, "a")),
+         "atom weights: expected a finite real number, got 'a'"),
+        (lambda: TabulatedResponse(settings=(1,), values=(("x",),)),
+         "tabulated response values: expected a finite real number, got 'x'"),
+    ], ids=["component_scale", "linear_coefficient", "finite_weight", "tabulated_value"])
+    def test_non_numbers_are_refused_by_name(self, build, message):
+        with pytest.raises(ValidationError) as excinfo:
+            build()
+        assert str(excinfo.value) == message
 
 
 class TestExpectationGrid:

@@ -7,6 +7,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from fractions import Fraction
@@ -246,9 +248,8 @@ def test_row_estimates_equal_per_row_estimates(name, n, data):
     if data.draw(st.booleans(), label="signed_zero_row"):
         pairs[0] = (0, 1)
     keys = data.draw(st.lists(KEY, min_size=rows, max_size=rows), label="keys")
-    finite = model.space.kind is estimator.SpaceKind.FINITE
-    # A finite draw takes half a Philox word, a Gaussian one a whole word.
-    row_words = -(-n // 2) if finite else n
+    # Every draw takes half a Philox word.
+    row_words = -(-n // 2)
     batched = rows >= BATCH_MIN_ROWS and row_words <= BATCH_ROW_WORDS
     # Smaller tiles split a batched chunk; rows drawn in blocks keep the real
     # block size, whose boundaries the per-row reference shares (a Gaussian
@@ -273,7 +274,7 @@ def test_row_estimates_equal_per_row_estimates(name, n, data):
         assert tile_calls == []
         # A tile draws its words in one call, one tile per block of each row.
         assert len(block_calls) == rows * -(-n // BLOCK_DRAWS)
-        # The words drawn: ceil(n / 2) a finite row, n a Gaussian one.
+        # The words drawn: ceil(n / 2) a row.
         assert sum(args[3] for args in block_calls) == rows * row_words
     else:
         assert block_calls == []
@@ -597,3 +598,27 @@ def test_zero_stderr_grid_summary_is_standard_json():
     def reject(constant):
         raise ValueError(f"{constant} is not standard JSON")
     json.loads(text, parse_constant=reject)
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None, derandomize=True)
+@given(st.integers())
+def test_fails(x):
+    assert x < 10
+"""
+
+
+def test_a_failing_property_is_reported_not_an_internal_error(tmp_path):
+    # Hypothesis's failure report imports libcst, which warns a deprecation;
+    # under the project's warning filters that ended the run with exit code
+    # 3 and an INTERNALERROR, losing the falsifying example.
+    (tmp_path / "test_failing.py").write_text(FAILING_PROPERTY)
+    config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    result = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                             "-c", str(config), "--rootdir", str(tmp_path), "test_failing.py"],
+                            cwd=tmp_path, capture_output=True, text=True)
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "Falsifying example" in result.stdout
