@@ -407,6 +407,28 @@ class TestInputErrors:
                                          "samples": 10, "seed": 0})
         assert run_cli(["run", path]) == 1
 
+    # A known kind in lower case, a name no kind has, and no kind at all.
+    @pytest.mark.parametrize("kind", [*(k.lower() for k in cli.KINDS), "NOPE", None])
+    def test_unknown_kind_names_every_kind_in_order(self, tmp_path, capsys, kind):
+        document = {"settings": {"pairs": [[0.0, 0.0]]}, "samples": 10, "seed": 0}
+        if kind is not None:
+            document["kind"] = kind
+        path = write_scenario(tmp_path, document)
+        assert run_cli(["run", path, "--out-dir", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == (
+            "error: 'kind' must be one of ('SPIN_CHSH', 'EPR_QUADRATURE', 'FREE_EVOLUTION'), "
+            f"got {kind!r}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", [k for k in cli.KINDS if k != "SPIN_CHSH"])
+    def test_stateful_kind_without_a_state_exits_one(self, tmp_path, capsys, kind):
+        path = write_scenario(tmp_path, {"kind": kind, "settings": {"pairs": [[0.0, 0.0]]},
+                                         "samples": 10, "seed": 0})
+        assert run_cli(["run", path, "--out-dir", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {kind} needs a 'state' object with 'squeezing' or 'moments'\n"
+        assert not (tmp_path / "out").exists()
+
     def test_scan_count_below_two(self, tmp_path):
         path = write_scenario(tmp_path, {
             "kind": "FREE_EVOLUTION",
@@ -429,7 +451,7 @@ class TestInputErrors:
         })
         assert run_cli(["run", path]) == 1
 
-    def test_spin_scenario_rejects_state(self, tmp_path):
+    def test_spin_scenario_rejects_state(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {
             "kind": "SPIN_CHSH",
             "state": {"squeezing": 1.0},
@@ -438,8 +460,10 @@ class TestInputErrors:
             "seed": 0,
         })
         assert run_cli(["run", path]) == 1
+        assert capsys.readouterr().err == \
+            "error: SPIN_CHSH uses the two-spin singlet; omit 'state'\n"
 
-    def test_free_evolution_rejects_chsh_block(self, tmp_path):
+    def test_free_evolution_rejects_chsh_block(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {
             "kind": "FREE_EVOLUTION",
             "state": {"moments": {"qq": 1.0, "pq": 0.0, "qp": 0.0, "pp": 0.0}},
@@ -449,6 +473,8 @@ class TestInputErrors:
             "chsh": {"a": 0.0, "a_prime": 1.0, "b": 0.5, "b_prime": 1.5},
         })
         assert run_cli(["run", path]) == 1
+        assert capsys.readouterr().err == \
+            "error: the 'chsh' block applies to SPIN_CHSH and EPR_QUADRATURE only\n"
 
     def test_unknown_top_level_key(self, tmp_path):
         path = write_scenario(tmp_path, {"kind": "SPIN_CHSH",
