@@ -15,10 +15,16 @@ A scenario is a JSON file with a top-level ``kind`` discriminator::
       "chsh": {"a": ..., "a_prime": ..., "b": ..., "b_prime": ...}
     }
 
-All angles are radians. SPIN_CHSH settings are angles of directions in
-the x-z plane and need no ``state``; EPR_QUADRATURE settings are
-quadrature angles; FREE_EVOLUTION settings are times. Scan axes are
-expanded to a Cartesian product with ``setting1`` as the outer loop.
+Each kind is one row of ``_KINDS``, the one place that names it: its
+model, how a number becomes a setting, its quantum closed form, and
+whether it takes a ``state`` and a ``chsh`` block (``_Kind``). ``KINDS``,
+the messages that refuse a ``state`` or a ``chsh`` block and
+``_evaluate`` all read the table. All angles are radians. SPIN_CHSH
+settings are angles of directions in the x-z plane, and it always
+measures the two-spin singlet, so it takes no ``state``; EPR_QUADRATURE
+settings are quadrature angles; FREE_EVOLUTION settings are times, and it
+takes no ``chsh`` block. Scan axes are expanded to a Cartesian product
+with ``setting1`` as the outer loop.
 
 For every setting pair the tool evaluates the exact quantum correlation,
 the model's exact expectation, and a seeded Monte Carlo estimate, then
@@ -66,7 +72,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -82,7 +88,6 @@ from .errors import ConsistencyError, ScenarioError, ValidationError
 from .estimator import MAX_WORKERS, _check_draws, _decimal, _mc_rows, _quiet, _z_scores
 from .gaussian import MomentMatrix, extract_moments, tmsv
 from .lhv import (
-    HiddenVariableModel,
     _contract,
     free_evolution_model,
     quadrature_model,
@@ -99,7 +104,6 @@ from .correlators import quadrature_correlation, spin_correlation  # noqa: F401
 from .estimator import compare, mc_estimate  # noqa: F401
 from .lhv import exact_expectation  # noqa: F401
 
-KINDS = ("SPIN_CHSH", "EPR_QUADRATURE", "FREE_EVOLUTION")
 CSV_COLUMNS = ("setting1", "setting2", "quantum", "lhv_exact", "lhv_mc", "stderr", "z")
 #: A CSV line and a table line, each one ``%`` format of a row tuple. "%.17g"
 #: prints a float as format(v, ".17g") does, and the table specs as the
@@ -219,9 +223,9 @@ def _parse_settings(data) -> np.ndarray:
 
 
 def _parse_state(data, kind: str) -> MomentMatrix | None:
-    if kind == "SPIN_CHSH":
+    if _KINDS[kind].fixed_state is not None:
         if data is not None:
-            raise ScenarioError("SPIN_CHSH uses the two-spin singlet; omit 'state'")
+            raise ScenarioError(f"{kind} uses {_KINDS[kind].fixed_state}; omit 'state'")
         return None
     if not isinstance(data, dict):
         raise ScenarioError(f"{kind} needs a 'state' object with 'squeezing' or 'moments'")
@@ -240,8 +244,9 @@ def _parse_state(data, kind: str) -> MomentMatrix | None:
 def _parse_chsh(data, kind: str) -> tuple[float, float, float, float] | None:
     if data is None:
         return None
-    if kind == "FREE_EVOLUTION":
-        raise ScenarioError("the 'chsh' block applies to SPIN_CHSH and EPR_QUADRATURE only")
+    if not _KINDS[kind].chsh:
+        takers = " and ".join(name for name, row in _KINDS.items() if row.chsh)
+        raise ScenarioError(f"the 'chsh' block applies to {takers} only")
     if not isinstance(data, dict) or set(data) != {"a", "a_prime", "b", "b_prime"}:
         raise ScenarioError("'chsh' must carry exactly the keys a, a_prime, b, b_prime")
     return tuple(_require_number(data[k], f"chsh.{k}")
@@ -317,24 +322,32 @@ def _spin_direction(theta: float) -> UnitVector3:
     return UnitVector3(math.sin(theta), 0.0, math.cos(theta))
 
 
-@dataclass(frozen=True)
-class _Engine:
-    """How one scenario kind evaluates its settings.
+class _Kind(NamedTuple):
+    """One scenario kind, a row of ``_KINDS``: what ``load_scenario`` and ``_evaluate`` read.
 
-    ``columns(setting)`` are the numbers the row functions read from one
-    setting: its direction cosines (spin), the cosine and sine of its angle
-    (quadrature) or its time. ``quantum_rows(c1, c2)`` gives, at each row
-    of two row-aligned stacks of such columns, the quantum correlation and
-    its magnitude: the sum of the absolute values of its closed form's
-    terms, the scale of its rounding error (1.0 for spins, whose terms add
-    up to at most 1 in absolute value). The CHSH block is four more rows of
-    the same functions.
+    ``model(m)`` builds the kind's ``HiddenVariableModel`` from the state's
+    moments ``m`` (None for a kind without a state). It calls its builder
+    by this module's name at call time, so that a module attribute replaced
+    after import (as the benchmark's traced run replaces them) is the one
+    called. ``make_setting(x)`` makes one setting from a number, and
+    ``columns(setting)`` are the numbers the row functions read from it: its
+    direction cosines (spin), the cosine and sine of its angle (quadrature)
+    or its time. ``quantum_rows(m, c1, c2)`` gives, at each row of two
+    row-aligned stacks of such columns, the quantum correlation and its
+    magnitude: the sum of the absolute values of its closed form's terms,
+    the scale of its rounding error (1.0 for spins, whose terms add up to at
+    most 1 in absolute value). The CHSH block is four more rows of the same
+    functions. ``fixed_state`` names the state that a kind always measures,
+    which makes it refuse a ``state``; it is None for a kind that needs one.
+    ``chsh`` says whether the kind takes a ``chsh`` block.
     """
 
-    model: HiddenVariableModel
+    model: Callable
     make_setting: Callable
     columns: Callable
-    quantum_rows: Callable[[np.ndarray, np.ndarray], tuple]
+    quantum_rows: Callable
+    fixed_state: str | None = None
+    chsh: bool = True
 
 
 def _value_and_magnitude(terms: tuple) -> tuple:
@@ -342,19 +355,23 @@ def _value_and_magnitude(terms: tuple) -> tuple:
     return _add(terms), _add([abs(term) for term in terms])
 
 
-def _build_engine(scenario: Scenario) -> _Engine:
-    if scenario.kind == "SPIN_CHSH":
-        return _Engine(unbounded_spin_model(), _spin_direction, lambda d: (d.x, d.y, d.z),
-                       lambda c1, c2: (spin_correlation_rows(c1, c2), 1.0))
-    m = scenario.moments
-    if scenario.kind == "EPR_QUADRATURE":
-        return _Engine(quadrature_model(m), QuadratureSetting,
-                       lambda a: (math.cos(a.alpha), math.sin(a.alpha)),
-                       lambda c1, c2: _value_and_magnitude(
-                           _quadrature_terms(m, c1[:, 0], c1[:, 1], c2[:, 0], c2[:, 1])))
-    return _Engine(free_evolution_model(m), TimeSetting, lambda t: (t.t,),
-                   lambda c1, c2: _value_and_magnitude(
-                       _free_evolution_terms(m, c1[:, 0], c2[:, 0])))
+#: Every scenario kind, in the order that messages list them. Adding a kind
+#: is one row here, plus its closed form and its model.
+_KINDS = {
+    "SPIN_CHSH": _Kind(
+        lambda m: unbounded_spin_model(), _spin_direction, lambda d: (d.x, d.y, d.z),
+        lambda m, c1, c2: (spin_correlation_rows(c1, c2), 1.0),
+        fixed_state="the two-spin singlet"),
+    "EPR_QUADRATURE": _Kind(
+        lambda m: quadrature_model(m), QuadratureSetting,
+        lambda a: (math.cos(a.alpha), math.sin(a.alpha)),
+        lambda m, c1, c2: _value_and_magnitude(_quadrature_terms(m, *c1.T, *c2.T))),
+    "FREE_EVOLUTION": _Kind(
+        lambda m: free_evolution_model(m), TimeSetting, lambda t: (t.t,),
+        lambda m, c1, c2: _value_and_magnitude(_free_evolution_terms(m, *c1.T, *c2.T)),
+        chsh=False),
+}
+KINDS = tuple(_KINDS)
 
 
 @_quiet
@@ -365,8 +382,8 @@ def _evaluate(scenario: Scenario, workers: int) -> tuple[np.ndarray, dict]:
     which is reported with its row (``_check_finite``) or, in a CHSH sum,
     with the ``chsh`` block, as a ``ScenarioError``.
     """
-    engine = _build_engine(scenario)
-    model = engine.model
+    kind, m = _KINDS[scenario.kind], scenario.moments
+    model = kind.model(m)
     weights = np.array(model.space.basis_weights)
     # Grids repeat their axis values; each distinct value is made once per
     # run, as (columns, party-1 feature row, party-2 feature row). Keyed by
@@ -376,8 +393,8 @@ def _evaluate(scenario: Scenario, workers: int) -> tuple[np.ndarray, dict]:
     def make(bits: int, x: float) -> tuple:
         entry = made.get(bits)
         if entry is None:
-            setting = engine.make_setting(x)
-            entry = made[bits] = (engine.columns(setting), model.response1.features(setting),
+            setting = kind.make_setting(x)
+            entry = made[bits] = (kind.columns(setting), model.response1.features(setting),
                                   model.response2.features(setting))
         return entry
 
@@ -396,9 +413,9 @@ def _evaluate(scenario: Scenario, workers: int) -> tuple[np.ndarray, dict]:
 
     def evaluate(values1: np.ndarray, values2: np.ndarray) -> tuple:
         """Feature stacks, exact values, quantum values and magnitudes at two columns' pairs."""
-        phi1, columns1 = gather(values1, 1)
-        phi2, columns2 = gather(values2, 2)
-        return phi1, phi2, _contract(weights, phi1, phi2), *engine.quantum_rows(columns1, columns2)
+        phi1, c1 = gather(values1, 1)
+        phi2, c2 = gather(values2, 2)
+        return phi1, phi2, _contract(weights, phi1, phi2), *kind.quantum_rows(m, c1, c2)
 
     table = np.empty((len(scenario.setting_pairs), len(CSV_COLUMNS)))
     table[:, :2] = scenario.setting_pairs

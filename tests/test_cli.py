@@ -201,11 +201,12 @@ def test_gaussian_rows_equal_the_per_draw_reference(tmp_path, name):
         path = write_scenario(tmp_path, path)
     scenario = cli.load_scenario(path)
     assert run_cli(["run", path, "--out-dir", tmp_path]) == 0
-    engine = cli._build_engine(scenario)
+    kind = cli._KINDS[scenario.kind]
+    model = kind.model(scenario.moments)
     rows = read_columns(tmp_path / f"{scenario.name}.csv")
     for r, (row, (x1, x2)) in enumerate(zip(rows, scenario.setting_pairs)):
-        u = engine.model.response1.features(engine.make_setting(x1))
-        v = engine.model.response2.features(engine.make_setting(x2))
+        u = model.response1.features(kind.make_setting(x1))
+        v = model.response2.features(kind.make_setting(x2))
         want = gaussian_row_reference(u, v, scenario.samples, scenario.seed + (r << 64))
         assert bits(row[4:6]) == bits(want), r
 
@@ -695,7 +696,7 @@ class TestInputErrors:
 class TestDrawLimit:
     def test_scenario_over_the_limit_exits_one_before_any_row(self, tmp_path, monkeypatch,
                                                                capsys):
-        def no_rows(scenario):
+        def no_rows(scenario, workers):
             raise AssertionError("a row was evaluated")
 
         monkeypatch.setattr(estimator, "MAX_DRAWS", 30)
@@ -703,7 +704,7 @@ class TestDrawLimit:
         at_cap = write_scenario(tmp_path, {"kind": "SPIN_CHSH", "settings": pairs,
                                            "samples": 10, "seed": 0})
         assert run_cli(["run", at_cap, "--out-dir", tmp_path / "ok"]) == 0
-        monkeypatch.setattr(cli, "_build_engine", no_rows)
+        monkeypatch.setattr(cli, "_evaluate", no_rows)
         over = write_scenario(tmp_path, {"kind": "SPIN_CHSH", "settings": pairs,
                                          "samples": 11, "seed": 0}, name="over.json")
         for args in ([over], [at_cap, "--samples", 11]):
@@ -719,11 +720,11 @@ class TestDrawLimit:
     @pytest.mark.parametrize("samples", [7, 8], ids=["under", "over"])
     def test_worker_count_exits_one_before_any_row_and_before_the_limit(
             self, tmp_path, monkeypatch, capsys, samples):
-        def no_rows(scenario):
+        def no_rows(scenario, workers):
             raise AssertionError("a row was evaluated")
 
         monkeypatch.setattr(estimator, "MAX_DRAWS", 30)
-        monkeypatch.setattr(cli, "_build_engine", no_rows)
+        monkeypatch.setattr(cli, "_evaluate", no_rows)
         path = write_scenario(tmp_path, {"kind": "SPIN_CHSH",
                                          "settings": {"pairs": [[0.0, 0.5], [1.0, 2.0]] * 2},
                                          "samples": samples, "seed": 0})
@@ -991,7 +992,8 @@ class TestGridEvaluation:
             built.append(theta.hex())
             return cli.UnitVector3(math.sin(theta), 0.0, math.cos(theta))
 
-        monkeypatch.setattr(cli, "_spin_direction", direction)
+        spin = cli._KINDS["SPIN_CHSH"]
+        monkeypatch.setitem(cli._KINDS, "SPIN_CHSH", spin._replace(make_setting=direction))
         pairs = [[0.0, 0.5], [-0.0, 0.5], [0.5, 0.0], [0.0, -0.0], [0.5, 0.5]]
         path = write_scenario(tmp_path, {"kind": "SPIN_CHSH", "settings": {"pairs": pairs},
                                          "samples": 10, "seed": 4,
@@ -1342,3 +1344,43 @@ class TestEntryPoint:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "[]"
+
+
+#: The builders that the benchmark's traced run wraps by replacing them on
+#: ``eprlab.cli`` (perfbench/tracing.py), and the ones each kind's run calls.
+PROBED_BUILDERS = ("unbounded_spin_model", "quadrature_model", "free_evolution_model",
+                   "tmsv", "extract_moments", "sup_bound")
+BUILDERS_OF_KIND = {
+    "SPIN_CHSH": {"unbounded_spin_model", "sup_bound"},
+    "EPR_QUADRATURE": {"tmsv", "extract_moments", "quadrature_model", "sup_bound"},
+    "FREE_EVOLUTION": {"tmsv", "extract_moments", "free_evolution_model", "sup_bound"},
+}
+
+
+class TestProbedBuilders:
+    def test_every_kind_names_its_builders(self):
+        assert set(BUILDERS_OF_KIND) == set(cli.KINDS)
+
+    @pytest.mark.parametrize("kind", cli.KINDS)
+    def test_a_run_calls_each_builder_by_its_module_name(self, tmp_path, monkeypatch, kind):
+        """A builder replaced on the module after import is the one a run calls.
+
+        A kind's row that held a builder itself, not a call through the
+        module's name, would bypass the replacement, and a traced benchmark
+        run would read that builder's time as 0.
+        """
+        called = set()
+
+        def recorder(name, fn):
+            def record(*args):
+                called.add(name)
+                return fn(*args)
+            return record
+
+        for name in PROBED_BUILDERS:
+            monkeypatch.setattr(cli, name, recorder(name, getattr(cli, name)))
+        document = {"kind": kind, "settings": {"pairs": [[0.3, 1.1]]}, "samples": 10, "seed": 0}
+        if "tmsv" in BUILDERS_OF_KIND[kind]:
+            document["state"] = {"squeezing": 0.5}
+        assert run_cli(["run", write_scenario(tmp_path, document), "--out-dir", tmp_path]) == 0
+        assert called == BUILDERS_OF_KIND[kind]

@@ -413,11 +413,11 @@ class TestGaussianRowPinned:
         assert (rows[0].mean.hex(), rows[0].stderr.hex()) == GAUSSIAN_ROW_HEX
 
 
-#: Gaussian rows whose last tile ends at, inside or just past 16 384 draws
-#: or a block boundary, as float.hex of (mean, stderr); taken from
-#: ``gaussian_row_reference``, which draws one value at a time, under
+#: Gaussian rows that end in a partial block, of 16 383, 16 384, 16 385,
+#: BLOCK_DRAWS - 1, 1 and 16 387 draws, as float.hex of (mean, stderr); taken
+#: from ``gaussian_row_reference``, which draws one value at a time, under
 #: Gaussian stream contract v5.
-SUBCHUNK_ROW_HEX = {
+PARTIAL_BLOCK_ROW_HEX = {
     16383: ("0x1.413feb5fc40c6p+0", "0x1.19e0ae2dac3b9p-6"),
     16384: ("0x1.413e1c3bbb60cp+0", "0x1.19dc5e6a3d32dp-6"),
     16385: ("0x1.412f02bfb55c0p+0", "0x1.19de6fa76efb2p-6"),
@@ -427,14 +427,14 @@ SUBCHUNK_ROW_HEX = {
 }
 
 
-class TestGaussianSubchunks:
+class TestGaussianTiles:
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("n", sorted(SUBCHUNK_ROW_HEX))
-    def test_mean_and_stderr_bits(self, n, workers):
+    @pytest.mark.parametrize("n", sorted(PARTIAL_BLOCK_ROW_HEX))
+    def test_partial_block_mean_and_stderr_bits(self, n, workers):
         model = quadrature_model(extract_moments(tmsv(1.0)))
         est = mc_estimate(model, QuadratureSetting(0.3), QuadratureSetting(0.5), n, 99,
                           workers=workers)
-        assert (est.mean.hex(), est.stderr.hex()) == SUBCHUNK_ROW_HEX[n]
+        assert (est.mean.hex(), est.stderr.hex()) == PARTIAL_BLOCK_ROW_HEX[n]
 
     @pytest.mark.parametrize("n", [100, 300, 1000])
     def test_row_groups_of_any_size_give_the_same_rows(self, n):
@@ -448,7 +448,7 @@ class TestGaussianSubchunks:
             mc_estimate(model, s1, s2, n, key) for s1, s2, key in zip(settings1, settings2, keys)]
 
     @pytest.mark.parametrize("n", [4, 12, 300])
-    def test_one_row_subchunks_of_any_aligned_size_give_the_same_row(self, n):
+    def test_one_row_tiles_ending_inside_a_philox_output_give_the_reference_row(self, n):
         # A one-row tile of n draws, n / 2 words that need not fill Philox's
         # last 4-word output, is drawn whole and gives the row the per-draw
         # reference gives.
