@@ -222,11 +222,13 @@ def _parse_settings(data) -> np.ndarray:
     return out
 
 
-def _parse_state(data, kind: str) -> MomentMatrix | None:
+def _parse_state(scenario: dict, kind: str) -> MomentMatrix | None:
     if _KINDS[kind].fixed_state is not None:
-        if data is not None:
+        # A "state": null is a state given, and refused.
+        if "state" in scenario:
             raise ScenarioError(f"{kind} uses {_KINDS[kind].fixed_state}; omit 'state'")
         return None
+    data = scenario.get("state")
     if not isinstance(data, dict):
         raise ScenarioError(f"{kind} needs a 'state' object with 'squeezing' or 'moments'")
     if set(data) == {"squeezing"}:
@@ -241,9 +243,10 @@ def _parse_state(data, kind: str) -> MomentMatrix | None:
     raise ScenarioError("'state' keys must be exactly {'squeezing'} or {'moments'}")
 
 
-def _parse_chsh(data, kind: str) -> tuple[float, float, float, float] | None:
-    if data is None:
+def _parse_chsh(scenario: dict, kind: str) -> tuple[float, float, float, float] | None:
+    if "chsh" not in scenario:
         return None
+    data = scenario["chsh"]
     if not _KINDS[kind].chsh:
         takers = " and ".join(name for name, row in _KINDS.items() if row.chsh)
         raise ScenarioError(f"the 'chsh' block applies to {takers} only")
@@ -263,7 +266,9 @@ def load_scenario(path: Path, seed: int | None = None, samples: int | None = Non
 
     ``seed`` and ``samples``, when given, take the place of the file's
     values, or supply them where the file has none, and are checked as
-    those are; an error names the flag instead of the key.
+    those are; an error names the flag instead of the key. A key given as
+    JSON null is a value, refused as a wrong one is: only an omitted key
+    takes its default.
     """
     path = Path(path)
     try:
@@ -307,11 +312,11 @@ def load_scenario(path: Path, seed: int | None = None, samples: int | None = Non
     return Scenario(
         kind=kind,
         name=name,
-        moments=_parse_state(data.get("state"), kind),
+        moments=_parse_state(data, kind),
         setting_pairs=_parse_settings(data.get("settings")),
         samples=samples,
         seed=seed,
-        chsh=_parse_chsh(data.get("chsh"), kind),
+        chsh=_parse_chsh(data, kind),
     )
 
 

@@ -9,8 +9,8 @@ CLI keys row ``r`` of a run at seed ``s`` as ``s + (r << 64)``, the pair
 draws from the stream of the seed alone.
 
 Both sample spaces take two draws from each Philox word (finite stream
-contract v4, Gaussian stream contract v5): draws 2j and 2j + 1 of a row
-are the low and high 32 bits h of its word j, so a row of n draws
+contract v4, Gaussian stream contracts v5 and v6): draws 2j and 2j + 1 of
+a row are the low and high 32 bits h of its word j, so a row of n draws
 consumes ceil(n / 2) words, and an odd n leaves the high half of its
 last word unused. Both halves of a word are a pure function of (key, j),
 as the whole word is. Contract v3 took one draw a word, from its top 53
@@ -30,49 +30,71 @@ R**2 / 2 (cos 2 theta + rho). This holds for any feature dimension and
 gives E[x] = u . v and E[x * x] = |u|**2 |v|**2 + 2 (u . v)**2, as
 Isserlis does.
 
-A draw's S, which has the law of cos 2 theta, is the sine of the angle
-t = (h - (2**31 - 1/2)) * (pi * 2**-32) of its half h, one of 2**32
-points spaced evenly in (-pi / 2, pi / 2). The difference is exact (a
-half-integer below 2**32 in magnitude) and the product rounds once. The
-sine is S = t Q(t**2), Q the degree-10 polynomial in t**2 with the Taylor
-coefficients (-1)**k / (2k + 1)!, k <= 10, evaluated by Horner's rule
-from the highest coefficient, one IEEE multiply and one add a step, and
-then multiplied by t (``ndtri``). Its truncation error is at most
-(pi / 2)**23 / 23!, about 1.3e-18, and S lies within 2 ulp of
-``math.sin(t)`` on the halves the tests try. The map h -> 2**32 - 1 - h
-negates t exactly, and every step of t Q(t**2) commutes with negation,
-rounding included, so the 2**32 sampled sines cancel in pairs and have
-mean exactly 0, as cos 2 theta has: the discrete angle biases no
-Gaussian row's mean, where a finite row's atoms need the bias bound
-below. E comes from numpy's ziggurat
-``Generator.standard_exponential`` on the row key's Philox substream from
-counter (0, b + 1, 0, 0) for block b = i // BLOCK_DRAWS. The ziggurat
-takes a variable number of words a value, so a block's exponentials are
-read in order from the start of its substream; the bits do not depend on
-the worker count, but the block boundaries are part of the output. The
-tile sums y = E (rho + S), which is of order 1, and its square; the row's
-mean and standard error of y are multiplied by s at the end (s = rho = 0
-for a row with a zero party, whose estimate is then +0.0 with stderr 0).
-``_gaussian_law`` gives s by ``hypot`` and rho from the unit vectors,
-clipped to [-1, 1].
+A draw's S, which has the law of cos 2 theta and so of sin t for t
+uniform in (-pi / 2, pi / 2), is entry j = h >> 20 of a table of 4096
+sines (Gaussian stream contract v6): the top 12 bits of the draw's half h
+pick the angle t_j = (j - (2**11 - 1/2)) * (pi * 2**-12), one of 4096
+points spaced evenly in (-pi / 2, pi / 2). The difference is exact and
+the product rounds once. The table holds S_j = t_j Q(t_j**2), Q the
+degree-10 polynomial in t**2 with the Taylor coefficients
+(-1)**k / (2k + 1)!, k <= 10, evaluated by Horner's rule from the
+highest coefficient, one IEEE multiply and one add a step, and then
+multiplied by t; it is built once, at import (``_sine_table``, about
+36 us). The truncation error is at most (pi / 2)**23 / 23!, about
+1.3e-18, and every S_j lies within 2 ulp of ``math.sin(t_j)``.
+
+Nothing the estimator uses is lost to the coarser angle. A row's mean
+depends on S only through E[S], its standard error through E[S**2], and
+that error's spread through E[S**4]. The midpoint rule on N points of a
+period integrates trigonometric polynomials of degree below N exactly
+(Trefethen and Weideman, SIAM Rev. 56, 385 (2014)), and for even k,
+sin**k t is a polynomial of degree k / 2 in cos 2t, whose period pi the
+4096 angles cover. So the table's moments are those of cos 2 theta,
+E[S**k] = C(k, k / 2) / 2**k, for every even k below 8192; with the
+rounded entries, ``math.fsum`` still gives them exactly for k = 2, 4, 6
+and 8. The map h -> 2**32 - 1 - h takes j to 4095 - j, which negates
+t_j exactly, and every step of t Q(t**2) commutes with negation,
+rounding included, so the table is antisymmetric bit for bit and the
+sampled sines have mean exactly 0, as cos 2 theta has: the discrete
+angle biases no Gaussian row's mean, where a finite row's atoms need the
+bias bound below. Contract v5 evaluated the same polynomial on every
+draw, at the draw's own angle, one of 2**32. E comes from numpy's
+ziggurat ``Generator.standard_exponential`` on the row key's Philox
+substream from counter (0, b + 1, 0, 0) for block b = i // BLOCK_DRAWS.
+The ziggurat takes a variable number of words a value, so a block's
+exponentials are read in order from the start of its substream; the bits
+do not depend on the worker count, but the block boundaries are part of
+the output. The tile sums y = E (rho + S), which is of order 1, and its
+square; the row's mean and standard error of y are multiplied by s at
+the end (s = rho = 0 for a row with a zero party, whose estimate is then
++0.0 with stderr 0). ``_gaussian_law`` gives s by ``hypot`` and rho from
+the unit vectors, clipped to [-1, 1].
 
 Only numpy is needed, and only operations whose float64 bits do not
 depend on numpy's SIMD dispatch or on the C library: a Gaussian draw's
-bits come from integer-to-float conversion, IEEE + and *, which every
+bits come from integer shifts, a table gather, IEEE + and *, which every
 loop rounds correctly, and numpy's ziggurat, which gives the same bits
 with numpy's AVX-512 loops switched off. ``np.log`` and ``np.log1p`` do
 not, so a Box-Muller or inverse-transform exponential would break the
 pinned outputs on hosts without AVX-512. Contract v3's ``np.sin`` tied
 the bits to the sine that numpy or the C library supplies, and glibc's
-alone took 12-18 ns a draw, where all of ``ndtri`` now takes about 8
-(2-vCPU x86-64 host, one-row tiles of 65 536 draws). The Gaussian bits
-are still tied to numpy's C ziggurat, whose stream NEP 19 does not
-promise to keep across numpy versions (contract v2 was tied to scipy's
-``ndtri`` build in the same way); the pinned tests detect such a
-change. ``ndtri``, the
-name of the former inverse normal CDF, is kept for the tile transform
-(h, rho -> rho + S), which Gaussian tiles call through the module: it is
-the transform layer's probe point for the benchmark's traced runs.
+alone took 12-18 ns a draw; contract v5's polynomial took about 7 ns.
+``ndtri`` now takes about 1.3 ns a draw in three numpy passes: a shift
+of the halves to table indices, a gather from the 32 KiB table, which
+stays in L1 cache, and the add of rho. On a one-row tile of 65 536 draws
+it took 82 us against 468 us for contract v5's 27 passes (2-vCPU x86-64
+host, timeit minimum). Tables of 2**8 and 2**16 entries took 82 and
+93-97 us; ``np.take``'s default ``mode="raise"`` took 118-124 us, as
+numpy buffers ``out`` under it. Cold ``mc_gauss`` benchmark runs under
+contract v6 against v5 are in ``BENCH_27.json``. The Gaussian bits are
+still tied to numpy's C ziggurat, whose stream NEP 19 does not promise
+to keep across numpy versions (contract v2 was tied to scipy's ``ndtri``
+build in the same way); the pinned tests detect such a change.
+``ndtri``, the name of the former inverse normal CDF, is kept for the
+tile transform (h, rho -> rho + S), which Gaussian tiles call through
+the module: the benchmark's traced runs probe that name as the transform
+layer, and its self-test requires Gaussian runs to call it and finite
+runs never to. Renaming it is a change to the benchmark as well.
 
 Finite rows. A draw picks one of a few atoms. A half h draws atom ``k``
 when h * 2**-32 lies in [cum[k-1], cum[k]), the last atom taking the
@@ -184,13 +206,15 @@ BLOCK_DRAWS = 1 << 16
 #: draws has ceil(n / 2) words, so rows of up to 512 draws batch, finite or
 #: Gaussian. The cutoff is in words because the vectorised generator's cost
 #: is; the rest of a draw costs the same either way. Per row of a 256-row
-#: batch on a 2-vCPU x86-64 host, batched against C generator (one word a
-#: draw, medians of 7): spin rows 5 vs 60 us at 2 words, 13 vs 64 us at
-#: 64, 32 vs 66 us at 256, 60 vs 72 us at 512, 133 vs 79 us at 1024;
-#: Gaussian rows (one worker): 14 vs 54 us at 2, 20 vs 64 at 64, 41 vs 66
-#: at 256, 73 vs 81 at 512, 122 vs 77 at 1024. The vectorised generator
+#: batch on a 2-vCPU x86-64 host, batched against C generator (medians of
+#: 7): spin rows (finite contract v3, one word a draw) 5 vs 60 us at 2
+#: words, 13 vs 64 us at 64, 32 vs 66 us at 256, 60 vs 72 us at 512, 133
+#: vs 79 us at 1024; Gaussian rows (contract v6, one worker, three runs)
+#: 6 vs 25-27 us at 2, 10-12 vs 27-32 at 64, 19-23 vs 31-32 at 256, 33-37
+#: vs 36-39 at 512, 62-67 vs 47-56 at 1024. The vectorised generator
 #: costs about 0.1 us per word against a few ns, so the cutoff sits at half
-#: the crossover, where a batched row still costs half as much.
+#: the crossover, where a batched row still costs half to two thirds as
+#: much.
 BATCH_ROW_WORDS = 256
 
 #: Chunks of fewer rows take the C generator too. The vectorised generator
@@ -216,8 +240,9 @@ MAX_WORKERS = 1024
 #: drawn: 0.27 KiB a tile (tracemalloc peak over 65 536 one-row tiles,
 #: finite or Gaussian), so a call at this cap, 2**20 tiles of BLOCK_DRAWS
 #: draws, holds about 0.27 GiB of them.
-#: Drawing that many takes about half an hour at the 36M Gaussian draws/s
-#: of two workers on a 2-vCPU x86-64 host.
+#: Drawing that many takes about ten minutes at the 93M-147M Gaussian
+#: draws/s (median 123M) of two workers on a 2-vCPU x86-64 host (contract
+#: v6, in-process, 36 rows of 10**6 draws, five runs).
 MAX_DRAWS = 1 << 36
 
 
@@ -226,12 +251,34 @@ MAX_DRAWS = 1 << 36
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LOW32 = 0xFFFFFFFF
-#: A Gaussian draw's angle is t = (h - _CENTRE) * _ANGLE_STEP for its 32-bit half h.
-_CENTRE = np.float64(2**31 - 0.5)
-_ANGLE_STEP = np.float64(math.pi * 2.0**-32)
+#: Entry j of the sine table is the sine of the angle t_j = (j - _CENTRE) * _ANGLE_STEP.
+_CENTRE = np.float64(2**11 - 0.5)
+_ANGLE_STEP = np.float64(math.pi * 2.0**-12)
+#: A Gaussian draw's 32-bit half h takes table entry h >> _SINE_SHIFT, its top 12 bits.
+_SINE_SHIFT = 20
 #: Taylor coefficients (-1)**k / (2k + 1)! of sin t / t in t**2, k = 10 down to 1;
 #: the constant term, k = 0, is 1.
 _SIN_COEFFS = tuple(np.float64((-1) ** k / math.factorial(2 * k + 1)) for k in range(10, 0, -1))
+
+
+def _sine_table() -> np.ndarray:
+    """The 4096 sines S_j = t_j Q(t_j**2), read-only, in the order the module docstring fixes."""
+    # In place: each 32 KiB temporary the import makes can raise a run's peak RSS.
+    t = np.arange(1 << (32 - _SINE_SHIFT), dtype=np.float64)
+    t -= _CENTRE
+    t *= _ANGLE_STEP
+    x = t * t
+    sines = x * _SIN_COEFFS[0]
+    for c in _SIN_COEFFS[1:]:
+        sines += c
+        sines *= x
+    sines += 1.0
+    sines *= t
+    sines.flags.writeable = False
+    return sines
+
+
+_SINES = _sine_table()
 
 #: Wraps the functions that do a row's arithmetic. On extreme inputs that
 #: arithmetic overflows to inf or NaN, which the caller reports with the
@@ -286,6 +333,16 @@ def _raw_words(bg: np.random.Philox, key: int, word_offset: int, n_words: int) -
     """Words ``word_offset`` .. ``word_offset + n_words - 1`` of the Philox stream keyed by ``key``.
 
     Re-keys the bit generator ``bg`` (``_rekey``) and draws from it.
+    ``random_raw`` releases the GIL while it fills its array, so the
+    calling worker's tiles and the other workers' run at once. Measured
+    and not taken (2-vCPU x86-64 host): two threads or two forked
+    processes drawing words apart from the workers, which gave 1.8x and
+    1.9x over one thread at 49M words each, but 0.98x and 0.91x at 6.5M
+    words each (about 20 ms), medians of 7; and the bit-identical
+    ``Generator.integers`` sources, which in-process ``mc_spin`` rows
+    (16 rows of 4M draws, 2 workers, medians of 5) took no faster: 0.091 s
+    for uint64 words with ``endpoint=True`` and 0.129 s for uint32
+    halves, against 0.089 s here.
     """
     # Philox advances its counter in blocks of four 64-bit words: block b
     # follows counter b.
@@ -333,29 +390,21 @@ def _philox_words(k0: np.ndarray, k1: np.ndarray, n_words: int) -> np.ndarray:
 
 
 def ndtri(halves: np.ndarray, rho: np.ndarray, s: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """rho + S, S = t Q(t**2) the sine of each draw's angle t, for a tile's 32-bit ``halves``.
+    """rho + S, S the sine table's entry for each draw, for a tile's 32-bit ``halves``.
 
     ``halves``, ``s`` and ``scratch`` are (rows, m) arrays and ``rho`` the
     rows' (rows, 1) column. Writes rho + S into ``s``, which it returns,
-    and overwrites ``scratch``. Q is evaluated by Horner's rule, one numpy
-    pass a step, in the order the module docstring fixes. The transform
-    layer's probe point: the benchmark's traced run wraps this name, which
-    Gaussian draws call through the module and finite ones never call. It
-    is no longer an inverse normal CDF.
+    and overwrites ``scratch`` with the table indices h >> 20. Three numpy
+    passes: the shift, a gather from the 32 KiB table, which stays in L1,
+    and the add. The transform layer's probe point: the benchmark's traced
+    run wraps this name, which Gaussian draws call through the module and
+    finite ones never call. It is no longer an inverse normal CDF.
     """
-    # t, exact up to the one rounding of the product.
-    np.subtract(halves, _CENTRE, out=s)
-    s *= _ANGLE_STEP
-    np.multiply(s, s, out=scratch)
-    np.multiply(scratch, _SIN_COEFFS[0], out=s)
-    for c in _SIN_COEFFS[1:]:
-        s += c
-        s *= scratch
-    s += 1.0
-    # t again, from the halves, in place of t**2.
-    np.subtract(halves, _CENTRE, out=scratch)
-    scratch *= _ANGLE_STEP
-    s *= scratch
+    index = scratch.view(np.int64)
+    np.right_shift(halves, _SINE_SHIFT, out=index)
+    # Every index is below 4096, so "wrap" never wraps; numpy buffers ``out``
+    # under the default "raise".
+    np.take(_SINES, index, out=s, mode="wrap")
     s += rho
     return s
 

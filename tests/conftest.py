@@ -110,13 +110,14 @@ CHSH_PARTY2_SETTINGS = (QuadratureSetting(0.4), QuadratureSetting(2.3))
 SIN_COEFFS = [(-1) ** k / math.factorial(2 * k + 1) for k in range(10, -1, -1)]
 
 
-def polynomial_sine(half: int) -> tuple[float, float]:
-    """The angle t of a Gaussian draw's 32-bit ``half`` and its sine S = t Q(t**2), in Python floats.
+def polynomial_sine(j: int) -> tuple[float, float]:
+    """The angle t_j of sine table entry ``j`` and its sine S_j = t_j Q(t_j**2), in Python floats.
 
-    t = (h - (2**31 - 1/2)) (pi 2**-32); Q is the degree-10 polynomial in
-    t**2 of ``SIN_COEFFS``, by Horner's rule from the highest coefficient.
+    t_j = (j - (2**11 - 1/2)) (pi 2**-12), one of 4096 points spaced evenly
+    in (-pi / 2, pi / 2); Q is the degree-10 polynomial in t**2 of
+    ``SIN_COEFFS``, by Horner's rule from the highest coefficient.
     """
-    t = (half - (2**31 - 0.5)) * (math.pi * 2.0**-32)
+    t = (j - (2**11 - 0.5)) * (math.pi * 2.0**-12)
     x = t * t
     q = x * SIN_COEFFS[0]
     for c in SIN_COEFFS[1:-1]:
@@ -124,13 +125,17 @@ def polynomial_sine(half: int) -> tuple[float, float]:
     return t, (q + SIN_COEFFS[-1]) * t
 
 
+#: The 4096 sines S_j; a draw's 32-bit half h takes S_(h >> 20), its top 12 bits.
+SINE_TABLE = [polynomial_sine(j)[1] for j in range(4096)]
+
+
 def gaussian_row_reference(u, v, n: int, key: int, block_draws: int = 1 << 16) -> tuple[float, float]:
     """Mean and standard error of x = (u . eta)(v . eta) over ``n`` draws, one draw at a time.
 
     Built from the sampling contract, not from the estimator: x = s E (rho + S)
     with s = |u| |v| and rho = u.v / s (hypot-based and clipped; s = rho = 0 for
-    a zero party). Draw i takes S = ``polynomial_sine(h)`` from its half h,
-    the low half of word i // 2 of the Philox stream keyed by ``key`` for an
+    a zero party). Draw i takes S = ``SINE_TABLE[h >> 20]`` from its half
+    h, the low half of word i // 2 of the Philox stream keyed by ``key`` for an
     even i and the high half for an odd one, and E from a Generator on the
     same key's substream from counter (0, b + 1, 0, 0) for block
     b = i // block_draws, one exponential per call, in order. Each block's y
@@ -152,8 +157,7 @@ def gaussian_row_reference(u, v, n: int, key: int, block_draws: int = 1 << 16) -
             np.random.Philox(counter=[0, start // block_draws + 1, 0, 0], key=key))
         y = []
         for half in halves[start:start + block_draws]:
-            sine = polynomial_sine(half)[1]
-            y.append(exponentials.standard_exponential() * (sine + rho))
+            y.append(exponentials.standard_exponential() * (SINE_TABLE[half >> 20] + rho))
         y = np.array(y)
         total += float(y.sum())
         total_squares += float((y * y).sum())

@@ -43,25 +43,26 @@ SCENARIOS = Path(__file__).parent.parent / "scenarios"
 #: (finite stream contract v4), after every row's lhv_mc and stderr equalled
 #: two passes over its draws rebuilt from numpy's Philox; the Gaussian ones
 #: again when Gaussian draws first took half a word and a polynomial sine
-#: (Gaussian stream contract v5), after
+#: (Gaussian stream contract v5), and again when they first took their sine
+#: from the 4096-entry table (Gaussian stream contract v6), each time after
 #: test_gaussian_rows_equal_the_per_draw_reference passed on them.
 BUNDLED_SHA256 = {
     "spin_chsh.csv": "dc585c84e3641c177e7f6aa3419c9ea8286c6b52992e7fa07c2e8a22de95a3bc",
     "spin_chsh.summary.json": "3d49dd93c33bb955f37ffe9969d3033051c1ec1298042e1bebd779c8c7a67eda",
-    "epr_quadrature.csv": "0abc839a5d283170a9aec6df225f22b39b34de31e8520e7604a7f5117baab89e",
+    "epr_quadrature.csv": "c8be5d0cc04400f1a33a6f3b045bf2f78def108a49b5e1cd0d6d9c587430b4be",
     "epr_quadrature.summary.json":
-        "65dd2e7779a5e82373a2b90267bf61ad63dbf50675bdb933662317c6d4afb1ef",
-    "free_evolution.csv": "f648fc41510072c9fcb01e4ff42d6ba50890e1a8b5fb9251a7d1f89b8fd7b74b",
+        "1f63f2f5b88ad8f6445ad13634942252dfa98757108b6a3965493ec9c445d6d6",
+    "free_evolution.csv": "7cd2c047b1cf913a4e73fb6fdd8f87745b77dcf84f71f71f361c70b85a0ff653",
     "free_evolution.summary.json":
-        "b98de3c21640178a922f0834dc9e79dec3463af3af2220eb56cca7b76e211e2b",
+        "b4e7df581f11ab589525c7da448336075fb83eafdd4e9407cfec28c5ee3b430a",
 }
 
 #: sha256 of the bundled scenarios' stdout tables without their last line,
 #: which names the output directory. Taken with the bundled hashes above.
 BUNDLED_STDOUT_SHA256 = {
     "spin_chsh": "73465a6917f777db6335b41bcb182be4e9850468bd9f55935c9c652d5afb4340",
-    "epr_quadrature": "5d9ab1dc3e57ffbf6b1c1c807aeae739e4ac5ff712a5bf6cbbd60a591b5de7dc",
-    "free_evolution": "918001ecd4bbe2db83943dc310404f91bfd912408f88932e4f6146012c4ed173",
+    "epr_quadrature": "51f29fa9f4780f36af637b298cd79bfb1ffe8bfc3f24621ff0793fb9eb432ef6",
+    "free_evolution": "0b5c0b1aeb8257869ae09b881f06f29e6b2c499a6f92736df22ad2af923057de",
 }
 
 #: sha256 of the CSV of SQUEEZING_0_SCAN, taken while GaussianState still
@@ -77,9 +78,9 @@ SQUEEZING_0_SCAN = {
 #: sha256 of the summary of QUADRATURE_CHSH, whose CHSH value is 5.12915518 on
 #: both sides. Taken while the CHSH block still summed the one-pair correlator
 #: and the one-pair exact expectation, not four rows of the chunk evaluator,
-#: and again under Gaussian stream contract v5, after each of its rows
+#: and again under Gaussian stream contracts v5 and v6, after each of its rows
 #: equalled ``gaussian_row_reference`` bit for bit.
-QUADRATURE_CHSH_SUMMARY_SHA256 = "e71049e92259f6d1a365f2f579a0e1cac2f66b5cd7905a64b48930101da84150"
+QUADRATURE_CHSH_SUMMARY_SHA256 = "0a9744d032a8feb2e8f58a923f3a2dc859b51e2b161745a77d29ba9b6626c9b2"
 QUADRATURE_CHSH = {
     "kind": "EPR_QUADRATURE", "name": "quadrature_chsh", "state": {"squeezing": 1.0},
     "settings": {"setting1": {"start": -0.0, "stop": 3.0, "count": 4},
@@ -477,6 +478,31 @@ class TestInputErrors:
         assert capsys.readouterr().err == \
             "error: the 'chsh' block applies to SPIN_CHSH and EPR_QUADRATURE only\n"
 
+    # A key given as JSON null is refused as a wrong value is; only an omitted
+    # key takes its default. A SPIN_CHSH "state": null and a FREE_EVOLUTION or
+    # SPIN_CHSH "chsh": null used to pass as omitted keys and exit 0.
+    @pytest.mark.parametrize("kind,key,message", [
+        ("SPIN_CHSH", "state", "SPIN_CHSH uses the two-spin singlet; omit 'state'"),
+        ("FREE_EVOLUTION", "chsh", "the 'chsh' block applies to SPIN_CHSH and EPR_QUADRATURE only"),
+        ("SPIN_CHSH", "chsh", "'chsh' must carry exactly the keys a, a_prime, b, b_prime"),
+        ("EPR_QUADRATURE", "chsh", "'chsh' must carry exactly the keys a, a_prime, b, b_prime"),
+        ("EPR_QUADRATURE", "state",
+         "EPR_QUADRATURE needs a 'state' object with 'squeezing' or 'moments'"),
+        ("SPIN_CHSH", "name", "'name' must be a non-empty string, got None"),
+        ("SPIN_CHSH", "settings", "'settings' must be an object"),
+        ("SPIN_CHSH", "samples", "'samples' must be an integer >= 2, got None"),
+        ("SPIN_CHSH", "seed", "'seed' must be a 64-bit unsigned integer, got None"),
+    ], ids=["spin_state", "free_evolution_chsh", "spin_chsh", "quadrature_chsh",
+            "quadrature_state", "name", "settings", "samples", "seed"])
+    def test_a_null_key_is_refused_as_a_wrong_value(self, tmp_path, capsys, kind, key, message):
+        document = {"kind": kind, "settings": {"pairs": [[0.0, 0.0]]}, "samples": 10, "seed": 0}
+        if kind != "SPIN_CHSH":
+            document["state"] = {"squeezing": 0.5}
+        path = write_scenario(tmp_path, {**document, key: None})
+        assert run_cli(["run", path, "--out-dir", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_top_level_key(self, tmp_path):
         path = write_scenario(tmp_path, {"kind": "SPIN_CHSH",
                                          "settings": {"pairs": [[0.0, 0.0]]},
@@ -520,11 +546,12 @@ class TestInputErrors:
         settings = {"pair": '{"pairs": [[0.5, %s]]}' % text,
                     "scan_value": '{"setting1": {"value": %s}, "setting2": {"value": 0.5}}' % text,
                     "chsh": '{"pairs": [[0.5, 0.5]]}'}[where]
-        chsh = ('{"a": 0.0, "a_prime": %s, "b": 0.5, "b_prime": 1.0}' % text
-                if where == "chsh" else "null")
+        # Only the chsh case has a chsh block: a "chsh": null is refused.
+        chsh = (', "chsh": {"a": 0.0, "a_prime": %s, "b": 0.5, "b_prime": 1.0}' % text
+                if where == "chsh" else "")
         path = tmp_path / "scenario.json"
         path.write_text('{"kind": "SPIN_CHSH", "samples": 10, "seed": 0, '
-                        f'"settings": {settings}, "chsh": {chsh}}}')
+                        f'"settings": {settings}{chsh}}}')
         assert run_cli(["run", path, "--out-dir", tmp_path / "out"]) == 1
         assert capsys.readouterr().err == ("error: spin direction angle must be finite, "
                                            f"got {float(text)!r}\n")
@@ -858,13 +885,13 @@ class TestAtomicOutputs:
 
 #: sha256 of the stdout tables of the chunk-boundary scans, by row count,
 #: without their last line. Taken with rows keyed by (seed, row), and again
-#: under Gaussian stream contract v5 (the 257-row scan is in
+#: under Gaussian stream contract v6 (the 257-row scan is in
 #: REFERENCE_SCENARIOS; every row of the 255- and 256-row scans equalled
 #: ``gaussian_row_reference`` bit for bit when they were taken).
 CHUNK_SCAN_STDOUT_SHA256 = {
-    255: "a4aa0b1850bbb6e71638f1bd6cce553ba125762810b586b7aed6776670e49a23",
-    256: "8d5b249e05b317f87ad2624fcade338d4919ab099a9460dc61067edc27850412",
-    257: "48f1191187a93042450be0816fbf572eb5aef716b1ddec0971a24200726c9a19",
+    255: "f3b3125bc600dd9506edb759b61d5e8bc403cc794f03682cd69fcc5ad12c6f6e",
+    256: "906c1eba0f832dda378f5f08a4f21138ad68ab1150091076d2c2583e608f9225",
+    257: "b5f455ef42781b4455d5661a6e8615541a3a4de0202561574cf9d3b2ca11a39b",
 }
 
 
@@ -955,7 +982,7 @@ class TestTinySqueezing:
         # Party features of about 0.25 and 1e153 multiply to more than 1, so
         # the rows are not scaled; doubling the small party made x * x overflow
         # when x was drawn as a product of normals. Values from
-        # gaussian_row_reference under Gaussian stream contract v5
+        # gaussian_row_reference under Gaussian stream contract v6
         # (REFERENCE_SCENARIOS).
         path = write_scenario(tmp_path, {"kind": "FREE_EVOLUTION", "name": "unequal",
                                          "state": {"moments": {"qq": 0.25, "pq": 0.05,
@@ -964,8 +991,8 @@ class TestTinySqueezing:
                                          "samples": 1000, "seed": 5})
         assert run_cli(["run", path, "--out-dir", tmp_path]) == 0
         rows = read_columns(tmp_path / "unequal.csv")
-        assert [row[4:6] for row in rows] == [[5.946929483595688e+151, 8.706925047426615e+150],
-                                              [4.605118698236164e+151, 7.440316343142465e+150]]
+        assert [row[4:6] for row in rows] == [[5.946863071905197e+151, 8.706887041977474e+150],
+                                              [4.6051128910133823e+151, 7.440185749730917e+150]]
 
 
 class TestGridEvaluation:

@@ -31,7 +31,13 @@ from eprlab import (
     tmsv,
     unbounded_spin_model,
 )
-from conftest import draw_halves, gaussian_row_reference, polynomial_sine, reference_atoms
+from conftest import (
+    SINE_TABLE,
+    draw_halves,
+    gaussian_row_reference,
+    polynomial_sine,
+    reference_atoms,
+)
 from eprlab import estimator
 from eprlab.estimator import (
     BATCH_MIN_ROWS,
@@ -244,36 +250,69 @@ class TestDeterminism:
         assert (est.mean, est.stderr) == gaussian_row_reference(*features, n, key)
 
 
-#: The halves at both ends and on both sides of the centre 2**31 - 1/2, then a stream.
+#: The halves at both ends and on both sides of the centre 2**31 - 1/2, the
+#: first and last half of every table entry, then a stream.
 SINE_HALVES = np.concatenate([
     np.array([0, 1, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1], dtype=np.uint32),
+    np.arange(4096, dtype=np.uint32) << np.uint32(20),
+    (np.arange(4096, dtype=np.uint32) << np.uint32(20)) | np.uint32(2**20 - 1),
     draw_halves(13, 1 << 16).astype(np.uint32),
 ])
 
 
-def polynomial_sines(halves: np.ndarray) -> np.ndarray:
+def table_sines(halves: np.ndarray) -> np.ndarray:
     """``ndtri`` on one row of halves at rho = 0: each half's sine S."""
     s, scratch = np.empty((2, 1, len(halves)))
     return ndtri(halves[None, :], np.zeros((1, 1)), s, scratch)[0]
 
 
-class TestPolynomialSine:
-    """S = t Q(t**2), the sine of a Gaussian draw's angle t, from its 32-bit half."""
+class TestSineTable:
+    """S_j = t_j Q(t_j**2), the 4096 sines a Gaussian draw takes by the top 12 bits of its half."""
 
-    def test_odd_bit_for_bit(self):
-        # h -> 2**32 - 1 - h negates t exactly, and t Q(t**2) is odd.
-        sines = polynomial_sines(SINE_HALVES)
-        mirrored = polynomial_sines(np.uint32(2**32 - 1) - SINE_HALVES)
+    def test_antisymmetric_bit_for_bit(self):
+        # j -> 4095 - j negates t_j exactly, and t Q(t**2) is odd.
+        table = estimator._SINES
+        assert table.shape == (4096,) and not table.flags.writeable
+        assert np.array_equal(table.view(np.uint64), (-table[::-1]).view(np.uint64))
+
+    def test_entries_equal_the_python_float_reference_and_the_sine(self):
+        for j, sine in enumerate(estimator._SINES.tolist()):
+            t, want = polynomial_sine(j)
+            assert sine.hex() == want.hex() == SINE_TABLE[j].hex(), j
+            assert abs(sine - math.sin(t)) <= 4 * 2.0**-53, j
+        # No angle is 0 or +-pi/2: every entry lies strictly inside (-1, 1).
+        assert 0.0 not in SINE_TABLE and -1.0 < min(SINE_TABLE) < max(SINE_TABLE) < 1.0
+
+    # The midpoint rule on 4096 points of a period is exact for cos 2mt,
+    # m < 4096, so the table has the arcsine law's moments E[S**k] = C(k, k/2) / 2**k.
+    @pytest.mark.parametrize("k", [2, 4, 6, 8])
+    def test_even_moments_are_exact(self, k):
+        assert math.fsum(s**k for s in SINE_TABLE) / 4096 == math.comb(k, k // 2) / 2**k
+
+    def test_each_half_draws_the_entry_of_its_top_12_bits(self):
+        sines = table_sines(SINE_HALVES).tolist()
+        for half, sine in zip(SINE_HALVES.tolist(), sines):
+            assert sine.hex() == SINE_TABLE[half >> 20].hex(), half
+        assert set(sines) == set(SINE_TABLE)
+
+    def test_mirrored_halves_draw_negated_sines(self):
+        # h -> 2**32 - 1 - h maps the entry j to 4095 - j.
+        sines = table_sines(SINE_HALVES)
+        mirrored = table_sines(np.uint32(2**32 - 1) - SINE_HALVES)
         assert np.array_equal(sines.view(np.uint64), (-mirrored).view(np.uint64))
 
-    def test_matches_the_per_draw_reference_and_the_sine(self):
-        sines = polynomial_sines(SINE_HALVES).tolist()
-        for half, sine in zip(SINE_HALVES.tolist(), sines):
-            t, want = polynomial_sine(half)
-            assert sine.hex() == want.hex(), half
-            assert abs(sine - math.sin(t)) <= 4 * 2.0**-53, half
-        # No angle is 0, and the end halves' sines round to -1 and 1.
-        assert min(sines) == -1.0 and max(sines) == 1.0 and 0.0 not in sines
+    def test_odd_batched_tile_reads_only_its_halves(self):
+        # An odd row's halves are a strided view of the words; the scratch
+        # row's indices and the sines are those of the halves alone.
+        words = np.random.Philox(key=3).random_raw(5 * 256).reshape(5, 256)
+        halves = estimator._halves(words, 511)
+        s, scratch = np.empty((2, 5, 511))
+        rho = np.linspace(-1.0, 1.0, 5)[:, None]
+        got = ndtri(halves, rho, s, scratch)
+        want = np.array([[SINE_TABLE[h >> 20] + r for h in row]
+                         for row, r in zip(halves.tolist(), rho[:, 0].tolist())])
+        assert got is s and np.array_equal(got, want)
+        assert np.array_equal(scratch.view(np.int64), halves >> 20)
 
     def test_batched_and_one_row_rows_at_odd_n_match_the_per_draw_reference(self):
         # 40 rows of 511 draws, 256 words each, are drawn as one batched tile,
@@ -294,9 +333,9 @@ class TestPolynomialSine:
 
 #: A 150 000-draw Gaussian row (three blocks, the last one partial), as
 #: float.hex of its mean and stderr. Taken from ``gaussian_row_reference``
-#: again when Gaussian draws first took half a Philox word and a polynomial
-#: sine (Gaussian stream contract v5); any worker count must reproduce it.
-GAUSSIAN_ROW_HEX = ("0x1.41b340d770bd0p+0", "0x1.72b5c91564f5cp-8")
+#: again when Gaussian draws first took their sine from the 4096-entry table
+#: (Gaussian stream contract v6); any worker count must reproduce it.
+GAUSSIAN_ROW_HEX = ("0x1.41b3662ce32f9p+0", "0x1.72b5d73d34f2bp-8")
 
 
 class _HelperError(Exception):
@@ -416,14 +455,14 @@ class TestGaussianRowPinned:
 #: Gaussian rows that end in a partial block, of 16 383, 16 384, 16 385,
 #: BLOCK_DRAWS - 1, 1 and 16 387 draws, as float.hex of (mean, stderr); taken
 #: from ``gaussian_row_reference``, which draws one value at a time, under
-#: Gaussian stream contract v5.
+#: Gaussian stream contract v6.
 PARTIAL_BLOCK_ROW_HEX = {
-    16383: ("0x1.413feb5fc40c6p+0", "0x1.19e0ae2dac3b9p-6"),
-    16384: ("0x1.413e1c3bbb60cp+0", "0x1.19dc5e6a3d32dp-6"),
-    16385: ("0x1.412f02bfb55c0p+0", "0x1.19de6fa76efb2p-6"),
-    BLOCK_DRAWS - 1: ("0x1.4073ba3140180p+0", "0x1.16f5fe855ecd3p-7"),
-    BLOCK_DRAWS + 1: ("0x1.40708ede44bf1p+0", "0x1.16f46a3b36f69p-7"),
-    2 * BLOCK_DRAWS + 16387: ("0x1.41b2923f97c9bp+0", "0x1.75f843786f03dp-8"),
+    16383: ("0x1.41402e90c048ap+0", "0x1.19e0aa336cd96p-6"),
+    16384: ("0x1.413e5f6c156f1p+0", "0x1.19dc5a701eb78p-6"),
+    16385: ("0x1.412f45050fd82p+0", "0x1.19de6c76e94f8p-6"),
+    BLOCK_DRAWS - 1: ("0x1.4073d0b1dd6cap+0", "0x1.16f60b80af2dbp-7"),
+    BLOCK_DRAWS + 1: ("0x1.4070a562800c3p+0", "0x1.16f47734ccb1cp-7"),
+    2 * BLOCK_DRAWS + 16387: ("0x1.41b2b7eaf741ep+0", "0x1.75f85476daca1p-8"),
 }
 
 
@@ -589,14 +628,14 @@ class TestTinyFeatures:
     #: about 1e-200 and 1e200, taken before any rescaling: their products are
     #: about 1, so no row is scaled and nothing overflows. The linear rows
     #: were taken again from ``gaussian_row_reference`` under Gaussian stream
-    #: contract v5, which they equal bit for bit; the table rows under finite
+    #: contract v6, which they equal bit for bit; the table rows under finite
     #: contract v4, after they matched two passes over their draws from
     #: ``draw_halves`` to 2e-16 relative.
     UNEQUAL_PARTIES_HEX = {
         "table": [("-0x1.374bc6a7ef9dcp-5", "0x1.a7bd21d96fdcdp-7"),
                   ("-0x1.4bc6a7ef9db23p-4", "0x1.8484966870cb6p-7")],
-        "linear": [("0x1.33ba6cf5ff400p-2", "0x1.6493a5463be74p-6"),
-                   ("0x1.4bbccb4cbc7b1p-2", "0x1.4be1ef6f1433fp-6")],
+        "linear": [("0x1.33ba0852e045fp-2", "0x1.6493077b81387p-6"),
+                   ("0x1.4bbcba61df3cep-2", "0x1.4be25ad0b2e29p-6")],
     }
 
     @pytest.mark.parametrize("workers", [1, 2])
