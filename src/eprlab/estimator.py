@@ -2,14 +2,14 @@
 
 Randomness comes from a counter-based generator (Philox4x64-10, Salmon
 et al., SC'11) keyed by a 128-bit stream key: the value of draw ``i``
-depends only on (key, i) for a finite model, and on (key, block, i) for a
-Gaussian one, never on how many draws preceded it in this process. The
-CLI keys row ``r`` of a run at seed ``s`` as ``s + (r << 64)``, the pair
-(seed, row), so no two rows of any two seeds share a stream, and row 0
-draws from the stream of the seed alone.
+depends only on (key, i), in either sample space, never on how many
+draws preceded it in this process. The CLI keys row ``r`` of a run at
+seed ``s`` as ``s + (r << 64)``, the pair (seed, row), so no two rows of
+any two seeds share a stream, and row 0 draws from the stream of the
+seed alone.
 
 Both sample spaces take two draws from each Philox word (finite stream
-contract v4, Gaussian stream contracts v5 and v6): draws 2j and 2j + 1 of
+contract v4, Gaussian stream contracts v5 to v7): draws 2j and 2j + 1 of
 a row are the low and high 32 bits h of its word j, so a row of n draws
 consumes ceil(n / 2) words, and an odd n leaves the high half of its
 last word unused. Both halves of a word are a pure function of (key, j),
@@ -58,41 +58,81 @@ rounding included, so the table is antisymmetric bit for bit and the
 sampled sines have mean exactly 0, as cos 2 theta has: the discrete
 angle biases no Gaussian row's mean, where a finite row's atoms need the
 bias bound below. Contract v5 evaluated the same polynomial on every
-draw, at the draw's own angle, one of 2**32. E comes from numpy's
-ziggurat ``Generator.standard_exponential`` on the row key's Philox
-substream from counter (0, b + 1, 0, 0) for block b = i // BLOCK_DRAWS.
-The ziggurat takes a variable number of words a value, so a block's
-exponentials are read in order from the start of its substream; the bits
-do not depend on the worker count, but the block boundaries are part of
-the output. The tile sums y = E (rho + S), which is of order 1, and its
-square; the row's mean and standard error of y are multiplied by s at
-the end (s = rho = 0 for a row with a zero party, whose estimate is then
-+0.0 with stderr 0). ``_gaussian_law`` gives s by ``hypot`` and rho from
-the unit vectors, clipped to [-1, 1].
+draw, at the draw's own angle, one of 2**32.
+
+A draw's E is entry k = h & 0xFFF of a table of 4096 exponentials
+(Gaussian stream contract v7): the low 12 bits of the same half. The two
+bit fields are disjoint, so over the 2**32 halves j and k are exactly
+independent and each uniform on 4096 values. Entry k < 4094 is the mean
+of Exp(1) on its k-th bin of probability 1/4096: with m = 4096 - k the
+bin is [a_k, a_k + ln(m / (m - 1))), a_k = ln(4096 / m), and its mean is
+a_k + 1 - (m - 1) ln(m / (m - 1)). With z = 1 / (2m - 1),
+ln(m / (m - 1)) = 2 atanh z = 2 (z + z**3 P(z**2)), where
+P(w) = sum_{j < 17} w**j / (2j + 3), and 2 (m - 1) z = 1 - z, so the
+mean is a_k + z - 2 (m - 1) z**3 P(z**2), in which nothing cancels. a_k
+is the sequential cumulative sum of the terms ln(i / (i - 1)), from
+i = 4096 down to m + 1, each by the same series; z is at most 1/5, so
+the series' truncation is below 1e-25. The last two bins together are
+[ln 2048, inf); their entries are (r1 - d) / 2 and (r1 + d) / 2, with
+r1 = 4096 - fsum(head), r2 = 8192 - fsum(head**2) over the first 4094
+entries and d = sqrt(2 r2 - r1**2), the two numbers of sum r1 and sum of
+squares r2. So ``math.fsum`` gives the table the mean 1 and the mean
+square 2 exactly; the exact sums of the rounded entries are within
+1e-17 relative of them. The table is built once, at import
+(``_exp_table``, about 0.25 ms), from IEEE + - * /, a sequential
+``np.cumsum``, ``math.fsum`` and ``sqrt``, with no libm function and no
+``np.log``. It ascends from 1.22e-4 to 9.63, and entries 0 to 4093 lie
+within 5e-13 of the ``math.log`` form of the same means, whose own
+cancellation is larger.
+
+Nothing the estimator uses is lost to the table either. With E and S
+independent, E[y] = E[E] (rho + E[S]) = rho and
+E[y**2] = E[E**2] E[(rho + S)**2] = 2 (rho**2 + 1/2) = 1 + 2 rho**2, the
+law's values, so x = s y keeps E[x] = u . v and
+E[x * x] = |u|**2 |v|**2 + 2 (u . v)**2: a row's mean and standard error
+read E only through E[E] = 1 and E[E**2] = 2. The spread of the standard
+error reads E[E**4], which is 23.964 for the table against the 24 of
+Exp(1) (E[E**3] is 5.9991 against 6). Each exponential entry meets every
+sine entry equally often, and the sines sum to 0 exactly, so the table
+still biases no Gaussian row's mean. A draw is a pure function of
+(key, i), as a finite draw is, and ``BLOCK_DRAWS`` fixes only the order
+in which a row's sums are added. Since y takes at most 2**24 values, two
+draws are equal with probability about 2**-24, and a row of n = 2 draws
+then has stderr 0, with z 0 or +-inf; no bundled scenario and no
+Gaussian grid that CI runs at n = 2 has such a row. Contract v6 took E
+from numpy's ziggurat ``Generator.standard_exponential`` on the row
+key's Philox substream from counter (0, b + 1, 0, 0) for block
+b = i // BLOCK_DRAWS, which tied the Gaussian bits to numpy's C
+ziggurat, whose stream NEP 19 does not promise to keep across numpy
+versions; the table ends that tie. The tile sums y = E (rho + S), which
+is of order 1, and its square; the row's mean and standard error of y
+are multiplied by s at the end (s = rho = 0 for a row with a zero party,
+whose estimate is then +0.0 with stderr 0). ``_gaussian_law`` gives s by
+``hypot`` and rho from the unit vectors, clipped to [-1, 1].
 
 Only numpy is needed, and only operations whose float64 bits do not
 depend on numpy's SIMD dispatch or on the C library: a Gaussian draw's
-bits come from integer shifts, a table gather, IEEE + and *, which every
-loop rounds correctly, and numpy's ziggurat, which gives the same bits
-with numpy's AVX-512 loops switched off. ``np.log`` and ``np.log1p`` do
-not, so a Box-Muller or inverse-transform exponential would break the
-pinned outputs on hosts without AVX-512. Contract v3's ``np.sin`` tied
-the bits to the sine that numpy or the C library supplies, and glibc's
-alone took 12-18 ns a draw; contract v5's polynomial took about 7 ns.
-``ndtri`` now takes about 1.3 ns a draw in three numpy passes: a shift
-of the halves to table indices, a gather from the 32 KiB table, which
-stays in L1 cache, and the add of rho. On a one-row tile of 65 536 draws
-it took 82 us against 468 us for contract v5's 27 passes (2-vCPU x86-64
-host, timeit minimum). Tables of 2**8 and 2**16 entries took 82 and
-93-97 us; ``np.take``'s default ``mode="raise"`` took 118-124 us, as
-numpy buffers ``out`` under it. Cold ``mc_gauss`` benchmark runs under
-contract v6 against v5 are in ``BENCH_27.json``. The Gaussian bits are
-still tied to numpy's C ziggurat, whose stream NEP 19 does not promise
-to keep across numpy versions (contract v2 was tied to scipy's ``ndtri``
-build in the same way); the pinned tests detect such a change.
+bits come from integer shifts and masks, table gathers and IEEE + and *,
+and the tables' bits from the operations above, which every loop rounds
+correctly. ``np.log`` and ``np.log1p`` do not: their bits differ with
+numpy's AVX-512 loops switched off, so an inverse-transform exponential,
+per draw or in the table, would break the pinned outputs on hosts
+without AVX-512. Contract v3's ``np.sin`` tied the bits to the sine that
+numpy or the C library supplies, and glibc's alone took 12-18 ns a
+draw; contract v5's polynomial took about 7 ns, and v6's ziggurat 6-12 ns.
+``ndtri`` now makes six numpy passes: the shift of the halves to sine
+indices, a gather from the sine table, the add of rho, the mask of the
+halves to exponential indices, a gather from the exponential table
+written over its own index view, and the multiply; both 32 KiB tables
+stay in L1 cache. On a one-row tile of 65 536 draws, everything after
+the words took 234-238 us against 550-573 us for contract v6's
+``ndtri``, ziggurat and multiply (2-vCPU x86-64 host, timeit minimum),
+and ``ndtri`` alone 168-172 us; ``np.take``'s default ``mode="raise"``
+is slower, as numpy buffers ``out`` under it. Cold ``mc_gauss``
+benchmark runs under contract v7 against v6 are in ``BENCH_28.json``.
 ``ndtri``, the name of the former inverse normal CDF, is kept for the
-tile transform (h, rho -> rho + S), which Gaussian tiles call through
-the module: the benchmark's traced runs probe that name as the transform
+tile transform (h, rho -> y), which Gaussian tiles call through the
+module: the benchmark's traced runs probe that name as the transform
 layer, and its self-test requires Gaussian runs to call it and finite
 runs never to. Renaming it is a change to the benchmark as well.
 
@@ -131,14 +171,13 @@ C-contiguous (rows, words) stack of Philox words, half a word a draw;
 the kernel turns it into each row's sufficient statistics: the atom
 counts of a finite model, or the sums of y and of y * y. Each worker
 allocates one float array per call for its Gaussian tiles, twice as long
-as the call's largest tile. A Gaussian tile writes rho + S into its
-first half, with the second as scratch, then draws each row's
-exponentials whole, from the row's block substream, into the second
-half, multiplies, and sums y along its rows, squares it and sums again:
-row sums of a C-contiguous stack equal the per-row sums bit for bit.
-Each worker has one Philox generator, re-keyed through its state setter
-in turn for a one-row tile's words and for each row's exponentials;
-batched finite tiles need none. ``mc_estimate_rows`` cuts its rows into
+as the call's largest tile. A Gaussian tile writes y into its first
+half, with the second as scratch, and sums y along its rows, squares it
+and sums again: row sums of a C-contiguous stack equal the per-row sums
+bit for bit. Each worker that draws one-row tiles has one Philox bit
+generator, re-keyed through its state setter for each tile's words;
+batched tiles need none, so a batched call never imports
+``numpy.random``. ``mc_estimate_rows`` cuts its rows into
 tiles of at most ``BLOCK_DRAWS`` draws. A chunk of at least
 ``BATCH_MIN_ROWS`` rows of at most ``BATCH_ROW_WORDS`` words each gives
 multi-row tiles, whose words come from a numpy Philox4x64-10 vectorised
@@ -209,23 +248,28 @@ BLOCK_DRAWS = 1 << 16
 #: batch on a 2-vCPU x86-64 host, batched against C generator (medians of
 #: 7): spin rows (finite contract v3, one word a draw) 5 vs 60 us at 2
 #: words, 13 vs 64 us at 64, 32 vs 66 us at 256, 60 vs 72 us at 512, 133
-#: vs 79 us at 1024; Gaussian rows (contract v6, one worker, three runs)
-#: 6 vs 25-27 us at 2, 10-12 vs 27-32 at 64, 19-23 vs 31-32 at 256, 33-37
-#: vs 36-39 at 512, 62-67 vs 47-56 at 1024. The vectorised generator
+#: vs 79 us at 1024; Gaussian rows (contract v7, one worker, three runs)
+#: 4.6-4.9 vs 25-26 us at 2, 6.9-7.0 vs 26-27 at 64, 15 vs 28-30 at 256,
+#: 26-27 vs 31-32 at 512, 48-49 vs 37-38 at 1024. The vectorised generator
 #: costs about 0.1 us per word against a few ns, so the cutoff sits at half
 #: the crossover, where a batched row still costs half to two thirds as
 #: much.
 BATCH_ROW_WORDS = 256
 
 #: Chunks of fewer rows take the C generator too. The vectorised generator
-#: costs about 420 us per call whatever the row count, against 40-80 us
+#: costs about 420 us per call whatever the row count, against 25-80 us
 #: per row for a C generator. Per row at up to 256 words, same host:
-#: batches of 8 rows lost (60-170 vs 40-80 us), 16 rows broke about even
-#: (53-79 us), 32 rows won (31-50 vs 52-81 us). Re-keying one C generator
-#: through its state setter gives the same words for 3.2 us per row against
-#: 1.25 us for the vectorised one, and it imports ``numpy.random``
-#: (+6 MiB, +12 ms), which the vectorised generator never loads: a spin
-#: grid of 5184 rows at n = 2 peaked at 38.3 against 32.9 MiB that way.
+#: spin batches (finite contract v3) of 8 rows lost (60-170 vs 40-80 us),
+#: 16 rows broke about even (53-79 us), 32 rows won (31-50 vs 52-81 us);
+#: Gaussian batches (contract v7, at 2 and 256 words, two runs) of 8 rows
+#: lost (54-69 vs 38-42 us), 16 broke about even (29-44 vs 32-35 us), 32
+#: won (15-26 vs 28-33 us). Re-keying one C generator through its state
+#: setter gives the same words for 3.5 us per row against 1.6 us for the
+#: vectorised one, and it imports ``numpy.random`` (+6.2 MiB, +9 ms on a
+#: cold ``import numpy``), which the vectorised generator never loads: a
+#: spin grid of 5184 rows at n = 2 peaked at 38.3 against 32.9 MiB that
+#: way, and a Gaussian one, which loaded it for contract v6's ziggurat, at
+#: 36.5 against 30.9 MiB.
 BATCH_MIN_ROWS = 32
 
 #: Most worker threads a call may ask for. A call starts at most
@@ -240,9 +284,10 @@ MAX_WORKERS = 1024
 #: drawn: 0.27 KiB a tile (tracemalloc peak over 65 536 one-row tiles,
 #: finite or Gaussian), so a call at this cap, 2**20 tiles of BLOCK_DRAWS
 #: draws, holds about 0.27 GiB of them.
-#: Drawing that many takes about ten minutes at the 93M-147M Gaussian
-#: draws/s (median 123M) of two workers on a 2-vCPU x86-64 host (contract
-#: v6, in-process, 36 rows of 10**6 draws, five runs).
+#: Drawing that many takes four to seven minutes at the 175M-315M Gaussian
+#: draws/s (medians 177M, 276M and 310M in three sets of five runs) of two
+#: workers on a 2-vCPU x86-64 host (contract v7, in-process, 36 rows of
+#: 10**6 draws).
 MAX_DRAWS = 1 << 36
 
 
@@ -280,6 +325,56 @@ def _sine_table() -> np.ndarray:
 
 _SINES = _sine_table()
 
+#: A Gaussian draw's 32-bit half h takes exponential table entry h & _EXP_MASK, its low 12 bits.
+_EXP_MASK = 0xFFF
+#: Coefficients 1 / (2j + 3) of P(w) = sum_j w**j / (2j + 3), j = 16 down to 0: ln(m / (m - 1))
+#: is 2 (z + z**3 P(z**2)) with z = 1 / (2m - 1).
+_ATANH_COEFFS = tuple(1.0 / (2 * j + 3) for j in range(16, -1, -1))
+
+
+def _exp_table() -> np.ndarray:
+    """The 4096 exponentials E_k, read-only and ascending, built as the module docstring fixes."""
+    # z = 1 / (2m - 1) for m = 4096 - k, k < 4094, and q = z**3 P(z**2); in
+    # place where it can be, as for the sine table.
+    m = np.arange(1 << 12, 2, -1, dtype=np.float64)
+    z = 2.0 * m
+    z -= 1.0
+    np.divide(1.0, z, out=z)
+    w = z * z
+    q = w * _ATANH_COEFFS[0]
+    for c in _ATANH_COEFFS[1:-1]:
+        q += c
+        q *= w
+    q += _ATANH_COEFFS[-1]
+    q *= w
+    q *= z
+    # a_k = ln(4096 / m), the sum of ln(i / (i - 1)) = 2 (z_i + q_i) over i = 4096 down to m + 1.
+    exps = np.empty(1 << 12)
+    head = exps[:-2]
+    head[0] = 0.0
+    np.add(z[:-1], q[:-1], out=head[1:])
+    head[1:] *= 2.0
+    np.cumsum(head, out=head)
+    # The bin's conditional mean a_k + 1 - (m - 1) ln(m / (m - 1)) = a_k + z - 2 (m - 1) q.
+    m -= 1.0
+    m *= 2.0
+    m *= q
+    z -= m
+    head += z
+    # The last two bins share two entries that make the mean 1 and the mean
+    # square 2. A memoryview yields one float at a time, where a list of
+    # 4094 would raise a cold run's peak RSS.
+    r1 = 4096.0 - math.fsum(memoryview(head))
+    w = head * head
+    r2 = 8192.0 - math.fsum(memoryview(w))
+    d = math.sqrt(2.0 * r2 - r1 * r1)
+    exps[-2:] = (r1 - d) / 2.0, (r1 + d) / 2.0
+    exps.flags.writeable = False
+    return exps
+
+
+_EXPS = _exp_table()
+
 #: Wraps the functions that do a row's arithmetic. On extreme inputs that
 #: arithmetic overflows to inf or NaN, which the caller reports with the
 #: row; numpy's warnings would name only estimator internals.
@@ -314,26 +409,13 @@ class ComparisonReport:
     inconsistent: bool
 
 
-def _rekey(bg: np.random.Philox, key: int, counter: tuple[int, int, int, int]) -> None:
-    """Sets the bit generator ``bg`` to the Philox stream keyed by ``key`` at ``counter``.
-
-    Goes through the state setter (about 5 us, against 15-25 us for a new
-    ``np.random.Philox(key=key)``, whose seed sequence reads OS entropy that
-    the key then overrides). numpy increments the counter before it
-    generates, so the next words come from counter + 1.
-    """
-    bg.state = {"bit_generator": "Philox",
-                "state": {"counter": np.array(counter, dtype=np.uint64),
-                          "key": np.array(divmod(key, 1 << 64)[::-1], dtype=np.uint64)},
-                "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-                "has_uint32": 0, "uinteger": 0}
-
-
 def _raw_words(bg: np.random.Philox, key: int, word_offset: int, n_words: int) -> np.ndarray:
     """Words ``word_offset`` .. ``word_offset + n_words - 1`` of the Philox stream keyed by ``key``.
 
-    Re-keys the bit generator ``bg`` (``_rekey``) and draws from it.
-    ``random_raw`` releases the GIL while it fills its array, so the
+    Re-keys the bit generator ``bg`` through its state setter (about 5 us,
+    against 15-25 us for a new ``np.random.Philox(key=key)``, whose seed
+    sequence reads OS entropy that the key then overrides) and draws from
+    it. ``random_raw`` releases the GIL while it fills its array, so the
     calling worker's tiles and the other workers' run at once. Measured
     and not taken (2-vCPU x86-64 host): two threads or two forked
     processes drawing words apart from the workers, which gave 1.8x and
@@ -344,11 +426,15 @@ def _raw_words(bg: np.random.Philox, key: int, word_offset: int, n_words: int) -
     for uint64 words with ``endpoint=True`` and 0.129 s for uint32
     halves, against 0.089 s here.
     """
-    # Philox advances its counter in blocks of four 64-bit words: block b
-    # follows counter b.
+    # Philox advances its counter in blocks of four 64-bit words, and numpy
+    # increments the counter before it generates: block b follows counter b.
     if word_offset % 4:
         raise ValidationError(f"word offset must be 4-aligned, got {word_offset}")
-    _rekey(bg, key, (word_offset // 4, 0, 0, 0))
+    bg.state = {"bit_generator": "Philox",
+                "state": {"counter": np.array((word_offset // 4, 0, 0, 0), dtype=np.uint64),
+                          "key": np.array(divmod(key, 1 << 64)[::-1], dtype=np.uint64)},
+                "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                "has_uint32": 0, "uinteger": 0}
     return bg.random_raw(n_words)
 
 
@@ -390,15 +476,17 @@ def _philox_words(k0: np.ndarray, k1: np.ndarray, n_words: int) -> np.ndarray:
 
 
 def ndtri(halves: np.ndarray, rho: np.ndarray, s: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """rho + S, S the sine table's entry for each draw, for a tile's 32-bit ``halves``.
+    """y = E (rho + S), E and S the tables' entries for each draw, for a tile's 32-bit ``halves``.
 
     ``halves``, ``s`` and ``scratch`` are (rows, m) arrays and ``rho`` the
-    rows' (rows, 1) column. Writes rho + S into ``s``, which it returns,
-    and overwrites ``scratch`` with the table indices h >> 20. Three numpy
-    passes: the shift, a gather from the 32 KiB table, which stays in L1,
-    and the add. The transform layer's probe point: the benchmark's traced
-    run wraps this name, which Gaussian draws call through the module and
-    finite ones never call. It is no longer an inverse normal CDF.
+    rows' (rows, 1) column. Writes y into ``s``, which it returns, and the
+    draws' exponentials into ``scratch``. Six numpy passes: the shift of
+    the halves to sine indices, a gather from the sine table, the add of
+    rho, the mask of the halves to exponential indices, a gather from the
+    exponential table, and the multiply; both 32 KiB tables stay in L1.
+    The transform layer's probe point: the benchmark's traced run wraps
+    this name, which Gaussian draws call through the module and finite
+    ones never call. It is no longer an inverse normal CDF.
     """
     index = scratch.view(np.int64)
     np.right_shift(halves, _SINE_SHIFT, out=index)
@@ -406,6 +494,11 @@ def ndtri(halves: np.ndarray, rho: np.ndarray, s: np.ndarray, scratch: np.ndarra
     # under the default "raise".
     np.take(_SINES, index, out=s, mode="wrap")
     s += rho
+    np.bitwise_and(halves, _EXP_MASK, out=index)
+    # The gather reads each index before it writes that element, so it may
+    # overwrite its own index view; a third array would cost 0.5 MiB a worker.
+    np.take(_EXPS, index, out=scratch, mode="wrap")
+    s *= scratch
     return s
 
 
@@ -447,35 +540,28 @@ def _halves(words: np.ndarray, draws: int) -> np.ndarray:
 
 
 @_quiet
-def _tile_stats(model: HiddenVariableModel, words: np.ndarray, count: int, keys: Sequence[int],
-                counter, rho: np.ndarray, gen: np.random.Generator, y: np.ndarray) -> np.ndarray:
+def _tile_stats(model: HiddenVariableModel, words: np.ndarray, count: int, rho: np.ndarray,
+                y: np.ndarray) -> np.ndarray:
     """Each row's sufficient statistics over the ``count`` draws per row of one tile.
 
     ``words`` is the tile's C-contiguous (rows, words) stack of Philox
     words, whose word j holds draws 2j and 2j + 1 of its row. A finite tile
     returns the rows' atom counts, (rows, K) int64, and ignores the other
-    arguments. A Gaussian tile takes the rows' stream ``keys``, the
-    ``counter`` (0, b + 1, 0, 0) of the block b that it lies in, and the
-    rows' law parameters ``rho``, a (rows, 1) column. It fills the first
-    half of ``y``, which holds twice the tile, with rho + S (``ndtri``), the
-    second with each row's exponentials, drawn from ``gen`` re-keyed to the
-    row's key at ``counter``, all ``count`` of them in one call, and then
-    with y = E (rho + S). It returns the rows' sums of y and of y * y,
-    (rows, 2) float64.
+    arguments. A Gaussian tile takes the rows' law parameters ``rho``, a
+    (rows, 1) column, and fills the first half of ``y``, which holds twice
+    the tile, with y = E (rho + S) (``ndtri``, the second half its
+    scratch). It returns the rows' sums of y and of y * y, (rows, 2)
+    float64.
     """
     if model.space.kind is SpaceKind.FINITE:
         return _atom_counts(model.space.weights, words, count)
-    size = len(keys) * count
-    s, e = y[:size].reshape(len(keys), count), y[size:2 * size].reshape(len(keys), count)
-    ndtri(_halves(words, count), rho, s, e)
-    for key, values in zip(keys, e):
-        _rekey(gen.bit_generator, key, counter)
-        gen.standard_exponential(out=values)
-    e *= s
+    size = len(words) * count
+    s, scratch = y[:size].reshape(-1, count), y[size:2 * size].reshape(-1, count)
+    ndtri(_halves(words, count), rho, s, scratch)
     # Row sums of a C-contiguous stack equal the per-row sums bit for bit.
-    sums = e.sum(axis=1)
-    e *= e
-    return np.stack((sums, e.sum(axis=1)), axis=1)
+    sums = s.sum(axis=1)
+    s *= s
+    return np.stack((sums, s.sum(axis=1)), axis=1)
 
 
 def _decimal(value) -> str:
@@ -593,30 +679,25 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
         tiles = [(row, row + 1, start, min(BLOCK_DRAWS, n - start))
                  for row in range(len(keys)) for start in range(0, n, BLOCK_DRAWS)]
 
-    def tile_stats(first: int, end: int, start: int, count: int, gen, y) -> np.ndarray:
+    def tile_stats(first: int, end: int, start: int, count: int, bg, y) -> np.ndarray:
         # Draws 2j and 2j + 1 of a row share its word j.
         n_words = -(-count // 2)
         if batched:
             words = _philox_words(k0[first:end], k1[first:end], n_words)
         else:
-            words = _raw_words(gen.bit_generator, keys[first], start // 2, n_words)[None, :]
-        # Block b's exponentials come from the row key's Philox substream from
-        # counter (0, b + 1, 0, 0); a tile lies in one block of each of its rows.
-        return _tile_stats(model, words, count, keys[first:end],
-                           (0, start // BLOCK_DRAWS + 1, 0, 0),
-                           None if finite else rho[first:end, None], gen, y)
+            words = _raw_words(bg, keys[first], start // 2, n_words)[None, :]
+        return _tile_stats(model, words, count, None if finite else rho[first:end, None], y)
 
     # Each worker takes the next tile number under a lock and stores the
-    # tile's statistics in its slot. Its generator, for one-row tiles' words
-    # and Gaussian tiles' exponentials, and the Gaussian tiles' y array are
-    # made once, here; batched finite tiles need no generator, so a batched
-    # spin grid never imports numpy.random.
+    # tile's statistics in its slot. Its bit generator, for one-row tiles'
+    # words, and the Gaussian tiles' y array are made once, here; batched
+    # tiles need no generator, so a batched grid never imports numpy.random.
     stats = [None] * len(tiles)
     tasks = iter(range(len(tiles)))
     taking = threading.Lock()
 
     def drain() -> None:
-        gen = None if batched and finite else np.random.Generator(np.random.Philox())
+        bg = None if batched else np.random.Philox()
         y = None if finite else np.empty(2 * max((end - first) * count
                                                  for first, end, _, count in tiles))
         while True:
@@ -624,7 +705,7 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
                 index = next(tasks, None)
             if index is None:
                 return
-            stats[index] = tile_stats(*tiles[index], gen, y)
+            stats[index] = tile_stats(*tiles[index], bg, y)
 
     # The calling thread is one of the workers; the others are plain threads
     # (an executor would import concurrent.futures and logging, about 7 ms of

@@ -129,18 +129,55 @@ def polynomial_sine(j: int) -> tuple[float, float]:
 SINE_TABLE = [polynomial_sine(j)[1] for j in range(4096)]
 
 
+#: Coefficients 1 / (2j + 3) of P(w) = sum_j w**j / (2j + 3), j = 16 down to 0.
+ATANH_COEFFS = [1.0 / (2 * j + 3) for j in range(16, -1, -1)]
+
+
+def exp_table() -> list[float]:
+    """The 4096 exponentials E_k, in Python floats, one entry at a time.
+
+    Entry k < 4094 is the conditional mean of Exp(1) on its k-th bin of
+    probability 1/4096: with m = 4096 - k and z = 1 / (2m - 1), it is
+    a_k + z - 2 (m - 1) z**3 P(z**2), where a_k = ln(4096 / m) is the sum,
+    in order from i = 4096 down, of ln(i / (i - 1)) = 2 (z_i + z_i**3 P(z_i**2)),
+    and P is evaluated by Horner's rule from the highest coefficient. The
+    last two entries are (r1 -+ d) / 2, which give the table the mean 1 and
+    the mean square 2 under ``math.fsum``.
+    """
+    def cube_p(m: int) -> tuple[float, float]:
+        z = 1.0 / (2.0 * m - 1.0)
+        w = z * z
+        q = w * ATANH_COEFFS[0]
+        for c in ATANH_COEFFS[1:-1]:
+            q = (q + c) * w
+        return z, (q + ATANH_COEFFS[-1]) * w * z
+
+    head, a = [], 0.0
+    for m in range(4096, 2, -1):
+        z, q = cube_p(m)
+        head.append(a + (z - 2.0 * (m - 1) * q))
+        a += 2.0 * (z + q)
+    r1 = 4096.0 - math.fsum(head)
+    r2 = 8192.0 - math.fsum(e * e for e in head)
+    d = math.sqrt(2.0 * r2 - r1 * r1)
+    return head + [(r1 - d) / 2.0, (r1 + d) / 2.0]
+
+
+#: The 4096 exponentials E_k; a draw's 32-bit half h takes E_(h & 0xFFF), its low 12 bits.
+EXP_TABLE = exp_table()
+
+
 def gaussian_row_reference(u, v, n: int, key: int, block_draws: int = 1 << 16) -> tuple[float, float]:
     """Mean and standard error of x = (u . eta)(v . eta) over ``n`` draws, one draw at a time.
 
     Built from the sampling contract, not from the estimator: x = s E (rho + S)
     with s = |u| |v| and rho = u.v / s (hypot-based and clipped; s = rho = 0 for
-    a zero party). Draw i takes S = ``SINE_TABLE[h >> 20]`` from its half
-    h, the low half of word i // 2 of the Philox stream keyed by ``key`` for an
-    even i and the high half for an odd one, and E from a Generator on the
-    same key's substream from counter (0, b + 1, 0, 0) for block
-    b = i // block_draws, one exponential per call, in order. Each block's y
-    values and their squares are summed by numpy, and the block sums are
-    added in block order, which is the reduction the estimator promises.
+    a zero party). Draw i takes S = ``SINE_TABLE[h >> 20]`` and
+    E = ``EXP_TABLE[h & 0xFFF]`` from its half h, the low half of word i // 2
+    of the Philox stream keyed by ``key`` for an even i and the high half for
+    an odd one. Each block's y values and their squares are summed by numpy,
+    and the block sums are added in block order, which is the reduction the
+    estimator promises.
     """
     # np.hypot, not math.hypot: Python's own vector norm rounds differently
     # from the C library's hypot in about 0.6 % of cases.
@@ -153,12 +190,8 @@ def gaussian_row_reference(u, v, n: int, key: int, block_draws: int = 1 << 16) -
     halves = draw_halves(key, n).tolist()
     total = total_squares = 0.0
     for start in range(0, n, block_draws):
-        exponentials = np.random.Generator(
-            np.random.Philox(counter=[0, start // block_draws + 1, 0, 0], key=key))
-        y = []
-        for half in halves[start:start + block_draws]:
-            y.append(exponentials.standard_exponential() * (SINE_TABLE[half >> 20] + rho))
-        y = np.array(y)
+        y = np.array([EXP_TABLE[half & 0xFFF] * (SINE_TABLE[half >> 20] + rho)
+                      for half in halves[start:start + block_draws]])
         total += float(y.sum())
         total_squares += float((y * y).sum())
     mean = total / n

@@ -43,26 +43,28 @@ SCENARIOS = Path(__file__).parent.parent / "scenarios"
 #: (finite stream contract v4), after every row's lhv_mc and stderr equalled
 #: two passes over its draws rebuilt from numpy's Philox; the Gaussian ones
 #: again when Gaussian draws first took half a word and a polynomial sine
-#: (Gaussian stream contract v5), and again when they first took their sine
-#: from the 4096-entry table (Gaussian stream contract v6), each time after
-#: test_gaussian_rows_equal_the_per_draw_reference passed on them.
+#: (Gaussian stream contract v5), again when they first took their sine
+#: from the 4096-entry table (Gaussian stream contract v6), and again when
+#: they first took their exponential from one too (Gaussian stream contract
+#: v7), each time after test_gaussian_rows_equal_the_per_draw_reference
+#: passed on them.
 BUNDLED_SHA256 = {
     "spin_chsh.csv": "dc585c84e3641c177e7f6aa3419c9ea8286c6b52992e7fa07c2e8a22de95a3bc",
     "spin_chsh.summary.json": "3d49dd93c33bb955f37ffe9969d3033051c1ec1298042e1bebd779c8c7a67eda",
-    "epr_quadrature.csv": "c8be5d0cc04400f1a33a6f3b045bf2f78def108a49b5e1cd0d6d9c587430b4be",
+    "epr_quadrature.csv": "03368a547b439bd1884f381819329c9b374dbc232fdbdf671f28cf3e6d091ff8",
     "epr_quadrature.summary.json":
-        "1f63f2f5b88ad8f6445ad13634942252dfa98757108b6a3965493ec9c445d6d6",
-    "free_evolution.csv": "7cd2c047b1cf913a4e73fb6fdd8f87745b77dcf84f71f71f361c70b85a0ff653",
+        "d0a5ff39743d870ad460edaeac940a4aeb446d7e0250f75abc898c91041b099d",
+    "free_evolution.csv": "20e2f90abe5f9a75538cea56fc606f9a2b9a7feba2ed77d84f34c7dee6d31acd",
     "free_evolution.summary.json":
-        "b4e7df581f11ab589525c7da448336075fb83eafdd4e9407cfec28c5ee3b430a",
+        "330909b54e73e8e017df6c6233c79cc78d7d7f8bd527c454e5a20e8e226ba1ea",
 }
 
 #: sha256 of the bundled scenarios' stdout tables without their last line,
 #: which names the output directory. Taken with the bundled hashes above.
 BUNDLED_STDOUT_SHA256 = {
     "spin_chsh": "73465a6917f777db6335b41bcb182be4e9850468bd9f55935c9c652d5afb4340",
-    "epr_quadrature": "51f29fa9f4780f36af637b298cd79bfb1ffe8bfc3f24621ff0793fb9eb432ef6",
-    "free_evolution": "0b5c0b1aeb8257869ae09b881f06f29e6b2c499a6f92736df22ad2af923057de",
+    "epr_quadrature": "e6aa78a2bb7b4c942f808245db38df27da2fef66df123b1c40a332dc72822584",
+    "free_evolution": "912f37c4d7b90cd5fee009c29a49152257b325b1a3d1e7ceed87e80350a585b1",
 }
 
 #: sha256 of the CSV of SQUEEZING_0_SCAN, taken while GaussianState still
@@ -78,9 +80,9 @@ SQUEEZING_0_SCAN = {
 #: sha256 of the summary of QUADRATURE_CHSH, whose CHSH value is 5.12915518 on
 #: both sides. Taken while the CHSH block still summed the one-pair correlator
 #: and the one-pair exact expectation, not four rows of the chunk evaluator,
-#: and again under Gaussian stream contracts v5 and v6, after each of its rows
+#: and again under Gaussian stream contracts v5, v6 and v7, after each of its rows
 #: equalled ``gaussian_row_reference`` bit for bit.
-QUADRATURE_CHSH_SUMMARY_SHA256 = "0a9744d032a8feb2e8f58a923f3a2dc859b51e2b161745a77d29ba9b6626c9b2"
+QUADRATURE_CHSH_SUMMARY_SHA256 = "027ac132fa34da911706000e392b0d94d9ec77cbf8a842d52f2035a99452bac4"
 QUADRATURE_CHSH = {
     "kind": "EPR_QUADRATURE", "name": "quadrature_chsh", "state": {"squeezing": 1.0},
     "settings": {"setting1": {"start": -0.0, "stop": 3.0, "count": 4},
@@ -885,13 +887,13 @@ class TestAtomicOutputs:
 
 #: sha256 of the stdout tables of the chunk-boundary scans, by row count,
 #: without their last line. Taken with rows keyed by (seed, row), and again
-#: under Gaussian stream contract v6 (the 257-row scan is in
+#: under Gaussian stream contracts v6 and v7 (the 257-row scan is in
 #: REFERENCE_SCENARIOS; every row of the 255- and 256-row scans equalled
 #: ``gaussian_row_reference`` bit for bit when they were taken).
 CHUNK_SCAN_STDOUT_SHA256 = {
-    255: "f3b3125bc600dd9506edb759b61d5e8bc403cc794f03682cd69fcc5ad12c6f6e",
-    256: "906c1eba0f832dda378f5f08a4f21138ad68ab1150091076d2c2583e608f9225",
-    257: "b5f455ef42781b4455d5661a6e8615541a3a4de0202561574cf9d3b2ca11a39b",
+    255: "0b7c011e8140862a1c59a8fd349a561fa70aae543421631fcc06f86b047d1d89",
+    256: "499484f095da0682db5f516a1a3b1120fce97d8ddc4f88e718b39d250b7f4277",
+    257: "a525292f3880726e63164b899a217a07085b26bd9212e653dbd2822b3c444035",
 }
 
 
@@ -982,7 +984,7 @@ class TestTinySqueezing:
         # Party features of about 0.25 and 1e153 multiply to more than 1, so
         # the rows are not scaled; doubling the small party made x * x overflow
         # when x was drawn as a product of normals. Values from
-        # gaussian_row_reference under Gaussian stream contract v6
+        # gaussian_row_reference under Gaussian stream contract v7
         # (REFERENCE_SCENARIOS).
         path = write_scenario(tmp_path, {"kind": "FREE_EVOLUTION", "name": "unequal",
                                          "state": {"moments": {"qq": 0.25, "pq": 0.05,
@@ -991,8 +993,8 @@ class TestTinySqueezing:
                                          "samples": 1000, "seed": 5})
         assert run_cli(["run", path, "--out-dir", tmp_path]) == 0
         rows = read_columns(tmp_path / "unequal.csv")
-        assert [row[4:6] for row in rows] == [[5.946863071905197e+151, 8.706887041977474e+150],
-                                              [4.6051128910133823e+151, 7.440185749730917e+150]]
+        assert [row[4:6] for row in rows] == [[6.129971541622191e+151, 8.908043777351696e+150],
+                                              [5.839514972787366e+151, 7.748938385294402e+150]]
 
 
 class TestGridEvaluation:
@@ -1240,6 +1242,23 @@ class TestEntryPoint:
         # Batched rows draw their words from the vectorised Philox, not numpy.random.
         path = write_scenario(tmp_path, {
             "kind": "SPIN_CHSH",
+            "settings": {"setting1": {"start": 0.0, "stop": 3.0, "count": 8},
+                         "setting2": {"start": -1.0, "stop": 2.0, "count": 8}},
+            "samples": 2, "seed": 5})
+        code = (
+            "import sys, eprlab.cli\n"
+            f"code = eprlab.cli.main(['run', {str(path)!r}, '--out-dir', {str(tmp_path)!r}])\n"
+            "print(code, 'numpy.random' in sys.modules)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 False"
+
+    def test_batched_gaussian_run_never_imports_numpy_random(self, tmp_path):
+        # A Gaussian draw's exponential is a table entry, not a ziggurat value,
+        # so batched Gaussian rows need no generator either.
+        path = write_scenario(tmp_path, {
+            "kind": "EPR_QUADRATURE", "state": {"squeezing": 0.6},
             "settings": {"setting1": {"start": 0.0, "stop": 3.0, "count": 8},
                          "setting2": {"start": -1.0, "stop": 2.0, "count": 8}},
             "samples": 2, "seed": 5})

@@ -32,6 +32,7 @@ from eprlab import (
     unbounded_spin_model,
 )
 from conftest import (
+    EXP_TABLE,
     SINE_TABLE,
     draw_halves,
     gaussian_row_reference,
@@ -251,19 +252,22 @@ class TestDeterminism:
 
 
 #: The halves at both ends and on both sides of the centre 2**31 - 1/2, the
-#: first and last half of every table entry, then a stream.
-SINE_HALVES = np.concatenate([
+#: first and last half of every sine table entry, every exponential table
+#: entry under the first and the last sine, then a stream.
+TABLE_HALVES = np.concatenate([
     np.array([0, 1, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1], dtype=np.uint32),
     np.arange(4096, dtype=np.uint32) << np.uint32(20),
     (np.arange(4096, dtype=np.uint32) << np.uint32(20)) | np.uint32(2**20 - 1),
+    np.arange(4096, dtype=np.uint32),
+    np.arange(4096, dtype=np.uint32) | np.uint32(2**32 - 2**12),
     draw_halves(13, 1 << 16).astype(np.uint32),
 ])
 
 
-def table_sines(halves: np.ndarray) -> np.ndarray:
-    """``ndtri`` on one row of halves at rho = 0: each half's sine S."""
+def table_draws(halves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``ndtri`` on one row of halves at rho = 0: each half's y = E S, and its E."""
     s, scratch = np.empty((2, 1, len(halves)))
-    return ndtri(halves[None, :], np.zeros((1, 1)), s, scratch)[0]
+    return ndtri(halves[None, :], np.zeros((1, 1)), s, scratch)[0], scratch[0]
 
 
 class TestSineTable:
@@ -290,29 +294,33 @@ class TestSineTable:
         assert math.fsum(s**k for s in SINE_TABLE) / 4096 == math.comb(k, k // 2) / 2**k
 
     def test_each_half_draws_the_entry_of_its_top_12_bits(self):
-        sines = table_sines(SINE_HALVES).tolist()
-        for half, sine in zip(SINE_HALVES.tolist(), sines):
-            assert sine.hex() == SINE_TABLE[half >> 20].hex(), half
-        assert set(sines) == set(SINE_TABLE)
+        # At rho = 0, y = E S exactly as the per-draw reference forms it.
+        y, _ = table_draws(TABLE_HALVES)
+        for half, value in zip(TABLE_HALVES.tolist(), y.tolist()):
+            assert value.hex() == (EXP_TABLE[half & 0xFFF] * SINE_TABLE[half >> 20]).hex(), half
+        assert set((TABLE_HALVES >> 20).tolist()) == set(range(4096))
 
     def test_mirrored_halves_draw_negated_sines(self):
-        # h -> 2**32 - 1 - h maps the entry j to 4095 - j.
-        sines = table_sines(SINE_HALVES)
-        mirrored = table_sines(np.uint32(2**32 - 1) - SINE_HALVES)
-        assert np.array_equal(sines.view(np.uint64), (-mirrored).view(np.uint64))
+        # h -> 2**32 - 1 - h maps the sine entry j to 4095 - j, which negates
+        # it, and the exponential entry k to 4095 - k.
+        mirrored = np.uint32(2**32 - 1) - TABLE_HALVES
+        y, e = table_draws(mirrored)
+        for half, value, exp in zip(TABLE_HALVES.tolist(), y.tolist(), e.tolist()):
+            assert exp.hex() == EXP_TABLE[4095 - (half & 0xFFF)].hex(), half
+            assert value.hex() == (exp * -SINE_TABLE[half >> 20]).hex(), half
 
     def test_odd_batched_tile_reads_only_its_halves(self):
         # An odd row's halves are a strided view of the words; the scratch
-        # row's indices and the sines are those of the halves alone.
+        # row's exponentials and the draws are those of the halves alone.
         words = np.random.Philox(key=3).random_raw(5 * 256).reshape(5, 256)
         halves = estimator._halves(words, 511)
         s, scratch = np.empty((2, 5, 511))
         rho = np.linspace(-1.0, 1.0, 5)[:, None]
         got = ndtri(halves, rho, s, scratch)
-        want = np.array([[SINE_TABLE[h >> 20] + r for h in row]
+        want = np.array([[EXP_TABLE[h & 0xFFF] * (SINE_TABLE[h >> 20] + r) for h in row]
                          for row, r in zip(halves.tolist(), rho[:, 0].tolist())])
         assert got is s and np.array_equal(got, want)
-        assert np.array_equal(scratch.view(np.int64), halves >> 20)
+        assert np.array_equal(scratch, np.array(EXP_TABLE)[halves & 0xFFF])
 
     def test_batched_and_one_row_rows_at_odd_n_match_the_per_draw_reference(self):
         # 40 rows of 511 draws, 256 words each, are drawn as one batched tile,
@@ -331,11 +339,58 @@ class TestSineTable:
         assert (est.mean, est.stderr) == gaussian_row_reference(*features, 1001, 9)
 
 
+def exp_bin_mean(k: int) -> float:
+    """The mean of Exp(1) on its k-th bin of probability 1/4096, by ``math.log``.
+
+    With m = 4096 - k the bin is [ln(4096 / m), ln(4096 / (m - 1))), and its
+    mean is ln(4096 / m) + 1 - (m - 1) ln(m / (m - 1)), which cancels to
+    about 1e-10 for the last bins.
+    """
+    m = 4096 - k
+    return math.log(4096 / m) + 1 - (m - 1) * math.log(m / (m - 1))
+
+
+class TestExpTable:
+    """E_k, the 4096 exponentials a Gaussian draw takes by the low 12 bits of its half."""
+
+    def test_equals_the_python_float_reference_bit_for_bit(self):
+        table = estimator._EXPS
+        assert table.shape == (4096,) and table.dtype == np.float64 and not table.flags.writeable
+        assert table.tobytes() == np.array(EXP_TABLE).tobytes()
+
+    def test_ascending_and_positive(self):
+        assert 0.0 < EXP_TABLE[0] and all(a < b for a, b in zip(EXP_TABLE, EXP_TABLE[1:]))
+
+    # The estimator reads E through E[E] = 1 (the mean) and E[E**2] = 2 (the
+    # standard error); the last two entries are chosen to make both exact.
+    def test_mean_and_mean_square_are_exact(self):
+        assert math.fsum(EXP_TABLE) / 4096 == 1.0
+        assert math.fsum(e * e for e in EXP_TABLE) / 4096 == 2.0
+
+    def test_head_entries_are_the_bins_conditional_means(self):
+        for k, e in enumerate(EXP_TABLE[:4094]):
+            assert abs(e - exp_bin_mean(k)) <= 1e-9, k
+        # The last two entries straddle the last two bins' joint mean ln(2048) + 1.
+        assert EXP_TABLE[4093] < EXP_TABLE[4094] < math.log(2048) + 1 < EXP_TABLE[4095]
+
+    def test_each_half_draws_the_sine_of_its_top_and_the_exponential_of_its_low_12_bits(self):
+        # The exponential gather writes over its own index view.
+        rho = 0.375
+        s, scratch = np.empty((2, 1, len(TABLE_HALVES)))
+        y = ndtri(TABLE_HALVES[None, :], np.full((1, 1), rho), s, scratch)[0]
+        for half, value, exp in zip(TABLE_HALVES.tolist(), y.tolist(), scratch[0].tolist()):
+            want = EXP_TABLE[half & 0xFFF]
+            assert exp.hex() == want.hex(), half
+            assert value.hex() == (want * (SINE_TABLE[half >> 20] + rho)).hex(), half
+        assert set(scratch[0].tolist()) == set(EXP_TABLE)
+
+
 #: A 150 000-draw Gaussian row (three blocks, the last one partial), as
 #: float.hex of its mean and stderr. Taken from ``gaussian_row_reference``
-#: again when Gaussian draws first took their sine from the 4096-entry table
-#: (Gaussian stream contract v6); any worker count must reproduce it.
-GAUSSIAN_ROW_HEX = ("0x1.41b3662ce32f9p+0", "0x1.72b5d73d34f2bp-8")
+#: again when Gaussian draws first took their exponential from the
+#: 4096-entry table (Gaussian stream contract v7); any worker count must
+#: reproduce it.
+GAUSSIAN_ROW_HEX = ("0x1.4434bfd6d373fp+0", "0x1.755b606e5c2a6p-8")
 
 
 class _HelperError(Exception):
@@ -455,14 +510,14 @@ class TestGaussianRowPinned:
 #: Gaussian rows that end in a partial block, of 16 383, 16 384, 16 385,
 #: BLOCK_DRAWS - 1, 1 and 16 387 draws, as float.hex of (mean, stderr); taken
 #: from ``gaussian_row_reference``, which draws one value at a time, under
-#: Gaussian stream contract v6.
+#: Gaussian stream contract v7.
 PARTIAL_BLOCK_ROW_HEX = {
-    16383: ("0x1.41402e90c048ap+0", "0x1.19e0aa336cd96p-6"),
-    16384: ("0x1.413e5f6c156f1p+0", "0x1.19dc5a701eb78p-6"),
-    16385: ("0x1.412f45050fd82p+0", "0x1.19de6c76e94f8p-6"),
-    BLOCK_DRAWS - 1: ("0x1.4073d0b1dd6cap+0", "0x1.16f60b80af2dbp-7"),
-    BLOCK_DRAWS + 1: ("0x1.4070a562800c3p+0", "0x1.16f47734ccb1cp-7"),
-    2 * BLOCK_DRAWS + 16387: ("0x1.41b2b7eaf741ep+0", "0x1.75f85476daca1p-8"),
+    16383: ("0x1.42ce6744b6eabp+0", "0x1.17a344ff73280p-6"),
+    16384: ("0x1.42cb342bae514p+0", "0x1.179f3164c5b9cp-6"),
+    16385: ("0x1.42c2645eda1a0p+0", "0x1.179d0ba98867fp-6"),
+    BLOCK_DRAWS - 1: ("0x1.43abfbaa64779p+0", "0x1.180ec3a172e46p-7"),
+    BLOCK_DRAWS + 1: ("0x1.43a875a66278bp+0", "0x1.180d49397909fp-7"),
+    2 * BLOCK_DRAWS + 16387: ("0x1.43cde3f5ec531p+0", "0x1.77f62d4bda56fp-8"),
 }
 
 
@@ -559,14 +614,18 @@ class TestGaussianLaw:
             assert {(r.mean.hex(), r.stderr.hex()) for r in rows} == {("0x0.0p+0", "0x0.0p+0")}
 
     def test_bits_do_not_depend_on_simd_dispatch(self):
-        # A Gaussian draw's bits come from IEEE + and * and numpy's ziggurat,
-        # which no SIMD loop may change; np.log's float64 bits, for one,
-        # differ with numpy's AVX-512 loops switched off.
+        # A Gaussian draw's bits come from integer shifts and masks, table
+        # gathers and IEEE + and *, and the tables from IEEE + - * /, a
+        # sequential cumsum, fsum and sqrt, which no SIMD loop may change;
+        # np.log's float64 bits, for one, differ with numpy's AVX-512 loops
+        # switched off.
         code = (
             "from eprlab import *\n"
+            "from eprlab import estimator\n"
             "model = quadrature_model(extract_moments(tmsv(1.0)))\n"
             "est = mc_estimate(model, QuadratureSetting(0.3), QuadratureSetting(0.5), 150_000, 99)\n"
             "print(est.mean.hex(), est.stderr.hex())\n"
+            "print(estimator._SINES.tobytes().hex(), estimator._EXPS.tobytes().hex())\n"
         )
         env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -574,7 +633,9 @@ class TestGaussianLaw:
         if result.returncode != 0 and "NPY_DISABLE_CPU_FEATURES" in result.stderr:
             pytest.skip("numpy refuses to disable these CPU features here")
         assert result.returncode == 0, result.stderr
-        assert tuple(result.stdout.split()) == GAUSSIAN_ROW_HEX
+        row, tables = result.stdout.splitlines()
+        assert tuple(row.split()) == GAUSSIAN_ROW_HEX
+        assert tables.split() == [estimator._SINES.tobytes().hex(), estimator._EXPS.tobytes().hex()]
 
 
 def tiny_spin_model(scale: float, scale2: float | None = None) -> HiddenVariableModel:
@@ -628,14 +689,14 @@ class TestTinyFeatures:
     #: about 1e-200 and 1e200, taken before any rescaling: their products are
     #: about 1, so no row is scaled and nothing overflows. The linear rows
     #: were taken again from ``gaussian_row_reference`` under Gaussian stream
-    #: contract v6, which they equal bit for bit; the table rows under finite
+    #: contract v7, which they equal bit for bit; the table rows under finite
     #: contract v4, after they matched two passes over their draws from
     #: ``draw_halves`` to 2e-16 relative.
     UNEQUAL_PARTIES_HEX = {
         "table": [("-0x1.374bc6a7ef9dcp-5", "0x1.a7bd21d96fdcdp-7"),
                   ("-0x1.4bc6a7ef9db23p-4", "0x1.8484966870cb6p-7")],
-        "linear": [("0x1.33ba0852e045fp-2", "0x1.6493077b81387p-6"),
-                   ("0x1.4bbcba61df3cep-2", "0x1.4be25ad0b2e29p-6")],
+        "linear": [("0x1.3a28d9b0a95d4p-2", "0x1.6efb145801997p-6"),
+                   ("0x1.3df7b67d04b55p-2", "0x1.4c575130e4c6bp-6")],
     }
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -773,7 +834,7 @@ class TestAtomLookup:
                              (40 * BLOCK_DRAWS, BLOCK_DRAWS - 3)):
             words = np.random.Philox(key=seed).random_raw((start + count + 1) // 2)[start // 2:]
             atoms = reference_atoms(model.space.weights, draw_halves(seed, start + count)[start:])
-            counts = _tile_stats(model, words[None, :], count, None, None, None, None, None)
+            counts = _tile_stats(model, words[None, :], count, None, None)
             assert np.array_equal(counts, [np.bincount(atoms, minlength=3)])
             # The counts are the block's x = per_atom[atoms], grouped by value.
             assert counts[0] @ per_atom == pytest.approx(np.sum(per_atom[atoms]), rel=1e-12)
