@@ -31,13 +31,13 @@ the model's exact expectation, and a seeded Monte Carlo estimate, then
 writes ``<name>.csv`` and ``<name>.summary.json``. A loaded scenario
 holds its setting pairs as one read-only (rows, 2) float array, and
 nothing else per row; the result table's first two columns are a copy of
-it. The rows are evaluated by columns, in ``_chunk_bounds`` chunks: as
-few as hold at most ``EVAL_CHUNK_ROWS`` rows, of nearly equal size. A
-chunk reads its settings as views of the table. Each distinct setting
-value is made once per run, together with both parties' feature rows and
-the numbers the quantum correlator reads from it; a chunk's feature and
-correlator stacks are row gathers from that table. One pair of feature
-stacks feeds both the exact contraction and the chunk's Monte Carlo
+it. The rows are evaluated by columns, in chunks of ``EVAL_CHUNK_ROWS``
+rows, the last one holding the rest (``_chunk_bounds``). A chunk reads
+its settings as views of the table. Each distinct setting value is made
+once per run, together with both parties' feature rows and the numbers
+the quantum correlator reads from it; a chunk's feature and correlator
+stacks are row gathers from that table. One pair of feature stacks
+feeds both the exact contraction and the chunk's Monte Carlo
 (``estimator._mc_rows``), whose means and standard errors come back as
 arrays; row r draws from the stream of the 128-bit key seed + (r << 64),
 the pair (seed, r). The ``chsh`` block is four more rows of the same
@@ -118,8 +118,8 @@ CONSISTENCY_TOL = 1e-10
 #: rows. On a 72x72 spin scan, peak RSS rose 0.3 MiB over per-row
 #: evaluation at 256, 0.55 MiB at 512 and 2.9 MiB with all rows at once;
 #: the quantum and exact columns took 35-38 ms at any size from 128 to
-#: 512. A scan of more rows is cut into chunks of nearly equal size
-#: (``_chunk_bounds``), each at least half of this.
+#: 512. A scan of more rows is cut into chunks of this many
+#: (``_chunk_bounds``).
 EVAL_CHUNK_ROWS = 256
 #: Rows a scenario may ask for at most, checked before any row is built.
 #: Every row's settings and results are held in memory until the outputs
@@ -483,18 +483,9 @@ def _check_finite(table: np.ndarray) -> None:
 
 
 def _chunk_bounds(rows: int) -> list[tuple[int, int]]:
-    """(start, end) of ceil(rows / EVAL_CHUNK_ROWS) consecutive chunks of nearly equal size.
-
-    Sizes differ by at most one, so with two or more chunks each holds at
-    least EVAL_CHUNK_ROWS // 2 rows, never a short tail: a chunk of fewer
-    than ``estimator.BATCH_MIN_ROWS`` short rows would draw them from
-    numpy's C generator and import ``numpy.random``. (Chunks of
-    ceil(rows / count) rows, the rule of ``_mc_rows``' batched tiles, end
-    in a one-row chunk at 65 537 rows.)
-    """
-    count = max(1, -(-rows // EVAL_CHUNK_ROWS))
-    edges = [rows * i // count for i in range(count + 1)]
-    return list(zip(edges, edges[1:]))
+    """(start, end) of consecutive chunks of EVAL_CHUNK_ROWS rows, the last one holding the rest."""
+    return [(start, min(start + EVAL_CHUNK_ROWS, rows))
+            for start in range(0, rows, EVAL_CHUNK_ROWS)]
 
 
 def _chunks(table: np.ndarray) -> Iterator[list[tuple]]:

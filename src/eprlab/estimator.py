@@ -13,8 +13,7 @@ contract v4, Gaussian stream contracts v5 to v7): draws 2j and 2j + 1 of
 a row are the low and high 32 bits h of its word j, so a row of n draws
 consumes ceil(n / 2) words, and an odd n leaves the high half of its
 last word unused. Both halves of a word are a pure function of (key, j),
-as the whole word is. Contract v3 took one draw a word, from its top 53
-bits.
+as the whole word is.
 
 Gaussian rows. A row samples x = xi1 * xi2 with xi1 = u . eta,
 xi2 = v . eta and eta ~ N(0, I), u and v the parties' feature rows. The
@@ -57,8 +56,7 @@ t_j exactly, and every step of t Q(t**2) commutes with negation,
 rounding included, so the table is antisymmetric bit for bit and the
 sampled sines have mean exactly 0, as cos 2 theta has: the discrete
 angle biases no Gaussian row's mean, where a finite row's atoms need the
-bias bound below. Contract v5 evaluated the same polynomial on every
-draw, at the draw's own angle, one of 2**32.
+bias bound below.
 
 A draw's E is entry k = h & 0xFFF of a table of 4096 exponentials
 (Gaussian stream contract v7): the low 12 bits of the same half. The two
@@ -99,12 +97,9 @@ still biases no Gaussian row's mean. A draw is a pure function of
 in which a row's sums are added. Since y takes at most 2**24 values, two
 draws are equal with probability about 2**-24, and a row of n = 2 draws
 then has stderr 0, with z 0 or +-inf; no bundled scenario and no
-Gaussian grid that CI runs at n = 2 has such a row. Contract v6 took E
-from numpy's ziggurat ``Generator.standard_exponential`` on the row
-key's Philox substream from counter (0, b + 1, 0, 0) for block
-b = i // BLOCK_DRAWS, which tied the Gaussian bits to numpy's C
-ziggurat, whose stream NEP 19 does not promise to keep across numpy
-versions; the table ends that tie. The tile sums y = E (rho + S), which
+Gaussian grid that CI runs at n = 2 has such a row. E comes from no
+numpy ``Generator`` method, whose streams NEP 19 does not promise to keep
+across numpy versions. The tile sums y = E (rho + S), which
 is of order 1, and its square; the row's mean and standard error of y
 are multiplied by s at the end (s = rho = 0 for a row with a zero party,
 whose estimate is then +0.0 with stderr 0). ``_gaussian_law`` gives s by
@@ -117,24 +112,9 @@ and the tables' bits from the operations above, which every loop rounds
 correctly. ``np.log`` and ``np.log1p`` do not: their bits differ with
 numpy's AVX-512 loops switched off, so an inverse-transform exponential,
 per draw or in the table, would break the pinned outputs on hosts
-without AVX-512. Contract v3's ``np.sin`` tied the bits to the sine that
-numpy or the C library supplies, and glibc's alone took 12-18 ns a
-draw; contract v5's polynomial took about 7 ns, and v6's ziggurat 6-12 ns.
-``ndtri`` now makes six numpy passes: the shift of the halves to sine
-indices, a gather from the sine table, the add of rho, the mask of the
-halves to exponential indices, a gather from the exponential table
-written over its own index view, and the multiply; both 32 KiB tables
-stay in L1 cache. On a one-row tile of 65 536 draws, everything after
-the words took 234-238 us against 550-573 us for contract v6's
-``ndtri``, ziggurat and multiply (2-vCPU x86-64 host, timeit minimum),
-and ``ndtri`` alone 168-172 us; ``np.take``'s default ``mode="raise"``
-is slower, as numpy buffers ``out`` under it. Cold ``mc_gauss``
-benchmark runs under contract v7 against v6 are in ``BENCH_28.json``.
-``ndtri``, the name of the former inverse normal CDF, is kept for the
-tile transform (h, rho -> y), which Gaussian tiles call through the
-module: the benchmark's traced runs probe that name as the transform
-layer, and its self-test requires Gaussian runs to call it and finite
-runs never to. Renaming it is a change to the benchmark as well.
+without AVX-512, and ``np.sin`` ties them to the sine that numpy or the
+C library supplies. ``ndtri`` is the tile transform (h, rho -> y); its
+docstring says why it keeps the name of an inverse normal CDF.
 
 Finite rows. A draw picks one of a few atoms. A half h draws atom ``k``
 when h * 2**-32 lies in [cum[k-1], cum[k]), the last atom taking the
@@ -174,23 +154,31 @@ allocates one float array per call for its Gaussian tiles, twice as long
 as the call's largest tile. A Gaussian tile writes y into its first
 half, with the second as scratch, and sums y along its rows, squares it
 and sums again: row sums of a C-contiguous stack equal the per-row sums
-bit for bit. Each worker that draws one-row tiles has one Philox bit
-generator, re-keyed through its state setter for each tile's words;
-batched tiles need none, so a batched call never imports
-``numpy.random``. ``mc_estimate_rows`` cuts its rows into
-tiles of at most ``BLOCK_DRAWS`` draws. A chunk of at least
-``BATCH_MIN_ROWS`` rows of at most ``BATCH_ROW_WORDS`` words each gives
-multi-row tiles, whose words come from a numpy Philox4x64-10 vectorised
-over keys and counters (``_philox_words``, bit-identical to numpy's
-generator). Every other row gives a one-row tile per block of
-``BLOCK_DRAWS`` draws from numpy's C generator (``_raw_words``); block b
-of a row is its words b * BLOCK_DRAWS / 2 onward. All tiles of a call
-are shared among ``workers`` threads (the calling thread is one of
-them), and each row's statistics are then added up tile by tile in block
-order. So a row's estimate is a pure function of (model, settings, n,
-key), bit-identical across runs, worker counts and scheduling; counts
-add exactly, so a finite row's estimate does not even depend on how it
-is cut into tiles.
+bit for bit.
+
+A row's word count alone picks where its words come from; both sources
+give the same words, so the choice costs time, never bits.
+``mc_estimate_rows`` cuts its rows into tiles of at most ``BLOCK_DRAWS``
+draws. Rows of at most ``BATCH_ROW_WORDS`` words, 512 draws, give
+multi-row tiles, however few the rows, whose words come from a numpy
+Philox4x64-10 vectorised over keys and counters (``_philox_words``,
+bit-identical to numpy's generator). Every longer row gives a one-row
+tile per block of ``BLOCK_DRAWS`` draws from numpy's C generator
+(``_raw_words``); block b of a row is its words b * BLOCK_DRAWS / 2
+onward. Each worker that draws one-row tiles has one Philox bit
+generator, re-keyed through its state setter for each tile's words.
+Only a row of more than 512 draws imports ``numpy.random``, which adds
+about 6.5 MiB to a cold run's peak RSS. The vectorised generator's fixed
+cost of a few hundred microseconds a call is what the rule pays for
+that: a call of one to four rows of 100 draws took 0.35-0.39 ms against
+0.07-0.18 ms from the C generator, and from 16 Gaussian or 32 finite
+rows on the vectorised generator was as fast or faster (2-vCPU x86-64
+host, timeit minimum). All tiles of a call are shared among ``workers``
+threads (the calling thread is one of them), and each row's statistics
+are then added up tile by tile in block order. So a row's estimate is a
+pure function of (model, settings, n, key), bit-identical across runs,
+worker counts and scheduling; counts add exactly, so a finite row's
+estimate does not even depend on how it is cut into tiles.
 
 A finite row's mean is the model's contraction (``lhv._contract``) with
 the empirical weights c / n in place of w, and its squared standard
@@ -255,22 +243,6 @@ BLOCK_DRAWS = 1 << 16
 #: the crossover, where a batched row still costs half to two thirds as
 #: much.
 BATCH_ROW_WORDS = 256
-
-#: Chunks of fewer rows take the C generator too. The vectorised generator
-#: costs about 420 us per call whatever the row count, against 25-80 us
-#: per row for a C generator. Per row at up to 256 words, same host:
-#: spin batches (finite contract v3) of 8 rows lost (60-170 vs 40-80 us),
-#: 16 rows broke about even (53-79 us), 32 rows won (31-50 vs 52-81 us);
-#: Gaussian batches (contract v7, at 2 and 256 words, two runs) of 8 rows
-#: lost (54-69 vs 38-42 us), 16 broke about even (29-44 vs 32-35 us), 32
-#: won (15-26 vs 28-33 us). Re-keying one C generator through its state
-#: setter gives the same words for 3.5 us per row against 1.6 us for the
-#: vectorised one, and it imports ``numpy.random`` (+6.2 MiB, +9 ms on a
-#: cold ``import numpy``), which the vectorised generator never loads: a
-#: spin grid of 5184 rows at n = 2 peaked at 38.3 against 32.9 MiB that
-#: way, and a Gaussian one, which loaded it for contract v6's ziggurat, at
-#: 36.5 against 30.9 MiB.
-BATCH_MIN_ROWS = 32
 
 #: Most worker threads a call may ask for. A call starts at most
 #: min(workers, tiles) - 1 threads, one per tile at most, and a count
@@ -486,7 +458,8 @@ def ndtri(halves: np.ndarray, rho: np.ndarray, s: np.ndarray, scratch: np.ndarra
     exponential table, and the multiply; both 32 KiB tables stay in L1.
     The transform layer's probe point: the benchmark's traced run wraps
     this name, which Gaussian draws call through the module and finite
-    ones never call. It is no longer an inverse normal CDF.
+    ones never call. It is no longer an inverse normal CDF, but renaming
+    it is a change to the benchmark as well.
     """
     index = scratch.view(np.int64)
     np.right_shift(halves, _SINE_SHIFT, out=index)
@@ -668,7 +641,7 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
     if not finite:
         scale, rho = _gaussian_law(phi1, phi2)
     # A tile is (first row, end row, first draw, draws per row), in row and block order.
-    batched = -(-n // 2) <= BATCH_ROW_WORDS and len(keys) >= BATCH_MIN_ROWS
+    batched = -(-n // 2) <= BATCH_ROW_WORDS
     if batched:
         # As few tiles of at most BLOCK_DRAWS draws as can be, of nearly equal size.
         per_tile = -(-len(keys) // -(-len(keys) // max(1, BLOCK_DRAWS // n)))
@@ -691,7 +664,7 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
     # Each worker takes the next tile number under a lock and stores the
     # tile's statistics in its slot. Its bit generator, for one-row tiles'
     # words, and the Gaussian tiles' y array are made once, here; batched
-    # tiles need no generator, so a batched grid never imports numpy.random.
+    # tiles need no generator, so a batched call never imports numpy.random.
     stats = [None] * len(tiles)
     tasks = iter(range(len(tiles)))
     taking = threading.Lock()

@@ -32,7 +32,7 @@ from eprlab import (
     unbounded_spin_model,
 )
 from conftest import gaussian_row_reference
-from eprlab.estimator import BATCH_MIN_ROWS, BLOCK_DRAWS, MAX_WORKERS
+from eprlab.estimator import BLOCK_DRAWS, MAX_WORKERS
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -1065,18 +1065,12 @@ class TestScanMemory:
     """A scan's settings are one (rows, 2) array, and its z-scores are taken chunk by chunk."""
 
     @pytest.mark.parametrize("rows", [1, 255, 256, 257, 511, 512, 513, 65_537, cli.MAX_ROWS])
-    def test_chunks_cover_the_rows_in_nearly_equal_sizes(self, rows):
+    def test_chunks_cover_the_rows(self, rows):
         bounds = cli._chunk_bounds(rows)
         assert len(bounds) == math.ceil(rows / cli.EVAL_CHUNK_ROWS)
         assert [start for start, _ in bounds] == [0] + [end for _, end in bounds[:-1]]
         assert bounds[-1][1] == rows
-        sizes = [end - start for start, end in bounds]
-        assert max(sizes) <= cli.EVAL_CHUNK_ROWS and max(sizes) - min(sizes) <= 1
-
-    def test_every_chunk_of_a_multi_chunk_scan_is_batched(self):
-        # Chunks of a scan of several chunks hold at least EVAL_CHUNK_ROWS // 2
-        # rows, so none falls below the batching cutoff.
-        assert cli.EVAL_CHUNK_ROWS // 2 >= BATCH_MIN_ROWS
+        assert max(end - start for start, end in bounds) <= cli.EVAL_CHUNK_ROWS
 
     @pytest.mark.parametrize("settings", [
         {"pairs": [[0.0, -0.5], [1.5, 2.0]]},
@@ -1228,6 +1222,38 @@ def test_parse_settings_takes_only_the_settings():
     assert cli._parse_settings({"pairs": [[0.0, -0.5]]}).tolist() == [[0.0, -0.5]]
 
 
+def cli_run(path, out_dir) -> str:
+    """Python source that runs the CLI on the scenario at ``path`` and checks that it exits 0."""
+    return ("import eprlab.cli\n"
+            f"assert eprlab.cli.main(['run', {str(path)!r}, '--out-dir', {str(out_dir)!r}]) == 0\n")
+
+
+def numpy_random_after(code: str) -> bool:
+    """Whether ``numpy.random`` is loaded after ``code`` runs in a fresh interpreter."""
+    code += "import sys\nprint('numpy.random' in sys.modules)\n"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1] == "True"
+
+
+def short_row_code(tmp_path, shape, scenario, pairs, samples, library) -> str:
+    """Python source that draws only rows of at most 512 draws, in one of three shapes.
+
+    "grid" runs the CLI on an 8x8 scan at 2 samples, "few_rows" on the
+    setting ``pairs`` at ``samples``, with the kind fields of ``scenario``;
+    "library" is the source ``library``.
+    """
+    if shape == "library":
+        return library
+    settings = {"pairs": pairs}
+    if shape == "grid":
+        settings, samples = {"setting1": {"start": 0.0, "stop": 3.0, "count": 8},
+                             "setting2": {"start": -1.0, "stop": 2.0, "count": 8}}, 2
+    path = write_scenario(tmp_path, {**scenario, "settings": settings, "samples": samples,
+                                     "seed": 5})
+    return cli_run(path, tmp_path)
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(
@@ -1238,55 +1264,39 @@ class TestEntryPoint:
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "free_evolution.csv").exists()
 
-    def test_batched_spin_run_never_imports_numpy_random(self, tmp_path):
-        # Batched rows draw their words from the vectorised Philox, not numpy.random.
-        path = write_scenario(tmp_path, {
-            "kind": "SPIN_CHSH",
-            "settings": {"setting1": {"start": 0.0, "stop": 3.0, "count": 8},
-                         "setting2": {"start": -1.0, "stop": 2.0, "count": 8}},
-            "samples": 2, "seed": 5})
-        code = (
-            "import sys, eprlab.cli\n"
-            f"code = eprlab.cli.main(['run', {str(path)!r}, '--out-dir', {str(tmp_path)!r}])\n"
-            "print(code, 'numpy.random' in sys.modules)\n"
-        )
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "0 False"
+    # Rows of at most 512 draws take their words from the vectorised Philox,
+    # not numpy.random, however few the rows: an 8x8 grid at 2 samples, a few
+    # pairs of short rows, and a one-row library call at 100 samples.
+    @pytest.mark.parametrize("shape", ["grid", "few_rows", "library"])
+    def test_batched_spin_run_never_imports_numpy_random(self, tmp_path, shape):
+        pairs = [[0.0, 0.5], [0.5, 1.0], [1.0, 1.5], [1.5, 2.0]]
+        library = ("from eprlab import UnitVector3, mc_estimate, unbounded_spin_model\n"
+                   "z = UnitVector3(0.0, 0.0, 1.0)\n"
+                   "mc_estimate(unbounded_spin_model(), z, z, 100, 7)\n")
+        assert not numpy_random_after(short_row_code(tmp_path, shape, {"kind": "SPIN_CHSH"},
+                                                     pairs, 200, library))
 
-    def test_batched_gaussian_run_never_imports_numpy_random(self, tmp_path):
+    @pytest.mark.parametrize("shape", ["grid", "few_rows", "library"])
+    def test_batched_gaussian_run_never_imports_numpy_random(self, tmp_path, shape):
         # A Gaussian draw's exponential is a table entry, not a ziggurat value,
         # so batched Gaussian rows need no generator either.
-        path = write_scenario(tmp_path, {
-            "kind": "EPR_QUADRATURE", "state": {"squeezing": 0.6},
-            "settings": {"setting1": {"start": 0.0, "stop": 3.0, "count": 8},
-                         "setting2": {"start": -1.0, "stop": 2.0, "count": 8}},
-            "samples": 2, "seed": 5})
-        code = (
-            "import sys, eprlab.cli\n"
-            f"code = eprlab.cli.main(['run', {str(path)!r}, '--out-dir', {str(tmp_path)!r}])\n"
-            "print(code, 'numpy.random' in sys.modules)\n"
-        )
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "0 False"
+        pairs = [[0.0, 0.5], [0.5, 1.0], [1.0, 1.5]]
+        library = ("from eprlab import QuadratureSetting, extract_moments, mc_estimate\n"
+                   "from eprlab import quadrature_model, tmsv\n"
+                   "s = QuadratureSetting(0.3)\n"
+                   "mc_estimate(quadrature_model(extract_moments(tmsv(0.6))), s, s, 100, 7)\n")
+        kind = {"kind": "EPR_QUADRATURE", "state": {"squeezing": 0.6}}
+        assert not numpy_random_after(short_row_code(tmp_path, shape, kind, pairs, 3, library))
 
     def test_scan_with_one_row_past_a_chunk_never_imports_numpy_random(self, tmp_path):
-        # 257 rows at 2 samples: chunks of 129 and 128 rows, both batched. A
-        # one-row last chunk was drawn from numpy's C generator.
+        # 257 rows at 2 samples: a chunk of 256 rows and a one-row chunk, both
+        # drawn from the vectorised Philox.
         path = write_scenario(tmp_path, {
             "kind": "SPIN_CHSH",
             "settings": {"setting1": {"start": 0.0, "stop": 3.0, "count": 257},
                          "setting2": {"value": 0.5}},
             "samples": 2, "seed": 5})
-        code = (
-            "import sys, eprlab.cli\n"
-            f"code = eprlab.cli.main(['run', {str(path)!r}, '--out-dir', {str(tmp_path)!r}])\n"
-            "print(code, 'numpy.random' in sys.modules)\n"
-        )
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "0 False"
+        assert not numpy_random_after(cli_run(path, tmp_path))
 
     def test_spin_run_never_imports_scipy(self, tmp_path):
         # No run loads scipy.

@@ -41,7 +41,6 @@ from conftest import (
 )
 from eprlab import estimator
 from eprlab.estimator import (
-    BATCH_MIN_ROWS,
     BATCH_ROW_WORDS,
     BLOCK_DRAWS,
     MAX_WORKERS,
@@ -882,7 +881,7 @@ class TestBatchCutoff:
         (name, 2 * BATCH_ROW_WORDS + offset, offset <= 0)
         for name in ("spin", "gauss") for offset in (-1, 0, 1)])
     def test_batched_and_one_row_tiles_give_the_same_bits(self, monkeypatch, name, n, batched):
-        rows = range(BATCH_MIN_ROWS)
+        rows = range(32)
         if name == "spin":
             model, s1 = unbounded_spin_model(), Z_AXIS
             settings = [UnitVector3(math.sin(t), 0.0, math.cos(t)) for t in rows]
@@ -890,8 +889,10 @@ class TestBatchCutoff:
             model, s1 = quadrature_model(extract_moments(tmsv(0.8))), QuadratureSetting(0.0)
             settings = [QuadratureSetting(0.1 * i) for i in rows]
         keys = [(i << 64) + 3 for i in rows]
-        # One row alone is drawn in one-row tiles.
-        want = [mc_estimate(model, s1, s2, n, key) for s2, key in zip(settings, keys)]
+        # The reference rows are drawn in one-row tiles from numpy's generator.
+        with monkeypatch.context() as patch:
+            patch.setattr(estimator, "BATCH_ROW_WORDS", 0)
+            want = [mc_estimate(model, s1, s2, n, key) for s2, key in zip(settings, keys)]
         calls = []
         philox_words = estimator._philox_words
         monkeypatch.setattr(estimator, "_philox_words",
@@ -1074,6 +1075,8 @@ def test_array_reduction_and_z_scores_equal_the_per_row_reference(monkeypatch):
     blocks = iter([np.array([[x, xx]]) for sums, squares, _ in REDUCTION_ROWS
                    for x, xx in zip(sums, squares)])
     monkeypatch.setattr(estimator, "BLOCK_DRAWS", 4)
+    # One-row tiles, one per block of a row, as rows too long to batch are cut.
+    monkeypatch.setattr(estimator, "BATCH_ROW_WORDS", 0)
     monkeypatch.setattr(estimator, "_tile_stats", lambda *args: next(blocks))
     # Block b of four draws would start at word 2 b, inside a Philox output
     # of four words; the stub's words are never read.

@@ -45,7 +45,7 @@ from eprlab import (
     unbounded_spin_model,
 )
 from conftest import draw_halves, reference_atoms
-from eprlab.estimator import BATCH_MIN_ROWS, BATCH_ROW_WORDS, BLOCK_DRAWS
+from eprlab.estimator import BATCH_ROW_WORDS, BLOCK_DRAWS
 
 # Fixed example sequence and no example database, so every run checks the same inputs.
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -205,7 +205,7 @@ ROW_MODELS = {
 ROW_SAMPLES = sorted({2, 3, BATCH_ROW_WORDS // 2, BATCH_ROW_WORDS // 2 + 1,
                       BATCH_ROW_WORDS, BATCH_ROW_WORDS + 1, 2 * BATCH_ROW_WORDS,
                       2 * BATCH_ROW_WORDS + 1, BLOCK_DRAWS + 1})
-ROW_COUNTS = (1, BATCH_MIN_ROWS - 1, BATCH_MIN_ROWS, BATCH_MIN_ROWS + 9)
+ROW_COUNTS = (1, 31, 32, 41)
 KEY = st.integers(min_value=0, max_value=(1 << 128) - 1)
 
 
@@ -251,10 +251,11 @@ def test_row_estimates_equal_per_row_estimates(name, n, data):
     keys = data.draw(st.lists(KEY, min_size=rows, max_size=rows), label="keys")
     # Every draw takes half a Philox word.
     row_words = -(-n // 2)
-    batched = rows >= BATCH_MIN_ROWS and row_words <= BATCH_ROW_WORDS
+    batched = row_words <= BATCH_ROW_WORDS
     # Smaller tiles split a batched chunk; rows drawn in blocks keep the real
     # block size, whose boundaries the per-row reference shares (a Gaussian
-    # block's exponentials come from a substream of their own).
+    # row's sums are added block by block, so other boundaries would add
+    # them in another order).
     tile_draws = data.draw(st.sampled_from([BLOCK_DRAWS, 1, 3 * n, 11 * n]),
                            label="tile_draws") if batched else BLOCK_DRAWS
     workers = data.draw(st.sampled_from([1, 2]), label="workers")
@@ -268,7 +269,9 @@ def test_row_estimates_equal_per_row_estimates(name, n, data):
                                _recorder(estimator._raw_words, block_calls))
     with mock.patch.object(estimator, "BLOCK_DRAWS", tile_draws), tiles, blocks:
         got = mc_estimate_rows(model, settings1, settings2, n, keys, workers=workers)
-    want = [mc_estimate(model, s1, s2, n, k) for s1, s2, k in zip(settings1, settings2, keys)]
+    # The reference draws each row alone, in one-row tiles from numpy's generator.
+    with mock.patch.object(estimator, "BATCH_ROW_WORDS", 0):
+        want = [mc_estimate(model, s1, s2, n, k) for s1, s2, k in zip(settings1, settings2, keys)]
     assert [_fingerprint(e) for e in got] == [_fingerprint(e) for e in want]
 
     if not batched:
