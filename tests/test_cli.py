@@ -1222,10 +1222,10 @@ def test_parse_settings_takes_only_the_settings():
     assert cli._parse_settings({"pairs": [[0.0, -0.5]]}).tolist() == [[0.0, -0.5]]
 
 
-def cli_run(path, out_dir) -> str:
-    """Python source that runs the CLI on the scenario at ``path`` and checks that it exits 0."""
-    return ("import eprlab.cli\n"
-            f"assert eprlab.cli.main(['run', {str(path)!r}, '--out-dir', {str(out_dir)!r}]) == 0\n")
+def cli_run(tmp_path, scenario) -> str:
+    """Python source that runs the CLI on ``scenario`` in ``tmp_path``; it asserts exit 0."""
+    args = ["run", str(write_scenario(tmp_path, scenario)), "--out-dir", str(tmp_path)]
+    return f"import eprlab.cli\nassert eprlab.cli.main({args!r}) == 0\n"
 
 
 def numpy_random_after(code: str) -> bool:
@@ -1236,22 +1236,11 @@ def numpy_random_after(code: str) -> bool:
     return result.stdout.splitlines()[-1] == "True"
 
 
-def short_row_code(tmp_path, shape, scenario, pairs, samples, library) -> str:
-    """Python source that draws only rows of at most 512 draws, in one of three shapes.
-
-    "grid" runs the CLI on an 8x8 scan at 2 samples, "few_rows" on the
-    setting ``pairs`` at ``samples``, with the kind fields of ``scenario``;
-    "library" is the source ``library``.
-    """
-    if shape == "library":
-        return library
-    settings = {"pairs": pairs}
-    if shape == "grid":
-        settings, samples = {"setting1": {"start": 0.0, "stop": 3.0, "count": 8},
-                             "setting2": {"start": -1.0, "stop": 2.0, "count": 8}}, 2
-    path = write_scenario(tmp_path, {**scenario, "settings": settings, "samples": samples,
-                                     "seed": 5})
-    return cli_run(path, tmp_path)
+#: An 8x8 scan and the kind fields of a spin and a quadrature scenario.
+GRID_8X8 = {"setting1": {"start": 0.0, "stop": 3.0, "count": 8},
+            "setting2": {"start": -1.0, "stop": 2.0, "count": 8}}
+SPIN_SCENARIO = {"kind": "SPIN_CHSH", "seed": 5}
+QUADRATURE_SCENARIO = {"kind": "EPR_QUADRATURE", "state": {"squeezing": 0.6}, "seed": 5}
 
 
 class TestEntryPoint:
@@ -1266,37 +1255,41 @@ class TestEntryPoint:
 
     # Rows of at most 512 draws take their words from the vectorised Philox,
     # not numpy.random, however few the rows: an 8x8 grid at 2 samples, a few
-    # pairs of short rows, and a one-row library call at 100 samples.
-    @pytest.mark.parametrize("shape", ["grid", "few_rows", "library"])
-    def test_batched_spin_run_never_imports_numpy_random(self, tmp_path, shape):
-        pairs = [[0.0, 0.5], [0.5, 1.0], [1.0, 1.5], [1.5, 2.0]]
-        library = ("from eprlab import UnitVector3, mc_estimate, unbounded_spin_model\n"
-                   "z = UnitVector3(0.0, 0.0, 1.0)\n"
-                   "mc_estimate(unbounded_spin_model(), z, z, 100, 7)\n")
-        assert not numpy_random_after(short_row_code(tmp_path, shape, {"kind": "SPIN_CHSH"},
-                                                     pairs, 200, library))
+    # pairs of short rows, and a one-row library call at 100 samples. A case
+    # is a scenario for the CLI or the source of a library call.
+    @pytest.mark.parametrize("run", [
+        {**SPIN_SCENARIO, "settings": GRID_8X8, "samples": 2},
+        {**SPIN_SCENARIO, "settings": {"pairs": [[0.0, 0.5], [0.5, 1.0], [1.0, 1.5], [1.5, 2.0]]},
+         "samples": 200},
+        "from eprlab import UnitVector3, mc_estimate, unbounded_spin_model\n"
+        "z = UnitVector3(0.0, 0.0, 1.0)\n"
+        "mc_estimate(unbounded_spin_model(), z, z, 100, 7)\n",
+    ], ids=["grid", "few_rows", "library"])
+    def test_batched_spin_run_never_imports_numpy_random(self, tmp_path, run):
+        assert not numpy_random_after(run if isinstance(run, str) else cli_run(tmp_path, run))
 
-    @pytest.mark.parametrize("shape", ["grid", "few_rows", "library"])
-    def test_batched_gaussian_run_never_imports_numpy_random(self, tmp_path, shape):
-        # A Gaussian draw's exponential is a table entry, not a ziggurat value,
-        # so batched Gaussian rows need no generator either.
-        pairs = [[0.0, 0.5], [0.5, 1.0], [1.0, 1.5]]
-        library = ("from eprlab import QuadratureSetting, extract_moments, mc_estimate\n"
-                   "from eprlab import quadrature_model, tmsv\n"
-                   "s = QuadratureSetting(0.3)\n"
-                   "mc_estimate(quadrature_model(extract_moments(tmsv(0.6))), s, s, 100, 7)\n")
-        kind = {"kind": "EPR_QUADRATURE", "state": {"squeezing": 0.6}}
-        assert not numpy_random_after(short_row_code(tmp_path, shape, kind, pairs, 3, library))
+    # A Gaussian draw's exponential is a table entry, not a ziggurat value, so
+    # batched Gaussian rows need no generator either.
+    @pytest.mark.parametrize("run", [
+        {**QUADRATURE_SCENARIO, "settings": GRID_8X8, "samples": 2},
+        {**QUADRATURE_SCENARIO, "settings": {"pairs": [[0.0, 0.5], [0.5, 1.0], [1.0, 1.5]]},
+         "samples": 3},
+        "from eprlab import QuadratureSetting, extract_moments, mc_estimate\n"
+        "from eprlab import quadrature_model, tmsv\n"
+        "s = QuadratureSetting(0.3)\n"
+        "mc_estimate(quadrature_model(extract_moments(tmsv(0.6))), s, s, 100, 7)\n",
+    ], ids=["grid", "few_rows", "library"])
+    def test_batched_gaussian_run_never_imports_numpy_random(self, tmp_path, run):
+        assert not numpy_random_after(run if isinstance(run, str) else cli_run(tmp_path, run))
 
     def test_scan_with_one_row_past_a_chunk_never_imports_numpy_random(self, tmp_path):
         # 257 rows at 2 samples: a chunk of 256 rows and a one-row chunk, both
         # drawn from the vectorised Philox.
-        path = write_scenario(tmp_path, {
-            "kind": "SPIN_CHSH",
+        assert not numpy_random_after(cli_run(tmp_path, {
+            **SPIN_SCENARIO,
             "settings": {"setting1": {"start": 0.0, "stop": 3.0, "count": 257},
                          "setting2": {"value": 0.5}},
-            "samples": 2, "seed": 5})
-        assert not numpy_random_after(cli_run(path, tmp_path))
+            "samples": 2}))
 
     def test_spin_run_never_imports_scipy(self, tmp_path):
         # No run loads scipy.

@@ -192,9 +192,12 @@ class TestDeterminism:
     @pytest.mark.parametrize("model,s1,s2", builtin_cases()[:2])
     def test_one_row_tiles_on_more_workers_than_cores(self, monkeypatch, model, s1, s2):
         # 96 batched rows at one row per tile, shared by 8 threads that switch
-        # every microsecond; a lost or misplaced slot changes some row.
+        # every microsecond; a lost or misplaced slot changes some row. The
+        # reference rows are drawn in one-row tiles from numpy's generator.
         keys = list(range(1000, 1096))
-        want = [mc_estimate(model, s1, s2, 7, key) for key in keys]
+        with monkeypatch.context() as patch:
+            patch.setattr(estimator, "BATCH_ROW_WORDS", 0)
+            want = [mc_estimate(model, s1, s2, 7, key) for key in keys]
         monkeypatch.setattr(estimator, "BLOCK_DRAWS", 7)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -417,6 +420,9 @@ class TestWorkerErrors:
             start(thread)
 
         monkeypatch.setattr(estimator, "BLOCK_DRAWS", 8)
+        # Rows this short would be batched; one-row tiles leave tiles queued
+        # when a helper raises.
+        monkeypatch.setattr(estimator, "BATCH_ROW_WORDS", 0)
         monkeypatch.setattr(estimator, "_tile_stats", tile_stats)
         monkeypatch.setattr(threading.Thread, "start", recording_start)
         baseline = threading.active_count()
@@ -530,21 +536,27 @@ class TestGaussianTiles:
         assert (est.mean.hex(), est.stderr.hex()) == PARTIAL_BLOCK_ROW_HEX[n]
 
     @pytest.mark.parametrize("n", [100, 300, 1000])
-    def test_row_groups_of_any_size_give_the_same_rows(self, n):
-        # 40 rows of 100 draws form one batched tile; rows of 300 or 1000
-        # draws are one-row tiles. Either way each row equals its lone estimate.
+    def test_row_groups_of_any_size_give_the_same_rows(self, monkeypatch, n):
+        # 40 rows of 100 or 300 draws form one batched tile; rows of 1000
+        # draws are one-row tiles. Either way each row equals its lone
+        # estimate drawn in one-row tiles from numpy's generator.
         model = quadrature_model(extract_moments(tmsv(0.8)))
         settings1 = [QuadratureSetting(0.1 * i) for i in range(40)]
         settings2 = [QuadratureSetting(-0.07 * i) for i in range(40)]
         keys = [(i << 64) + 5 for i in range(40)]
-        assert mc_estimate_rows(model, settings1, settings2, n, keys, workers=2) == [
-            mc_estimate(model, s1, s2, n, key) for s1, s2, key in zip(settings1, settings2, keys)]
+        got = mc_estimate_rows(model, settings1, settings2, n, keys, workers=2)
+        monkeypatch.setattr(estimator, "BATCH_ROW_WORDS", 0)
+        assert got == [mc_estimate(model, s1, s2, n, key)
+                       for s1, s2, key in zip(settings1, settings2, keys)]
 
     @pytest.mark.parametrize("n", [4, 12, 300])
-    def test_one_row_tiles_ending_inside_a_philox_output_give_the_reference_row(self, n):
+    def test_one_row_tiles_ending_inside_a_philox_output_give_the_reference_row(
+            self, monkeypatch, n):
         # A one-row tile of n draws, n / 2 words that need not fill Philox's
         # last 4-word output, is drawn whole and gives the row the per-draw
-        # reference gives.
+        # reference gives. Rows this short would be batched, so the cutoff is
+        # patched to send them to numpy's generator.
+        monkeypatch.setattr(estimator, "BATCH_ROW_WORDS", 0)
         features = ((0.8, -0.3), (0.4, 0.6))
         model = pair_model(*features)
         s = QuadratureSetting(0.0)
@@ -955,8 +967,10 @@ class TestMcEstimateRows:
                                                   f"draws, more than MAX_DRAWS = {10 * rows}"):
             mc_estimate_rows(model, [Z_AXIS] * rows, [Z_AXIS] * rows, 11, keys)
 
-    def test_accepts_the_cap(self):
-        # Three one-block rows start two helper threads whatever the cap.
+    def test_accepts_the_cap(self, monkeypatch):
+        # Three one-block rows, drawn as one-row tiles, start two helper
+        # threads whatever the cap.
+        monkeypatch.setattr(estimator, "BATCH_ROW_WORDS", 0)
         rows = mc_estimate_rows(unbounded_spin_model(), [Z_AXIS] * 3, [Z_AXIS] * 3, 10,
                                 [1, 2, 3], workers=MAX_WORKERS)
         assert rows == [mc_estimate(unbounded_spin_model(), Z_AXIS, Z_AXIS, 10, key)
