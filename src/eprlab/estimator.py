@@ -102,8 +102,8 @@ numpy ``Generator`` method, whose streams NEP 19 does not promise to keep
 across numpy versions. The tile sums y = E (rho + S), which
 is of order 1, and its square; the row's mean and standard error of y
 are multiplied by s at the end (s = rho = 0 for a row with a zero party,
-whose estimate is then +0.0 with stderr 0). ``_gaussian_law`` gives s by
-``hypot`` and rho from the unit vectors, clipped to [-1, 1].
+whose estimate is then +0.0 with stderr 0). The Gaussian sampler gives s
+by ``hypot`` and rho from the unit vectors, clipped to [-1, 1].
 
 Only numpy is needed, and only operations whose float64 bits do not
 depend on numpy's SIMD dispatch or on the C library: a Gaussian draw's
@@ -134,9 +134,10 @@ error of 2**-18, about 3.8e-6, even at ``MAX_DRAWS``. A row whose
 products are all equal has no bias, and the bound shrinks with the
 products' spread as the standard error does.
 
-A finite model's draws are summed up by their atom counts: one kernel
-counts the halves at or above each threshold and takes differences, one
-pass over the halves per threshold. It counts a little-endian uint32
+A finite model's draws are summed up by their atom counts: one kernel,
+``_atom_counts``, counts the halves at or above each threshold and takes
+differences, one pass over the halves per threshold, with the thresholds
+built once a call (``_thresholds``). It counts a little-endian uint32
 view of the row's words, cut to its first n halves (``_halves``, which
 Gaussian tiles read too), so draw 2j is the low half of word j and the
 draws do not depend on the host's byte order. Counting beats a binary
@@ -146,15 +147,26 @@ search of the thresholds up to about 128 atoms: on one-row tiles of
 at 112 to 128, and took 9.0 against 5.2 ms at 256. Larger tables pay
 that; the CLI's singlet model has 3 atoms.
 
-Every draw goes through one kernel, ``_tile_stats``. A tile is a
-C-contiguous (rows, words) stack of Philox words, half a word a draw;
-the kernel turns it into each row's sufficient statistics: the atom
-counts of a finite model, or the sums of y and of y * y. Each worker
-allocates one float array per call for its Gaussian tiles, twice as long
-as the call's largest tile. A Gaussian tile writes y into its first
-half, with the second as scratch, and sums y along its rows, squares it
-and sums again: row sums of a C-contiguous stack equal the per-row sums
-bit for bit.
+One table, ``_SAMPLERS``, is the one place the Monte Carlo path tells
+the sample spaces apart. Its entry for the model's ``SpaceKind`` builds
+the call's ``_Sampler`` once, from the model, the rows' rescaled feature
+stacks and n. A sampler holds three things: the tile statistic, which
+turns a tile into each of its rows' sufficient statistics; the floats a
+tile draw takes of its worker's scratch array; and the estimate, the
+rows' means and standard errors from their statistics added over all
+their tiles. The finite sampler holds the thresholds: its statistic is
+the rows' atom counts, it takes no scratch, and its estimate is the
+contraction below. The Gaussian sampler holds each row's s and rho: its
+statistic writes y into the first half of the tile's share of the
+scratch, 2 floats a draw, with the second half as ``ndtri``'s scratch,
+and sums y along its rows, squares it and sums again (row sums of a
+C-contiguous stack equal the per-row sums bit for bit); its estimate is
+the mean and standard error of y, times s. Every tile, a C-contiguous
+(rows, words) stack of Philox words, half a word a draw, passes through
+one function, ``_tile_stats``, which applies the sampler's statistic.
+The rest of the path is shared, so a new way of sampling is one more
+entry of the table, and it inherits the tiling, the word sources, the
+workers and the determinism below.
 
 A row's word count alone picks where its words come from; both sources
 give the same words, so the choice costs time, never bits.
@@ -201,11 +213,14 @@ get the same bits as without it, and scaling a party's features by
 2**-k scales the row's mean and standard error by 2**-k exactly, as long
 as they stay normal doubles.
 
-``_mc_rows`` does this on the rows' feature stacks and returns the means
-and standard errors as arrays; ``mc_estimate_rows`` builds the stacks
-from settings and wraps each row in a ``CorrelationEstimate``. Likewise
-``_z_scores`` compares arrays of estimates with exact values, and
-``compare`` is its one-row case.
+``_mc_rows`` is the shared path, and it names no sample space. On the
+rows' feature stacks it does this rescaling, builds the sampler, cuts
+the tiles, draws them on the workers from either word source, adds up
+each row's statistics in block order, and returns the sampler's means
+and standard errors, scaled back, as arrays. ``mc_estimate_rows``
+builds the stacks from settings and wraps each row in a
+``CorrelationEstimate``. Likewise ``_z_scores`` compares arrays of
+estimates with exact values, and ``compare`` is its one-row case.
 
 Overflow in a row's arithmetic is not warned about: it shows as an
 infinite or NaN result, which the caller reports with the row.
@@ -218,7 +233,7 @@ import operator
 import threading
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -233,15 +248,16 @@ BLOCK_DRAWS = 1 << 16
 #: draws has ceil(n / 2) words, so rows of up to 512 draws batch, finite or
 #: Gaussian. The cutoff is in words because the vectorised generator's cost
 #: is; the rest of a draw costs the same either way. Per row of a 256-row
-#: batch on a 2-vCPU x86-64 host, batched against C generator (medians of
-#: 7): spin rows (finite contract v3, one word a draw) 5 vs 60 us at 2
-#: words, 13 vs 64 us at 64, 32 vs 66 us at 256, 60 vs 72 us at 512, 133
-#: vs 79 us at 1024; Gaussian rows (contract v7, one worker, three runs)
-#: 4.6-4.9 vs 25-26 us at 2, 6.9-7.0 vs 26-27 at 64, 15 vs 28-30 at 256,
-#: 26-27 vs 31-32 at 512, 48-49 vs 37-38 at 1024. The vectorised generator
-#: costs about 0.1 us per word against a few ns, so the cutoff sits at half
-#: the crossover, where a batched row still costs half to two thirds as
-#: much.
+#: ``_mc_rows`` call at one worker, batched against C generator (finite
+#: contract v4, Gaussian v7; 2-vCPU x86-64 host, one BLAS thread, medians
+#: of 7 in each of three runs): spin rows 2.0-3.5 vs 13-22 us at 2 words,
+#: 4.0-6.4 vs 14-23 at 64, 13-19 vs 15-26 at 256, 24-36 vs 16-28 at 512,
+#: 47-73 vs 19-33 at 1024; Gaussian rows 2.1-3.9 vs 24-40 at 2, 4.5-7.1 vs
+#: 24-42 at 64, 13-19 vs 26-47 at 256, 25-37 vs 32-51 at 512, 48-72 vs
+#: 35-61 at 1024. The vectorised generator costs about 0.1 us per word
+#: against a few ns, so a spin row crosses over between 256 and 512 words
+#: and a Gaussian one between 512 and 1024. At the cutoff a batched spin
+#: row costs 0.7-0.9 of its one-row tiles, a batched Gaussian row 0.4-0.5.
 BATCH_ROW_WORDS = 256
 
 #: Most worker threads a call may ask for. A call starts at most
@@ -475,27 +491,34 @@ def ndtri(halves: np.ndarray, rho: np.ndarray, s: np.ndarray, scratch: np.ndarra
     return s
 
 
-def _atom_counts(weights, words: np.ndarray, draws: int) -> np.ndarray:
+def _thresholds(weights) -> list[np.uint32]:
+    """The thresholds T_k = ceil(cum[k] * 2**32) below 2**32 of ``weights``' atoms.
+
+    Built once a call (module docstring); dropped thresholds are the last
+    ones, as the partial sums ascend.
+    """
+    # Partial sums in index order, as np.cumsum forms them; c * 2**32 is exact.
+    return [np.uint32(t) for t in (math.ceil(c * 2.0**32) for c in accumulate(weights[:-1]))
+            if t < 1 << 32]
+
+
+def _atom_counts(thresholds, atoms: int, words: np.ndarray, draws: int) -> np.ndarray:
     """Each row's count of every atom over ``draws`` draws of a (rows, words) stack of Philox words.
 
     A row's draws 2j and 2j + 1 are the low and high halves of its word j,
     so ``words`` holds ceil(draws / 2) words a row, and an odd ``draws``
-    leaves the high half of the last word uncounted. Returns a
-    (rows, len(weights)) int64 array; the atom of a half is found by its
-    thresholds (see the module docstring). The one finite kernel: it
-    passes over the halves once per threshold, so above about 128 atoms it
-    is slower than a binary search would be.
+    leaves the high half of the last word uncounted. ``thresholds`` are
+    ``_thresholds`` of the ``atoms`` weights. Returns a (rows, atoms) int64
+    array. The one finite kernel: it passes over the halves once per
+    threshold, so above about 128 atoms it is slower than a binary search
+    would be.
     """
-    # Partial sums in index order, as np.cumsum forms them; c * 2**32 is exact.
-    thresholds = [np.uint32(t) for t in (math.ceil(c * 2.0**32) for c in accumulate(weights[:-1]))
-                  if t < 1 << 32]
-    rows, atoms = words.shape[0], len(weights)
     halves = _halves(words, draws)
     # Counting a one-row stack whole takes half the time of counting along its axis.
-    axis = 1 if rows > 1 else None
+    axis = 1 if len(words) > 1 else None
     # reached[:, j] counts the draws that reach j thresholds or more; atom k
     # is reached by k but not k + 1, and no draw reaches past the last one.
-    reached = np.zeros((rows, atoms + 1), dtype=np.int64)
+    reached = np.zeros((len(words), atoms + 1), dtype=np.int64)
     reached[:, 0] = draws
     for j, t in enumerate(thresholds, 1):
         reached[:, j] = np.count_nonzero(halves >= t, axis=axis)
@@ -512,29 +535,91 @@ def _halves(words: np.ndarray, draws: int) -> np.ndarray:
     return words.astype("<u8", copy=False).view("<u4")[:, :draws]
 
 
+class _Sampler(NamedTuple):
+    """How one call samples its rows: a ``_SAMPLERS`` entry builds it once a call.
+
+    ``tile(words, count, rows, y)`` gives the statistics of the rows
+    ``rows``, a slice, over the ``count`` draws a row of one tile;
+    ``scratch`` is the floats of the worker's array ``y`` that a tile draw
+    takes; ``estimate(totals)`` gives the rows' means and standard errors
+    from their statistics, added over all their tiles.
+    """
+
+    tile: Callable[[np.ndarray, int, slice, np.ndarray], np.ndarray]
+    scratch: int
+    estimate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def _finite_sampler(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray,
+                    n: int) -> _Sampler:
+    """Atom counts, and the contraction with the empirical weights (module docstring)."""
+    thresholds, atoms = _thresholds(model.space.weights), len(model.space.weights)
+
+    def estimate(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        empirical = counts / n
+        # The contraction keeps a -0.0 from its first term; adding 0.0 makes it
+        # 0.0, as the Gaussian rows' sums from 0 are.
+        mean = _contract(empirical, phi1, phi2) + 0.0
+        deviation = phi1 * phi2 - mean[:, None]
+        return mean, np.sqrt(_contract(empirical, deviation, deviation) / (n - 1))
+
+    return _Sampler(lambda words, count, rows, y: _atom_counts(thresholds, atoms, words, count),
+                    0, estimate)
+
+
+def _gaussian_sampler(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray,
+                      n: int) -> _Sampler:
+    """Sums of y = E (rho + S) and of y * y, and their mean and standard error times s.
+
+    Each row's law: s = |u| |v| and rho = u.v / s, clipped to [-1, 1]; a
+    row with a zero party has s = rho = 0.
+    """
+    norm1, norm2 = np.hypot.reduce(phi1, axis=1), np.hypot.reduce(phi2, axis=1)
+    scale = norm1 * norm2
+    zero = scale == 0.0
+    # Products of unit vectors stay in range; u.v itself can overflow where s does not.
+    unit1 = phi1 / np.where(zero, 1.0, norm1)[:, None]
+    unit2 = phi2 / np.where(zero, 1.0, norm2)[:, None]
+    rho = np.clip(np.where(zero, 0.0, (unit1 * unit2).sum(axis=1)), -1.0, 1.0)[:, None]
+
+    def tile(words: np.ndarray, count: int, rows: slice, y: np.ndarray) -> np.ndarray:
+        # The first half of y's first 2 * rows * count floats takes the tile's
+        # y values, the second is ndtri's scratch.
+        s, scratch = y[:2 * len(words) * count].reshape(2, -1, count)
+        ndtri(_halves(words, count), rho[rows], s, scratch)
+        # Row sums of a C-contiguous stack equal the per-row sums bit for bit.
+        sums = s.sum(axis=1)
+        s *= s
+        return np.stack((sums, s.sum(axis=1)), axis=1)
+
+    def estimate(totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        mean = totals[:, 0] / n
+        # np.maximum(-0.0, 0.0) is +0.0 where max(-0.0, 0.0) is -0.0, but the
+        # difference is never -0.0: that needs a first operand of -0.0, and a
+        # sum of squares added up from 0.0 is never -0.0.
+        var = np.maximum(totals[:, 1] - n * mean * mean, 0.0) / (n - 1)
+        # x = s y; adding 0.0 turns the -0.0 of a zero row (s = 0) into 0.0.
+        return scale * mean + 0.0, scale * np.sqrt(var / n)
+
+    return _Sampler(tile, 2, estimate)
+
+
+#: The one place the Monte Carlo path tells sample spaces apart: each
+#: ``SpaceKind``'s sampler, built from (model, phi1, phi2, n).
+_SAMPLERS = {SpaceKind.FINITE: _finite_sampler, SpaceKind.GAUSSIAN_PAIR: _gaussian_sampler}
+
+
 @_quiet
-def _tile_stats(model: HiddenVariableModel, words: np.ndarray, count: int, rho: np.ndarray,
+def _tile_stats(sampler: _Sampler, words: np.ndarray, count: int, rows: slice,
                 y: np.ndarray) -> np.ndarray:
-    """Each row's sufficient statistics over the ``count`` draws per row of one tile.
+    """The statistics of the rows ``rows`` over the ``count`` draws per row of one tile.
 
     ``words`` is the tile's C-contiguous (rows, words) stack of Philox
-    words, whose word j holds draws 2j and 2j + 1 of its row. A finite tile
-    returns the rows' atom counts, (rows, K) int64, and ignores the other
-    arguments. A Gaussian tile takes the rows' law parameters ``rho``, a
-    (rows, 1) column, and fills the first half of ``y``, which holds twice
-    the tile, with y = E (rho + S) (``ndtri``, the second half its
-    scratch). It returns the rows' sums of y and of y * y, (rows, 2)
-    float64.
+    words, whose word j holds draws 2j and 2j + 1 of its row, and ``y`` the
+    worker's array of ``sampler.scratch`` floats a draw of its largest
+    tile. Every tile of every call passes through here.
     """
-    if model.space.kind is SpaceKind.FINITE:
-        return _atom_counts(model.space.weights, words, count)
-    size = len(words) * count
-    s, scratch = y[:size].reshape(-1, count), y[size:2 * size].reshape(-1, count)
-    ndtri(_halves(words, count), rho, s, scratch)
-    # Row sums of a C-contiguous stack equal the per-row sums bit for bit.
-    sums = s.sum(axis=1)
-    s *= s
-    return np.stack((sums, s.sum(axis=1)), axis=1)
+    return sampler.tile(words, count, rows, y)
 
 
 def _decimal(value) -> str:
@@ -624,7 +709,6 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
     """
     if not keys:
         return np.empty(0), np.empty(0)
-    finite = model.space.kind is SpaceKind.FINITE
     # A finite row's squared deviations, and a Gaussian row's scale s, underflow
     # for small features. A row whose parties' largest features multiply to less
     # than 1 is scaled up by the power of two 2**shift that brings that product
@@ -638,8 +722,7 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
     shift = np.where(top1 * top2 < 1.0, np.maximum(0, 2 - e1 - e2), 0)
     shift1 = np.minimum(shift, np.maximum(0, 1 - e1))
     phi1, phi2 = np.ldexp(phi1, shift1[:, None]), np.ldexp(phi2, (shift - shift1)[:, None])
-    if not finite:
-        scale, rho = _gaussian_law(phi1, phi2)
+    sampler = _SAMPLERS[model.space.kind](model, phi1, phi2, n)
     # A tile is (first row, end row, first draw, draws per row), in row and block order.
     batched = -(-n // 2) <= BATCH_ROW_WORDS
     if batched:
@@ -655,24 +738,22 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
     def tile_stats(first: int, end: int, start: int, count: int, bg, y) -> np.ndarray:
         # Draws 2j and 2j + 1 of a row share its word j.
         n_words = -(-count // 2)
-        if batched:
-            words = _philox_words(k0[first:end], k1[first:end], n_words)
-        else:
-            words = _raw_words(bg, keys[first], start // 2, n_words)[None, :]
-        return _tile_stats(model, words, count, None if finite else rho[first:end, None], y)
+        words = (_philox_words(k0[first:end], k1[first:end], n_words) if batched
+                 else _raw_words(bg, keys[first], start // 2, n_words)[None, :])
+        return _tile_stats(sampler, words, count, slice(first, end), y)
 
     # Each worker takes the next tile number under a lock and stores the
     # tile's statistics in its slot. Its bit generator, for one-row tiles'
-    # words, and the Gaussian tiles' y array are made once, here; batched
-    # tiles need no generator, so a batched call never imports numpy.random.
+    # words, and its y array, the sampler's scratch, are made once, here;
+    # batched tiles need no generator, so a batched call never imports
+    # numpy.random.
     stats = [None] * len(tiles)
     tasks = iter(range(len(tiles)))
     taking = threading.Lock()
 
     def drain() -> None:
         bg = None if batched else np.random.Philox()
-        y = None if finite else np.empty(2 * max((end - first) * count
-                                                 for first, end, _, count in tiles))
+        y = np.empty(sampler.scratch * max((end - first) * count for first, end, _, count in tiles))
         while True:
             with taking:
                 index = next(tasks, None)
@@ -710,50 +791,8 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
     totals = np.zeros((len(keys), stats[0].shape[1]), dtype=stats[0].dtype)
     for (first, end, *_), tile in zip(tiles, stats):
         totals[first:end] += tile
-    if finite:
-        mean, stderr = _finite_mean_stderr(totals, phi1, phi2, n)
-    else:
-        mean, stderr = _mean_stderr(totals[:, 0], totals[:, 1], n)
-        # x = s y; adding 0.0 turns the -0.0 of a zero row (s = 0) into 0.0.
-        mean, stderr = scale * mean + 0.0, scale * stderr
+    mean, stderr = sampler.estimate(totals)
     return np.ldexp(mean, -shift), np.ldexp(stderr, -shift)
-
-
-def _gaussian_law(phi1: np.ndarray, phi2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's scale s = |u| |v| and correlation rho = u.v / s, for x = (u . eta)(v . eta).
-
-    rho is clipped to [-1, 1]; a row with a zero party has s = rho = 0.
-    """
-    norm1, norm2 = np.hypot.reduce(phi1, axis=1), np.hypot.reduce(phi2, axis=1)
-    scale = norm1 * norm2
-    zero = scale == 0.0
-    # Products of unit vectors stay in range; u.v itself can overflow where s does not.
-    unit1 = phi1 / np.where(zero, 1.0, norm1)[:, None]
-    unit2 = phi2 / np.where(zero, 1.0, norm2)[:, None]
-    rho = np.clip(np.where(zero, 0.0, (unit1 * unit2).sum(axis=1)), -1.0, 1.0)
-    return scale, rho
-
-
-def _finite_mean_stderr(counts: np.ndarray, phi1: np.ndarray, phi2: np.ndarray,
-                        n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Means and standard errors from each row's atom counts over ``n`` draws."""
-    weights = counts / n
-    # The contraction keeps a -0.0 from its first term; adding 0.0 makes it
-    # 0.0, as the Gaussian rows' sums from 0 are.
-    mean = _contract(weights, phi1, phi2) + 0.0
-    deviation = phi1 * phi2 - mean[:, None]
-    return mean, np.sqrt(_contract(weights, deviation, deviation) / (n - 1))
-
-
-def _mean_stderr(total: np.ndarray, total_squares: np.ndarray,
-                 n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Means and standard errors from each row's sums of x and x * x over ``n`` draws."""
-    mean = total / n
-    # np.maximum(-0.0, 0.0) is +0.0 where max(-0.0, 0.0) is -0.0, but the
-    # difference is never -0.0: that needs a first operand of -0.0, and a
-    # sum of squares added up from 0.0 is never -0.0.
-    var = np.maximum(total_squares - n * mean * mean, 0.0) / (n - 1)
-    return mean, np.sqrt(var / n)
 
 
 @_quiet

@@ -1,12 +1,16 @@
 """Shared helpers: deterministic direction samplers, an independent
 covariance oracle for the two-mode squeezed vacuum, a second quadrature
-construction, and per-draw references for the Monte Carlo streams."""
+construction, per-draw references for the Monte Carlo streams, and the
+one switch of the estimator's tile routing."""
 
 from __future__ import annotations
 
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
+import pytest
 
 from eprlab import (
     HiddenVariableModel,
@@ -17,6 +21,7 @@ from eprlab import (
     SampleSpace,
     TabulatedResponse,
     UnitVector3,
+    estimator,
 )
 
 
@@ -212,3 +217,22 @@ def reference_atoms(weights, halves: np.ndarray) -> np.ndarray:
     """Atom indices by float searchsorted on the uniforms h * 2**-32."""
     cum = np.cumsum(np.array(weights))
     return np.minimum(np.searchsorted(cum, halves * 2.0**-32, side="right"), len(weights) - 1)
+
+
+@contextlib.contextmanager
+def one_row_tiles():
+    """Every Monte Carlo row inside draws one-row tiles from numpy's C generator.
+
+    Rows of up to ``estimator.BATCH_ROW_WORDS`` words are otherwise drawn in
+    multi-row tiles from the vectorised generator. Both sources give the
+    same words, so a row drawn either way must give the same bits. Also a
+    fixture of the same name, for a whole test.
+    """
+    with mock.patch.object(estimator, "BATCH_ROW_WORDS", 0):
+        yield
+
+
+@pytest.fixture(name="one_row_tiles")
+def one_row_tiles_fixture():
+    with one_row_tiles():
+        yield

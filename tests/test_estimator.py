@@ -17,6 +17,7 @@ from eprlab import (
     QuadratureSetting,
     ResponseMode,
     SampleSpace,
+    SpaceKind,
     TabulatedResponse,
     TimeSetting,
     UnitVector3,
@@ -36,6 +37,7 @@ from conftest import (
     SINE_TABLE,
     draw_halves,
     gaussian_row_reference,
+    one_row_tiles,
     polynomial_sine,
     reference_atoms,
 )
@@ -46,6 +48,7 @@ from eprlab.estimator import (
     MAX_WORKERS,
     _atom_counts,
     _philox_words,
+    _thresholds,
     _tile_stats,
     ndtri,
 )
@@ -195,8 +198,7 @@ class TestDeterminism:
         # every microsecond; a lost or misplaced slot changes some row. The
         # reference rows are drawn in one-row tiles from numpy's generator.
         keys = list(range(1000, 1096))
-        with monkeypatch.context() as patch:
-            patch.setattr(estimator, "BATCH_ROW_WORDS", 0)
+        with one_row_tiles():
             want = [mc_estimate(model, s1, s2, 7, key) for key in keys]
         monkeypatch.setattr(estimator, "BLOCK_DRAWS", 7)
         interval = sys.getswitchinterval()
@@ -403,6 +405,9 @@ class _CallerError(Exception):
     pass
 
 
+# Rows this short would be batched; one-row tiles leave tiles queued when a
+# helper raises.
+@pytest.mark.usefixtures("one_row_tiles")
 class TestWorkerErrors:
     """A tile that raises: every helper thread is joined before the error propagates."""
 
@@ -420,9 +425,6 @@ class TestWorkerErrors:
             start(thread)
 
         monkeypatch.setattr(estimator, "BLOCK_DRAWS", 8)
-        # Rows this short would be batched; one-row tiles leave tiles queued
-        # when a helper raises.
-        monkeypatch.setattr(estimator, "BATCH_ROW_WORDS", 0)
         monkeypatch.setattr(estimator, "_tile_stats", tile_stats)
         monkeypatch.setattr(threading.Thread, "start", recording_start)
         baseline = threading.active_count()
@@ -536,7 +538,7 @@ class TestGaussianTiles:
         assert (est.mean.hex(), est.stderr.hex()) == PARTIAL_BLOCK_ROW_HEX[n]
 
     @pytest.mark.parametrize("n", [100, 300, 1000])
-    def test_row_groups_of_any_size_give_the_same_rows(self, monkeypatch, n):
+    def test_row_groups_of_any_size_give_the_same_rows(self, n):
         # 40 rows of 100 or 300 draws form one batched tile; rows of 1000
         # draws are one-row tiles. Either way each row equals its lone
         # estimate drawn in one-row tiles from numpy's generator.
@@ -545,18 +547,17 @@ class TestGaussianTiles:
         settings2 = [QuadratureSetting(-0.07 * i) for i in range(40)]
         keys = [(i << 64) + 5 for i in range(40)]
         got = mc_estimate_rows(model, settings1, settings2, n, keys, workers=2)
-        monkeypatch.setattr(estimator, "BATCH_ROW_WORDS", 0)
-        assert got == [mc_estimate(model, s1, s2, n, key)
-                       for s1, s2, key in zip(settings1, settings2, keys)]
+        with one_row_tiles():
+            assert got == [mc_estimate(model, s1, s2, n, key)
+                           for s1, s2, key in zip(settings1, settings2, keys)]
 
+    @pytest.mark.usefixtures("one_row_tiles")
     @pytest.mark.parametrize("n", [4, 12, 300])
-    def test_one_row_tiles_ending_inside_a_philox_output_give_the_reference_row(
-            self, monkeypatch, n):
+    def test_one_row_tiles_ending_inside_a_philox_output_give_the_reference_row(self, n):
         # A one-row tile of n draws, n / 2 words that need not fill Philox's
         # last 4-word output, is drawn whole and gives the row the per-draw
-        # reference gives. Rows this short would be batched, so the cutoff is
-        # patched to send them to numpy's generator.
-        monkeypatch.setattr(estimator, "BATCH_ROW_WORDS", 0)
+        # reference gives. Rows this short would be batched, so they are sent
+        # to numpy's generator.
         features = ((0.8, -0.3), (0.4, 0.6))
         model = pair_model(*features)
         s = QuadratureSetting(0.0)
@@ -791,6 +792,11 @@ def reference_counts(weights, halves: np.ndarray) -> np.ndarray:
                      for row in halves])
 
 
+def atom_counts(weights, words: np.ndarray, draws: int) -> np.ndarray:
+    """``_atom_counts`` over the estimator's own thresholds of ``weights``."""
+    return _atom_counts(_thresholds(weights), len(weights), words, draws)
+
+
 def boundary_rows(weights, rows: int | None = None, draws: int | None = None) -> np.ndarray:
     """``boundary_halves`` cut into ``rows`` rows or rows of ``draws`` draws, first rows first."""
     halves = boundary_halves(weights)
@@ -805,7 +811,7 @@ class TestAtomLookup:
         halves = boundary_halves(weights)[None, :]
         # One of the two counts is odd, its last draw a low half.
         for draws in (halves.shape[1], halves.shape[1] - 1):
-            counts = _atom_counts(weights, pack(halves[:, :draws]), draws)
+            counts = atom_counts(weights, pack(halves[:, :draws]), draws)
             assert counts.dtype == np.int64 and counts.shape == (1, len(weights))
             assert np.array_equal(counts, reference_counts(weights, halves[:, :draws]))
 
@@ -814,11 +820,11 @@ class TestAtomLookup:
         weights = ATOM_WEIGHTS["middle_atom_below_2_32"]
         assert thresholds(weights) == [2**31, 2**31 + 1]
         halves = np.array([[2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1]], dtype=np.uint64).T
-        assert _atom_counts(weights, pack(halves), 1).argmax(axis=1).tolist() == [0, 1, 2, 2]
+        assert atom_counts(weights, pack(halves), 1).argmax(axis=1).tolist() == [0, 1, 2, 2]
         # A partial sum that rounds up to 2**32 leaves its next atom undrawn.
         weights = ATOM_WEIGHTS["last_atom_below_2_32"]
         assert thresholds(weights) == [2**31]
-        assert _atom_counts(weights, pack(halves), 1).argmax(axis=1).tolist() == [0, 1, 1, 1]
+        assert atom_counts(weights, pack(halves), 1).argmax(axis=1).tolist() == [0, 1, 1, 1]
 
     @pytest.mark.parametrize("rows,draws", [
         pytest.param(2, None, id="2"), pytest.param(3, None, id="3"),
@@ -829,7 +835,7 @@ class TestAtomLookup:
     def test_multi_row_counts_match_float_searchsorted(self, weights, rows, draws):
         # The boundary halves lead, so the first rows hold them all.
         halves = boundary_rows(weights, rows, draws)
-        counts = _atom_counts(weights, pack(halves), halves.shape[1])
+        counts = atom_counts(weights, pack(halves), halves.shape[1])
         assert np.array_equal(counts, reference_counts(weights, halves))
 
     def test_block_sums_match_stream_reconstruction_off_axis(self):
@@ -839,13 +845,16 @@ class TestAtomLookup:
         seed = 31
         per_atom = reference_products(model, d, d)
         assert len(set(per_atom.tolist())) == 3 and np.all(per_atom != 0.0)
+        # The finite sampler of the row; its tiles read neither features nor n.
+        phi = np.array([model.response1.features(d)])
+        sampler = estimator._SAMPLERS[SpaceKind.FINITE](model, phi, phi, BLOCK_DRAWS)
         # Block b's draws are halves of words b * BLOCK_DRAWS / 2 on; a row's
         # last block may have an odd count.
         for start, count in ((0, BLOCK_DRAWS), (BLOCK_DRAWS, BLOCK_DRAWS),
                              (40 * BLOCK_DRAWS, BLOCK_DRAWS - 3)):
             words = np.random.Philox(key=seed).random_raw((start + count + 1) // 2)[start // 2:]
             atoms = reference_atoms(model.space.weights, draw_halves(seed, start + count)[start:])
-            counts = _tile_stats(model, words[None, :], count, None, None)
+            counts = _tile_stats(sampler, words[None, :], count, slice(0, 1), None)
             assert np.array_equal(counts, [np.bincount(atoms, minlength=3)])
             # The counts are the block's x = per_atom[atoms], grouped by value.
             assert counts[0] @ per_atom == pytest.approx(np.sum(per_atom[atoms]), rel=1e-12)
@@ -858,7 +867,7 @@ class TestAtomLookup:
                              ids=["thirds", "counted_cutoff", "cumsum_just_below_one"])
     def test_searched_and_counted_rows_agree_at_the_row_cutoff(self, weights, words_per_row):
         halves = boundary_rows(weights, draws=words_per_row)
-        counts = _atom_counts(weights, pack(halves), words_per_row)
+        counts = atom_counts(weights, pack(halves), words_per_row)
         assert np.array_equal(counts, reference_counts(weights, halves))
 
 
@@ -902,8 +911,7 @@ class TestBatchCutoff:
             settings = [QuadratureSetting(0.1 * i) for i in rows]
         keys = [(i << 64) + 3 for i in rows]
         # The reference rows are drawn in one-row tiles from numpy's generator.
-        with monkeypatch.context() as patch:
-            patch.setattr(estimator, "BATCH_ROW_WORDS", 0)
+        with one_row_tiles():
             want = [mc_estimate(model, s1, s2, n, key) for s2, key in zip(settings, keys)]
         calls = []
         philox_words = estimator._philox_words
@@ -967,10 +975,10 @@ class TestMcEstimateRows:
                                                   f"draws, more than MAX_DRAWS = {10 * rows}"):
             mc_estimate_rows(model, [Z_AXIS] * rows, [Z_AXIS] * rows, 11, keys)
 
-    def test_accepts_the_cap(self, monkeypatch):
+    @pytest.mark.usefixtures("one_row_tiles")
+    def test_accepts_the_cap(self):
         # Three one-block rows, drawn as one-row tiles, start two helper
         # threads whatever the cap.
-        monkeypatch.setattr(estimator, "BATCH_ROW_WORDS", 0)
         rows = mc_estimate_rows(unbounded_spin_model(), [Z_AXIS] * 3, [Z_AXIS] * 3, 10,
                                 [1, 2, 3], workers=MAX_WORKERS)
         assert rows == [mc_estimate(unbounded_spin_model(), Z_AXIS, Z_AXIS, 10, key)
@@ -1084,13 +1092,13 @@ REDUCTION_ROWS = [
 ]
 
 
+# One-row tiles, one per block of a row, as rows too long to batch are cut.
+@pytest.mark.usefixtures("one_row_tiles")
 def test_array_reduction_and_z_scores_equal_the_per_row_reference(monkeypatch):
     # Each tile's sums are replaced by the rows' crafted block sums, in tile order.
     blocks = iter([np.array([[x, xx]]) for sums, squares, _ in REDUCTION_ROWS
                    for x, xx in zip(sums, squares)])
     monkeypatch.setattr(estimator, "BLOCK_DRAWS", 4)
-    # One-row tiles, one per block of a row, as rows too long to batch are cut.
-    monkeypatch.setattr(estimator, "BATCH_ROW_WORDS", 0)
     monkeypatch.setattr(estimator, "_tile_stats", lambda *args: next(blocks))
     # Block b of four draws would start at word 2 b, inside a Philox output
     # of four words; the stub's words are never read.
@@ -1112,3 +1120,8 @@ def test_array_reduction_and_z_scores_equal_the_per_row_reference(monkeypatch):
         report = compare(value, est)
         assert report.z_score.hex() == want[2], i
         assert report.inconsistent == inconsistent[i] == (est.stderr == 0.0 and est.mean != value)
+
+
+def test_every_sample_space_has_a_sampler():
+    # A space added without a sampler fails here, not with a KeyError midway through a run.
+    assert set(estimator._SAMPLERS) == set(SpaceKind)

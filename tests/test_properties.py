@@ -44,7 +44,7 @@ from eprlab import (
     tmsv,
     unbounded_spin_model,
 )
-from conftest import draw_halves, reference_atoms
+from conftest import draw_halves, one_row_tiles, reference_atoms
 from eprlab.estimator import BATCH_ROW_WORDS, BLOCK_DRAWS
 
 # Fixed example sequence and no example database, so every run checks the same inputs.
@@ -270,7 +270,7 @@ def test_row_estimates_equal_per_row_estimates(name, n, data):
     with mock.patch.object(estimator, "BLOCK_DRAWS", tile_draws), tiles, blocks:
         got = mc_estimate_rows(model, settings1, settings2, n, keys, workers=workers)
     # The reference draws each row alone, in one-row tiles from numpy's generator.
-    with mock.patch.object(estimator, "BATCH_ROW_WORDS", 0):
+    with one_row_tiles():
         want = [mc_estimate(model, s1, s2, n, k) for s1, s2, k in zip(settings1, settings2, keys)]
     assert [_fingerprint(e) for e in got] == [_fingerprint(e) for e in want]
 
@@ -342,7 +342,8 @@ def test_each_atom_takes_its_share_of_the_halves(raw):
     # both sides of every threshold, and the extremes.
     probes = sorted({0, full - 1} | {h for t in bounds for h in (t - 1, t) if 0 <= h < full})
     words = np.array(probes, dtype=np.uint64)[:, None]
-    drawn = estimator._atom_counts(weights, words, 1).argmax(axis=1)
+    drawn = estimator._atom_counts(estimator._thresholds(weights), len(weights), words,
+                                   1).argmax(axis=1)
     assert drawn.tolist() == [sum(t <= h for t in bounds) for h in probes]
     edges = [0, *bounds, full]
     for k, w in enumerate(weights):
@@ -634,8 +635,8 @@ BREAK_TILES = '''
 from eprlab import estimator
 
 _tile_stats = estimator._tile_stats
-estimator._tile_stats = lambda model, words, *args: (
-    _tile_stats(model, words, *args) + (len(words) > 1))
+estimator._tile_stats = lambda sampler, words, *args: (
+    _tile_stats(sampler, words, *args) + (len(words) > 1))
 '''
 #: Seconds within which the row property's two n = 2 cases report a broken
 #: kernel. Without shrinking the child took 2-3 s, with it 75 s (2-vCPU
