@@ -115,11 +115,11 @@ _TABLE_LINE = "%12.6g %12.6g %12.6g %12.6g %12.6g %10.3g %7.2f\n"
 CONSISTENCY_TOL = 1e-10
 #: Rows whose settings, quantum values and exact values are built at once,
 #: at most, which bounds the memory a large scan holds beyond its result
-#: rows. On a 72x72 spin scan, peak RSS rose 0.3 MiB over per-row
-#: evaluation at 256, 0.55 MiB at 512 and 2.9 MiB with all rows at once;
-#: the quantum and exact columns took 35-38 ms at any size from 128 to
-#: 512. A scan of more rows is cut into chunks of this many
-#: (``_chunk_bounds``).
+#: rows. On a 72x72 spin scan at n = 2 (2-vCPU x86-64 host), a cold run
+#: peaked at 31.2 MiB at 256 rows a chunk, 31.9 MiB at 1024 and 35.2 MiB
+#: with all rows in one chunk (medians of 7), and a warm ``_evaluate``
+#: took 19.3, 10.6 and 8.3 ms (timeit minimum). A scan of more rows is
+#: cut into chunks of this many (``_chunk_bounds``).
 EVAL_CHUNK_ROWS = 256
 #: Rows a scenario may ask for at most, checked before any row is built.
 #: Every row's settings and results are held in memory until the outputs

@@ -26,6 +26,12 @@ from .operators import IMAG_TOL, SIGMA_X, SIGMA_Y, SIGMA_Z, UNIT_TOL, UnitVector
 # here too: the benchmark's traced run probes these names on this module.
 from .operators import expectation, pauli_observable, tensor  # noqa: F401
 
+__all__ = [
+    "MOMENTUM", "ChshSettings", "QuadratureSetting", "TimeSetting", "chsh_value",
+    "free_evolution_correlation", "quadrature_correlation", "spin_correlation",
+    "spin_correlation_rows",
+]
+
 SPIN_CONSISTENCY_TOL = 1e-10
 
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ConsistencyError", "ScenarioError", "ValidationError"]
+
 
 class ValidationError(ValueError):
     """An input value violates a documented precondition."""

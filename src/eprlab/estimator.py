@@ -141,11 +141,12 @@ built once a call (``_thresholds``). It counts a little-endian uint32
 view of the row's words, cut to its first n halves (``_halves``, which
 Gaussian tiles read too), so draw 2j is the low half of word j and the
 draws do not depend on the host's byte order. Counting beats a binary
-search of the thresholds up to about 128 atoms: on one-row tiles of
-65 536 words (2-vCPU x86-64 host, timeit minimum, contract v3) it took
-1.1 against 3.6 ms at 33 atoms and 3.4 against 4.6 ms at 80, broke even
-at 112 to 128, and took 9.0 against 5.2 ms at 256. Larger tables pay
-that; the CLI's singlet model has 3 atoms.
+search of the thresholds (``searchsorted`` and ``bincount``) up to about
+384 atoms: on one-row tiles of 65 536 words (2-vCPU x86-64 host, timeit
+minimum, finite contract v4) it took 0.61 against 4.3 ms at 33 atoms and
+4.9 against 7.1 ms at 256, broke even near 384, and took 9.8 against
+7.7 ms at 512. Larger tables pay that; the CLI's singlet model has 3
+atoms, 0.04 ms a tile.
 
 One table, ``_SAMPLERS``, is the one place the Monte Carlo path tells
 the sample spaces apart. Its entry for the model's ``SpaceKind`` builds
@@ -239,6 +240,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .lhv import HiddenVariableModel, SpaceKind, _contract, _feature_stack
+
+__all__ = ["ComparisonReport", "CorrelationEstimate", "compare", "mc_estimate",
+           "mc_estimate_rows"]
 
 #: Draws per evaluation block. Fixed so that block boundaries (and hence
 #: the reduction order of partial sums) never depend on the worker count.
@@ -400,19 +404,19 @@ class ComparisonReport:
 def _raw_words(bg: np.random.Philox, key: int, word_offset: int, n_words: int) -> np.ndarray:
     """Words ``word_offset`` .. ``word_offset + n_words - 1`` of the Philox stream keyed by ``key``.
 
-    Re-keys the bit generator ``bg`` through its state setter (about 5 us,
-    against 15-25 us for a new ``np.random.Philox(key=key)``, whose seed
-    sequence reads OS entropy that the key then overrides) and draws from
-    it. ``random_raw`` releases the GIL while it fills its array, so the
-    calling worker's tiles and the other workers' run at once. Measured
-    and not taken (2-vCPU x86-64 host): two threads or two forked
-    processes drawing words apart from the workers, which gave 1.8x and
-    1.9x over one thread at 49M words each, but 0.98x and 0.91x at 6.5M
-    words each (about 20 ms), medians of 7; and the bit-identical
-    ``Generator.integers`` sources, which in-process ``mc_spin`` rows
-    (16 rows of 4M draws, 2 workers, medians of 5) took no faster: 0.091 s
-    for uint64 words with ``endpoint=True`` and 0.129 s for uint32
-    halves, against 0.089 s here.
+    Re-keys the bit generator ``bg`` through its state setter (3.3 us,
+    against 9.6 us for a new ``np.random.Philox(key=key)``, whose seed
+    sequence reads OS entropy that the key then overrides; timeit minimum,
+    2-vCPU x86-64 host) and draws from it. ``random_raw`` releases the GIL
+    while it fills its array, so the calling worker's tiles and the other
+    workers' run at once. Measured and not taken (same host): two threads or
+    two forked processes drawing words apart from the workers, which gave
+    1.8x and 1.9x over one thread at 49M words each, but 0.98x and 0.91x at
+    6.5M words each (about 20 ms), medians of 7; and the bit-identical
+    ``Generator.integers`` sources, which in-process ``mc_spin`` rows (16
+    rows of 4M draws, 2 workers, medians of 5) took no faster: 0.091 s for
+    uint64 words with ``endpoint=True`` and 0.129 s for uint32 halves,
+    against 0.089 s here.
     """
     # Philox advances its counter in blocks of four 64-bit words, and numpy
     # increments the counter before it generates: block b follows counter b.
@@ -510,7 +514,7 @@ def _atom_counts(thresholds, atoms: int, words: np.ndarray, draws: int) -> np.nd
     leaves the high half of the last word uncounted. ``thresholds`` are
     ``_thresholds`` of the ``atoms`` weights. Returns a (rows, atoms) int64
     array. The one finite kernel: it passes over the halves once per
-    threshold, so above about 128 atoms it is slower than a binary search
+    threshold, so above about 384 atoms it is slower than a binary search
     would be.
     """
     halves = _halves(words, draws)

@@ -22,6 +22,8 @@ import numpy as np
 
 from .errors import ValidationError
 
+__all__ = ["GaussianState", "MomentMatrix", "extract_moments", "tmsv"]
+
 SYMMETRY_TOL = 1e-12
 #: Largest |r| for which cosh(2r) and sinh(2r) are finite doubles.
 MAX_SQUEEZING = 0.5 * math.acosh(sys.float_info.max)

@@ -44,6 +44,13 @@ from .errors import ValidationError
 from .gaussian import MomentMatrix
 from .operators import UnitVector3
 
+__all__ = [
+    "UNBOUNDED", "ComponentResponse", "HiddenVariableModel", "LinearResponse",
+    "ResponseMode", "SampleSpace", "SpaceKind", "Spectrum", "TabulatedResponse",
+    "exact_expectation", "expectation_grid", "free_evolution_model", "quadrature_model",
+    "spectrum_compatibility", "sup_bound", "unbounded_spin_model",
+]
+
 #: Sup-bound value reported for responses with unbounded range.
 UNBOUNDED = math.inf
 

@@ -22,6 +22,11 @@ import numpy as np
 
 from .errors import ConsistencyError, ValidationError
 
+__all__ = [
+    "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "UnitVector3", "expectation", "pauli_observable",
+    "singlet_state", "tensor",
+]
+
 UNIT_TOL = 1e-9
 IMAG_TOL = 1e-12
 

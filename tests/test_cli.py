@@ -455,6 +455,34 @@ class TestInputErrors:
         })
         assert run_cli(["run", path]) == 1
 
+    @pytest.mark.parametrize("settings, message", [
+        ({"setting1": 0.5, "setting2": {"value": 0.0}},
+         "settings.setting1 must be an object with 'value' or 'start'/'stop'/'count'"),
+        ({"setting1": {"value": 0.0}, "setting2": {"value": 0.0, "count": 3}},
+         "settings.setting2 keys must be exactly {'value'} or {'start','stop','count'}"),
+        ({"pairs": []}, "'settings.pairs' must be a non-empty list of [s1, s2] pairs"),
+        ({"pairs": {"0": [0.0, 0.0]}},
+         "'settings.pairs' must be a non-empty list of [s1, s2] pairs"),
+        ({"pairs": [[0.0, 0.0], [1.0]]}, "settings.pairs[1] must be a [s1, s2] pair"),
+        ({"setting1": {"value": 0.0}},
+         "'settings' must contain either 'pairs' or both 'setting1' and 'setting2'"),
+    ], ids=["axis_not_an_object", "axis_keys", "pairs_empty", "pairs_not_a_list",
+            "pair_not_two_settings", "neither_form"])
+    def test_malformed_settings_are_refused_by_name(self, tmp_path, settings, message):
+        path = write_scenario(tmp_path, {"kind": "SPIN_CHSH", "settings": settings,
+                                         "samples": 10, "seed": 0})
+        with pytest.raises(cli.ScenarioError) as raised:
+            cli.load_scenario(path)
+        assert str(raised.value) == message
+
+    def test_malformed_settings_exit_one_with_one_error_line(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {"kind": "SPIN_CHSH", "settings": {"pairs": []},
+                                         "samples": 10, "seed": 0})
+        assert run_cli(["run", path, "--out-dir", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == \
+            "error: 'settings.pairs' must be a non-empty list of [s1, s2] pairs\n"
+        assert not (tmp_path / "out").exists()
+
     def test_spin_scenario_rejects_state(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {
             "kind": "SPIN_CHSH",

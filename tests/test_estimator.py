@@ -412,11 +412,13 @@ class TestWorkerErrors:
     """A tile that raises: every helper thread is joined before the error propagates."""
 
     @staticmethod
-    def run(monkeypatch, tile_stats, started: list) -> None:
+    def run(monkeypatch, tile_stats, started: list, calls: list) -> None:
         """``mc_estimate_rows`` at 3 workers with ``tile_stats`` for ``_tile_stats``.
 
-        Appends each thread the call starts to ``started``, and checks that
-        all of them have ended when the call returns or raises.
+        Appends each thread the call starts to ``started`` and the (rows,
+        count) of each ``_tile_stats`` call to ``calls``. Checks that all
+        the threads have ended when the call returns or raises, and that
+        every tile drawn was a one-row tile of one 8-draw block.
         """
         start = threading.Thread.start
 
@@ -424,18 +426,24 @@ class TestWorkerErrors:
             started.append(thread)
             start(thread)
 
+        def counted_tile_stats(sampler, words, count, rows, y):
+            calls.append((rows, count))
+            return tile_stats(sampler, words, count, rows, y)
+
         monkeypatch.setattr(estimator, "BLOCK_DRAWS", 8)
-        monkeypatch.setattr(estimator, "_tile_stats", tile_stats)
+        monkeypatch.setattr(estimator, "_tile_stats", counted_tile_stats)
         monkeypatch.setattr(threading.Thread, "start", recording_start)
         baseline = threading.active_count()
         try:
-            # Three rows of ten 8-draw blocks: 30 one-row tiles.
+            # Three rows of ten 8-draw blocks: 30 one-row tiles for 3 workers,
+            # so tiles are still queued when the first worker raises.
             mc_estimate_rows(unbounded_spin_model(), [Z_AXIS] * 3, [Z_AXIS] * 3, 80, [0, 1, 2],
                              workers=3)
         finally:
             assert len(started) == 2
             assert not any(thread.is_alive() for thread in started)
             assert threading.active_count() == baseline
+            assert {(rows.stop - rows.start, count) for rows, count in calls} == {(1, 8)}
 
     def test_helper_exception_propagates_after_every_helper_joined(self, monkeypatch):
         caller = threading.current_thread()
@@ -456,8 +464,11 @@ class TestWorkerErrors:
                 time.sleep(0.02)
             return _tile_stats(*args)
 
+        calls = []
         with pytest.raises(_HelperError):
-            self.run(monkeypatch, tile_stats, [])
+            self.run(monkeypatch, tile_stats, [], calls)
+        # The caller and the other helper drew the 29 tiles left.
+        assert len(calls) == 30
 
     def test_calling_thread_exception_wins(self, monkeypatch):
         caller = threading.current_thread()
@@ -471,7 +482,7 @@ class TestWorkerErrors:
             raise _HelperError
 
         with pytest.raises(_CallerError):
-            self.run(monkeypatch, tile_stats, [])
+            self.run(monkeypatch, tile_stats, [], [])
 
     def test_first_helper_exception_is_raised(self, monkeypatch):
         caller = threading.current_thread()
@@ -488,10 +499,12 @@ class TestWorkerErrors:
             helpers_raised.release()
             raise _HelperError(threading.current_thread())
 
-        started = []
+        started, calls = [], []
         with pytest.raises(_HelperError) as raised:
-            self.run(monkeypatch, tile_stats, started)
+            self.run(monkeypatch, tile_stats, started, calls)
         assert raised.value.args[0] is started[0]
+        # The caller drew the 28 tiles left.
+        assert len(calls) == 30
 
 
 class TestGaussianRowPinned:
@@ -976,11 +989,21 @@ class TestMcEstimateRows:
             mc_estimate_rows(model, [Z_AXIS] * rows, [Z_AXIS] * rows, 11, keys)
 
     @pytest.mark.usefixtures("one_row_tiles")
-    def test_accepts_the_cap(self):
+    def test_accepts_the_cap(self, monkeypatch):
         # Three one-block rows, drawn as one-row tiles, start two helper
         # threads whatever the cap.
-        rows = mc_estimate_rows(unbounded_spin_model(), [Z_AXIS] * 3, [Z_AXIS] * 3, 10,
-                                [1, 2, 3], workers=MAX_WORKERS)
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread)
+            start(thread)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(threading.Thread, "start", recording_start)
+            rows = mc_estimate_rows(unbounded_spin_model(), [Z_AXIS] * 3, [Z_AXIS] * 3, 10,
+                                    [1, 2, 3], workers=MAX_WORKERS)
+        assert len(started) == 2
         assert rows == [mc_estimate(unbounded_spin_model(), Z_AXIS, Z_AXIS, 10, key)
                         for key in (1, 2, 3)]
 

@@ -446,6 +446,38 @@ class TestValidation:
             build()
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ComponentResponse(10**400),
+         "response scale: expected a finite real number, got inf"),
+        (lambda: SampleSpace(SpaceKind.FINITE, 0.5),
+         "atom weights: expected a sequence of real numbers, got float"),
+        (lambda: LinearResponse(1.0, (0.0, 1.0), ResponseMode.TRIG),
+         "q_coeffs: expected a sequence of real numbers, got float"),
+        (lambda: SampleSpace(SpaceKind.FINITE),
+         "FINITE sample space needs at least one atom weight"),
+        (lambda: SampleSpace(SpaceKind.GAUSSIAN_PAIR, (0.5, 0.5)),
+         "GAUSSIAN_PAIR sample space carries no weights"),
+        (lambda: TabulatedResponse(settings=(0, 1), values=((1.0,),)),
+         "tabulated response needs one value row per setting"),
+        (lambda: TabulatedResponse(settings=(0, 1), values=((1.0,), (1.0, 2.0))),
+         "tabulated response rows must share one atom count"),
+        (lambda: LinearResponse((1.0,), (0.0, 1.0), ResponseMode.TRIG),
+         "latent coefficient vectors must have length 2"),
+        (lambda: LinearResponse((1.0, 0.0), (0.0, 1.0), ResponseMode.LINEAR_TIME).features(
+            QuadratureSetting(0.0)),
+         "LINEAR_TIME response expects a TimeSetting, got QuadratureSetting"),
+        (lambda: HiddenVariableModel(SampleSpace.finite((0.5, 0.5)), ComponentResponse(1.0),
+                                     ComponentResponse(1.0)),
+         "response1 has 3 features but the space has 2 basis elements"),
+    ], ids=["int_past_float_range", "weights_not_a_sequence", "coefficients_not_a_sequence",
+            "finite_without_weights", "gaussian_pair_with_weights", "tabulated_row_count",
+            "tabulated_ragged_rows", "coefficient_length", "linear_time_setting",
+            "feature_count"])
+    def test_refusals_name_their_cause(self, build, message):
+        with pytest.raises(ValidationError) as excinfo:
+            build()
+        assert str(excinfo.value) == message
+
 
 class TestExpectationGrid:
     def test_matches_scalar_gaussian(self):
