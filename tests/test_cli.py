@@ -107,11 +107,23 @@ def write_scenario(tmp_path, payload, name="scenario.json"):
     return path
 
 
-def table_sha256(capsys):
-    """sha256 of the captured stdout without its last line, "wrote <csv> and <summary>"."""
-    lines = capsys.readouterr().out.splitlines(keepends=True)
+def stdout_table(out: str) -> str:
+    """A run's stdout without its last line, "wrote <csv> and <summary>"."""
+    lines = out.splitlines(keepends=True)
     assert lines[-1].startswith("wrote ")
-    return hashlib.sha256("".join(lines[:-1]).encode()).hexdigest()
+    return "".join(lines[:-1])
+
+
+def table_sha256(capsys):
+    """sha256 of the captured stdout without its last line."""
+    return hashlib.sha256(stdout_table(capsys.readouterr().out).encode()).hexdigest()
+
+
+def strict_json(text: str):
+    """``text`` parsed as standard JSON: an ``Infinity`` or ``NaN`` in it fails."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not standard JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 class TestBundledScenarios:
@@ -232,6 +244,110 @@ class TestStreamKeys:
             assert seed7[row][4:6] == [est.mean, est.stderr]
 
 
+#: The bundled scenarios, by file name.
+BUNDLED = sorted(path.stem for path in SCENARIOS.glob("*.json"))
+
+GRID_9X9 = {"setting1": {"start": 0.0, "stop": 3.0, "count": 9},
+            "setting2": {"start": -1.0, "stop": 2.0, "count": 9}}
+QUARTER_PAIRS = [[0.0, math.pi / 4], [math.pi / 2, 3 * math.pi / 4]]
+
+#: Scenario shapes whose outputs must not depend on how a run is made, each
+#: a scenario, named by its key, and the flags it runs with. With the bundled
+#: scenarios they make ``INVARIANCE_CASES``.
+INVARIANCE_SHAPES = {
+    # A scenario without samples, run with --samples and --seed: an override
+    # supplies a value the file lacks.
+    "override_lacking_samples": (
+        {"kind": "EPR_QUADRATURE", "state": {"squeezing": 0.5},
+         "settings": {"pairs": [[0.0, 0.0], [0.3, 1.1], [2.0, -1.0]]}, "seed": 9},
+        ["--samples", 1000, "--seed", 3]),
+    # A 9x9 quadrature grid at 100 samples, also run with numpy's AVX-512
+    # loops switched off: batched tiles where the bundled scenarios draw
+    # one-row ones.
+    "simd_gauss_grid": ({"kind": "EPR_QUADRATURE", "state": {"squeezing": 0.5},
+                         "settings": GRID_9X9, "samples": 100, "seed": 13}, []),
+    # A 9x9 spin grid at 2 samples: short rows, drawn as batched tiles.
+    "batched_grid": ({"kind": "SPIN_CHSH", "settings": GRID_9X9, "samples": 2, "seed": 11}, []),
+    # A 9x9 quadrature grid at 100 samples: 50 Philox words a row, also drawn
+    # as batched tiles.
+    "batched_gauss_grid": ({"kind": "EPR_QUADRATURE", "state": {"squeezing": 0.5},
+                            "settings": GRID_9X9, "samples": 100, "seed": 11}, []),
+    # A 3x3 quadrature grid at 2 * 65 536 + 16 385 samples: each row ends in
+    # a partial third block of 16 385 draws.
+    "gauss_partial_block": (
+        {"kind": "EPR_QUADRATURE", "state": {"squeezing": 0.7},
+         "settings": {"setting1": {"start": 0.0, "stop": 3.0, "count": 3},
+                      "setting2": {"start": -1.0, "stop": 2.0, "count": 3}},
+         "samples": 2 * BLOCK_DRAWS + 16385, "seed": 17}, []),
+    # Squeezing 2**-600: without exact rescaling x * x underflows and the
+    # stderr reads 0 with an infinite z.
+    "gauss_tiny_squeezing": ({"kind": "EPR_QUADRATURE", "state": {"squeezing": 2.0**-600},
+                              "settings": {"pairs": [[0.0, 0.0], [0.3, 1.1]]},
+                              "samples": 1000, "seed": 5}, []),
+    # Squeezing 355, just below the limit of about 355.238: moments of about
+    # 1e308, whose Monte Carlo sums of x used to overflow.
+    "gauss_limit_squeezing": ({"kind": "EPR_QUADRATURE", "state": {"squeezing": 355},
+                               "settings": {"pairs": [[0.0, 0.0], [0.3, 1.2]]},
+                               "samples": 2 * BLOCK_DRAWS, "seed": 0}, []),
+    # A 72x72 quadrature grid at 2 samples: 5184 rows in batched tiles, each
+    # row with its own word stream.
+    "dense_gauss_grid": (
+        {"kind": "EPR_QUADRATURE", "state": {"squeezing": 0.6},
+         "settings": {"setting1": {"start": 0.1, "stop": 6.2, "count": 72},
+                      "setting2": {"start": 0.3, "stop": 6.4, "count": 72}},
+         "samples": 2, "seed": 23}, []),
+    # A 9x9 spin grid at 3 samples: batched tiles of two Philox words a row,
+    # whose last word's high half goes unused.
+    "batched_odd_grid": ({"kind": "SPIN_CHSH", "settings": GRID_9X9, "samples": 3, "seed": 11},
+                         []),
+    # Two spin pairs at 2 * 65 536 + 3 samples: one-row tiles, each row
+    # ending in a partial tile of 3 draws, an odd count.
+    "spin_odd_tail": ({"kind": "SPIN_CHSH", "settings": {"pairs": QUARTER_PAIRS},
+                       "samples": 2 * BLOCK_DRAWS + 3, "seed": 7}, []),
+    # The same two shapes for quadrature rows, whose draws also take half a
+    # Philox word each: a 9x9 grid at 3 samples in batched tiles, and two
+    # pairs at 2 * 65 536 + 3 samples ending in a one-row tile of 3 draws.
+    "batched_gauss_odd_grid": ({"kind": "EPR_QUADRATURE", "state": {"squeezing": 0.5},
+                                "settings": GRID_9X9, "samples": 3, "seed": 11}, []),
+    "gauss_odd_tail": ({"kind": "EPR_QUADRATURE", "state": {"squeezing": 0.7},
+                        "settings": {"pairs": QUARTER_PAIRS},
+                        "samples": 2 * BLOCK_DRAWS + 3, "seed": 7}, []),
+    # Four spin pairs at 3 samples and three quadrature pairs at 200 samples:
+    # a few short rows, drawn as one batched tile each run.
+    "few_spin_rows": ({"kind": "SPIN_CHSH",
+                       "settings": {"pairs": [[0.0, 0.5], [0.5, 1.0], [1.0, 1.5], [1.5, 2.0]]},
+                       "samples": 3, "seed": 13}, []),
+    "few_gauss_rows": ({"kind": "EPR_QUADRATURE", "state": {"squeezing": 0.6},
+                        "settings": {"pairs": [[0.0, 0.5], [0.5, 1.0], [1.0, 1.5]]},
+                        "samples": 200, "seed": 13}, []),
+    # A 257-row spin scan at 2 samples: a chunk of 256 rows and a one-row
+    # chunk, both drawn as batched tiles.
+    "chunk_tail_scan": ({"kind": "SPIN_CHSH",
+                         "settings": {"setting1": {"start": 0.0, "stop": 3.0, "count": 257},
+                                      "setting2": {"value": 0.5}},
+                         "samples": 2, "seed": 5}, []),
+    # 40 quadrature rows at 511 samples: one batched tile of 256 words a row,
+    # whose last high half goes unused.
+    "gauss_odd_batch": ({"kind": "EPR_QUADRATURE", "state": {"squeezing": 0.8},
+                         "settings": {"setting1": {"start": 0.0, "stop": 3.9, "count": 40},
+                                      "setting2": {"value": -0.7}},
+                         "samples": 511, "seed": 5}, []),
+    # Three rows of three blocks each, so that several workers share them.
+    "three_block_rows": ({"kind": "EPR_QUADRATURE", "state": {"squeezing": 0.6},
+                          "settings": {"pairs": [[0.1, 0.2], [1.0, -0.5], [2.0, 3.0]]},
+                          "samples": 2 * BLOCK_DRAWS + 7, "seed": 21}, []),
+}
+INVARIANCE_CASES = BUNDLED + sorted(INVARIANCE_SHAPES)
+
+
+def invariance_case(tmp_path, name):
+    """The scenario file and the flags of a bundled scenario or an inline shape."""
+    if name not in INVARIANCE_SHAPES:
+        return SCENARIOS / f"{name}.json", []
+    scenario, flags = INVARIANCE_SHAPES[name]
+    return write_scenario(tmp_path, {"name": name, **scenario}, f"{name}.json"), flags
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("name", ["spin_chsh", "epr_quadrature", "free_evolution"])
     def test_byte_identical_reruns(self, tmp_path, name):
@@ -242,31 +358,28 @@ class TestDeterminism:
         assert (out1 / f"{name}.summary.json").read_bytes() == \
             (out2 / f"{name}.summary.json").read_bytes()
 
-    def test_byte_identical_across_workers(self, tmp_path):
-        out1, out4 = tmp_path / "w1", tmp_path / "w4"
-        scenario = SCENARIOS / "epr_quadrature.json"
-        assert run_cli(["run", scenario, "--out-dir", out1, "--workers", 1]) == 0
-        assert run_cli(["run", scenario, "--out-dir", out4, "--workers", 4]) == 0
-        assert (out1 / "epr_quadrature.csv").read_bytes() == \
-            (out4 / "epr_quadrature.csv").read_bytes()
-
-
-    @pytest.mark.parametrize("cpus", [None, 3])
-    def test_default_workers_write_the_same_bytes_as_one_worker(self, tmp_path, monkeypatch,
-                                                                cpus):
-        # Three rows of three blocks each, so that several workers share them.
-        path = write_scenario(tmp_path, {"kind": "EPR_QUADRATURE",
-                                         "state": {"squeezing": 0.6},
-                                         "settings": {"pairs": [[0.1, 0.2], [1.0, -0.5],
-                                                                [2.0, 3.0]]},
-                                         "samples": 2 * BLOCK_DRAWS + 7, "seed": 21})
-        if cpus is not None:
-            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        assert run_cli(["run", path, "--out-dir", tmp_path / "w1", "--workers", 1]) == 0
-        assert run_cli(["run", path, "--out-dir", tmp_path / "default"]) == 0
-        for name in ("scenario.csv", "scenario.summary.json"):
-            assert (tmp_path / "w1" / name).read_bytes() == \
-                (tmp_path / "default" / name).read_bytes()
+    @pytest.mark.parametrize("name", INVARIANCE_CASES)
+    def test_outputs_do_not_depend_on_the_worker_count(self, tmp_path, capsys, name):
+        path, flags = invariance_case(tmp_path, name)
+        outputs = {}
+        for workers in (1, 2, 3, 4, "default"):
+            out = tmp_path / f"workers_{workers}"
+            args = ["run", path, *flags, "--out-dir", out]
+            assert run_cli(args if workers == "default" else [*args, "--workers", workers]) == 0
+            files = sorted(out.iterdir())
+            assert [file.name for file in files] == [f"{name}.csv", f"{name}.summary.json"]
+            csv_bytes, summary = (file.read_bytes() for file in files)
+            outputs[workers] = csv_bytes, summary, stdout_table(capsys.readouterr().out)
+        for workers, output in outputs.items():
+            assert output == outputs[1], workers
+        csv_bytes, summary, _ = outputs[1]
+        rows = read_columns(tmp_path / "workers_1" / f"{name}.csv")
+        # A largest |z| of inf is written as "max_abs_z": Infinity (ROADMAP item 1).
+        if math.isfinite(max(abs(row[6]) for row in rows)):
+            strict_json(summary.decode())
+        if name == "gauss_tiny_squeezing":
+            # Exact rescaling keeps every stderr above 0 and every z finite.
+            assert b"inf" not in csv_bytes.lower()
 
     def test_default_workers_is_the_usable_cpu_count(self, monkeypatch):
         seen = {}
@@ -1343,24 +1456,36 @@ class TestEntryPoint:
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "0 []"
 
-    @pytest.mark.parametrize("name", sorted(BUNDLED_STDOUT_SHA256))
-    def test_program_entry_writes_what_an_in_process_run_writes(self, tmp_path, capsys, name):
-        scenario = SCENARIOS / f"{name}.json"
-        # Unbuffered, so that every write is its own system call on the pipe.
-        env = dict(os.environ, PYTHONUNBUFFERED="1")
+    # What needs a fresh interpreter: development mode, unbuffered so that
+    # every write is its own system call on the pipe and with unclosed
+    # resources as errors; and numpy's AVX-512 loops switched off, which no
+    # output may depend on.
+    @pytest.mark.parametrize("mode, name", [
+        *(("dev", name) for name in [*BUNDLED, "override_lacking_samples"]),
+        *(("no_avx512", name) for name in [*BUNDLED, "simd_gauss_grid"]),
+    ])
+    def test_program_entry_writes_what_an_in_process_run_writes(self, tmp_path, capsys, mode,
+                                                                name):
+        python_flags, env = {
+            "dev": (["-X", "dev", "-W", "error::ResourceWarning"], {"PYTHONUNBUFFERED": "1"}),
+            "no_avx512": ([], {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}),
+        }[mode]
+        path, flags = invariance_case(tmp_path, name)
         result = subprocess.run(
-            [sys.executable, "-m", "eprlab", "run", str(scenario),
+            [sys.executable, *python_flags, "-m", "eprlab", "run", str(path), *map(str, flags),
              "--out-dir", str(tmp_path / "entry")],
-            capture_output=True, env=env,
+            capture_output=True, text=True, env={**os.environ, **env},
         )
+        if result.returncode != 0 and "NPY_DISABLE_CPU_FEATURES" in result.stderr:
+            pytest.skip("numpy refuses to disable these CPU features here")
         assert result.returncode == 0, result.stderr
-        assert run_cli(["run", scenario, "--out-dir", tmp_path / "in_process"]) == 0
+        # A ResourceWarning at interpreter shutdown is printed, not raised.
+        assert "ResourceWarning" not in result.stderr, result.stderr
+        assert run_cli(["run", path, *flags, "--out-dir", tmp_path / "in_process"]) == 0
         for filename in (f"{name}.csv", f"{name}.summary.json"):
             assert (tmp_path / "entry" / filename).read_bytes() == \
                 (tmp_path / "in_process" / filename).read_bytes(), filename
-        # The last line names the output directory.
-        table = lambda out: out.splitlines(keepends=True)[:-1]
-        assert table(result.stdout) == table(capsys.readouterr().out.encode())
+        assert stdout_table(result.stdout) == stdout_table(capsys.readouterr().out)
 
     def test_program_entry_freezes_the_collector_after_the_run(self, tmp_path):
         code = (
