@@ -8,12 +8,14 @@ seed ``s`` as ``s + (r << 64)``, the pair (seed, row), so no two rows of
 any two seeds share a stream, and row 0 draws from the stream of the
 seed alone.
 
-Both sample spaces take two draws from each Philox word (finite stream
-contract v4, Gaussian stream contracts v5 to v7): draws 2j and 2j + 1 of
-a row are the low and high 32 bits h of its word j, so a row of n draws
-consumes ceil(n / 2) words, and an odd n leaves the high half of its
-last word unused. Both halves of a word are a pure function of (key, j),
-as the whole word is.
+A Philox word holds several draws, read from its low end: a finite row
+takes two (finite stream contract v4), draws 2j and 2j + 1 being the low
+and high 32-bit halves h of its word j, and a Gaussian row four
+(Gaussian stream contract v8), draw i being the 16-bit quarter q number
+i mod 4 of its word i // 4. So a row of n draws consumes ceil(n / 2) or
+ceil(n / 4) words, and the fields of its last word past draw n - 1 go
+unused. Every field of a word is a pure function of (key, j), as the
+whole word is.
 
 Gaussian rows. A row samples x = xi1 * xi2 with xi1 = u . eta,
 xi2 = v . eta and eta ~ N(0, I), u and v the parties' feature rows. The
@@ -30,38 +32,37 @@ gives E[x] = u . v and E[x * x] = |u|**2 |v|**2 + 2 (u . v)**2, as
 Isserlis does.
 
 A draw's S, which has the law of cos 2 theta and so of sin t for t
-uniform in (-pi / 2, pi / 2), is entry j = h >> 20 of a table of 4096
-sines (Gaussian stream contract v6): the top 12 bits of the draw's half h
-pick the angle t_j = (j - (2**11 - 1/2)) * (pi * 2**-12), one of 4096
-points spaced evenly in (-pi / 2, pi / 2). The difference is exact and
-the product rounds once. The table holds S_j = t_j Q(t_j**2), Q the
-degree-10 polynomial in t**2 with the Taylor coefficients
-(-1)**k / (2k + 1)!, k <= 10, evaluated by Horner's rule from the
-highest coefficient, one IEEE multiply and one add a step, and then
-multiplied by t; it is built once, at import (``_sine_table``, about
-36 us). The truncation error is at most (pi / 2)**23 / 23!, about
-1.3e-18, and every S_j lies within 2 ulp of ``math.sin(t_j)``.
+uniform in (-pi / 2, pi / 2), is entry j = q >> 12 of a table of 16
+sines: the top 4 bits of the draw's quarter q pick the angle
+t_j = (j - 15/2) * (pi * 2**-4), one of 16 points spaced evenly in
+(-pi / 2, pi / 2). The difference is exact and the product rounds once.
+The table holds S_j = t_j Q(t_j**2), Q the degree-10 polynomial in t**2
+with the Taylor coefficients (-1)**k / (2k + 1)!, k <= 10, evaluated by
+Horner's rule from the highest coefficient, one IEEE multiply and one add
+a step, and then multiplied by t; it is built once, at import
+(``_sine_table``). The truncation error is at most (pi / 2)**23 / 23!,
+about 1.3e-18, and every S_j lies within 2 ulp of ``math.sin(t_j)``.
 
-Nothing the estimator uses is lost to the coarser angle. A row's mean
+Nothing the estimator uses is lost to the coarse angle. A row's mean
 depends on S only through E[S], its standard error through E[S**2], and
 that error's spread through E[S**4]. The midpoint rule on N points of a
 period integrates trigonometric polynomials of degree below N exactly
 (Trefethen and Weideman, SIAM Rev. 56, 385 (2014)), and for even k,
 sin**k t is a polynomial of degree k / 2 in cos 2t, whose period pi the
-4096 angles cover. So the table's moments are those of cos 2 theta,
-E[S**k] = C(k, k / 2) / 2**k, for every even k below 8192; with the
-rounded entries, ``math.fsum`` still gives them exactly for k = 2, 4, 6
-and 8. The map h -> 2**32 - 1 - h takes j to 4095 - j, which negates
-t_j exactly, and every step of t Q(t**2) commutes with negation,
-rounding included, so the table is antisymmetric bit for bit and the
-sampled sines have mean exactly 0, as cos 2 theta has: the discrete
-angle biases no Gaussian row's mean, where a finite row's atoms need the
-bias bound below.
+16 angles cover. So the table's moments are those of cos 2 theta,
+E[S**k] = C(k, k / 2) / 2**k, for every even k below 32; with the
+rounded entries, ``math.fsum`` gives them to 4e-15 relative, and exactly
+for k = 2. At k = 32 the rule fails, by 3e-9. The map q -> 2**16 - 1 - q
+takes j to 15 - j, which negates t_j exactly, and every step of
+t Q(t**2) commutes with negation, rounding included, so the table is
+antisymmetric bit for bit and the sampled sines have mean exactly 0, as
+cos 2 theta has: the discrete angle biases no Gaussian row's mean, where
+a finite row's atoms need the bias bound below.
 
-A draw's E is entry k = h & 0xFFF of a table of 4096 exponentials
-(Gaussian stream contract v7): the low 12 bits of the same half. The two
-bit fields are disjoint, so over the 2**32 halves j and k are exactly
-independent and each uniform on 4096 values. Entry k < 4094 is the mean
+A draw's E is entry k = q & 0xFFF of a table of 4096 exponentials: the
+low 12 bits of the same quarter. The two bit fields are disjoint, so
+over the 2**16 quarters j and k are exactly independent, j uniform on 16
+values and k on 4096. Entry k < 4094 is the mean
 of Exp(1) on its k-th bin of probability 1/4096: with m = 4096 - k the
 bin is [a_k, a_k + ln(m / (m - 1))), a_k = ln(4096 / m), and its mean is
 a_k + 1 - (m - 1) ln(m / (m - 1)). With z = 1 / (2m - 1),
@@ -81,7 +82,8 @@ square 2 exactly; the exact sums of the rounded entries are within
 ``np.cumsum``, ``math.fsum`` and ``sqrt``, with no libm function and no
 ``np.log``. It ascends from 1.22e-4 to 9.63, and entries 0 to 4093 lie
 within 5e-13 of the ``math.log`` form of the same means, whose own
-cancellation is larger.
+cancellation is larger. Its bytes have not changed since Gaussian stream
+contract v7.
 
 Nothing the estimator uses is lost to the table either. With E and S
 independent, E[y] = E[E] (rho + E[S]) = rho and
@@ -94,16 +96,32 @@ Exp(1) (E[E**3] is 5.9991 against 6). Each exponential entry meets every
 sine entry equally often, and the sines sum to 0 exactly, so the table
 still biases no Gaussian row's mean. A draw is a pure function of
 (key, i), as a finite draw is, and ``BLOCK_DRAWS`` fixes only the order
-in which a row's sums are added. Since y takes at most 2**24 values, two
-draws are equal with probability about 2**-24, and a row of n = 2 draws
-then has stderr 0, with z 0 or +-inf; no bundled scenario and no
-Gaussian grid that CI runs at n = 2 has such a row. E comes from no
+in which a row's sums are added. Since y takes at most 2**16 values, two
+draws are equal with probability about 2**-16, and a row of n = 2 draws
+then has stderr 0, with z 0 or +-inf: a grid of 5184 such rows has one
+with probability about 8 %. None of the Gaussian shapes that the tests
+run at n = 2 has one at its pinned seed. E comes from no
 numpy ``Generator`` method, whose streams NEP 19 does not promise to keep
 across numpy versions. The tile sums y = E (rho + S), which
 is of order 1, and its square; the row's mean and standard error of y
 are multiplied by s at the end (s = rho = 0 for a row with a zero party,
 whose estimate is then +0.0 with stderr 0). The Gaussian sampler gives s
 by ``hypot`` and rho from the unit vectors, clipped to [-1, 1].
+
+A draw's y = E_k (rho + S_j) depends on its quarter q = (j << 12) | k
+and on rho alone, so a row has at most 2**16 values of y, one per
+quarter. ``ndtri`` computes y for a tile. A one-row tile of at least
+2**16 draws, which is every full block of a row too long to batch,
+first writes its row's 2**16 products fl(fl(S_j + rho) E_k), at index q,
+into its worker's scratch, and then takes each draw's y with one gather
+at q. Any other tile gathers S_j, adds rho, gathers E_k and multiplies.
+Both round the same two operations on the same operands, so both give
+the same bits. The cutoff is the table's own size, so it needs no
+tuning, and the table's 0.5 MiB live in the scratch that the two gathers
+use for E. On a full block (2-vCPU x86-64 host, timeit minimum) the
+table path took about 100 us against 196 us for the two gathers, and
+the block's 16 384 words 72 us against 145 us for the 32 768 that
+contract v7 read.
 
 Only numpy is needed, and only operations whose float64 bits do not
 depend on numpy's SIMD dispatch or on the C library: a Gaussian draw's
@@ -113,7 +131,7 @@ correctly. ``np.log`` and ``np.log1p`` do not: their bits differ with
 numpy's AVX-512 loops switched off, so an inverse-transform exponential,
 per draw or in the table, would break the pinned outputs on hosts
 without AVX-512, and ``np.sin`` ties them to the sine that numpy or the
-C library supplies. ``ndtri`` is the tile transform (h, rho -> y); its
+C library supplies. ``ndtri`` is the tile transform (q, rho -> y); its
 docstring says why it keeps the name of an inverse normal CDF.
 
 Finite rows. A draw picks one of a few atoms. A half h draws atom ``k``
@@ -138,20 +156,21 @@ A finite model's draws are summed up by their atom counts: one kernel,
 ``_atom_counts``, counts the halves at or above each threshold and takes
 differences, one pass over the halves per threshold, with the thresholds
 built once a call (``_thresholds``). It counts a little-endian uint32
-view of the row's words, cut to its first n halves (``_halves``, which
-Gaussian tiles read too), so draw 2j is the low half of word j and the
-draws do not depend on the host's byte order. Counting beats a binary
-search of the thresholds (``searchsorted`` and ``bincount``) up to about
-384 atoms: on one-row tiles of 65 536 words (2-vCPU x86-64 host, timeit
-minimum, finite contract v4) it took 0.61 against 4.3 ms at 33 atoms and
-4.9 against 7.1 ms at 256, broke even near 384, and took 9.8 against
-7.7 ms at 512. Larger tables pay that; the CLI's singlet model has 3
-atoms, 0.04 ms a tile.
+view of the row's words, cut to its first n halves (``_fields``, which
+cuts a Gaussian tile's uint16 quarters the same way), so draw 2j is the
+low half of word j and the draws do not depend on the host's byte order.
+Counting beats a binary search of the thresholds (``searchsorted`` and
+``bincount``) up to about 384 atoms: on one-row tiles of 65 536 words
+(2-vCPU x86-64 host, timeit minimum, finite contract v4) it took 0.61
+against 4.3 ms at 33 atoms and 4.9 against 7.1 ms at 256, broke even
+near 384, and took 9.8 against 7.7 ms at 512. Larger tables pay that;
+the CLI's singlet model has 3 atoms, 0.04 ms a tile.
 
 One table, ``_SAMPLERS``, is the one place the Monte Carlo path tells
 the sample spaces apart. Its entry for the model's ``SpaceKind`` builds
 the call's ``_Sampler`` once, from the model, the rows' rescaled feature
-stacks and n. A sampler holds three things: the tile statistic, which
+stacks and n. A sampler holds four things: the draws a Philox word
+holds, which the tiling reads; the tile statistic, which
 turns a tile into each of its rows' sufficient statistics; the floats a
 tile draw takes of its worker's scratch array; and the estimate, the
 rows' means and standard errors from their statistics added over all
@@ -163,30 +182,33 @@ scratch, 2 floats a draw, with the second half as ``ndtri``'s scratch,
 and sums y along its rows, squares it and sums again (row sums of a
 C-contiguous stack equal the per-row sums bit for bit); its estimate is
 the mean and standard error of y, times s. Every tile, a C-contiguous
-(rows, words) stack of Philox words, half a word a draw, passes through
-one function, ``_tile_stats``, which applies the sampler's statistic.
-The rest of the path is shared, so a new way of sampling is one more
-entry of the table, and it inherits the tiling, the word sources, the
-workers and the determinism below.
+(rows, words) stack of Philox words, passes through one function,
+``_tile_stats``, which applies the sampler's statistic. The rest of the
+path is shared, so a new way of sampling is one more entry of the table,
+and it inherits the tiling, the word sources, the workers and the
+determinism below.
 
 A row's word count alone picks where its words come from; both sources
 give the same words, so the choice costs time, never bits.
 ``mc_estimate_rows`` cuts its rows into tiles of at most ``BLOCK_DRAWS``
-draws. Rows of at most ``BATCH_ROW_WORDS`` words, 512 draws, give
-multi-row tiles, however few the rows, whose words come from a numpy
+draws. Rows of at most ``BATCH_ROW_WORDS`` words, 512 finite or 1024
+Gaussian draws, give multi-row tiles, however few the rows, whose words
+come from a numpy
 Philox4x64-10 vectorised over keys and counters (``_philox_words``,
 bit-identical to numpy's generator). Every longer row gives a one-row
 tile per block of ``BLOCK_DRAWS`` draws from numpy's C generator
 (``_raw_words``); block b of a row is its words b * BLOCK_DRAWS / 2
-onward. Each worker that draws one-row tiles has one Philox bit
+(finite) or b * BLOCK_DRAWS / 4 (Gaussian) onward, an offset that is a
+multiple of 4, as ``_raw_words`` needs. Each worker that draws one-row tiles has one Philox bit
 generator, re-keyed through its state setter for each tile's words.
-Only a row of more than 512 draws imports ``numpy.random``, which adds
+Only a row of more than 512 finite or 1024 Gaussian draws imports
+``numpy.random``, which adds
 about 6.5 MiB to a cold run's peak RSS. The vectorised generator's fixed
 cost of a few hundred microseconds a call is what the rule pays for
-that: a call of one to four rows of 100 draws took 0.35-0.39 ms against
-0.07-0.18 ms from the C generator, and from 16 Gaussian or 32 finite
+that: a call of one to four rows of 100 draws took 0.45-0.50 ms against
+0.09-0.22 ms from the C generator, and from 16 Gaussian or 32 finite
 rows on the vectorised generator was as fast or faster (2-vCPU x86-64
-host, timeit minimum). All tiles of a call are shared among ``workers``
+host, timeit minimum, Gaussian contract v8). All tiles of a call are shared among ``workers``
 threads (the calling thread is one of them), and each row's statistics
 are then added up tile by tile in block order. So a row's estimate is a
 pure function of (model, settings, n, key), bit-identical across runs,
@@ -249,19 +271,21 @@ __all__ = ["ComparisonReport", "CorrelationEstimate", "compare", "mc_estimate",
 BLOCK_DRAWS = 1 << 16
 
 #: Rows of more Philox words than this take numpy's C generator: a row of n
-#: draws has ceil(n / 2) words, so rows of up to 512 draws batch, finite or
-#: Gaussian. The cutoff is in words because the vectorised generator's cost
-#: is; the rest of a draw costs the same either way. Per row of a 256-row
-#: ``_mc_rows`` call at one worker, batched against C generator (finite
-#: contract v4, Gaussian v7; 2-vCPU x86-64 host, one BLAS thread, medians
-#: of 7 in each of three runs): spin rows 2.0-3.5 vs 13-22 us at 2 words,
-#: 4.0-6.4 vs 14-23 at 64, 13-19 vs 15-26 at 256, 24-36 vs 16-28 at 512,
-#: 47-73 vs 19-33 at 1024; Gaussian rows 2.1-3.9 vs 24-40 at 2, 4.5-7.1 vs
-#: 24-42 at 64, 13-19 vs 26-47 at 256, 25-37 vs 32-51 at 512, 48-72 vs
-#: 35-61 at 1024. The vectorised generator costs about 0.1 us per word
-#: against a few ns, so a spin row crosses over between 256 and 512 words
-#: and a Gaussian one between 512 and 1024. At the cutoff a batched spin
-#: row costs 0.7-0.9 of its one-row tiles, a batched Gaussian row 0.4-0.5.
+#: draws has ceil(n / 2) finite or ceil(n / 4) Gaussian words, so finite
+#: rows of up to 512 draws batch and Gaussian rows of up to 1024. The cutoff
+#: is in words because the vectorised generator's cost is; the rest of a
+#: draw costs the same either way. Per row of a 256-row ``_mc_rows`` call at
+#: one worker, batched against C generator (2-vCPU x86-64 host, one BLAS
+#: thread, medians of 7 in each of three runs): spin rows (finite contract
+#: v4) 2.0-3.5 vs 13-22 us at 2 words, 4.0-6.4 vs 14-23 at 64, 13-19 vs
+#: 15-26 at 256, 24-36 vs 16-28 at 512, 47-73 vs 19-33 at 1024; Gaussian
+#: rows (contract v8, 4 draws a word, in a slower phase of the host)
+#: 2.9-3.2 vs 30-31 at 2, 6.5-9.8 vs 30-32 at 64, 21-22 vs 37-44 at 256,
+#: 41-46 vs 42-43 at 512, 77-90 vs 50-65 at 1024. The vectorised generator
+#: costs about 0.1 us per word against a few ns, so a spin row crosses over
+#: between 256 and 512 words and a Gaussian one near 512. At the cutoff a
+#: batched spin row costs 0.7-0.9 of its one-row tiles, a batched Gaussian
+#: row 0.5-0.6.
 BATCH_ROW_WORDS = 256
 
 #: Most worker threads a call may ask for. A call starts at most
@@ -276,9 +300,10 @@ MAX_WORKERS = 1024
 #: drawn: 0.27 KiB a tile (tracemalloc peak over 65 536 one-row tiles,
 #: finite or Gaussian), so a call at this cap, 2**20 tiles of BLOCK_DRAWS
 #: draws, holds about 0.27 GiB of them.
-#: Drawing that many takes four to seven minutes at the 175M-315M Gaussian
-#: draws/s (medians 177M, 276M and 310M in three sets of five runs) of two
-#: workers on a 2-vCPU x86-64 host (contract v7, in-process, 36 rows of
+#: Drawing that many takes three to six minutes at the 200M-350M Gaussian
+#: draws/s (medians 220M, 239M and 347M in three sets of five runs, against
+#: 127M-176M for contract v7 in sets run alternately with them) of two
+#: workers on a 2-vCPU x86-64 host (contract v8, in-process, 36 rows of
 #: 10**6 draws).
 MAX_DRAWS = 1 << 36
 
@@ -289,19 +314,18 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LOW32 = 0xFFFFFFFF
 #: Entry j of the sine table is the sine of the angle t_j = (j - _CENTRE) * _ANGLE_STEP.
-_CENTRE = np.float64(2**11 - 0.5)
-_ANGLE_STEP = np.float64(math.pi * 2.0**-12)
-#: A Gaussian draw's 32-bit half h takes table entry h >> _SINE_SHIFT, its top 12 bits.
-_SINE_SHIFT = 20
+_CENTRE = np.float64(7.5)
+_ANGLE_STEP = np.float64(math.pi * 2.0**-4)
+#: A Gaussian draw's 16-bit quarter q takes sine table entry q >> _SINE_SHIFT, its top 4 bits.
+_SINE_SHIFT = 12
 #: Taylor coefficients (-1)**k / (2k + 1)! of sin t / t in t**2, k = 10 down to 1;
 #: the constant term, k = 0, is 1.
 _SIN_COEFFS = tuple(np.float64((-1) ** k / math.factorial(2 * k + 1)) for k in range(10, 0, -1))
 
 
 def _sine_table() -> np.ndarray:
-    """The 4096 sines S_j = t_j Q(t_j**2), read-only, in the order the module docstring fixes."""
-    # In place: each 32 KiB temporary the import makes can raise a run's peak RSS.
-    t = np.arange(1 << (32 - _SINE_SHIFT), dtype=np.float64)
+    """The 16 sines S_j = t_j Q(t_j**2), read-only, in the order the module docstring fixes."""
+    t = np.arange(1 << (16 - _SINE_SHIFT), dtype=np.float64)
     t -= _CENTRE
     t *= _ANGLE_STEP
     x = t * t
@@ -317,7 +341,7 @@ def _sine_table() -> np.ndarray:
 
 _SINES = _sine_table()
 
-#: A Gaussian draw's 32-bit half h takes exponential table entry h & _EXP_MASK, its low 12 bits.
+#: A Gaussian draw's 16-bit quarter q takes exponential table entry q & _EXP_MASK, its low 12 bits.
 _EXP_MASK = 0xFFF
 #: Coefficients 1 / (2j + 3) of P(w) = sum_j w**j / (2j + 3), j = 16 down to 0: ln(m / (m - 1))
 #: is 2 (z + z**3 P(z**2)) with z = 1 / (2m - 1).
@@ -467,29 +491,42 @@ def _philox_words(k0: np.ndarray, k1: np.ndarray, n_words: int) -> np.ndarray:
     return np.ascontiguousarray(words.reshape(len(words), 4 * n_blocks)[:, :n_words])
 
 
-def ndtri(halves: np.ndarray, rho: np.ndarray, s: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """y = E (rho + S), E and S the tables' entries for each draw, for a tile's 32-bit ``halves``.
+def ndtri(quarters: np.ndarray, rho: np.ndarray, s: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """y = E (rho + S), E and S the tables' entries for each of a tile's 16-bit ``quarters``.
 
-    ``halves``, ``s`` and ``scratch`` are (rows, m) arrays and ``rho`` the
-    rows' (rows, 1) column. Writes y into ``s``, which it returns, and the
-    draws' exponentials into ``scratch``. Six numpy passes: the shift of
-    the halves to sine indices, a gather from the sine table, the add of
-    rho, the mask of the halves to exponential indices, a gather from the
-    exponential table, and the multiply; both 32 KiB tables stay in L1.
-    The transform layer's probe point: the benchmark's traced run wraps
-    this name, which Gaussian draws call through the module and finite
-    ones never call. It is no longer an inverse normal CDF, but renaming
-    it is a change to the benchmark as well.
+    ``quarters``, ``s`` and ``scratch`` are (rows, m) arrays and ``rho`` the
+    rows' (rows, 1) column. Writes y into ``s``, which it returns. A
+    one-row tile of at least 2**16 draws, one per quarter value, takes the
+    table path: it writes the row's 2**16 products fl(fl(S_j + rho) E_k)
+    into ``scratch``, at index q = (j << 12) | k, and gathers y from them
+    at the draws' quarters, with the quarters' int64 copy held in ``s``.
+    Any other tile takes two gathers: it shifts the quarters to sine
+    indices, gathers the sines, adds rho, masks the quarters to
+    exponential indices, gathers the exponentials into ``scratch`` and
+    multiplies. Both paths round the same two operations on the same
+    operands, so they give the same bits. The transform layer's probe
+    point: the benchmark's traced run wraps this name, which Gaussian
+    draws call through the module and finite ones never call. It is no
+    longer an inverse normal CDF, but renaming it is a change to the
+    benchmark as well.
     """
+    products = _SINES.size * _EXPS.size
+    if len(quarters) == 1 and quarters.shape[1] >= products:
+        table = scratch[0, :products]
+        np.multiply(_SINES[:, None] + rho, _EXPS, out=table.reshape(_SINES.size, _EXPS.size))
+        index = s.view(np.int64)
+        index[...] = quarters
+        # The gather reads each index before it writes that element, so it may
+        # overwrite its own index view; numpy buffers ``out`` under the default
+        # mode "raise", and every index is below 2**16, so "wrap" never wraps.
+        return np.take(table, index, out=s, mode="wrap")
     index = scratch.view(np.int64)
-    np.right_shift(halves, _SINE_SHIFT, out=index)
-    # Every index is below 4096, so "wrap" never wraps; numpy buffers ``out``
-    # under the default "raise".
+    np.right_shift(quarters, _SINE_SHIFT, out=index)
     np.take(_SINES, index, out=s, mode="wrap")
     s += rho
-    np.bitwise_and(halves, _EXP_MASK, out=index)
-    # The gather reads each index before it writes that element, so it may
-    # overwrite its own index view; a third array would cost 0.5 MiB a worker.
+    np.bitwise_and(quarters, _EXP_MASK, out=index)
+    # As above, the gather may overwrite its own index view; a third array
+    # would cost 0.5 MiB a worker.
     np.take(_EXPS, index, out=scratch, mode="wrap")
     s *= scratch
     return s
@@ -517,7 +554,7 @@ def _atom_counts(thresholds, atoms: int, words: np.ndarray, draws: int) -> np.nd
     threshold, so above about 384 atoms it is slower than a binary search
     would be.
     """
-    halves = _halves(words, draws)
+    halves = _fields(words, 2, draws)
     # Counting a one-row stack whole takes half the time of counting along its axis.
     axis = 1 if len(words) > 1 else None
     # reached[:, j] counts the draws that reach j thresholds or more; atom k
@@ -529,26 +566,30 @@ def _atom_counts(thresholds, atoms: int, words: np.ndarray, draws: int) -> np.nd
     return reached[:, :-1] - reached[:, 1:]
 
 
-def _halves(words: np.ndarray, draws: int) -> np.ndarray:
-    """The first ``draws`` 32-bit halves of each row of a (rows, words) stack of Philox words.
+def _fields(words: np.ndarray, per_word: int, draws: int) -> np.ndarray:
+    """The first ``draws`` draws of each row of a (rows, words) stack of Philox words.
 
-    The words are read as little-endian pairs of halves, low half first, on
-    any byte order: half 2j is the low half of word j, so the first
-    ``draws`` halves are the draws, an odd count's last one a low half.
+    A word holds ``per_word`` draws, 2 (32-bit halves) or 4 (16-bit
+    quarters), read little-endian on any byte order: draw i is field
+    i mod per_word of word i // per_word, the low field first, so the
+    first ``draws`` fields are the draws and a short last word's high
+    fields go unread.
     """
-    return words.astype("<u8", copy=False).view("<u4")[:, :draws]
+    return words.astype("<u8", copy=False).view(f"<u{8 // per_word}")[:, :draws]
 
 
 class _Sampler(NamedTuple):
     """How one call samples its rows: a ``_SAMPLERS`` entry builds it once a call.
 
-    ``tile(words, count, rows, y)`` gives the statistics of the rows
-    ``rows``, a slice, over the ``count`` draws a row of one tile;
-    ``scratch`` is the floats of the worker's array ``y`` that a tile draw
-    takes; ``estimate(totals)`` gives the rows' means and standard errors
-    from their statistics, added over all their tiles.
+    ``per_word`` is the draws a Philox word holds; ``tile(words, count,
+    rows, y)`` gives the statistics of the rows ``rows``, a slice, over the
+    ``count`` draws a row of one tile; ``scratch`` is the floats of the
+    worker's array ``y`` that a tile draw takes; ``estimate(totals)`` gives
+    the rows' means and standard errors from their statistics, added over
+    all their tiles.
     """
 
+    per_word: int
     tile: Callable[[np.ndarray, int, slice, np.ndarray], np.ndarray]
     scratch: int
     estimate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -567,7 +608,7 @@ def _finite_sampler(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarr
         deviation = phi1 * phi2 - mean[:, None]
         return mean, np.sqrt(_contract(empirical, deviation, deviation) / (n - 1))
 
-    return _Sampler(lambda words, count, rows, y: _atom_counts(thresholds, atoms, words, count),
+    return _Sampler(2, lambda words, count, rows, y: _atom_counts(thresholds, atoms, words, count),
                     0, estimate)
 
 
@@ -590,7 +631,7 @@ def _gaussian_sampler(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.nda
         # The first half of y's first 2 * rows * count floats takes the tile's
         # y values, the second is ndtri's scratch.
         s, scratch = y[:2 * len(words) * count].reshape(2, -1, count)
-        ndtri(_halves(words, count), rho[rows], s, scratch)
+        ndtri(_fields(words, 4, count), rho[rows], s, scratch)
         # Row sums of a C-contiguous stack equal the per-row sums bit for bit.
         sums = s.sum(axis=1)
         s *= s
@@ -605,7 +646,7 @@ def _gaussian_sampler(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.nda
         # x = s y; adding 0.0 turns the -0.0 of a zero row (s = 0) into 0.0.
         return scale * mean + 0.0, scale * np.sqrt(var / n)
 
-    return _Sampler(tile, 2, estimate)
+    return _Sampler(4, tile, 2, estimate)
 
 
 #: The one place the Monte Carlo path tells sample spaces apart: each
@@ -619,9 +660,9 @@ def _tile_stats(sampler: _Sampler, words: np.ndarray, count: int, rows: slice,
     """The statistics of the rows ``rows`` over the ``count`` draws per row of one tile.
 
     ``words`` is the tile's C-contiguous (rows, words) stack of Philox
-    words, whose word j holds draws 2j and 2j + 1 of its row, and ``y`` the
-    worker's array of ``sampler.scratch`` floats a draw of its largest
-    tile. Every tile of every call passes through here.
+    words, whose word j holds draws ``sampler.per_word`` j onward of its
+    row, and ``y`` the worker's array of ``sampler.scratch`` floats a draw
+    of its largest tile. Every tile of every call passes through here.
     """
     return sampler.tile(words, count, rows, y)
 
@@ -728,7 +769,8 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
     phi1, phi2 = np.ldexp(phi1, shift1[:, None]), np.ldexp(phi2, (shift - shift1)[:, None])
     sampler = _SAMPLERS[model.space.kind](model, phi1, phi2, n)
     # A tile is (first row, end row, first draw, draws per row), in row and block order.
-    batched = -(-n // 2) <= BATCH_ROW_WORDS
+    per_word = sampler.per_word
+    batched = -(-n // per_word) <= BATCH_ROW_WORDS
     if batched:
         # As few tiles of at most BLOCK_DRAWS draws as can be, of nearly equal size.
         per_tile = -(-len(keys) // -(-len(keys) // max(1, BLOCK_DRAWS // n)))
@@ -740,10 +782,10 @@ def _mc_rows(model: HiddenVariableModel, phi1: np.ndarray, phi2: np.ndarray, n: 
                  for row in range(len(keys)) for start in range(0, n, BLOCK_DRAWS)]
 
     def tile_stats(first: int, end: int, start: int, count: int, bg, y) -> np.ndarray:
-        # Draws 2j and 2j + 1 of a row share its word j.
-        n_words = -(-count // 2)
+        # A row's draws per_word j onward share its word j.
+        n_words = -(-count // per_word)
         words = (_philox_words(k0[first:end], k1[first:end], n_words) if batched
-                 else _raw_words(bg, keys[first], start // 2, n_words)[None, :])
+                 else _raw_words(bg, keys[first], start // per_word, n_words)[None, :])
         return _tile_stats(sampler, words, count, slice(first, end), y)
 
     # Each worker takes the next tile number under a lock and stores the

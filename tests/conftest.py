@@ -19,6 +19,7 @@ from eprlab import (
     QuadratureSetting,
     ResponseMode,
     SampleSpace,
+    SpaceKind,
     TabulatedResponse,
     UnitVector3,
     estimator,
@@ -118,11 +119,11 @@ SIN_COEFFS = [(-1) ** k / math.factorial(2 * k + 1) for k in range(10, -1, -1)]
 def polynomial_sine(j: int) -> tuple[float, float]:
     """The angle t_j of sine table entry ``j`` and its sine S_j = t_j Q(t_j**2), in Python floats.
 
-    t_j = (j - (2**11 - 1/2)) (pi 2**-12), one of 4096 points spaced evenly
-    in (-pi / 2, pi / 2); Q is the degree-10 polynomial in t**2 of
+    t_j = (j - 15/2) (pi 2**-4), one of 16 points spaced evenly in
+    (-pi / 2, pi / 2); Q is the degree-10 polynomial in t**2 of
     ``SIN_COEFFS``, by Horner's rule from the highest coefficient.
     """
-    t = (j - (2**11 - 0.5)) * (math.pi * 2.0**-12)
+    t = (j - 7.5) * (math.pi * 2.0**-4)
     x = t * t
     q = x * SIN_COEFFS[0]
     for c in SIN_COEFFS[1:-1]:
@@ -130,8 +131,8 @@ def polynomial_sine(j: int) -> tuple[float, float]:
     return t, (q + SIN_COEFFS[-1]) * t
 
 
-#: The 4096 sines S_j; a draw's 32-bit half h takes S_(h >> 20), its top 12 bits.
-SINE_TABLE = [polynomial_sine(j)[1] for j in range(4096)]
+#: The 16 sines S_j; a draw's 16-bit quarter q takes S_(q >> 12), its top 4 bits.
+SINE_TABLE = [polynomial_sine(j)[1] for j in range(16)]
 
 
 #: Coefficients 1 / (2j + 3) of P(w) = sum_j w**j / (2j + 3), j = 16 down to 0.
@@ -168,7 +169,7 @@ def exp_table() -> list[float]:
     return head + [(r1 - d) / 2.0, (r1 + d) / 2.0]
 
 
-#: The 4096 exponentials E_k; a draw's 32-bit half h takes E_(h & 0xFFF), its low 12 bits.
+#: The 4096 exponentials E_k; a draw's 16-bit quarter q takes E_(q & 0xFFF), its low 12 bits.
 EXP_TABLE = exp_table()
 
 
@@ -177,10 +178,10 @@ def gaussian_row_reference(u, v, n: int, key: int, block_draws: int = 1 << 16) -
 
     Built from the sampling contract, not from the estimator: x = s E (rho + S)
     with s = |u| |v| and rho = u.v / s (hypot-based and clipped; s = rho = 0 for
-    a zero party). Draw i takes S = ``SINE_TABLE[h >> 20]`` and
-    E = ``EXP_TABLE[h & 0xFFF]`` from its half h, the low half of word i // 2
-    of the Philox stream keyed by ``key`` for an even i and the high half for
-    an odd one. Each block's y values and their squares are summed by numpy,
+    a zero party). Draw i takes S = ``SINE_TABLE[q >> 12]`` and
+    E = ``EXP_TABLE[q & 0xFFF]`` from its 16-bit quarter q, quarter i mod 4,
+    counted from the low end, of word i // 4 of the Philox stream keyed by
+    ``key``. Each block's y values and their squares are summed by numpy,
     and the block sums are added in block order, which is the reduction the
     estimator promises.
     """
@@ -192,11 +193,11 @@ def gaussian_row_reference(u, v, n: int, key: int, block_draws: int = 1 << 16) -
         rho = 0.0
     else:
         rho = min(max(u[0] / norm1 * (v[0] / norm2) + u[1] / norm1 * (v[1] / norm2), -1.0), 1.0)
-    halves = draw_halves(key, n).tolist()
+    quarters = draw_quarters(key, n).tolist()
     total = total_squares = 0.0
     for start in range(0, n, block_draws):
-        y = np.array([EXP_TABLE[half & 0xFFF] * (SINE_TABLE[half >> 20] + rho)
-                      for half in halves[start:start + block_draws]])
+        y = np.array([EXP_TABLE[q & 0xFFF] * (SINE_TABLE[q >> 12] + rho)
+                      for q in quarters[start:start + block_draws]])
         total += float(y.sum())
         total_squares += float((y * y).sum())
     mean = total / n
@@ -204,13 +205,27 @@ def gaussian_row_reference(u, v, n: int, key: int, block_draws: int = 1 << 16) -
     return scale * mean + 0.0, scale * stderr
 
 
+#: Draws a Philox word holds, by sample space: two 32-bit halves under finite
+#: stream contract v4, four 16-bit quarters under Gaussian stream contract v8.
+DRAWS_PER_WORD = {SpaceKind.FINITE: 2, SpaceKind.GAUSSIAN_PAIR: 4}
+
+
 def draw_halves(key: int, n: int) -> np.ndarray:
-    """The 32-bit halves of draws 0 .. n - 1 of the row keyed by ``key``.
+    """The 32-bit halves of draws 0 .. n - 1 of the finite row keyed by ``key``.
 
     Draws 2j and 2j + 1 are the low and high halves of Philox word j.
     """
     words = np.random.Philox(key=key).random_raw(-(-n // 2))
     return np.stack((words & 0xFFFFFFFF, words >> 32), axis=1).ravel()[:n]
+
+
+def draw_quarters(key: int, n: int) -> np.ndarray:
+    """The 16-bit quarters of draws 0 .. n - 1 of the Gaussian row keyed by ``key``.
+
+    Draws 4j to 4j + 3 are the quarters of Philox word j, lowest first.
+    """
+    words = np.random.Philox(key=key).random_raw(-(-n // 4))
+    return np.stack([(words >> shift) & 0xFFFF for shift in (0, 16, 32, 48)], axis=1).ravel()[:n]
 
 
 def reference_atoms(weights, halves: np.ndarray) -> np.ndarray:

@@ -44,27 +44,28 @@ SCENARIOS = Path(__file__).parent.parent / "scenarios"
 #: two passes over its draws rebuilt from numpy's Philox; the Gaussian ones
 #: again when Gaussian draws first took half a word and a polynomial sine
 #: (Gaussian stream contract v5), again when they first took their sine
-#: from the 4096-entry table (Gaussian stream contract v6), and again when
+#: from the 4096-entry table (Gaussian stream contract v6), again when
 #: they first took their exponential from one too (Gaussian stream contract
-#: v7), each time after test_gaussian_rows_equal_the_per_draw_reference
-#: passed on them.
+#: v7), and again when they first took a quarter of a word and one of 16
+#: sines (Gaussian stream contract v8), each time after
+#: test_gaussian_rows_equal_the_per_draw_reference passed on them.
 BUNDLED_SHA256 = {
     "spin_chsh.csv": "dc585c84e3641c177e7f6aa3419c9ea8286c6b52992e7fa07c2e8a22de95a3bc",
     "spin_chsh.summary.json": "3d49dd93c33bb955f37ffe9969d3033051c1ec1298042e1bebd779c8c7a67eda",
-    "epr_quadrature.csv": "03368a547b439bd1884f381819329c9b374dbc232fdbdf671f28cf3e6d091ff8",
+    "epr_quadrature.csv": "9bf2e2c95018649e42ad957b2b8d02c80e3c02eac735a444727ccc4f791224e9",
     "epr_quadrature.summary.json":
-        "d0a5ff39743d870ad460edaeac940a4aeb446d7e0250f75abc898c91041b099d",
-    "free_evolution.csv": "20e2f90abe5f9a75538cea56fc606f9a2b9a7feba2ed77d84f34c7dee6d31acd",
+        "8488cb5e02d4555ee839ffe333857ae6462f6aec1a4e2a2828b69d3cec7ef950",
+    "free_evolution.csv": "8db36e93911b5879d36c0c3d69f4fec7155a2d848712c94d9d736c41556573de",
     "free_evolution.summary.json":
-        "330909b54e73e8e017df6c6233c79cc78d7d7f8bd527c454e5a20e8e226ba1ea",
+        "f515af1288f005d67e23988dfe6dc3a35b9a471ec51e27d208bef9821aa992b7",
 }
 
 #: sha256 of the bundled scenarios' stdout tables without their last line,
 #: which names the output directory. Taken with the bundled hashes above.
 BUNDLED_STDOUT_SHA256 = {
     "spin_chsh": "73465a6917f777db6335b41bcb182be4e9850468bd9f55935c9c652d5afb4340",
-    "epr_quadrature": "e6aa78a2bb7b4c942f808245db38df27da2fef66df123b1c40a332dc72822584",
-    "free_evolution": "912f37c4d7b90cd5fee009c29a49152257b325b1a3d1e7ceed87e80350a585b1",
+    "epr_quadrature": "e9bdde92301b1ee1cdc02e3a0012ad549170ad49ce8da7796e5f1c5599144576",
+    "free_evolution": "ab7242999be7fb01381b64bebe4b5f79599f47646fd600462c8df8f58bea7329",
 }
 
 #: sha256 of the CSV of SQUEEZING_0_SCAN, taken while GaussianState still
@@ -80,9 +81,9 @@ SQUEEZING_0_SCAN = {
 #: sha256 of the summary of QUADRATURE_CHSH, whose CHSH value is 5.12915518 on
 #: both sides. Taken while the CHSH block still summed the one-pair correlator
 #: and the one-pair exact expectation, not four rows of the chunk evaluator,
-#: and again under Gaussian stream contracts v5, v6 and v7, after each of its rows
-#: equalled ``gaussian_row_reference`` bit for bit.
-QUADRATURE_CHSH_SUMMARY_SHA256 = "027ac132fa34da911706000e392b0d94d9ec77cbf8a842d52f2035a99452bac4"
+#: and again under Gaussian stream contracts v5, v6, v7 and v8, after each of
+#: its rows equalled ``gaussian_row_reference`` bit for bit.
+QUADRATURE_CHSH_SUMMARY_SHA256 = "b0f8f87082b4bc2d2644aa7ebe62a7ca9c8be7e485a0094dcfd26fca0c33c6c8"
 QUADRATURE_CHSH = {
     "kind": "EPR_QUADRATURE", "name": "quadrature_chsh", "state": {"squeezing": 1.0},
     "settings": {"setting1": {"start": -0.0, "stop": 3.0, "count": 4},
@@ -268,7 +269,7 @@ INVARIANCE_SHAPES = {
                          "settings": GRID_9X9, "samples": 100, "seed": 13}, []),
     # A 9x9 spin grid at 2 samples: short rows, drawn as batched tiles.
     "batched_grid": ({"kind": "SPIN_CHSH", "settings": GRID_9X9, "samples": 2, "seed": 11}, []),
-    # A 9x9 quadrature grid at 100 samples: 50 Philox words a row, also drawn
+    # A 9x9 quadrature grid at 100 samples: 25 Philox words a row, also drawn
     # as batched tiles.
     "batched_gauss_grid": ({"kind": "EPR_QUADRATURE", "state": {"squeezing": 0.5},
                             "settings": GRID_9X9, "samples": 100, "seed": 11}, []),
@@ -304,9 +305,10 @@ INVARIANCE_SHAPES = {
     # ending in a partial tile of 3 draws, an odd count.
     "spin_odd_tail": ({"kind": "SPIN_CHSH", "settings": {"pairs": QUARTER_PAIRS},
                        "samples": 2 * BLOCK_DRAWS + 3, "seed": 7}, []),
-    # The same two shapes for quadrature rows, whose draws also take half a
-    # Philox word each: a 9x9 grid at 3 samples in batched tiles, and two
-    # pairs at 2 * 65 536 + 3 samples ending in a one-row tile of 3 draws.
+    # The same two shapes for quadrature rows, whose draws take a quarter of
+    # a Philox word each: a 9x9 grid at 3 samples in batched tiles of one
+    # word a row, whose high quarter goes unused, and two pairs at
+    # 2 * 65 536 + 3 samples ending in a one-row tile of 3 draws.
     "batched_gauss_odd_grid": ({"kind": "EPR_QUADRATURE", "state": {"squeezing": 0.5},
                                 "settings": GRID_9X9, "samples": 3, "seed": 11}, []),
     "gauss_odd_tail": ({"kind": "EPR_QUADRATURE", "state": {"squeezing": 0.7},
@@ -326,12 +328,12 @@ INVARIANCE_SHAPES = {
                          "settings": {"setting1": {"start": 0.0, "stop": 3.0, "count": 257},
                                       "setting2": {"value": 0.5}},
                          "samples": 2, "seed": 5}, []),
-    # 40 quadrature rows at 511 samples: one batched tile of 256 words a row,
-    # whose last high half goes unused.
+    # 40 quadrature rows at 1023 samples: one batched tile of 256 words a
+    # row, whose last high quarter goes unused.
     "gauss_odd_batch": ({"kind": "EPR_QUADRATURE", "state": {"squeezing": 0.8},
                          "settings": {"setting1": {"start": 0.0, "stop": 3.9, "count": 40},
                                       "setting2": {"value": -0.7}},
-                         "samples": 511, "seed": 5}, []),
+                         "samples": 1023, "seed": 5}, []),
     # Three rows of three blocks each, so that several workers share them.
     "three_block_rows": ({"kind": "EPR_QUADRATURE", "state": {"squeezing": 0.6},
                           "settings": {"pairs": [[0.1, 0.2], [1.0, -0.5], [2.0, 3.0]]},
@@ -1028,13 +1030,13 @@ class TestAtomicOutputs:
 
 #: sha256 of the stdout tables of the chunk-boundary scans, by row count,
 #: without their last line. Taken with rows keyed by (seed, row), and again
-#: under Gaussian stream contracts v6 and v7 (the 257-row scan is in
+#: under Gaussian stream contracts v6, v7 and v8 (the 257-row scan is in
 #: REFERENCE_SCENARIOS; every row of the 255- and 256-row scans equalled
 #: ``gaussian_row_reference`` bit for bit when they were taken).
 CHUNK_SCAN_STDOUT_SHA256 = {
-    255: "0b7c011e8140862a1c59a8fd349a561fa70aae543421631fcc06f86b047d1d89",
-    256: "499484f095da0682db5f516a1a3b1120fce97d8ddc4f88e718b39d250b7f4277",
-    257: "a525292f3880726e63164b899a217a07085b26bd9212e653dbd2822b3c444035",
+    255: "934ba9a32bb62f849c971f70d26a0c20cb529d4a5ef2455604f5c1bebe95fa53",
+    256: "ea2f4c83c31ddca52c5dd5ffbb8fb53a39230554dac075ab52c92f8aae7e04e8",
+    257: "1409493db0342630c1d72e7c93ef03ea95a1d8e0b73c8f1661be7b3b3918bd13",
 }
 
 
@@ -1125,7 +1127,7 @@ class TestTinySqueezing:
         # Party features of about 0.25 and 1e153 multiply to more than 1, so
         # the rows are not scaled; doubling the small party made x * x overflow
         # when x was drawn as a product of normals. Values from
-        # gaussian_row_reference under Gaussian stream contract v7
+        # gaussian_row_reference under Gaussian stream contract v8
         # (REFERENCE_SCENARIOS).
         path = write_scenario(tmp_path, {"kind": "FREE_EVOLUTION", "name": "unequal",
                                          "state": {"moments": {"qq": 0.25, "pq": 0.05,
@@ -1134,8 +1136,8 @@ class TestTinySqueezing:
                                          "samples": 1000, "seed": 5})
         assert run_cli(["run", path, "--out-dir", tmp_path]) == 0
         rows = read_columns(tmp_path / "unequal.csv")
-        assert [row[4:6] for row in rows] == [[6.129971541622191e+151, 8.908043777351696e+150],
-                                              [5.839514972787366e+151, 7.748938385294402e+150]]
+        assert [row[4:6] for row in rows] == [[5.4172406672971e+151, 8.751319927948891e+150],
+                                              [4.346789782612675e+151, 7.631005966841304e+150]]
 
 
 class TestGridEvaluation:
@@ -1462,7 +1464,7 @@ class TestEntryPoint:
     # output may depend on.
     @pytest.mark.parametrize("mode, name", [
         *(("dev", name) for name in [*BUNDLED, "override_lacking_samples"]),
-        *(("no_avx512", name) for name in [*BUNDLED, "simd_gauss_grid"]),
+        *(("no_avx512", name) for name in [*BUNDLED, "simd_gauss_grid", "three_block_rows"]),
     ])
     def test_program_entry_writes_what_an_in_process_run_writes(self, tmp_path, capsys, mode,
                                                                 name):

@@ -33,9 +33,11 @@ from eprlab import (
     unbounded_spin_model,
 )
 from conftest import (
+    DRAWS_PER_WORD,
     EXP_TABLE,
     SINE_TABLE,
     draw_halves,
+    draw_quarters,
     gaussian_row_reference,
     one_row_tiles,
     polynomial_sine,
@@ -247,100 +249,158 @@ class TestDeterminism:
         (((2.5, 1.0), (-1.0, 2.5)), 700, (3 << 64) + 5),  # u perpendicular to v
         (((0.3, 0.7), (-0.6, -1.4)), BLOCK_DRAWS + 9, 1 << 127),  # rho = -1, two blocks
         (((0.0, 0.0), (0.4, 0.6)), 300, 8),  # a zero party
-    ], ids=["rho_one", "general", "perpendicular", "rho_minus_one_two_blocks", "zero_party"])
+        (((0.0, 0.0), (0.4, 0.6)), BLOCK_DRAWS + 1, 8),  # a zero party, two blocks
+    ], ids=["rho_one", "general", "perpendicular", "rho_minus_one_two_blocks", "zero_party",
+            "zero_party_two_blocks"])
     def test_gaussian_rows_match_the_per_draw_reference(self, features, n, key):
         model = pair_model(*features)
         s = QuadratureSetting(0.0)
         est = mc_estimate(model, s, s, n, key)
         assert (est.mean, est.stderr) == gaussian_row_reference(*features, n, key)
 
+    # Two full blocks, which gather y from the row's product table, and a
+    # tail of 3 draws, which takes two gathers and ends inside its last word.
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_gaussian_row_through_both_paths_matches_the_per_draw_reference(self, workers):
+        features, n, key = ((0.8, -0.3), (0.4, 0.6)), 2 * BLOCK_DRAWS + 3, (9 << 64) + 19
+        model, s = pair_model(*features), QuadratureSetting(0.0)
+        est = mc_estimate(model, s, s, n, key, workers=workers)
+        assert (est.mean, est.stderr) == gaussian_row_reference(*features, n, key)
 
-#: The halves at both ends and on both sides of the centre 2**31 - 1/2, the
-#: first and last half of every sine table entry, every exponential table
-#: entry under the first and the last sine, then a stream.
-TABLE_HALVES = np.concatenate([
-    np.array([0, 1, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1], dtype=np.uint32),
-    np.arange(4096, dtype=np.uint32) << np.uint32(20),
-    (np.arange(4096, dtype=np.uint32) << np.uint32(20)) | np.uint32(2**20 - 1),
-    np.arange(4096, dtype=np.uint32),
-    np.arange(4096, dtype=np.uint32) | np.uint32(2**32 - 2**12),
-    draw_halves(13, 1 << 16).astype(np.uint32),
+
+#: The quarters at both ends and on both sides of the centre 2**15 - 1/2, the
+#: first and last quarter of every sine table entry, every exponential table
+#: entry under the first and the last sine, then a stream: fewer than 2**16
+#: draws in all, so ``ndtri`` takes its two gathers on them.
+TABLE_QUARTERS = np.concatenate([
+    np.array([0, 1, 2**15 - 1, 2**15, 2**16 - 2, 2**16 - 1], dtype=np.uint16),
+    np.arange(16, dtype=np.uint16) << np.uint16(12),
+    (np.arange(16, dtype=np.uint16) << np.uint16(12)) | np.uint16(0xFFF),
+    np.arange(4096, dtype=np.uint16),
+    np.arange(4096, dtype=np.uint16) | np.uint16(0xF000),
+    draw_quarters(13, 1 << 15).astype(np.uint16),
 ])
 
 
-def table_draws(halves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``ndtri`` on one row of halves at rho = 0: each half's y = E S, and its E."""
-    s, scratch = np.empty((2, 1, len(halves)))
-    return ndtri(halves[None, :], np.zeros((1, 1)), s, scratch)[0], scratch[0]
+def two_gathers(quarters: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """``ndtri`` on one row of fewer than 2**16 quarters: each draw's y = E (rho + S), and its E.
+
+    A tile that short takes the two gathers, which leave the draws'
+    exponentials in the scratch; a longer one leaves its product table there.
+    """
+    assert len(quarters) < 1 << 16
+    s, scratch = np.empty((2, 1, len(quarters)))
+    return ndtri(quarters[None, :], np.full((1, 1), rho), s, scratch)[0], scratch[0]
 
 
 class TestSineTable:
-    """S_j = t_j Q(t_j**2), the 4096 sines a Gaussian draw takes by the top 12 bits of its half."""
+    """S_j = t_j Q(t_j**2), the 16 sines a Gaussian draw takes by the top 4 bits of its quarter."""
 
     def test_antisymmetric_bit_for_bit(self):
-        # j -> 4095 - j negates t_j exactly, and t Q(t**2) is odd.
+        # j -> 15 - j negates t_j exactly, and t Q(t**2) is odd.
         table = estimator._SINES
-        assert table.shape == (4096,) and not table.flags.writeable
+        assert table.shape == (16,) and not table.flags.writeable
         assert np.array_equal(table.view(np.uint64), (-table[::-1]).view(np.uint64))
 
     def test_entries_equal_the_python_float_reference_and_the_sine(self):
         for j, sine in enumerate(estimator._SINES.tolist()):
             t, want = polynomial_sine(j)
             assert sine.hex() == want.hex() == SINE_TABLE[j].hex(), j
-            assert abs(sine - math.sin(t)) <= 4 * 2.0**-53, j
+            assert abs(sine - math.sin(t)) <= 2 * math.ulp(math.sin(t)), j
         # No angle is 0 or +-pi/2: every entry lies strictly inside (-1, 1).
         assert 0.0 not in SINE_TABLE and -1.0 < min(SINE_TABLE) < max(SINE_TABLE) < 1.0
 
-    # The midpoint rule on 4096 points of a period is exact for cos 2mt,
-    # m < 4096, so the table has the arcsine law's moments E[S**k] = C(k, k/2) / 2**k.
-    @pytest.mark.parametrize("k", [2, 4, 6, 8])
-    def test_even_moments_are_exact(self, k):
-        assert math.fsum(s**k for s in SINE_TABLE) / 4096 == math.comb(k, k // 2) / 2**k
+    # The midpoint rule on 16 points of a period is exact for cos 2mt, m < 16,
+    # so the exact angles give the arcsine law's moments
+    # E[S**k] = C(k, k/2) / 2**k for every even k below 32; the rounded
+    # entries keep them to rounding, and exactly for k = 2. At k = 32 the
+    # rule no longer holds, and the table's moment is off by about 3e-9.
+    def test_even_moments_are_those_of_cos_2_theta_below_degree_32(self):
+        def error(k):
+            want = math.comb(k, k // 2) / 2**k
+            return abs(math.fsum(s**k for s in SINE_TABLE) / 16 - want) / want
 
-    def test_each_half_draws_the_entry_of_its_top_12_bits(self):
+        assert error(2) == 0.0
+        assert max(error(k) for k in range(4, 32, 2)) <= 4e-15
+        assert error(32) > 1e-9
+
+    def test_each_quarter_draws_the_entry_of_its_top_4_bits(self):
         # At rho = 0, y = E S exactly as the per-draw reference forms it.
-        y, _ = table_draws(TABLE_HALVES)
-        for half, value in zip(TABLE_HALVES.tolist(), y.tolist()):
-            assert value.hex() == (EXP_TABLE[half & 0xFFF] * SINE_TABLE[half >> 20]).hex(), half
-        assert set((TABLE_HALVES >> 20).tolist()) == set(range(4096))
+        y, _ = two_gathers(TABLE_QUARTERS, 0.0)
+        for q, value in zip(TABLE_QUARTERS.tolist(), y.tolist()):
+            assert value.hex() == (EXP_TABLE[q & 0xFFF] * SINE_TABLE[q >> 12]).hex(), q
+        assert set((TABLE_QUARTERS >> 12).tolist()) == set(range(16))
 
-    def test_mirrored_halves_draw_negated_sines(self):
-        # h -> 2**32 - 1 - h maps the sine entry j to 4095 - j, which negates
+    def test_mirrored_quarters_draw_negated_sines(self):
+        # q -> 2**16 - 1 - q maps the sine entry j to 15 - j, which negates
         # it, and the exponential entry k to 4095 - k.
-        mirrored = np.uint32(2**32 - 1) - TABLE_HALVES
-        y, e = table_draws(mirrored)
-        for half, value, exp in zip(TABLE_HALVES.tolist(), y.tolist(), e.tolist()):
-            assert exp.hex() == EXP_TABLE[4095 - (half & 0xFFF)].hex(), half
-            assert value.hex() == (exp * -SINE_TABLE[half >> 20]).hex(), half
+        y, e = two_gathers(np.uint16(2**16 - 1) - TABLE_QUARTERS, 0.0)
+        for q, value, exp in zip(TABLE_QUARTERS.tolist(), y.tolist(), e.tolist()):
+            assert exp.hex() == EXP_TABLE[4095 - (q & 0xFFF)].hex(), q
+            assert value.hex() == (exp * -SINE_TABLE[q >> 12]).hex(), q
 
-    def test_odd_batched_tile_reads_only_its_halves(self):
-        # An odd row's halves are a strided view of the words; the scratch
-        # row's exponentials and the draws are those of the halves alone.
+    def test_odd_batched_tile_reads_only_its_quarters(self):
+        # A row's quarters that end inside its last word are a strided view
+        # of the words; the scratch row's exponentials and the draws are those
+        # of the quarters alone.
         words = np.random.Philox(key=3).random_raw(5 * 256).reshape(5, 256)
-        halves = estimator._halves(words, 511)
-        s, scratch = np.empty((2, 5, 511))
+        quarters = estimator._fields(words, 4, 1023)
+        s, scratch = np.empty((2, 5, 1023))
         rho = np.linspace(-1.0, 1.0, 5)[:, None]
-        got = ndtri(halves, rho, s, scratch)
-        want = np.array([[EXP_TABLE[h & 0xFFF] * (SINE_TABLE[h >> 20] + r) for h in row]
-                         for row, r in zip(halves.tolist(), rho[:, 0].tolist())])
+        got = ndtri(quarters, rho, s, scratch)
+        want = np.array([[EXP_TABLE[q & 0xFFF] * (SINE_TABLE[q >> 12] + r) for q in row]
+                         for row, r in zip(quarters.tolist(), rho[:, 0].tolist())])
         assert got is s and np.array_equal(got, want)
-        assert np.array_equal(scratch, np.array(EXP_TABLE)[halves & 0xFFF])
+        assert np.array_equal(scratch, np.array(EXP_TABLE)[quarters & 0xFFF])
 
     def test_batched_and_one_row_rows_at_odd_n_match_the_per_draw_reference(self):
-        # 40 rows of 511 draws, 256 words each, are drawn as one batched tile,
-        # whose last word's high half goes unused; a lone row of 1001 draws
-        # is a one-row tile.
+        # 40 rows of 1023 draws, 256 words each, are drawn as one batched
+        # tile, whose last word's high quarter goes unused; a lone row of
+        # 1025 draws is a one-row tile, whose last word holds one draw.
         model = quadrature_model(extract_moments(tmsv(0.8)))
         settings1 = [QuadratureSetting(0.1 * i) for i in range(40)]
         settings2 = [QuadratureSetting(-0.07 * i) for i in range(40)]
         keys = [(i << 64) + 5 for i in range(40)]
-        rows = mc_estimate_rows(model, settings1, settings2, 511, keys, workers=2)
+        rows = mc_estimate_rows(model, settings1, settings2, 1023, keys, workers=2)
         for est, s1, s2, key in zip(rows, settings1, settings2, keys):
             features = model.response1.features(s1), model.response2.features(s2)
-            assert (est.mean, est.stderr) == gaussian_row_reference(*features, 511, key)
+            assert (est.mean, est.stderr) == gaussian_row_reference(*features, 1023, key)
         features = model.response1.features(settings1[3]), model.response2.features(settings2[3])
-        est = mc_estimate(model, settings1[3], settings2[3], 1001, 9)
-        assert (est.mean, est.stderr) == gaussian_row_reference(*features, 1001, 9)
+        est = mc_estimate(model, settings1[3], settings2[3], 1025, 9)
+        assert (est.mean, est.stderr) == gaussian_row_reference(*features, 1025, 9)
+
+
+class TestProductTable:
+    """A one-row tile of at least 2**16 draws gathers y from its row's 2**16 products."""
+
+    #: Every quarter value once, in order, then a stream: one row of
+    #: 2**16 + 2**15 draws.
+    QUARTERS = np.concatenate([np.arange(1 << 16, dtype=np.uint16),
+                               draw_quarters(21, 1 << 15).astype(np.uint16)])
+
+    # rho = 0 is also the row of a zero party, whose s and rho are both 0.
+    @pytest.mark.parametrize("rho", [-1.0, -0.3, 0.0, 0.5, 1.0])
+    def test_equals_the_two_gathers_bit_for_bit(self, rho):
+        s, scratch = np.empty((2, 1, len(self.QUARTERS)))
+        got = ndtri(self.QUARTERS[None, :], np.full((1, 1), rho), s, scratch)[0]
+        # The same quarters in tiles of fewer than 2**16 draws take two gathers.
+        want = np.concatenate([two_gathers(part, rho)[0]
+                               for part in np.array_split(self.QUARTERS, 3)])
+        assert got.tobytes() == want.tobytes()
+        # The first 2**16 draws are the quarters 0 .. 2**16 - 1, so their y
+        # values are the table, which the scratch now holds in place of E.
+        table = [EXP_TABLE[q & 0xFFF] * (SINE_TABLE[q >> 12] + rho) for q in range(1 << 16)]
+        assert scratch[0, :1 << 16].tobytes() == got[:1 << 16].tobytes() == \
+            np.array(table).tobytes()
+
+    def test_only_one_row_tiles_of_at_least_2_16_draws_take_the_table(self):
+        # A tile one draw short, or of two rows, leaves the exponentials in
+        # its scratch.
+        for rows, count in ((1, (1 << 16) - 1), (2, 1 << 16)):
+            quarters = np.resize(self.QUARTERS, (rows, count))
+            s, scratch = np.empty((2, rows, count))
+            ndtri(quarters, np.zeros((rows, 1)), s, scratch)
+            assert np.array_equal(scratch, np.array(EXP_TABLE)[quarters & 0xFFF])
 
 
 def exp_bin_mean(k: int) -> float:
@@ -377,24 +437,23 @@ class TestExpTable:
         # The last two entries straddle the last two bins' joint mean ln(2048) + 1.
         assert EXP_TABLE[4093] < EXP_TABLE[4094] < math.log(2048) + 1 < EXP_TABLE[4095]
 
-    def test_each_half_draws_the_sine_of_its_top_and_the_exponential_of_its_low_12_bits(self):
+    def test_each_quarter_draws_the_sine_of_its_top_4_and_the_exponential_of_its_low_12_bits(self):
         # The exponential gather writes over its own index view.
         rho = 0.375
-        s, scratch = np.empty((2, 1, len(TABLE_HALVES)))
-        y = ndtri(TABLE_HALVES[None, :], np.full((1, 1), rho), s, scratch)[0]
-        for half, value, exp in zip(TABLE_HALVES.tolist(), y.tolist(), scratch[0].tolist()):
-            want = EXP_TABLE[half & 0xFFF]
-            assert exp.hex() == want.hex(), half
-            assert value.hex() == (want * (SINE_TABLE[half >> 20] + rho)).hex(), half
-        assert set(scratch[0].tolist()) == set(EXP_TABLE)
+        y, e = two_gathers(TABLE_QUARTERS, rho)
+        for q, value, exp in zip(TABLE_QUARTERS.tolist(), y.tolist(), e.tolist()):
+            want = EXP_TABLE[q & 0xFFF]
+            assert exp.hex() == want.hex(), q
+            assert value.hex() == (want * (SINE_TABLE[q >> 12] + rho)).hex(), q
+        assert set(e.tolist()) == set(EXP_TABLE)
 
 
 #: A 150 000-draw Gaussian row (three blocks, the last one partial), as
 #: float.hex of its mean and stderr. Taken from ``gaussian_row_reference``
-#: again when Gaussian draws first took their exponential from the
-#: 4096-entry table (Gaussian stream contract v7); any worker count must
+#: again when Gaussian draws first took a quarter of a Philox word and one
+#: of 16 sines (Gaussian stream contract v8); any worker count must
 #: reproduce it.
-GAUSSIAN_ROW_HEX = ("0x1.4434bfd6d373fp+0", "0x1.755b606e5c2a6p-8")
+GAUSSIAN_ROW_HEX = ("0x1.44466d1fdec31p+0", "0x1.77714722350dbp-8")
 
 
 class _HelperError(Exception):
@@ -530,14 +589,14 @@ class TestGaussianRowPinned:
 #: Gaussian rows that end in a partial block, of 16 383, 16 384, 16 385,
 #: BLOCK_DRAWS - 1, 1 and 16 387 draws, as float.hex of (mean, stderr); taken
 #: from ``gaussian_row_reference``, which draws one value at a time, under
-#: Gaussian stream contract v7.
+#: Gaussian stream contract v8.
 PARTIAL_BLOCK_ROW_HEX = {
-    16383: ("0x1.42ce6744b6eabp+0", "0x1.17a344ff73280p-6"),
-    16384: ("0x1.42cb342bae514p+0", "0x1.179f3164c5b9cp-6"),
-    16385: ("0x1.42c2645eda1a0p+0", "0x1.179d0ba98867fp-6"),
-    BLOCK_DRAWS - 1: ("0x1.43abfbaa64779p+0", "0x1.180ec3a172e46p-7"),
-    BLOCK_DRAWS + 1: ("0x1.43a875a66278bp+0", "0x1.180d49397909fp-7"),
-    2 * BLOCK_DRAWS + 16387: ("0x1.43cde3f5ec531p+0", "0x1.77f62d4bda56fp-8"),
+    16383: ("0x1.409c3c2de7a62p+0", "0x1.16a62ea1c337bp-6"),
+    16384: ("0x1.40920d54a34e7p+0", "0x1.16a4ce272641dp-6"),
+    16385: ("0x1.408d21dcd4447p+0", "0x1.16a125857d5e1p-6"),
+    BLOCK_DRAWS - 1: ("0x1.437061224f6fep+0", "0x1.1b5d2bb6164a0p-7"),
+    BLOCK_DRAWS + 1: ("0x1.436f378cb9dd3p+0", "0x1.1b5b163c8743dp-7"),
+    2 * BLOCK_DRAWS + 16387: ("0x1.448e7ce47c476p+0", "0x1.7ab90e3745b06p-8"),
 }
 
 
@@ -582,7 +641,8 @@ class TestGaussianTiles:
     def test_traced_peak_memory_per_worker(self, workers):
         model = quadrature_model(extract_moments(tmsv(1.0)))
         s1, s2 = QuadratureSetting(0.3), QuadratureSetting(0.5)
-        mc_estimate(model, s1, s2, 1000, 1)  # loads numpy.random outside the trace
+        # A row too long to batch loads numpy.random outside the trace.
+        mc_estimate(model, s1, s2, 4 * BATCH_ROW_WORDS + 1, 1)
         tracemalloc.start()
         try:
             mc_estimate(model, s1, s2, 1_000_000, 7, workers=workers)
@@ -590,6 +650,21 @@ class TestGaussianTiles:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 2**20 * workers
+
+    def test_product_table_lives_in_the_scratch(self):
+        # One worker's 2 floats a draw of scratch are 1 MiB at a full block,
+        # and its words 128 KiB; a table beside the scratch would add 0.5 MiB.
+        u, v = (0.8, -0.3), (0.4, 0.6)
+        model, phi1, phi2 = pair_model(u, v), np.array([u]), np.array([v])
+        # A row too long to batch loads numpy.random outside the trace.
+        estimator._mc_rows(model, phi1, phi2, 4 * BATCH_ROW_WORDS + 1, [1], 1)
+        tracemalloc.start()
+        try:
+            estimator._mc_rows(model, phi1, phi2, 4 * BLOCK_DRAWS, [7], 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 2**20
 
 
 #: Gaussian feature pairs (u, v) of the law test, by the case they cover.
@@ -714,14 +789,14 @@ class TestTinyFeatures:
     #: about 1e-200 and 1e200, taken before any rescaling: their products are
     #: about 1, so no row is scaled and nothing overflows. The linear rows
     #: were taken again from ``gaussian_row_reference`` under Gaussian stream
-    #: contract v7, which they equal bit for bit; the table rows under finite
+    #: contract v8, which they equal bit for bit; the table rows under finite
     #: contract v4, after they matched two passes over their draws from
     #: ``draw_halves`` to 2e-16 relative.
     UNEQUAL_PARTIES_HEX = {
         "table": [("-0x1.374bc6a7ef9dcp-5", "0x1.a7bd21d96fdcdp-7"),
                   ("-0x1.4bc6a7ef9db23p-4", "0x1.8484966870cb6p-7")],
-        "linear": [("0x1.3a28d9b0a95d4p-2", "0x1.6efb145801997p-6"),
-                   ("0x1.3df7b67d04b55p-2", "0x1.4c575130e4c6bp-6")],
+        "linear": [("0x1.25eaf90ac4241p-2", "0x1.61e2bfa1c6664p-6"),
+                   ("0x1.23d2bbbdab8f2p-2", "0x1.49e1cc6d7ed3fp-6")],
     }
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -909,11 +984,12 @@ class TestPhiloxWords:
 
 
 class TestBatchCutoff:
-    """``BATCH_ROW_WORDS`` counts Philox words a row, ceil(n / 2) in both sample spaces."""
+    """``BATCH_ROW_WORDS`` counts Philox words a row: ceil(n / 2) finite, ceil(n / 4) Gaussian."""
 
     @pytest.mark.parametrize("name,n,batched", [
-        (name, 2 * BATCH_ROW_WORDS + offset, offset <= 0)
-        for name in ("spin", "gauss") for offset in (-1, 0, 1)])
+        (name, DRAWS_PER_WORD[kind] * BATCH_ROW_WORDS + offset, offset <= 0)
+        for name, kind in (("spin", SpaceKind.FINITE), ("gauss", SpaceKind.GAUSSIAN_PAIR))
+        for offset in (-1, 0, 1)])
     def test_batched_and_one_row_tiles_give_the_same_bits(self, monkeypatch, name, n, batched):
         rows = range(32)
         if name == "spin":
@@ -933,7 +1009,7 @@ class TestBatchCutoff:
         assert mc_estimate_rows(model, [s1] * len(rows), settings, n, keys, workers=2) == want
         assert bool(calls) == batched
         if batched:
-            assert {args[2] for args in calls} == {-(-n // 2)}
+            assert {args[2] for args in calls} == {-(-n // DRAWS_PER_WORD[model.space.kind])}
 
 
 class TestMcEstimateRows:

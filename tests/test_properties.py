@@ -44,7 +44,7 @@ from eprlab import (
     tmsv,
     unbounded_spin_model,
 )
-from conftest import draw_halves, one_row_tiles, reference_atoms
+from conftest import DRAWS_PER_WORD, draw_halves, one_row_tiles, reference_atoms
 from eprlab.estimator import BATCH_ROW_WORDS, BLOCK_DRAWS
 
 # Fixed example sequence and no example database, so every run checks the same inputs.
@@ -204,7 +204,8 @@ ROW_MODELS = {
 }
 ROW_SAMPLES = sorted({2, 3, BATCH_ROW_WORDS // 2, BATCH_ROW_WORDS // 2 + 1,
                       BATCH_ROW_WORDS, BATCH_ROW_WORDS + 1, 2 * BATCH_ROW_WORDS,
-                      2 * BATCH_ROW_WORDS + 1, BLOCK_DRAWS + 1})
+                      2 * BATCH_ROW_WORDS + 1, 4 * BATCH_ROW_WORDS, 4 * BATCH_ROW_WORDS + 1,
+                      BLOCK_DRAWS + 1})
 ROW_COUNTS = (1, 31, 32, 41)
 KEY = st.integers(min_value=0, max_value=(1 << 128) - 1)
 
@@ -241,7 +242,8 @@ def test_row_estimates_equal_per_row_estimates(name, n, data):
     model, pool = ROW_MODELS[name]
     rows = data.draw(st.sampled_from(ROW_COUNTS), label="rows")
     if n > BLOCK_DRAWS:
-        # Multi-block rows; n = BATCH_ROW_WORDS + 1 already routes many long rows.
+        # Multi-block rows; n = 2 * BATCH_ROW_WORDS + 1 (finite) and
+        # 4 * BATCH_ROW_WORDS + 1 (Gaussian) already route many long rows.
         rows = min(rows, 2)
     pairs = data.draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
                                          st.integers(0, len(pool) - 1)),
@@ -249,8 +251,8 @@ def test_row_estimates_equal_per_row_estimates(name, n, data):
     if data.draw(st.booleans(), label="signed_zero_row"):
         pairs[0] = (0, 1)
     keys = data.draw(st.lists(KEY, min_size=rows, max_size=rows), label="keys")
-    # Every draw takes half a Philox word.
-    row_words = -(-n // 2)
+    # A finite draw takes half a Philox word, a Gaussian one a quarter.
+    row_words = -(-n // DRAWS_PER_WORD[model.space.kind])
     batched = row_words <= BATCH_ROW_WORDS
     # Smaller tiles split a batched chunk; rows drawn in blocks keep the real
     # block size, whose boundaries the per-row reference shares (a Gaussian
@@ -278,7 +280,7 @@ def test_row_estimates_equal_per_row_estimates(name, n, data):
         assert tile_calls == []
         # A tile draws its words in one call, one tile per block of each row.
         assert len(block_calls) == rows * -(-n // BLOCK_DRAWS)
-        # The words drawn: ceil(n / 2) a row.
+        # The words drawn: ceil(n / 2) or ceil(n / 4) a row.
         assert sum(args[3] for args in block_calls) == rows * row_words
     else:
         assert block_calls == []
